@@ -240,7 +240,7 @@ def approximate(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
     values[blend_nodes] = num[blend_nodes] / partition.densum[blend_nodes][..., None]
     u_tilde = DisplacementField(grid, values)
 
-    new_jump, boundary_faces = _compose_jump(grid, covering, jumps)
+    new_jump = _compose_jump(grid, covering, jumps)
     omega_cells = _global_omega(grid, covering, fits)
 
     radius = (covering.w0_h - 0.5) * grid.spacing
@@ -258,7 +258,7 @@ def approximate(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
 
 
 def _compose_jump(grid: GridSpec, covering: WhitneyCovering,
-                  jumps: JumpSet) -> tuple[JumpSet, list[Face]]:
+                  jumps: JumpSet) -> JumpSet:
     """New jump set: bad-set boundary faces plus retained input faces.
 
     Input faces are erased only where both adjacent cells lie in the
@@ -282,8 +282,7 @@ def _compose_jump(grid: GridSpec, covering: WhitneyCovering,
         if face in jumps.owner_high:
             owner_high.append(face)
 
-    boundary = boundary_faces_of_mask(covering.bad_cells)
-    for face in boundary:
+    for face in boundary_faces_of_mask(covering.bad_cells):
         if face in jumps.faces:
             continue
         kept.append(face)
@@ -291,7 +290,7 @@ def _compose_jump(grid: GridSpec, covering: WhitneyCovering,
         lo_cell = idx[:axis] + (idx[axis] - 1,) + idx[axis + 1:]
         if covering.bad_cells[lo_cell]:
             owner_high.append(face)   # blended side is high: it owns the plane
-    return JumpSet(grid, kept, owner_high), boundary
+    return JumpSet(grid, kept, owner_high)
 
 
 def _global_omega(grid: GridSpec, covering: WhitneyCovering,
@@ -337,9 +336,8 @@ def _norm_region_boxes(dim: int, sqrt_d: float) -> list[tuple[str, BoxRegion]]:
     return fam
 
 
-def _lipschitz_ramps(dim: int) -> list[tuple[str, float, np.ndarray | None]]:
-    return [("const_one", 0.0, None), ("ramp_1", 1.0, None),
-            ("ramp_4", 4.0, None), ("ramp_16", 16.0, None)]
+_LIPSCHITZ_RAMPS = (("const_one", 0.0), ("ramp_1", 1.0), ("ramp_4", 4.0),
+                    ("ramp_16", 16.0))
 
 
 def _ramp_values(grid: GridSpec, lip: float) -> np.ndarray:
@@ -480,7 +478,7 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
     # P5: weighted energy comparison for Lipschitz weights.
     worst5 = 0.0
     detail5 = {}
-    for name, lip, _ in _lipschitz_ramps(dim):
+    for name, lip in _LIPSCHITZ_RAMPS:
         psi = _ramp_values(grid, lip)
         lhs = float(np.sum(psi * bulk_t) * hvol)
         base = float(np.sum(psi * bulk_u) * hvol)

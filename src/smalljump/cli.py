@@ -416,14 +416,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _limit_threads(value: str) -> None:
+    """Cap BLAS thread pools at ``value``; warn and go on when it cannot."""
+    try:
+        n = int(value)
+    except ValueError:
+        print(f"warning: SMALLJUMP_THREADS={value!r} is not an integer; "
+              "ignored", file=sys.stderr)
+        return
+    try:
+        from threadpoolctl import threadpool_limits
+    except ImportError:
+        print("warning: SMALLJUMP_THREADS ignored: threadpoolctl is not "
+              "installed", file=sys.stderr)
+        return
+    threadpool_limits(n)
+
+
 def main(argv: list[str] | None = None) -> int:
     threads = os.environ.get("SMALLJUMP_THREADS")
     if threads:
-        try:
-            from threadpoolctl import threadpool_limits
-            threadpool_limits(int(threads))
-        except Exception:
-            pass
+        _limit_threads(threads)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -13,6 +13,7 @@ approximant hands off to the untouched field with no artificial jump.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -341,7 +342,7 @@ def build_covering(grid: GridSpec, selection: CrownSelection,
 
     cubes: list[DyadicCube] = []
     per_axis = range(-w1, w1, m)
-    for anchor in _product_anchors(per_axis, grid.dim):
+    for anchor in itertools.product(per_axis, repeat=grid.dim):
         cubes.append(DyadicCube(0, anchor, m))
 
     slab_counts: dict[int, int] = {}
@@ -352,7 +353,7 @@ def build_covering(grid: GridSpec, selection: CrownSelection,
         inner = w0 - 2 * side
         count = 0
         rng_all = range(-outer, outer, side)
-        for anchor in _product_anchors(rng_all, grid.dim):
+        for anchor in itertools.product(rng_all, repeat=grid.dim):
             if all(-inner <= a and a + side <= inner for a in anchor):
                 continue
             cubes.append(DyadicCube(k, anchor, side))
@@ -364,19 +365,6 @@ def build_covering(grid: GridSpec, selection: CrownSelection,
                           w0_h=w0, w1_h=w1)
     _check_geometry(cov)
     return cov
-
-
-def _product_anchors(rng, dim: int):
-    vals = list(rng)
-    if dim == 2:
-        for a in vals:
-            for b in vals:
-                yield (a, b)
-    else:
-        for a in vals:
-            for b in vals:
-                for c in vals:
-                    yield (a, b, c)
 
 
 def _check_geometry(cov: WhitneyCovering) -> None:

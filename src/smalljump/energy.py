@@ -52,13 +52,6 @@ class HookeTensor:
         frob2 = np.sum(sym * sym, axis=(-2, -1))
         return self.lame_lambda * tr * tr + 2.0 * self.lame_mu * frob2
 
-    def apply(self, xi: np.ndarray) -> np.ndarray:
-        sym = 0.5 * (xi + np.swapaxes(xi, -1, -2))
-        tr = np.trace(sym, axis1=-2, axis2=-1)
-        d = xi.shape[-1]
-        eye = np.eye(d)
-        return self.lame_lambda * tr[..., None, None] * eye + 2.0 * self.lame_mu * sym
-
 
 @dataclass(frozen=True)
 class EnergyParams:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -61,9 +61,6 @@ class GridSpec:
 
     def cell_centers_1d(self) -> np.ndarray:
         return -self.half_width + self.spacing * (np.arange(self.cells_per_side) + 0.5)
-
-    def cell_center(self, idx: Sequence[int]) -> np.ndarray:
-        return np.array([-self.half_width + self.spacing * (i + 0.5) for i in idx])
 
     def cell_center_grid(self) -> np.ndarray:
         """Array of shape cell_shape + (dim,) with all cell centers."""
@@ -253,11 +250,6 @@ def centered_box(half_width: float, dim: int) -> BoxRegion:
     return BoxRegion((-half_width,) * dim, (half_width,) * dim)
 
 
-def full_region(grid: GridSpec) -> BoxRegion:
-    w = grid.half_width + grid.spacing
-    return centered_box(w, grid.dim)
-
-
 def region_cell_mask(grid: GridSpec, region: Region | None) -> np.ndarray:
     if region is None:
         return np.ones(grid.cell_shape, dtype=bool)
@@ -325,6 +317,9 @@ def load_field(base: str | Path) -> DisplacementField:
     header = json.loads(base.with_suffix(".json").read_text())
     if header.get("dtype") != "f64-le":
         raise ValueError(f"unsupported dtype {header.get('dtype')!r}")
+    for key in ("dim", "M", "r"):
+        if key not in header:
+            raise ValueError(f"field header missing key {key!r}")
     grid = GridSpec(int(header["dim"]), int(header["M"]), float(header["r"]))
     raw = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<f8")
     n_nodes = (grid.cells_per_side + 1) ** grid.dim

@@ -19,7 +19,7 @@ from .covering import DyadicCube, count_faces_in_box12, face_coords12
 from .errors import FitError
 from .grid import DisplacementField, GridSpec, JumpSet
 from .mollify import Mollifier, mollify
-from .strain import StrainField, symmetric_gradient
+from .strain import StrainField, _standard_gradient, symmetric_gradient
 
 
 @dataclass(frozen=True)
@@ -333,7 +333,8 @@ def mollified_strain_error(u: DisplacementField, jumps: JumpSet,
     sl1 = cube.enlarged_cell_ranges(grid, "q1")
     local = tuple(slice(s.start - w.start, s.stop - w.start)
                   for s, w in zip(sl1, win))
-    e_ui = _window_strain(u_i, dim, h)[local]
+    grad = _standard_gradient(u_i, h)[local]
+    e_ui = 0.5 * (grad + np.swapaxes(grad, -1, -2))
 
     if mollified_strain is None:
         if strain is None:
@@ -353,23 +354,6 @@ def mollified_strain_error(u: DisplacementField, jumps: JumpSet,
         "crack_density": density,
         "ratio": (lhs / strain_p) if strain_p > 0 else (0.0 if lhs <= 1e-300 else math.inf),
     }
-
-
-def _window_strain(node_vals: np.ndarray, dim: int, h: float) -> np.ndarray:
-    """Standard (crack-free) strain of a node window."""
-    grad = np.empty(tuple(s - 1 for s in node_vals.shape[:dim]) + (dim, dim))
-    for a in range(dim):
-        d = np.diff(node_vals, axis=a) / h
-        for o in range(dim):
-            if o == a:
-                continue
-            sl_lo = [slice(None)] * d.ndim
-            sl_hi = [slice(None)] * d.ndim
-            sl_lo[o] = slice(0, -1)
-            sl_hi[o] = slice(1, None)
-            d = 0.5 * (d[tuple(sl_lo)] + d[tuple(sl_hi)])
-        grad[..., :, a] = d
-    return 0.5 * (grad + np.swapaxes(grad, -1, -2))
 
 
 def cube_smoothed_field(u: DisplacementField, cube: DyadicCube,

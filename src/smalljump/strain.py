@@ -155,11 +155,11 @@ def affected_cells(grid: GridSpec, jumps: JumpSet) -> set[tuple[int, ...]]:
     return out
 
 
-def _standard_gradient(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Vectorized all-standard gradient; entry [..., c, a] is du_c/dx_a."""
-    dim = grid.dim
-    h = grid.spacing
-    out = np.empty(grid.cell_shape + (dim, dim))
+def _standard_gradient(values: np.ndarray, h: float) -> np.ndarray:
+    """Crack-free gradient of node values shaped nodes + (dim,), on the
+    cells between them; entry [..., c, a] is du_c/dx_a."""
+    dim = values.shape[-1]
+    out = np.empty(tuple(s - 1 for s in values.shape[:-1]) + (dim, dim))
     for a in range(dim):
         d = np.diff(values, axis=a) / h
         for o in range(dim):
@@ -182,7 +182,7 @@ def symmetric_gradient(u: DisplacementField, jumps: JumpSet) -> StrainField:
             or jg.half_width != grid.half_width:
         raise ValueError("displacement and jump set live on different grids")
     dim = grid.dim
-    grad = _standard_gradient(u.values, grid)
+    grad = _standard_gradient(u.values, grid.spacing)
 
     dead_cells: list[tuple[tuple[int, ...], list[int]]] = []
     if len(jumps) > 0:

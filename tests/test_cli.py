@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -153,3 +154,37 @@ def test_harness_subcommand(tmp_path):
     rep = json.loads((out / "harness.json").read_text())
     assert all(r["pass"] for r in rep["semicontinuity"])
     assert (out / "semicontinuity.csv").exists()
+
+
+def test_field_header_missing_key_exits_one(tmp_path, capsys):
+    base = tmp_path / "rigid"
+    assert main(["gen", "--spec", "rigid", "--dim", "2", "--cells", "16",
+                 "--seed", "2", "--out", str(base)]) == 0
+    header = json.loads(base.with_suffix(".json").read_text())
+    del header["M"]
+    base.with_suffix(".json").write_text(json.dumps(header))
+    capsys.readouterr()
+    rc = main(["approx", "--field", str(base),
+               "--jump", str(base.with_suffix(".jump.json")),
+               "--eta", "0.5", "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: field header missing key 'M'\n"
+
+
+@pytest.mark.parametrize("value, hide_threadpoolctl, reason", [
+    ("2", True, "threadpoolctl is not installed"),
+    ("two", False, "'two' is not an integer"),
+])
+def test_ignored_thread_cap_warns_once_and_runs(tmp_path, monkeypatch, capsys,
+                                                value, hide_threadpoolctl,
+                                                reason):
+    monkeypatch.setenv("SMALLJUMP_THREADS", value)
+    if hide_threadpoolctl:
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    rc = main(["gen", "--spec", "rigid", "--dim", "2", "--cells", "8",
+               "--seed", "0", "--out", str(tmp_path / "field")])
+    assert rc == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: SMALLJUMP_THREADS")
+    assert reason in err[0]

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from smalljump import oracle
 from smalljump.energy import EnergyParams, HookeTensor, energy_G, energy_breakdown
 from smalljump.errors import SolverError
 from smalljump.generators import rigid_field
@@ -19,6 +24,7 @@ from smalljump.oracle import (
     solve_elastic,
     vanishing_jump_harness,
 )
+from smalljump.strain import CrackContext, affected_cells, cell_strain_ops
 
 HOOKE = HookeTensor(1.0, 1.0)
 
@@ -283,15 +289,133 @@ def test_density_theta1_nondecreasing_in_beta():
     assert thetas[0] <= thetas[1] <= thetas[2]
 
 
-def test_sparse_backend_matches_dense():
+def _reference_local(grid, hooke, ctx, cell):
+    """Dofs and local bulk matrix of one cell, written out per stencil entry."""
+    dim = grid.dim
+    ops, dead = cell_strain_ops(grid, ctx, cell)
+    nodes, weights = [], []
+    for a in range(dim):
+        row = []
+        for node, coef in ops[a] or []:
+            if node not in nodes:
+                nodes.append(node)
+            row.append((nodes.index(node), coef))
+        weights.append(row)
+    n_loc = len(nodes) * dim
+    loc = np.zeros((n_loc, n_loc))
+    trace_row = np.zeros(n_loc)
+    for c in range(dim):
+        for a in range(dim):
+            if a in dead or c in dead:
+                continue
+            row = np.zeros(n_loc)
+            for k, coef in weights[a]:
+                row[k * dim + c] += 0.5 * coef
+            for k, coef in weights[c]:
+                row[k * dim + a] += 0.5 * coef
+            loc += 2.0 * hooke.lame_mu * np.outer(row, row)
+            if a == c:
+                trace_row += row
+    loc += hooke.lame_lambda * np.outer(trace_row, trace_row)
+    loc *= grid.spacing ** dim
+    dofs = [int(np.ravel_multi_index(node, grid.node_shape)) * dim + comp
+            for node in nodes for comp in range(dim)]
+    return np.array(dofs, dtype=int), loc
+
+
+def reference_system(grid, params, jumps):
+    """Per-cell dense assembly of the bulk + fidelity Hessian: crack-free
+    cells in lexicographic order, the fidelity diagonal, then per affected
+    cell the crack-free block out and the cracked block in."""
+    n = (grid.cells_per_side + 1) ** grid.dim * grid.dim
+    clean = CrackContext(grid, JumpSet(grid))
+    H = np.zeros((n, n))
+    for cell in itertools.product(range(grid.cells_per_side), repeat=grid.dim):
+        dofs, loc = _reference_local(grid, params.hooke, clean, cell)
+        H[np.ix_(dofs, dofs)] += loc
+    counts = np.zeros(grid.node_shape)
+    for corner in np.ndindex(*(2,) * grid.dim):
+        counts[tuple(slice(c, c + grid.cells_per_side) for c in corner)] += 1.0
+    w = params.kappa * grid.spacing ** grid.dim / 2 ** grid.dim
+    H[np.arange(n), np.arange(n)] += 2.0 * w * np.repeat(counts.reshape(-1),
+                                                         grid.dim)
+    ctx = CrackContext(grid, jumps)
+    for cell in sorted(affected_cells(grid, jumps)):
+        dofs, loc_std = _reference_local(grid, params.hooke, clean, cell)
+        dofs2, loc = _reference_local(grid, params.hooke, ctx, cell)
+        H[np.ix_(dofs, dofs)] -= loc_std
+        H[np.ix_(dofs2, dofs2)] += loc
+    return H
+
+
+def random_crack_set(g: GridSpec, rng, n_faces: int) -> JumpSet:
+    m = g.cells_per_side
+    faces = set()
+    while len(faces) < n_faces:
+        axis = int(rng.integers(g.dim))
+        idx = [int(rng.integers(m)) for _ in range(g.dim)]
+        idx[axis] = int(rng.integers(1, m))
+        faces.add((axis, tuple(idx)))
+    owner_high = [f for f in sorted(faces) if rng.random() < 0.4]
+    assert owner_high
+    return JumpSet(g, faces, owner_high)
+
+
+@pytest.mark.parametrize("dim, cells, n_faces, seed",
+                         [(2, 8, 12, 0), (2, 8, 24, 1), (3, 4, 12, 2)])
+def test_assembly_matches_per_cell_reference(monkeypatch, dim, cells,
+                                             n_faces, seed):
+    g = GridSpec(dim, cells, 1.0)
+    rng = np.random.default_rng(seed)
+    target = DisplacementField(g, rng.normal(size=g.node_shape + (dim,)))
+    params = EnergyParams(HookeTensor(0.7, 1.3), p=2.0, kappa=1.5, beta=0.1,
+                          g=target)
+    js = random_crack_set(g, rng, n_faces)
+    ref = reference_system(g, params, js)
+
+    H, _, _ = ElasticSystem(g, params).system_for(js)
+    assert isinstance(H, np.ndarray)
+    assert np.array_equal(H, ref)
+
+    # the CSR form sums the same triplets in another order
+    monkeypatch.setattr(oracle, "DENSE_DOF_LIMIT", 0)
+    H_sparse, _, _ = ElasticSystem(g, params).system_for(js)
+    assert not isinstance(H_sparse, np.ndarray)
+    err = np.max(np.abs(H_sparse.toarray() - ref)) / np.max(np.abs(ref))
+    assert err <= 1e-14
+
+
+def test_sparse_and_dense_solves_agree(monkeypatch):
     g = GridSpec(2, 16, 1.0)
     target = two_sided_target(g)
     params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.1, g=target)
-    faces = [(0, (8, j)) for j in range(4, 12)]
-    js = JumpSet(g, faces)
-    u_dense, _ = ElasticSystem(g, params).solve(js)
-    sparse_sys = ElasticSystem(g, params, dense_limit=1)
+    js = JumpSet(g, [(0, (8, j)) for j in range(4, 12)])
+    dense_sys = ElasticSystem(g, params)
+    assert dense_sys.dense
+    u_dense, _ = dense_sys.solve(js)
+    monkeypatch.setattr(oracle, "DENSE_DOF_LIMIT", 0)
+    sparse_sys = ElasticSystem(g, params)
     assert not sparse_sys.dense
     u_sparse, info = sparse_sys.solve(js)
     assert info["relative_residual"] <= 1e-10
     assert float(np.max(np.abs(u_dense.values - u_sparse.values))) < 1e-9
+
+
+_PROPERTY_GRID = GridSpec(2, 8, 1.0)
+_faces_2d8 = st.tuples(st.integers(0, 1), st.integers(1, 7),
+                       st.integers(0, 7)).map(
+    lambda t: (t[0], (t[1], t[2]) if t[0] == 0 else (t[2], t[1])))
+
+
+@given(faces=st.lists(_faces_2d8, max_size=20, unique=True),
+       owner_flags=st.lists(st.booleans(), min_size=20, max_size=20),
+       fixed=st.booleans())
+def test_quadratic_energy_equals_quadrature_energy(faces, owner_flags, fixed):
+    g = _PROPERTY_GRID
+    params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.1,
+                          g=two_sided_target(g))
+    owner_high = [f for f, flag in zip(faces, owner_flags) if flag]
+    js = JumpSet(g, faces, owner_high)
+    _, info = solve_elastic(g, js, params,
+                            boundary="fixed" if fixed else "free")
+    assert info["energy_consistency"] <= 1e-9
