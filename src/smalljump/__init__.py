@@ -56,7 +56,7 @@ from .kornfit import (
     mollified_strain_error,
     neighbor_affine_distance,
 )
-from .mollify import Mollifier, mollify
+from .mollify import mollify
 from .oracle import (
     CrackConfig,
     OracleResult,
@@ -72,7 +72,7 @@ __all__ = [
     "AffineMap", "ApproxConfig", "ApproxResult", "BallRegion", "BoxRegion",
     "CoveringError", "CrackConfig", "CrownSelection", "DisplacementField",
     "DyadicCube", "EnergyParams", "ExceptionalSet", "FitError", "FitReport",
-    "GridSpec", "HookeTensor", "JumpSet", "Mollifier", "OracleResult",
+    "GridSpec", "HookeTensor", "JumpSet", "OracleResult",
     "Partition", "PropertyReport", "RegimeError", "RigidMotion",
     "SolverError", "StrainField", "WhitneyCovering", "affine_subset_bound",
     "approximate", "bad_set_perimeter", "boundary_trace_check",

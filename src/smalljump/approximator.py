@@ -9,7 +9,7 @@ selected box, so the approximant matches the input there exactly and new
 jump faces appear only on the bad-set boundary.
 
 Every quantitative property of the construction is measured against its
-stated budget; limiting constants are configured, not assumed.
+stated budget; the limiting constants are frozen, not assumed.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .grid import (
     region_cell_mask,
 )
 from .kornfit import FitReport, cube_smoothed_field, extract_exceptional_set
-from .mollify import Mollifier, mollify
+from .mollify import mollify
 from .strain import symmetric_gradient
 
 # Frozen calibration (scripts/calibrate.py): c_star covers the realized
@@ -64,7 +65,7 @@ SIGMA_LIMIT = 16.0
 # gradient constant approaches 24 once the grid resolves the ramp.
 PARTITION_GRAD_LIMIT = 32.0
 
-DEFAULT_PROPERTY_LIMITS: dict[str, float] = {
+DEFAULT_PROPERTY_LIMITS = MappingProxyType({
     "p1_match_outside": 1e-12,
     "p1_boundary_faces": 0.0,
     "p2_new_jump": 40.0,
@@ -74,7 +75,10 @@ DEFAULT_PROPERTY_LIMITS: dict[str, float] = {
     "p4_distance": 1.0,
     "p5_weighted_energy": 2.0,
     "p6_lp_growth": 1.0,
-}
+})
+# Boundary trace check: mismatch thresholds and half-ball radii (cells).
+TRACE_EPSILONS = (1e-2, 1e-3)
+TRACE_RADII_CELLS = (8, 4, 2)
 
 
 @dataclass
@@ -84,11 +88,7 @@ class ApproxConfig:
     eta: float | None = None            # gate/classification threshold
     c_star: float = C_STAR_DEFAULT
     delta: float | None = None          # covering scale override
-    rho: Mollifier = field(default_factory=Mollifier)
     check_lp: bool = True               # track |u|^p budgets and the L^p bound
-    property_limits: dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_PROPERTY_LIMITS))
-    s_budget_exponent: float | None = None   # default 1/(dim*p)
 
     def resolved_eta(self, dim: int) -> float:
         return self.eta if self.eta is not None else default_eta(dim, self.c_star)
@@ -229,7 +229,7 @@ def approximate(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
     for entry in partition.entries:
         cube = covering.cubes[entry.cube_index]
         fit = fits.get(entry.cube_index)
-        u_i, win = cube_smoothed_field(u, cube, fit, config.rho)
+        u_i, win = cube_smoothed_field(u, cube, fit)
         local = tuple(slice(s.start - w.start, s.stop - w.start)
                       for s, w in zip(entry.window, win))
         num[entry.window] += entry.phi_tilde[..., None] * u_i[local]
@@ -371,9 +371,8 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
     p = params.p
     delta = result.delta
     sqrt_d = math.sqrt(delta)
-    limits = config.property_limits
-    s_ref = config.s_budget_exponent if config.s_budget_exponent is not None \
-        else 1.0 / (dim * p)
+    limits = DEFAULT_PROPERTY_LIMITS
+    s_ref = 1.0 / (dim * p)
     hvol = h ** dim
 
     e_u = symmetric_gradient(u, jumps)
@@ -424,7 +423,7 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
                                 {"containment": bool(contained)}))
 
     # P3, strain form: || e(approx) - mollified e(u) || over the inner box.
-    mol, margin = mollify(e_u.cell_values, dim, delta, h, config.rho)
+    mol, margin = mollify(e_u.cell_values, dim, delta, h)
     inner_box = centered_box(1.0 - sqrt_d, dim)
     mask3 = region_cell_mask(grid, inner_box)
     valid = np.zeros(grid.cell_shape, dtype=bool)
@@ -550,9 +549,7 @@ def fit_decay_exponent(deltas: list[float], values: list[float]) -> float:
 
 
 def boundary_trace_check(u: DisplacementField, jumps: JumpSet,
-                         result: ApproxResult,
-                         epsilons: tuple[float, ...] = (1e-2, 1e-3),
-                         radii_cells: tuple[int, ...] = (8, 4, 2)) -> dict:
+                         result: ApproxResult) -> dict:
     """Mismatch fraction in shrinking half-balls at the matching boundary.
 
     For sample points on the sphere of radius R, reports the volume
@@ -564,6 +561,7 @@ def boundary_trace_check(u: DisplacementField, jumps: JumpSet,
     h = grid.spacing
     r = result.radius
     centers = grid.cell_center_grid()
+    inside_r = np.max(np.abs(centers), axis=-1) < r
     diff_cells = corner_average(
         np.linalg.norm(result.u_tilde.values - u.values, axis=-1), grid.dim)
 
@@ -577,12 +575,12 @@ def boundary_trace_check(u: DisplacementField, jumps: JumpSet,
     rows = []
     passed = True
     for pt in points:
-        for eps in epsilons:
+        d2 = np.sum((centers - pt) ** 2, axis=-1)
+        for eps in TRACE_EPSILONS:
             fracs = []
-            for rc in radii_cells:
+            for rc in TRACE_RADII_CELLS:
                 rad = rc * h
-                d2 = np.sum((centers - pt) ** 2, axis=-1)
-                inside = (d2 < rad ** 2) & (np.max(np.abs(centers), axis=-1) < r)
+                inside = (d2 < rad ** 2) & inside_r
                 n_in = int(np.count_nonzero(inside))
                 if n_in == 0:
                     fracs.append(0.0)
@@ -593,6 +591,6 @@ def boundary_trace_check(u: DisplacementField, jumps: JumpSet,
                            for i in range(len(fracs) - 1))
             passed = passed and monotone
             rows.append({"point": [float(v) for v in pt], "epsilon": eps,
-                         "radii_cells": list(radii_cells),
+                         "radii_cells": list(TRACE_RADII_CELLS),
                          "fractions": fracs, "monotone": monotone})
     return {"pass": passed, "rows": rows}

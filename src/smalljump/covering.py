@@ -55,15 +55,7 @@ class DyadicCube:
 
     def enlarged_cell_ranges(self, grid: GridSpec, which: str) -> tuple[slice, ...]:
         """Cells whose center lies strictly inside the enlargement."""
-        lo, hi = self.bounds12(which)
-        off = grid.cells_per_side // 2
-        out = []
-        for a in range(grid.dim):
-            lo_rel = (int(lo[a]) - 6) // 12 + 1
-            hi_rel = -((-(int(hi[a]) - 6)) // 12) - 1
-            out.append(slice(max(lo_rel + off, 0),
-                             min(hi_rel + off + 1, grid.cells_per_side)))
-        return tuple(out)
+        return cell_ranges12(grid, *self.bounds12(which))
 
     def node_window(self, grid: GridSpec, which: str) -> tuple[slice, ...]:
         """Nodes strictly inside the enlargement, absolute indices."""
@@ -79,6 +71,20 @@ class DyadicCube:
 
     def center_h(self) -> np.ndarray:
         return np.array(self.anchor, dtype=float) + self.side / 2.0
+
+
+def cell_ranges12(grid: GridSpec, lo: np.ndarray,
+                  hi: np.ndarray) -> tuple[slice, ...]:
+    """Cells whose center lies strictly inside the box (lo, hi), given in
+    h/12 units, clipped to the grid."""
+    off = grid.cells_per_side // 2
+    out = []
+    for a in range(grid.dim):
+        lo_rel = (int(lo[a]) - 6) // 12 + 1
+        hi_rel = -((-(int(hi[a]) - 6)) // 12) - 1
+        out.append(slice(max(lo_rel + off, 0),
+                         min(hi_rel + off + 1, grid.cells_per_side)))
+    return tuple(out)
 
 
 def count_faces_in_box12(face_coords12: np.ndarray, lo: np.ndarray,

@@ -119,10 +119,28 @@ def lp_norm_cells(cell_vals: np.ndarray, grid: GridSpec, p: float,
     return float(np.sum(mag[mask] ** p) * grid.spacing ** grid.dim) ** (1.0 / p)
 
 
-def _bulk_and_fidelity(u: DisplacementField, strain: StrainField,
-                       params: EnergyParams, mask: np.ndarray,
-                       homogeneous: bool) -> tuple[float, float]:
+def energy_G(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
+             region: Region | None = None) -> float:
+    """Bulk f_mu + kappa|u-g|^p + beta * crack area, over a region."""
+    return energy_breakdown(u, jumps, params, region)["total"]
+
+
+def energy_G0(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
+              region: Region | None = None,
+              strain: StrainField | None = None) -> float:
+    """Homogeneous variant: f_0 bulk and kappa|u|^p fidelity."""
+    return energy_breakdown(u, jumps, params, region, homogeneous=True,
+                            strain=strain)["total"]
+
+
+def energy_breakdown(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
+                     region: Region | None = None, homogeneous: bool = False,
+                     strain: StrainField | None = None) -> dict[str, float]:
+    """Bulk / fidelity / surface split of G (or G0 when homogeneous)."""
+    if strain is None:
+        strain = symmetric_gradient(u, jumps)
     grid = u.grid
+    mask = region_cell_mask(grid, region)
     hvol = grid.spacing ** grid.dim
     dens = f_zero(strain.cell_values, params) if homogeneous \
         else f_mu(strain.cell_values, params)
@@ -137,41 +155,6 @@ def _bulk_and_fidelity(u: DisplacementField, strain: StrainField,
             delta = u.values - params.g.values
         cells = cellwise_pth_power(delta, grid, params.p)
         fidelity = params.kappa * float(np.sum(cells[mask]) * hvol)
-    return bulk, fidelity
-
-
-def energy_G(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
-             region: Region | None = None,
-             strain: StrainField | None = None) -> float:
-    """Bulk f_mu + kappa|u-g|^p + beta * crack area, over a region."""
-    if strain is None:
-        strain = symmetric_gradient(u, jumps)
-    mask = region_cell_mask(u.grid, region)
-    bulk, fid = _bulk_and_fidelity(u, strain, params, mask, homogeneous=False)
-    surf = params.beta * faces_in_region(u.grid, jumps, region) * u.grid.face_area()
-    return bulk + fid + surf
-
-
-def energy_G0(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
-              region: Region | None = None,
-              strain: StrainField | None = None) -> float:
-    """Homogeneous variant: f_0 bulk and kappa|u|^p fidelity."""
-    if strain is None:
-        strain = symmetric_gradient(u, jumps)
-    mask = region_cell_mask(u.grid, region)
-    bulk, fid = _bulk_and_fidelity(u, strain, params, mask, homogeneous=True)
-    surf = params.beta * faces_in_region(u.grid, jumps, region) * u.grid.face_area()
-    return bulk + fid + surf
-
-
-def energy_breakdown(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
-                     region: Region | None = None, homogeneous: bool = False,
-                     strain: StrainField | None = None) -> dict[str, float]:
-    """Bulk / fidelity / surface split, matching energy_G / energy_G0."""
-    if strain is None:
-        strain = symmetric_gradient(u, jumps)
-    mask = region_cell_mask(u.grid, region)
-    bulk, fid = _bulk_and_fidelity(u, strain, params, mask, homogeneous)
-    surf = params.beta * faces_in_region(u.grid, jumps, region) * u.grid.face_area()
-    return {"bulk": bulk, "fidelity": fid, "surface": surf,
-            "total": bulk + fid + surf}
+    surf = params.beta * faces_in_region(grid, jumps, region) * grid.face_area()
+    return {"bulk": bulk, "fidelity": fidelity, "surface": surf,
+            "total": bulk + fidelity + surf}

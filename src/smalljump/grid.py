@@ -315,12 +315,17 @@ def save_field(base: str | Path, u: DisplacementField) -> None:
 def load_field(base: str | Path) -> DisplacementField:
     base = Path(base)
     header = json.loads(base.with_suffix(".json").read_text())
+    if not isinstance(header, dict):
+        raise ValueError("field header is not a JSON object")
     if header.get("dtype") != "f64-le":
         raise ValueError(f"unsupported dtype {header.get('dtype')!r}")
     for key in ("dim", "M", "r"):
         if key not in header:
             raise ValueError(f"field header missing key {key!r}")
-    grid = GridSpec(int(header["dim"]), int(header["M"]), float(header["r"]))
+    try:
+        grid = GridSpec(int(header["dim"]), int(header["M"]), float(header["r"]))
+    except TypeError:
+        raise ValueError("field header dim, M and r must be numbers") from None
     raw = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<f8")
     n_nodes = (grid.cells_per_side + 1) ** grid.dim
     if raw.size != n_nodes * grid.dim:
@@ -339,10 +344,25 @@ def save_jump(path: str | Path, jumps: JumpSet) -> None:
     Path(path).write_text(json.dumps(payload))
 
 
+def _faces_from_json(entries) -> list[Face]:
+    """Faces from JSON ``[axis, [index, ...]]`` pairs of integers."""
+    if not isinstance(entries, list):
+        raise ValueError("jump file: faces must be a JSON array")
+    faces = []
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 2
+                and isinstance(entry[0], int) and isinstance(entry[1], list)
+                and all(isinstance(i, int) for i in entry[1])):
+            raise ValueError(f"jump file: malformed face {json.dumps(entry)}")
+        faces.append((entry[0], tuple(entry[1])))
+    return faces
+
+
 def load_jump(path: str | Path, grid: GridSpec) -> JumpSet:
     payload = json.loads(Path(path).read_text())
     if isinstance(payload, dict):
-        faces = [(int(a), tuple(idx)) for a, idx in payload["faces"]]
-        owner = [(int(a), tuple(idx)) for a, idx in payload.get("owner_high", [])]
-        return JumpSet(grid, faces, owner)
-    return JumpSet(grid, [(int(a), tuple(idx)) for a, idx in payload])
+        if "faces" not in payload:
+            raise ValueError("jump file object missing key 'faces'")
+        return JumpSet(grid, _faces_from_json(payload["faces"]),
+                       _faces_from_json(payload.get("owner_high", [])))
+    return JumpSet(grid, _faces_from_json(payload))

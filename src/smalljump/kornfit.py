@@ -15,11 +15,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covering import DyadicCube, count_faces_in_box12, face_coords12
+from .covering import (
+    DyadicCube,
+    cell_ranges12,
+    count_faces_in_box12,
+    face_coords12,
+)
 from .errors import FitError
 from .grid import DisplacementField, GridSpec, JumpSet
-from .mollify import Mollifier, mollify
+from .mollify import kernel_radius_cells, mollify
 from .strain import StrainField, _standard_gradient, symmetric_gradient
+
+# Iteration caps and the IRLS step tolerance of the fits.
+IRLS_MAX_ITER = 50
+IRLS_TOL = 1e-10
+TRIM_MAX_ITER = 25
+# Shrink factor of the inner cube in the theta variant of the affine
+# subset bound.
+AFFINE_THETA = 2.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -80,9 +93,7 @@ def _coeffs_to_motion(coeffs: np.ndarray, dim: int) -> RigidMotion:
 
 
 def fit_rigid_motion(points: np.ndarray, values: np.ndarray,
-                     weights: np.ndarray | None = None,
-                     p: float = 2.0, max_iter: int = 50,
-                     tol: float = 1e-10) -> RigidMotion:
+                     p: float = 2.0) -> RigidMotion:
     """Least-squares (or IRLS for p != 2) rigid motion through the samples.
 
     ``points``/``values`` are (n, dim) arrays, typically cell centers and
@@ -96,7 +107,6 @@ def fit_rigid_motion(points: np.ndarray, values: np.ndarray,
         raise FitError("rank-deficient fit: too few sample points")
     a = _design_matrix(pts, dim)
     rhs = vals.reshape(-1)
-    w_pt = np.ones(pts.shape[0]) if weights is None else np.asarray(weights, float)
 
     def solve(w_row: np.ndarray) -> np.ndarray:
         sw = np.sqrt(np.repeat(w_row, dim))
@@ -105,13 +115,12 @@ def fit_rigid_motion(points: np.ndarray, values: np.ndarray,
             raise FitError("rank-deficient fit: degenerate sample geometry")
         return coeffs
 
-    coeffs = solve(w_pt)
+    coeffs = solve(np.ones(pts.shape[0]))
     if p != 2.0:
-        for _ in range(max_iter):
+        for _ in range(IRLS_MAX_ITER):
             res = np.linalg.norm((a @ coeffs - rhs).reshape(-1, dim), axis=1)
-            irls = w_pt * np.maximum(res, 1e-12) ** (p - 2.0)
-            new = solve(irls)
-            if np.max(np.abs(new - coeffs)) <= tol * (1.0 + np.max(np.abs(coeffs))):
+            new = solve(np.maximum(res, 1e-12) ** (p - 2.0))
+            if np.max(np.abs(new - coeffs)) <= IRLS_TOL * (1.0 + np.max(np.abs(coeffs))):
                 coeffs = new
                 break
             coeffs = new
@@ -175,8 +184,7 @@ def extract_exceptional_set(u: DisplacementField, jumps: JumpSet,
                             cube: DyadicCube, c_star: float,
                             p: float = 2.0,
                             strain: StrainField | None = None,
-                            u_cells: np.ndarray | None = None,
-                            max_iter: int = 25) -> FitReport:
+                            u_cells: np.ndarray | None = None) -> FitReport:
     """Fit-trim-refit until the exceptional set stabilizes or the volume
     budget binds.  Jump-free enlargements force an empty set."""
     grid = u.grid
@@ -204,7 +212,7 @@ def extract_exceptional_set(u: DisplacementField, jumps: JumpSet,
         violation = bool(np.count_nonzero(want) > budget_cells)
     else:
         prev = None
-        for _ in range(max_iter):
+        for _ in range(TRIM_MAX_ITER):
             motion = fit_rigid_motion(centers[keep], vals[keep], p=p)
             res = np.linalg.norm(vals - motion(centers), axis=1)
             want = _noise_threshold_trims(res, keep)
@@ -319,16 +327,14 @@ def residual_prefix_oracle(points: np.ndarray, values: np.ndarray,
 
 def mollified_strain_error(u: DisplacementField, jumps: JumpSet,
                            cube: DyadicCube, fit: FitReport,
-                           rho: Mollifier, p: float = 2.0,
-                           strain: StrainField | None = None,
-                           mollified_strain: np.ndarray | None = None) -> dict:
+                           p: float = 2.0) -> dict:
     """Compare the strain of the cube's smoothed field against the
     mollified strain of the original, over the 7/6 enlargement."""
     grid = u.grid
     h = grid.spacing
     dim = grid.dim
     side = cube.side * h
-    u_i, win = cube_smoothed_field(u, cube, fit, rho)
+    u_i, win = cube_smoothed_field(u, cube, fit)
 
     sl1 = cube.enlarged_cell_ranges(grid, "q1")
     local = tuple(slice(s.start - w.start, s.stop - w.start)
@@ -336,12 +342,8 @@ def mollified_strain_error(u: DisplacementField, jumps: JumpSet,
     grad = _standard_gradient(u_i, h)[local]
     e_ui = 0.5 * (grad + np.swapaxes(grad, -1, -2))
 
-    if mollified_strain is None:
-        if strain is None:
-            strain = symmetric_gradient(u, jumps)
-        mol, _ = mollify(strain.cell_values, dim, side, h, rho)
-        mollified_strain = mol
-    ref = mollified_strain[sl1]
+    mol, _ = mollify(symmetric_gradient(u, jumps).cell_values, dim, side, h)
+    ref = mol[sl1]
 
     hvol = h ** dim
     diff = np.sqrt(np.sum((e_ui - ref) ** 2, axis=(-2, -1)))
@@ -357,7 +359,7 @@ def mollified_strain_error(u: DisplacementField, jumps: JumpSet,
 
 
 def cube_smoothed_field(u: DisplacementField, cube: DyadicCube,
-                        fit: FitReport | None, rho: Mollifier
+                        fit: FitReport | None
                         ) -> tuple[np.ndarray, tuple[slice, ...]]:
     """Mollified (replaced-on-omega) field on the q' node window.
 
@@ -366,12 +368,11 @@ def cube_smoothed_field(u: DisplacementField, cube: DyadicCube,
     every returned entry is a valid convolution.
     """
     from .grid import node_mask_from_cells
-    from .mollify import kernel_radius_cells
 
     grid = u.grid
     h = grid.spacing
     side = cube.side * h
-    radius = int(math.ceil(kernel_radius_cells(side, h, rho))) - 1
+    radius = int(math.ceil(kernel_radius_cells(side, h))) - 1
     cells1 = cube.enlarged_cell_ranges(grid, "q1")
     target = tuple(slice(s.start, s.stop + 1) for s in cells1)
     win = tuple(slice(s.start - radius, s.stop + radius) for s in target)
@@ -388,15 +389,14 @@ def cube_smoothed_field(u: DisplacementField, cube: DyadicCube,
             axes = [grid.node_coords_1d()[s] for s in win]
             coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
             vals[node_mask] = fit.motion(coords[node_mask])
-    out, margin = mollify(vals, grid.dim, side, h, rho)
+    out, margin = mollify(vals, grid.dim, side, h)
     inner = tuple(slice(margin, s.stop - s.start - margin) for s in win)
     final = tuple(slice(w.start + margin, w.stop - margin) for w in win)
     return out[inner], final
 
 
 def affine_subset_bound(a: AffineMap, cube: DyadicCube, grid: GridSpec,
-                        omega_local: np.ndarray, p: float = 2.0,
-                        theta: float = 2.0 / 3.0) -> dict:
+                        omega_local: np.ndarray, p: float = 2.0) -> dict:
     """Both sides of the affine subset bound on a cube, plus the
     theta-shrunk variant and the small-volume absorption check."""
     sl = cube.cell_slices(grid)
@@ -417,7 +417,7 @@ def affine_subset_bound(a: AffineMap, cube: DyadicCube, grid: GridSpec,
     realized = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
 
     center_h = cube.center_h() * grid.spacing
-    half = theta * cube.side * grid.spacing / 2.0
+    half = AFFINE_THETA * cube.side * grid.spacing / 2.0
     inner = np.all(np.abs(centers - center_h) < half, axis=-1)
     shrunk = inner & ~omega_local
     int_theta = float(np.sum(mag_p[shrunk]) * hvol)
@@ -446,14 +446,7 @@ def neighbor_affine_distance(a_i: AffineMap, a_j: AffineMap, grid: GridSpec,
     hi = np.minimum(hi_i, hi_j)
     if np.any(hi <= lo):
         raise ValueError("enlarged cubes do not overlap")
-    off = grid.cells_per_side // 2
-    sls = []
-    for a in range(grid.dim):
-        lo_rel = (int(lo[a]) - 6) // 12 + 1
-        hi_rel = -((-(int(hi[a]) - 6)) // 12) - 1
-        sls.append(slice(max(lo_rel + off, 0),
-                         min(hi_rel + off + 1, grid.cells_per_side)))
-    centers = grid.cell_center_grid()[tuple(sls)]
+    centers = grid.cell_center_grid()[cell_ranges12(grid, lo, hi)]
     if centers.size == 0:
         raise ValueError("overlap contains no cell centers")
     q_exp = grid.dim * p / (grid.dim - 1)

@@ -1,19 +1,19 @@
 """Compactly supported radial mollifier sampled on the grid.
 
-The kernel for smoothing scale L has support radius
-max(support_fraction * L, 2h): the paper-style radius L/6, floored at two
-grid steps so the sampled kernel always has interior weight.  Discrete
-normalization makes the kernel sum to one exactly, and symmetry of the
-sample offsets reproduces affine fields exactly at interior points.
+The construction uses one mollifier: the standard bump profile with
+support radius max(SUPPORT_FRACTION * L, 2h) for smoothing scale L, the
+paper-style radius L/6 floored at two grid steps so the sampled kernel
+always has interior weight.  Discrete normalization makes the kernel sum
+to one exactly, and symmetry of the sample offsets reproduces affine
+fields exactly at interior points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 from scipy import ndimage
+
+SUPPORT_FRACTION = 1.0 / 6.0
 
 
 def standard_bump(t: np.ndarray) -> np.ndarray:
@@ -26,51 +26,39 @@ def standard_bump(t: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Mollifier:
-    profile: Callable[[np.ndarray], np.ndarray] = standard_bump
-    support_fraction: float = 1.0 / 6.0
+def _kernel(dim: int, radius_in_cells: float) -> np.ndarray:
+    """Normalized bump on integer offsets with |o| < radius_in_cells.
 
-    def __post_init__(self):
-        if not (0 < self.support_fraction <= 1):
-            raise ValueError("support_fraction must lie in (0, 1]")
-
-    def kernel(self, dim: int, radius_in_cells: float) -> np.ndarray:
-        """Normalized kernel on integer offsets with |o| < radius_in_cells."""
-        if radius_in_cells <= 0:
-            raise ValueError("kernel radius must be positive")
-        half = int(np.ceil(radius_in_cells)) - 1
-        half = max(half, 0)
-        axes = [np.arange(-half, half + 1)] * dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        dist = np.sqrt(sum(m.astype(float) ** 2 for m in mesh))
-        w = self.profile(dist / radius_in_cells)
-        w[dist >= radius_in_cells] = 0.0
-        total = w.sum()
-        if total <= 0:
-            raise ValueError("kernel radius too small: no interior weight")
-        return w / total
+    The radius is at least two cells (kernel_radius_cells), so the
+    center offset always carries weight."""
+    half = max(int(np.ceil(radius_in_cells)) - 1, 0)
+    axes = [np.arange(-half, half + 1)] * dim
+    mesh = np.meshgrid(*axes, indexing="ij")
+    dist = np.sqrt(sum(m.astype(float) ** 2 for m in mesh))
+    w = standard_bump(dist / radius_in_cells)
+    w[dist >= radius_in_cells] = 0.0
+    return w / w.sum()
 
 
 _KERNEL_CACHE: dict[tuple, np.ndarray] = {}
 
 
-def _cached_kernel(rho: Mollifier, dim: int, radius_in_cells: float) -> np.ndarray:
-    key = (id(rho.profile), rho.support_fraction, dim, round(radius_in_cells, 12))
+def _cached_kernel(dim: int, radius_in_cells: float) -> np.ndarray:
+    key = (dim, round(radius_in_cells, 12))
     if key not in _KERNEL_CACHE:
-        _KERNEL_CACHE[key] = rho.kernel(dim, radius_in_cells)
+        _KERNEL_CACHE[key] = _kernel(dim, radius_in_cells)
     return _KERNEL_CACHE[key]
 
 
-def kernel_radius_cells(scale: float, spacing: float, rho: Mollifier) -> float:
-    """Support radius in grid steps: max(fraction*scale, 2h) / h."""
+def kernel_radius_cells(scale: float, spacing: float) -> float:
+    """Support radius in grid steps: max(SUPPORT_FRACTION*scale, 2h) / h."""
     if scale < spacing:
         raise ValueError(f"mollification scale {scale} under-resolved (h={spacing})")
-    return max(rho.support_fraction * scale, 2.0 * spacing) / spacing
+    return max(SUPPORT_FRACTION * scale, 2.0 * spacing) / spacing
 
 
-def mollify(values: np.ndarray, dim: int, scale: float, spacing: float,
-            rho: Mollifier) -> tuple[np.ndarray, int]:
+def mollify(values: np.ndarray, dim: int, scale: float,
+            spacing: float) -> tuple[np.ndarray, int]:
     """Convolve a node or cell lattice field with the sampled kernel.
 
     The first ``dim`` axes of ``values`` are lattice axes; trailing axes
@@ -78,8 +66,8 @@ def mollify(values: np.ndarray, dim: int, scale: float, spacing: float,
     ``margin`` lattice steps from every lattice boundary are exact
     convolutions; closer entries read zero padding and are not defined.
     """
-    radius = kernel_radius_cells(scale, spacing, rho)
-    kern = _cached_kernel(rho, dim, radius)
+    radius = kernel_radius_cells(scale, spacing)
+    kern = _cached_kernel(dim, radius)
     margin = (kern.shape[0] - 1) // 2
     flat_comps = values.reshape(values.shape[:dim] + (-1,))
     out = np.empty_like(flat_comps, dtype=float)

@@ -39,6 +39,12 @@ from .strain import (
 )
 
 EXHAUSTIVE_LIMIT = 24
+# Width, in cells, of the band along the region boundary where psi0's
+# competitors are pinned to the field.
+PSI0_MARGIN_CELLS = 1
+# Half-widths t of the boxes Q_t on which the harness tests semicontinuity
+# and the decay of the crack area.
+HARNESS_T_VALUES = (0.25, 0.5, 0.75)
 
 
 @dataclass(frozen=True)
@@ -448,14 +454,13 @@ def greedy_bits(k: int, energy_of) -> int:
 
 
 def deviation_psi0(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
-                   region: BoxRegion, candidates: list[Face],
-                   margin_cells: int = 1) -> dict:
+                   region: BoxRegion, candidates: list[Face]) -> dict:
     """Gap between the field's homogeneous energy and the best competitor
     agreeing with it outside a compactly contained sub-box."""
     grid = u.grid
     h = grid.spacing
-    inner = BoxRegion(tuple(v + margin_cells * h for v in region.lo),
-                      tuple(v - margin_cells * h for v in region.hi))
+    inner = BoxRegion(tuple(v + PSI0_MARGIN_CELLS * h for v in region.lo),
+                      tuple(v - PSI0_MARGIN_CELLS * h for v in region.hi))
     for f in candidates:
         c = grid.face_center(f)
         if not bool(inner.contains_points(c[None, :])[0]):
@@ -517,9 +522,7 @@ def density_lower_bound_check(u: DisplacementField, jumps: JumpSet,
 
 def vanishing_jump_harness(grid: GridSpec, kind: str, levels: int,
                            params: EnergyParams, eta: float,
-                           kappa0: float = 0.1, seed: int = 0,
-                           t_values: tuple[float, ...] = (0.25, 0.5, 0.75)
-                           ) -> dict:
+                           kappa0: float = 0.1, seed: int = 0) -> dict:
     """Convergence experiment along a built-in vanishing-jump family.
 
     Per level: run the approximation pipeline, fit the global rigid
@@ -579,7 +582,7 @@ def vanishing_jump_harness(grid: GridSpec, kind: str, levels: int,
         strain_terms[r["level"]] = symmetric_gradient(r["u"], r["jumps"])
 
     semicontinuity = []
-    for t in t_values:
+    for t in HARNESS_T_VALUES:
         box = centered_box(t, grid.dim)
         mask = region_cell_mask(grid, box)
         lhs = float(np.sum(f_zero(e_inf.cell_values, params)[mask]) * hvol)
@@ -591,7 +594,7 @@ def vanishing_jump_harness(grid: GridSpec, kind: str, levels: int,
                                "tolerance": tol, "pass": lhs <= bound})
 
     weighted_jump = []
-    for t in t_values:
+    for t in HARNESS_T_VALUES:
         box = centered_box(t, grid.dim)
         vals = [params.beta * faces_in_region(grid, r["jumps"], box)
                 * grid.face_area() for r in runs]

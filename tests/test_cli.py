@@ -156,19 +156,36 @@ def test_harness_subcommand(tmp_path):
     assert (out / "semicontinuity.csv").exists()
 
 
-def test_field_header_missing_key_exits_one(tmp_path, capsys):
+def _drop_key_m(header):
+    del header["M"]
+    return header
+
+
+@pytest.mark.parametrize("file, payload, message", [
+    ("header", _drop_key_m, "error: field header missing key 'M'"),
+    ("header", lambda header: [2, 16], "error: field header is not a JSON object"),
+    ("header", lambda header: {**header, "M": None},
+     "error: field header dim, M and r must be numbers"),
+    ("jump", lambda faces: {"owner": []},
+     "error: jump file object missing key 'faces'"),
+    ("jump", lambda faces: [[0, 5]], "error: jump file: malformed face [0, 5]"),
+    ("jump", lambda faces: 7, "error: jump file: faces must be a JSON array"),
+], ids=["header-missing-M", "header-not-object", "header-null-M",
+        "jump-object-without-faces", "jump-face-without-index-list",
+        "jump-not-array"])
+def test_malformed_input_file_exits_one(tmp_path, capsys, file, payload,
+                                        message):
     base = tmp_path / "rigid"
     assert main(["gen", "--spec", "rigid", "--dim", "2", "--cells", "16",
                  "--seed", "2", "--out", str(base)]) == 0
-    header = json.loads(base.with_suffix(".json").read_text())
-    del header["M"]
-    base.with_suffix(".json").write_text(json.dumps(header))
+    path = base.with_suffix(".json" if file == "header" else ".jump.json")
+    path.write_text(json.dumps(payload(json.loads(path.read_text()))))
     capsys.readouterr()
     rc = main(["approx", "--field", str(base),
                "--jump", str(base.with_suffix(".jump.json")),
                "--eta", "0.5", "--out", str(tmp_path / "run")])
     assert rc == 1
-    assert capsys.readouterr().err == "error: field header missing key 'M'\n"
+    assert capsys.readouterr().err == message + "\n"
 
 
 @pytest.mark.parametrize("value, hide_threadpoolctl, reason", [

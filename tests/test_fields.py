@@ -23,7 +23,7 @@ from smalljump.grid import (
     save_field,
     save_jump,
 )
-from smalljump.mollify import Mollifier, mollify
+from smalljump.mollify import mollify
 from smalljump.strain import symmetric_gradient
 
 
@@ -218,9 +218,8 @@ def test_energy_region_restriction(grid2d):
 
 def test_mollify_constant_affine_and_bounds():
     g = GridSpec(2, 32, 1.0)
-    rho = Mollifier()
     const = np.full(g.node_shape + (2,), 3.25)
-    out, margin = mollify(const, 2, 0.25, g.spacing, rho)
+    out, margin = mollify(const, 2, 0.25, g.spacing)
     inner = (slice(margin, -margin),) * 2
     assert np.allclose(out[inner], 3.25, atol=1e-13)
 
@@ -228,31 +227,29 @@ def test_mollify_constant_affine_and_bounds():
     w = random_skew(rng, 2)
     b = rng.normal(size=2)
     aff = rigid_field(g, w, b).values
-    out, margin = mollify(aff, 2, 0.25, g.spacing, rho)
+    out, margin = mollify(aff, 2, 0.25, g.spacing)
     inner = (slice(margin, -margin),) * 2
     assert np.max(np.abs(out[inner] - aff[inner])) < 1e-12
 
     step = np.zeros(g.node_shape + (1,))
     step[16:, :, 0] = 1.0
-    out, margin = mollify(step, 2, 0.25, g.spacing, rho)
+    out, margin = mollify(step, 2, 0.25, g.spacing)
     inner = (slice(margin, -margin),) * 2
     assert out[inner].min() >= -1e-15 and out[inner].max() <= 1.0 + 1e-15
 
 
 def test_mollify_preserves_mass_of_compact_field():
     g = GridSpec(2, 32, 1.0)
-    rho = Mollifier()
     f = np.zeros(g.node_shape + (1,))
     f[10:20, 12:22, 0] = np.random.default_rng(8).normal(size=(10, 10))
-    out, _ = mollify(f, 2, 0.25, g.spacing, rho)
+    out, _ = mollify(f, 2, 0.25, g.spacing)
     assert np.sum(out) == pytest.approx(np.sum(f), rel=1e-12)
 
 
 def test_mollify_underresolved_scale_errors():
     g = GridSpec(2, 16, 1.0)
     with pytest.raises(ValueError):
-        mollify(np.zeros(g.node_shape + (2,)), 2, 0.5 * g.spacing, g.spacing,
-                Mollifier())
+        mollify(np.zeros(g.node_shape + (2,)), 2, 0.5 * g.spacing, g.spacing)
 
 
 def test_field_io_roundtrip(tmp_path, grid2d):

@@ -21,7 +21,6 @@ from smalljump.kornfit import (
     residual_prefix_oracle,
     skew_basis,
 )
-from smalljump.mollify import Mollifier
 from smalljump.strain import symmetric_gradient
 
 from .test_fields import random_skew, rigid_field
@@ -222,7 +221,7 @@ def test_mollified_strain_error_zero_for_rigid():
     u = rigid_field(g, random_skew(rng, 2), rng.normal(size=2))
     cube = centered_cube(g, 8)
     rep = extract_exceptional_set(u, JumpSet(g), cube, c_star=2.0)
-    out = mollified_strain_error(u, JumpSet(g), cube, rep, Mollifier())
+    out = mollified_strain_error(u, JumpSet(g), cube, rep)
     assert out["error_p"] < 1e-26
 
 
@@ -234,7 +233,7 @@ def test_mollified_strain_error_decays_with_crack_size():
         u, jumps, _, _ = two_motion_cube_field(
             g, 32, slice(32 - half_span, 32 + half_span), (0.4, -0.2))
         rep = extract_exceptional_set(u, jumps, cube, c_star=3.0)
-        out = mollified_strain_error(u, jumps, cube, rep, Mollifier())
+        out = mollified_strain_error(u, jumps, cube, rep)
         ratios.append(out["ratio"])
     assert ratios[2] < ratios[0]
 
