@@ -24,6 +24,7 @@ from smalljump.generators import (
 )
 from smalljump.grid import GridSpec
 from smalljump.kornfit import extract_exceptional_set, residual_prefix_oracle
+from smalljump.strain import symmetric_gradient
 
 PARAMS = EnergyParams(HookeTensor(1.0, 1.0), p=2.0)
 SUITE_ETA = 0.5
@@ -107,7 +108,8 @@ def cube_suite():
         opening = rng.normal(size=dim)
         opening *= float(rng.uniform(0.05, 0.5)) / np.linalg.norm(opening)
         u, j = field_with_patches(g, [patch], [opening], rng)
-        rep = extract_exceptional_set(u, j, cube, c_star=4.0)
+        rep = extract_exceptional_set(u, j, symmetric_gradient(u, j), cube,
+                                      c_star=4.0)
         if rep.violation:
             continue
         total += 1

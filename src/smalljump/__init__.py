@@ -39,7 +39,6 @@ from .grid import (
     DisplacementField,
     GridSpec,
     JumpSet,
-    StrainField,
     load_field,
     load_jump,
     save_field,
@@ -74,7 +73,7 @@ __all__ = [
     "DyadicCube", "EnergyParams", "ExceptionalSet", "FitError", "FitReport",
     "GridSpec", "HookeTensor", "JumpSet", "OracleResult",
     "Partition", "PropertyReport", "RegimeError", "RigidMotion",
-    "SolverError", "StrainField", "WhitneyCovering", "affine_subset_bound",
+    "SolverError", "WhitneyCovering", "affine_subset_bound",
     "approximate", "bad_set_perimeter", "boundary_trace_check",
     "brute_force_minimize", "build_covering", "classify",
     "covering_structure_report", "default_eta", "density_lower_bound_check",

@@ -34,7 +34,7 @@ from .covering import (
     partition_of_unity,
     select_crown,
 )
-from .energy import EnergyParams, f_zero, lp_norm_cells, lp_norm_nodes
+from .energy import EnergyParams, cellwise_pth_power, f_zero, lp_norm_cells
 from .errors import CoveringError, RegimeError
 from .grid import (
     BoxRegion,
@@ -96,13 +96,23 @@ class ApproxConfig:
 
 @dataclass
 class PropertyCheck:
+    """One property against its frozen limit, looked up by name; a check
+    with an extra requirement (p2's containment) also needs ``condition``."""
+
     name: str
     lhs: float
     budget: float
     realized: float
-    limit: float
-    passed: bool
     detail: dict = field(default_factory=dict)
+    condition: bool = True
+
+    @property
+    def limit(self) -> float:
+        return DEFAULT_PROPERTY_LIMITS[self.name]
+
+    @property
+    def passed(self) -> bool:
+        return self.realized <= self.limit and self.condition
 
     def to_dict(self) -> dict:
         return {
@@ -147,6 +157,9 @@ class PropertyReport:
 
 @dataclass
 class ApproxResult:
+    """The approximant and its construction; ``strain`` is e(u) of the
+    input, computed once and read by the verification."""
+
     u_tilde: DisplacementField
     new_jump: JumpSet
     omega_cells: np.ndarray
@@ -157,6 +170,7 @@ class ApproxResult:
     partition: Partition
     fit_summaries: list[dict]
     demoted_cubes: list[int]
+    strain: np.ndarray
     property_report: PropertyReport | None = None
     s_estimate: float | None = None
 
@@ -196,10 +210,9 @@ def approximate(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
 
     delta = _resolve_delta(grid, delta_raw, config)
     strain = symmetric_gradient(u, jumps)
-    u_cells = u.cell_means()
 
-    selection = select_crown(u, jumps, delta, include_lp_budget=config.check_lp,
-                             params=params, strain=strain)
+    selection = select_crown(u, jumps, strain, delta,
+                             include_lp_budget=config.check_lp, params=params)
     covering = build_covering(grid, selection, delta)
     classify(covering, jumps, eta)
 
@@ -208,9 +221,8 @@ def approximate(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
     for i, cube in enumerate(covering.cubes):
         if not covering.good[i] or covering.crack_in_third[i] == 0.0:
             continue
-        rep = extract_exceptional_set(u, jumps, cube, config.c_star,
-                                      p=params.p, strain=strain,
-                                      u_cells=u_cells)
+        rep = extract_exceptional_set(u, jumps, strain, cube, config.c_star,
+                                      p=params.p)
         if rep.violation:
             covering.good[i] = False
             demoted.append(i)
@@ -254,7 +266,7 @@ def approximate(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
         u_tilde=u_tilde, new_jump=new_jump, omega_cells=omega_cells,
         radius=radius, delta=delta, selection=selection, covering=covering,
         partition=partition, fit_summaries=fit_summaries,
-        demoted_cubes=demoted)
+        demoted_cubes=demoted, strain=strain)
 
 
 def _compose_jump(grid: GridSpec, covering: WhitneyCovering,
@@ -265,10 +277,8 @@ def _compose_jump(grid: GridSpec, covering: WhitneyCovering,
     pure-blend zone (inside the rim support, outside the bad set), where
     the approximant is genuinely smooth.
     """
-    centers = grid.cell_centers_1d() / grid.spacing
-    cheb = np.maximum.reduce(np.meshgrid(*[np.abs(centers)] * grid.dim,
-                                         indexing="ij"))
-    smooth = (cheb < covering.w0_h - 6) & ~covering.bad_cells
+    cheb_h = grid.cell_cheb_norm() / grid.spacing
+    smooth = (cheb_h < covering.w0_h - 6) & ~covering.bad_cells
 
     kept: list[Face] = []
     owner_high: list[Face] = []
@@ -312,16 +322,11 @@ def _assert_structure(u: DisplacementField, u_tilde: DisplacementField,
     sqrt_d = math.sqrt(delta)
     if not (1.0 - sqrt_d < radius < 1.0):
         raise CoveringError(f"radius {radius} outside (1 - sqrt(delta), 1)")
-    coords = np.abs(grid.node_coords_1d())
-    outside = np.maximum.reduce(
-        np.meshgrid(*[coords] * grid.dim, indexing="ij")) > radius
+    outside = grid.node_cheb_norm() > radius
     if np.any(u.values[outside] != u_tilde.values[outside]):
         raise CoveringError("approximant differs from the input outside Q_R")
-    if np.any(omega):
-        centers = np.abs(grid.cell_centers_1d())
-        cheb = np.maximum.reduce(np.meshgrid(*[centers] * grid.dim, indexing="ij"))
-        if np.max(cheb[omega]) >= radius:
-            raise CoveringError("exceptional set leaks outside Q_R")
+    if np.any(omega) and np.max(grid.cell_cheb_norm()[omega]) >= radius:
+        raise CoveringError("exceptional set leaks outside Q_R")
 
 
 # ---------------------------------------------------------------------------
@@ -364,38 +369,39 @@ def _ratio(excess: float, budget: float, floor: float = 1e-300) -> float:
 def verify_properties(u: DisplacementField, jumps: JumpSet,
                       result: ApproxResult, params: EnergyParams,
                       config: ApproxConfig | None = None) -> PropertyReport:
-    """Measure every property of the approximant against its budget."""
+    """Measure every property of the approximant against its budget.
+
+    ``u`` and ``jumps`` are the input that ``result`` was built from;
+    its strain is read from ``result.strain``.
+    """
     config = config or ApproxConfig()
     grid = u.grid
     dim, h = grid.dim, grid.spacing
     p = params.p
     delta = result.delta
     sqrt_d = math.sqrt(delta)
-    limits = DEFAULT_PROPERTY_LIMITS
     s_ref = 1.0 / (dim * p)
     hvol = h ** dim
 
-    e_u = symmetric_gradient(u, jumps)
+    e_u = result.strain
     e_t = symmetric_gradient(result.u_tilde, result.new_jump)
-    strain_norm_q = lp_norm_cells(e_u.cell_values, grid, p)
-    bulk_u = f_zero(e_u.cell_values, params)
-    bulk_t = f_zero(e_t.cell_values, params)
+    strain_norm_q = lp_norm_cells(e_u, grid, p)
+    bulk_u = f_zero(e_u, params)
+    bulk_t = f_zero(e_t, params)
     total_bulk_u = float(np.sum(bulk_u) * hvol)
-    u_scale = 1.0 + lp_norm_nodes(u.values, grid, p)
+    u_pth = cellwise_pth_power(u.values, grid, p)
+    u_norm_q = float(np.sum(u_pth) * hvol) ** (1.0 / p)
+    u_scale = 1.0 + u_norm_q
     norm_floor = 1e-12 * u_scale
     energy_floor = 1e-12 * u_scale ** p
 
     checks: list[PropertyCheck] = []
 
     # P1: exact match outside Q_R; no jump faces on the R-planes.
-    coords = np.abs(grid.node_coords_1d())
-    outside = np.maximum.reduce(np.meshgrid(*[coords] * dim, indexing="ij")) \
-        > result.radius
+    outside = grid.node_cheb_norm() > result.radius
     mismatch = float(np.max(np.abs(result.u_tilde.values[outside]
                                    - u.values[outside]))) if outside.any() else 0.0
-    checks.append(PropertyCheck("p1_match_outside", mismatch, 1.0, mismatch,
-                                limits["p1_match_outside"],
-                                mismatch <= limits["p1_match_outside"]))
+    checks.append(PropertyCheck("p1_match_outside", mismatch, 1.0, mismatch))
     r_h = result.radius / h
     on_r = 0
     for js in (jumps, result.new_jump):
@@ -404,8 +410,7 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
             if abs(plane - r_h) < 0.25:
                 on_r += 1
     checks.append(PropertyCheck("p1_boundary_faces", float(on_r), 1.0,
-                                float(on_r), limits["p1_boundary_faces"],
-                                on_r <= limits["p1_boundary_faces"]))
+                                float(on_r)))
 
     # P2: new jump area against the outer-shell crack budget, and exact
     # containment of new faces in the bad-set boundary.
@@ -417,13 +422,12 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
     bad_boundary = set(boundary_faces_of_mask(result.covering.bad_cells))
     contained = new_faces <= bad_boundary
     checks.append(PropertyCheck("p2_new_jump", lhs2, budget2,
-                                _ratio(lhs2, budget2), limits["p2_new_jump"],
-                                _ratio(lhs2, budget2) <= limits["p2_new_jump"]
-                                and contained,
-                                {"containment": bool(contained)}))
+                                _ratio(lhs2, budget2),
+                                {"containment": bool(contained)},
+                                condition=contained))
 
     # P3, strain form: || e(approx) - mollified e(u) || over the inner box.
-    mol, margin = mollify(e_u.cell_values, dim, delta, h)
+    mol, margin = mollify(e_u, dim, delta, h)
     inner_box = centered_box(1.0 - sqrt_d, dim)
     mask3 = region_cell_mask(grid, inner_box)
     valid = np.zeros(grid.cell_shape, dtype=bool)
@@ -431,13 +435,11 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
     valid[core] = True
     if not np.all(valid[mask3]):
         raise CoveringError("mollification margin covers the inner box")
-    diff = np.sqrt(np.sum((e_t.cell_values - mol) ** 2, axis=(-2, -1)))
+    diff = np.sqrt(np.sum((e_t - mol) ** 2, axis=(-2, -1)))
     lhs3 = float(np.sum(diff[mask3] ** p) * hvol) ** (1.0 / p)
     budget3 = delta ** s_ref * strain_norm_q
-    r3 = _ratio(lhs3, budget3, norm_floor)
-    checks.append(PropertyCheck("p3_strain_error", lhs3, budget3, r3,
-                                limits["p3_strain_error"],
-                                r3 <= limits["p3_strain_error"]))
+    checks.append(PropertyCheck("p3_strain_error", lhs3, budget3,
+                                _ratio(lhs3, budget3, norm_floor)))
 
     # P3, energy form over a family of regions with 3*delta-dilated bases.
     worst3b = 0.0
@@ -453,8 +455,6 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
         detail3b[name] = realized
         worst3b = max(worst3b, realized)
     checks.append(PropertyCheck("p3_energy", worst3b, 1.0, worst3b,
-                                limits["p3_energy"],
-                                worst3b <= limits["p3_energy"],
                                 {"per_region": detail3b}))
 
     # P4: exceptional volume and field distance off the exceptional set.
@@ -463,16 +463,12 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
     lhs4a = result.omega_volume
     budget4a = delta * jump_in_r
     checks.append(PropertyCheck("p4_volume", lhs4a, budget4a,
-                                _ratio(lhs4a, budget4a), limits["p4_volume"],
-                                _ratio(lhs4a, budget4a) <= limits["p4_volume"]))
-    diff_p = corner_average(
-        np.linalg.norm(result.u_tilde.values - u.values, axis=-1) ** p, dim)
+                                _ratio(lhs4a, budget4a)))
+    diff_p = cellwise_pth_power(result.u_tilde.values - u.values, grid, p)
     lhs4b = float(np.sum(diff_p[~result.omega_cells]) * hvol)
     budget4b = delta ** p * strain_norm_q ** p
-    r4b = _ratio(lhs4b, budget4b, energy_floor)
-    checks.append(PropertyCheck("p4_distance", lhs4b, budget4b, r4b,
-                                limits["p4_distance"],
-                                r4b <= limits["p4_distance"]))
+    checks.append(PropertyCheck("p4_distance", lhs4b, budget4b,
+                                _ratio(lhs4b, budget4b, energy_floor)))
 
     # P5: weighted energy comparison for Lipschitz weights.
     worst5 = 0.0
@@ -487,27 +483,23 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
         detail5[name] = realized
         worst5 = max(worst5, realized)
     checks.append(PropertyCheck("p5_weighted_energy", worst5, 1.0, worst5,
-                                limits["p5_weighted_energy"],
-                                worst5 <= limits["p5_weighted_energy"],
                                 {"per_weight": detail5}))
 
     # P6: L^p growth over the region family (tracked when requested).
     if config.check_lp:
-        u_norm_q = lp_norm_nodes(u.values, grid, p)
+        t_pth = cellwise_pth_power(result.u_tilde.values, grid, p)
         worst6 = 0.0
         detail6 = {}
         for name, region in _norm_region_boxes(dim, sqrt_d):
             mask = region_cell_mask(grid, region)
-            lhs = lp_norm_nodes(result.u_tilde.values, grid, p, cell_mask=mask)
-            base = lp_norm_nodes(u.values, grid, p, cell_mask=mask)
+            lhs = float(np.sum(t_pth[mask]) * hvol) ** (1.0 / p)
+            base = float(np.sum(u_pth[mask]) * hvol) ** (1.0 / p)
             excess = max(0.0, lhs - base)
             budget = delta ** (1.0 / (2.0 * p)) * (u_norm_q + strain_norm_q)
             realized = _ratio(excess, budget, norm_floor)
             detail6[name] = realized
             worst6 = max(worst6, realized)
         checks.append(PropertyCheck("p6_lp_growth", worst6, 1.0, worst6,
-                                    limits["p6_lp_growth"],
-                                    worst6 <= limits["p6_lp_growth"],
                                     {"per_region": detail6}))
 
     smooth_proxy = _second_difference_proxy(result.u_tilde, grid, sqrt_d, delta)
@@ -561,7 +553,7 @@ def boundary_trace_check(u: DisplacementField, jumps: JumpSet,
     h = grid.spacing
     r = result.radius
     centers = grid.cell_center_grid()
-    inside_r = np.max(np.abs(centers), axis=-1) < r
+    inside_r = grid.cell_cheb_norm() < r
     diff_cells = corner_average(
         np.linalg.norm(result.u_tilde.values - u.values, axis=-1), grid.dim)
 

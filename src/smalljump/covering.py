@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoveringError
-from .grid import DisplacementField, GridSpec, JumpSet, StrainField
+from .grid import DisplacementField, GridSpec, JumpSet
 from .energy import EnergyParams, cellwise_pth_power
 
 ENLARGE12 = {"q1": 14, "q2": 16, "q3": 18}  # 7/6, 4/3, 3/2 in twelfths
@@ -168,10 +168,9 @@ def max_feasible_delta(grid: GridSpec) -> int:
     return best
 
 
-def select_crown(u: DisplacementField, jumps: JumpSet, delta: float,
-                 include_lp_budget: bool = False,
-                 params: EnergyParams | None = None,
-                 strain: StrainField | None = None) -> CrownSelection:
+def select_crown(u: DisplacementField, jumps: JumpSet, strain: np.ndarray,
+                 delta: float, include_lp_budget: bool = False,
+                 params: EnergyParams | None = None) -> CrownSelection:
     """Pick the crown index whose two rings respect the sqrt-delta budgets.
 
     Budgets follow the averaging argument over disjoint ring pairs: the
@@ -179,10 +178,9 @@ def select_crown(u: DisplacementField, jumps: JumpSet, delta: float,
     optionally the |u|^p mass of the single ring, must not exceed
     8*sqrt(delta) times their totals over the outer shell of width
     sqrt(delta).  The valid candidate with the smallest normalized budget
-    sum wins, ties going to the smallest index.
+    sum wins, ties going to the smallest index.  ``strain`` is the
+    symmetric gradient of u with the jumps.
     """
-    from .strain import symmetric_gradient
-
     grid = u.grid
     h = grid.spacing
     m = lattice_delta(grid, delta)
@@ -192,14 +190,11 @@ def select_crown(u: DisplacementField, jumps: JumpSet, delta: float,
         raise CoveringError("crown selection infeasible: delta too large for the grid")
 
     p = params.p if params is not None else 2.0
-    if strain is None:
-        strain = symmetric_gradient(u, jumps)
-    strain_p = np.sqrt(np.sum(strain.cell_values ** 2, axis=(-2, -1))) ** p
+    strain_p = np.sqrt(np.sum(strain ** 2, axis=(-2, -1))) ** p
     lp_cells = cellwise_pth_power(u.values, grid, p)
     hvol = h ** grid.dim
 
-    centers = grid.cell_center_grid()
-    cheb = np.max(np.abs(centers), axis=-1)
+    cheb = grid.cell_cheb_norm()
     fc12 = face_coords12(grid, jumps)
     face_cheb12 = np.max(np.abs(fc12), axis=1) if fc12.shape[0] else np.empty(0)
 
@@ -293,13 +288,8 @@ class WhitneyCovering:
         return mask
 
     def rim_cell_mask(self) -> np.ndarray:
-        centers = self.grid.cell_centers_1d() / self.grid.spacing
-        per = np.abs(centers)
-        outer = self.covered_cell_mask()
-        cheb = None
-        grids = np.meshgrid(*[per] * self.grid.dim, indexing="ij")
-        cheb = np.maximum.reduce(grids)
-        return outer & (cheb > self.rim_inner_h)
+        cheb_h = self.grid.cell_cheb_norm() / self.grid.spacing
+        return self.covered_cell_mask() & (cheb_h > self.rim_inner_h)
 
     def flagged(self) -> "WhitneyCovering":
         if self.good is None:

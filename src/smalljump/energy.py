@@ -17,7 +17,6 @@ from .grid import (
     GridSpec,
     JumpSet,
     Region,
-    StrainField,
     corner_average,
     faces_in_region,
     region_cell_mask,
@@ -100,23 +99,11 @@ def cellwise_pth_power(u_vals: np.ndarray, grid: GridSpec, p: float) -> np.ndarr
     return corner_average(mag_p, grid.dim)
 
 
-def lp_norm_nodes(u_vals: np.ndarray, grid: GridSpec, p: float,
-                  region: Region | None = None,
-                  cell_mask: np.ndarray | None = None) -> float:
-    """L^p norm of a node field via corner-mean quadrature."""
-    cells = cellwise_pth_power(u_vals, grid, p)
-    mask = region_cell_mask(grid, region) if cell_mask is None else cell_mask
-    return float(np.sum(cells[mask]) * grid.spacing ** grid.dim) ** (1.0 / p)
-
-
-def lp_norm_cells(cell_vals: np.ndarray, grid: GridSpec, p: float,
-                  region: Region | None = None,
-                  cell_mask: np.ndarray | None = None) -> float:
+def lp_norm_cells(cell_vals: np.ndarray, grid: GridSpec, p: float) -> float:
     """L^p norm of a cell field of matrices/vectors (Frobenius magnitude)."""
     extra = cell_vals.ndim - grid.dim
     mag = np.sqrt(np.sum(cell_vals ** 2, axis=tuple(range(grid.dim, grid.dim + extra))))
-    mask = region_cell_mask(grid, region) if cell_mask is None else cell_mask
-    return float(np.sum(mag[mask] ** p) * grid.spacing ** grid.dim) ** (1.0 / p)
+    return float(np.sum(mag ** p) * grid.spacing ** grid.dim) ** (1.0 / p)
 
 
 def energy_G(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
@@ -126,24 +113,20 @@ def energy_G(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
 
 
 def energy_G0(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
-              region: Region | None = None,
-              strain: StrainField | None = None) -> float:
+              region: Region | None = None) -> float:
     """Homogeneous variant: f_0 bulk and kappa|u|^p fidelity."""
-    return energy_breakdown(u, jumps, params, region, homogeneous=True,
-                            strain=strain)["total"]
+    return energy_breakdown(u, jumps, params, region, homogeneous=True)["total"]
 
 
 def energy_breakdown(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
-                     region: Region | None = None, homogeneous: bool = False,
-                     strain: StrainField | None = None) -> dict[str, float]:
+                     region: Region | None = None,
+                     homogeneous: bool = False) -> dict[str, float]:
     """Bulk / fidelity / surface split of G (or G0 when homogeneous)."""
-    if strain is None:
-        strain = symmetric_gradient(u, jumps)
+    strain = symmetric_gradient(u, jumps)
     grid = u.grid
     mask = region_cell_mask(grid, region)
     hvol = grid.spacing ** grid.dim
-    dens = f_zero(strain.cell_values, params) if homogeneous \
-        else f_mu(strain.cell_values, params)
+    dens = f_zero(strain, params) if homogeneous else f_mu(strain, params)
     bulk = float(np.sum(dens[mask]) * hvol)
     fidelity = 0.0
     if params.kappa > 0:

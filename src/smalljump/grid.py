@@ -71,6 +71,14 @@ class GridSpec:
         axes = np.meshgrid(*[self.node_coords_1d()] * self.dim, indexing="ij")
         return np.stack(axes, axis=-1)
 
+    def cell_cheb_norm(self) -> np.ndarray:
+        """max_a |x_a| at every cell center, shape cell_shape."""
+        return _cheb_norm(self.cell_centers_1d(), self.dim)
+
+    def node_cheb_norm(self) -> np.ndarray:
+        """max_a |x_a| at every node, shape node_shape."""
+        return _cheb_norm(self.node_coords_1d(), self.dim)
+
     def face_center(self, face: Face) -> np.ndarray:
         axis, idx = face
         out = np.empty(self.dim)
@@ -83,6 +91,14 @@ class GridSpec:
 
     def face_area(self) -> float:
         return self.spacing ** (self.dim - 1)
+
+
+def _cheb_norm(coords_1d: np.ndarray, dim: int) -> np.ndarray:
+    per_axis = np.abs(coords_1d)
+    out = per_axis
+    for _ in range(dim - 1):
+        out = np.maximum.outer(out, per_axis)
+    return out
 
 
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
@@ -109,25 +125,6 @@ class DisplacementField:
     def cell_means(self) -> np.ndarray:
         """Corner-averaged values per cell, shape cell_shape + (dim,)."""
         return corner_average(self.values, self.grid.dim)
-
-
-@dataclass(frozen=True)
-class StrainField:
-    """Symmetric matrix per cell, shape cell_shape + (dim, dim)."""
-
-    grid: GridSpec
-    cell_values: np.ndarray
-
-    def __post_init__(self):
-        expected = self.grid.cell_shape + (self.grid.dim, self.grid.dim)
-        if tuple(self.cell_values.shape) != expected:
-            raise ValueError(f"cell_values shape {self.cell_values.shape} != {expected}")
-        if not np.all(np.isfinite(self.cell_values)):
-            raise ValueError("strain values must be finite")
-        sym_gap = np.max(np.abs(self.cell_values - np.swapaxes(self.cell_values, -1, -2)))
-        if sym_gap > 0.0:
-            raise ValueError("strain matrices must be exactly symmetric")
-        object.__setattr__(self, "cell_values", _as_readonly(self.cell_values))
 
 
 class JumpSet:

@@ -22,9 +22,9 @@ from .covering import (
     face_coords12,
 )
 from .errors import FitError
-from .grid import DisplacementField, GridSpec, JumpSet
+from .grid import DisplacementField, GridSpec, JumpSet, corner_average
 from .mollify import kernel_radius_cells, mollify
-from .strain import StrainField, _standard_gradient, symmetric_gradient
+from .strain import _standard_gradient, symmetric_gradient
 
 # Iteration caps and the IRLS step tolerance of the fits.
 IRLS_MAX_ITER = 50
@@ -172,25 +172,25 @@ class FitReport:
         }
 
 
-def _cube_samples(u_cells: np.ndarray, grid: GridSpec, cube: DyadicCube
+def _cube_samples(u: DisplacementField, cube: DyadicCube
                   ) -> tuple[tuple[slice, ...], np.ndarray, np.ndarray]:
+    """The q'' cell window, its cell centers and corner-averaged values."""
+    grid = u.grid
     sl = cube.enlarged_cell_ranges(grid, "q2")
-    vals = u_cells[sl].reshape(-1, grid.dim)
+    nodes = tuple(slice(s.start, s.stop + 1) for s in sl)
+    vals = corner_average(u.values[nodes], grid.dim).reshape(-1, grid.dim)
     centers = grid.cell_center_grid()[sl].reshape(-1, grid.dim)
     return sl, centers, vals
 
 
 def extract_exceptional_set(u: DisplacementField, jumps: JumpSet,
-                            cube: DyadicCube, c_star: float,
-                            p: float = 2.0,
-                            strain: StrainField | None = None,
-                            u_cells: np.ndarray | None = None) -> FitReport:
+                            strain: np.ndarray, cube: DyadicCube,
+                            c_star: float, p: float = 2.0) -> FitReport:
     """Fit-trim-refit until the exceptional set stabilizes or the volume
-    budget binds.  Jump-free enlargements force an empty set."""
+    budget binds.  Jump-free enlargements force an empty set.  ``strain``
+    is the symmetric gradient of u with the jumps."""
     grid = u.grid
-    if u_cells is None:
-        u_cells = u.cell_means()
-    sl, centers, vals = _cube_samples(u_cells, grid, cube)
+    sl, centers, vals = _cube_samples(u, cube)
     shape = tuple(s.stop - s.start for s in sl)
     dim = grid.dim
     h = grid.spacing
@@ -238,10 +238,8 @@ def extract_exceptional_set(u: DisplacementField, jumps: JumpSet,
     residual_lp = float(np.sum(kept_res ** p) * hvol) ** (1.0 / p)
     residual_sobolev = float(np.sum(kept_res ** q_exp) * hvol) ** (1.0 / q_exp)
 
-    if strain is None:
-        strain = symmetric_gradient(u, jumps)
     sl3 = cube.enlarged_cell_ranges(grid, "q3")
-    e_mag = np.sqrt(np.sum(strain.cell_values[sl3] ** 2, axis=(-2, -1)))
+    e_mag = np.sqrt(np.sum(strain[sl3] ** 2, axis=(-2, -1)))
     strain_p = float(np.sum(e_mag ** p) * hvol)
 
     def ratio(num: float, den: float) -> float:
@@ -342,7 +340,7 @@ def mollified_strain_error(u: DisplacementField, jumps: JumpSet,
     grad = _standard_gradient(u_i, h)[local]
     e_ui = 0.5 * (grad + np.swapaxes(grad, -1, -2))
 
-    mol, _ = mollify(symmetric_gradient(u, jumps).cell_values, dim, side, h)
+    mol, _ = mollify(symmetric_gradient(u, jumps), dim, side, h)
     ref = mol[sl1]
 
     hvol = h ** dim

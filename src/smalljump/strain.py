@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import DisplacementField, GridSpec, JumpSet, StrainField
+from .grid import DisplacementField, GridSpec, JumpSet
 
 
 class CrackContext:
@@ -174,8 +174,15 @@ def _standard_gradient(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def symmetric_gradient(u: DisplacementField, jumps: JumpSet) -> StrainField:
-    """Per-cell symmetrized gradient; cracked faces contribute no strain."""
+@np.errstate(over="ignore", invalid="ignore")
+def symmetric_gradient(u: DisplacementField, jumps: JumpSet) -> np.ndarray:
+    """Per-cell symmetrized gradient, shape cell_shape + (dim, dim);
+    cracked faces contribute no strain.
+
+    Exactly symmetric by construction, and read-only.  Finite node values
+    can still overflow in the differences; that raises one ValueError
+    instead of floating-point warnings.
+    """
     grid = u.grid
     jg = jumps.grid
     if jg.dim != grid.dim or jg.cells_per_side != grid.cells_per_side \
@@ -206,4 +213,7 @@ def symmetric_gradient(u: DisplacementField, jumps: JumpSet) -> StrainField:
         for a in dead:
             e[cell][a, :] = 0.0
             e[cell][:, a] = 0.0
-    return StrainField(grid, e)
+    if not np.all(np.isfinite(e)):
+        raise ValueError("strain values must be finite")
+    e.flags.writeable = False   # shared by every layer of a run
+    return e

@@ -117,7 +117,7 @@ def shrink_family():
         res = approximate(u, j, PARAMS, cfg)
         rep = verify_properties(u, j, res, PARAMS, cfg)
         e = symmetric_gradient(u, j)
-        norm = lp_norm_cells(e.cell_values, g, 2.0)
+        norm = lp_norm_cells(e, g, 2.0)
         rows.append({"k": k, "delta": res.delta, "res": res, "rep": rep,
                      "jumps": j, "ratio": rep.by_name("p3_strain_error").lhs / norm})
     elapsed = time.time() - t0
@@ -201,7 +201,8 @@ def test_criterion_5_korn_poincare_meters():
         opening = rng.normal(size=dim)
         opening *= float(rng.uniform(0.05, 0.5)) / np.linalg.norm(opening)
         u, j = field_with_patches(g, [patch], [opening], rng)
-        rep = extract_exceptional_set(u, j, cube, c_star=c_star)
+        rep = extract_exceptional_set(u, j, symmetric_gradient(u, j), cube,
+                                      c_star=c_star)
         total += 1
         if (not rep.violation and rep.constants["c_omega"] <= c_star
                 and rep.constants["c_sobolev"] <= c_star):

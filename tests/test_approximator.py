@@ -74,9 +74,9 @@ def test_two_motion_crack_budgets_and_direct_crosscheck():
 
     e_u = symmetric_gradient(u, j)
     e_t = symmetric_gradient(res.u_tilde, res.new_jump)
-    mol, margin = mollify(e_u.cell_values, 2, res.delta, g.spacing)
+    mol, margin = mollify(e_u, 2, res.delta, g.spacing)
     mask = centered_box(1.0 - np.sqrt(res.delta), 2).cell_mask(g)
-    d = np.sqrt(np.sum((e_t.cell_values - mol) ** 2, axis=(-2, -1)))
+    d = np.sqrt(np.sum((e_t - mol) ** 2, axis=(-2, -1)))
     lhs3 = (np.sum(d[mask] ** 2) * g.spacing ** 2) ** 0.5
     assert rep.by_name("p3_strain_error").lhs == pytest.approx(lhs3, rel=1e-12)
 
@@ -132,8 +132,8 @@ def test_idempotence_on_smooth_output():
     res2 = approximate(res.u_tilde, res.new_jump, PARAMS, CFG)
     e1 = symmetric_gradient(res.u_tilde, res.new_jump)
     e2 = symmetric_gradient(res2.u_tilde, res2.new_jump)
-    n1 = lp_norm_cells(e1.cell_values, g, 2.0)
-    n2 = lp_norm_cells(e2.cell_values, g, 2.0)
+    n1 = lp_norm_cells(e1, g, 2.0)
+    n2 = lp_norm_cells(e2, g, 2.0)
     budget = res2.delta ** 0.25 * n1
     assert abs(n2 - n1) <= 10.0 * budget + 1e-12
 
@@ -181,7 +181,7 @@ def test_sweep_family_decay():
         rep = verify_properties(u, j, res, PARAMS, cfg)
         e = symmetric_gradient(u, j)
         ratios.append(rep.by_name("p3_strain_error").lhs
-                      / lp_norm_cells(e.cell_values, g, 2.0))
+                      / lp_norm_cells(e, g, 2.0))
         deltas.append(res.delta)
     assert all(ratios[i + 1] < ratios[i] for i in range(len(ratios) - 1))
     assert fit_decay_exponent(deltas, ratios) >= 0.05

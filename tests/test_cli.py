@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 from smalljump.cli import main
-from smalljump.grid import GridSpec, load_field, load_jump
+from smalljump.grid import (
+    DisplacementField,
+    GridSpec,
+    JumpSet,
+    load_field,
+    load_jump,
+    save_field,
+    save_jump,
+)
 
 
 def test_gen_rigid_and_roundtrip(tmp_path):
@@ -21,7 +29,7 @@ def test_gen_rigid_and_roundtrip(tmp_path):
     j = load_jump(out.with_suffix(".jump.json"), u.grid)
     assert len(j) == 0
     from smalljump.strain import symmetric_gradient
-    assert float(np.max(np.abs(symmetric_gradient(u, j).cell_values))) < 1e-12
+    assert float(np.max(np.abs(symmetric_gradient(u, j)))) < 1e-12
 
 
 def test_gen_two_motion_crack_area_rounding(tmp_path, capsys):
@@ -186,6 +194,22 @@ def test_malformed_input_file_exits_one(tmp_path, capsys, file, payload,
                "--eta", "0.5", "--out", str(tmp_path / "run")])
     assert rc == 1
     assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_field_exits_one(tmp_path, capsys):
+    # finite node values whose difference overflows float64
+    g = GridSpec(2, 32, 1.0)
+    vals = np.zeros(g.node_shape + (2,))
+    vals[16, 16, 0], vals[17, 16, 0] = 1.5e308, -1.5e308
+    base = tmp_path / "overflow"
+    save_field(base, DisplacementField(g, vals))
+    save_jump(base.with_suffix(".jump.json"), JumpSet(g))
+    rc = main(["approx", "--field", str(base),
+               "--jump", str(base.with_suffix(".jump.json")),
+               "--eta", "0.5", "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: strain values must be finite\n"
 
 
 @pytest.mark.parametrize("value, hide_threadpoolctl, reason", [

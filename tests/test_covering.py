@@ -22,6 +22,7 @@ from smalljump.covering import (
 )
 from smalljump.errors import CoveringError
 from smalljump.grid import DisplacementField, GridSpec, JumpSet
+from smalljump.strain import symmetric_gradient
 
 from .test_fields import random_skew, rigid_field
 
@@ -47,7 +48,8 @@ def test_select_crown_rigid_field_picks_first_candidate():
     g = GridSpec(2, 64, 1.0)
     rng = np.random.default_rng(0)
     u = rigid_field(g, random_skew(rng, 2), rng.normal(size=2))
-    sel = select_crown(u, JumpSet(g), delta=0.25)
+    sel = select_crown(u, JumpSet(g), symmetric_gradient(u, JumpSet(g)),
+                       delta=0.25)
     assert sel.i0 == 1
     for row in sel.budgets.values():
         assert row["value"] <= row["bound"] + 1e-12
@@ -59,10 +61,8 @@ def test_select_crown_budgets_against_direct_integrals():
     g = GridSpec(2, 64, 1.0)
     x = g.node_coord_grid()
     u = DisplacementField(g, 0.05 * np.sin(3 * x))
-    sel = select_crown(u, JumpSet(g), delta=1.0 / 8.0)
-    from smalljump.strain import symmetric_gradient
-
-    e = symmetric_gradient(u, JumpSet(g)).cell_values
+    e = symmetric_gradient(u, JumpSet(g))
+    sel = select_crown(u, JumpSet(g), e, delta=1.0 / 8.0)
     dens = np.sum(e ** 2, axis=(-2, -1))  # |e|^2 for p=2
     centers = g.cell_center_grid()
     cheb = np.max(np.abs(centers), axis=-1)
@@ -86,7 +86,8 @@ def test_select_crown_avoids_loaded_ring():
     # faces in annulus C^1 (between half-widths (n-1)m and n m... inner ring)
     plane = off + (n_ann - 1) * m - m // 2
     faces = [(0, (plane, off + j)) for j in range(-2, 2)]
-    sel = select_crown(u, JumpSet(g, faces), delta=1.0 / 32.0)
+    js = JumpSet(g, faces)
+    sel = select_crown(u, js, symmetric_gradient(u, js), delta=1.0 / 32.0)
     assert len(sel.candidates) >= 2
     assert sel.i0 == 2
     assert sel.budgets["jump"]["value"] == 0.0
@@ -97,7 +98,8 @@ def test_select_crown_infeasible_when_delta_too_large():
     rng = np.random.default_rng(2)
     u = rigid_field(g, random_skew(rng, 2), rng.normal(size=2))
     with pytest.raises(CoveringError):
-        select_crown(u, JumpSet(g), delta=0.9)
+        select_crown(u, JumpSet(g), symmetric_gradient(u, JumpSet(g)),
+                     delta=0.9)
 
 
 def test_build_covering_interior_count_and_tiling():

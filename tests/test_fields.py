@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smalljump.energy import (
     EnergyParams,
@@ -71,10 +73,10 @@ def test_strain_zero_for_constants_and_rigid(grid2d):
         w = random_skew(rng, dim)
         b = rng.normal(size=dim)
         e = symmetric_gradient(rigid_field(g, w, b), JumpSet(g))
-        assert np.max(np.abs(e.cell_values)) < 1e-13
+        assert np.max(np.abs(e)) < 1e-13
     const = DisplacementField(grid2d, np.ones(grid2d.node_shape + (2,)))
     e = symmetric_gradient(const, empty)
-    assert np.max(np.abs(e.cell_values)) == 0.0
+    assert np.max(np.abs(e)) == 0.0
 
 
 def test_strain_identity_map(grid2d):
@@ -82,7 +84,7 @@ def test_strain_identity_map(grid2d):
     u = DisplacementField(grid2d, x.copy())
     e = symmetric_gradient(u, JumpSet(grid2d))
     expected = np.eye(2)
-    assert np.allclose(e.cell_values - expected, 0.0, atol=1e-13)
+    assert np.allclose(e - expected, 0.0, atol=1e-13)
 
 
 def test_strain_ignores_crack_between_two_motions():
@@ -100,7 +102,48 @@ def test_strain_ignores_crack_between_two_motions():
     faces = [(0, (8, j)) for j in range(16)]
     u = DisplacementField(g, vals)
     e = symmetric_gradient(u, JumpSet(g, faces))
-    assert np.max(np.abs(e.cell_values)) < 1e-12
+    assert np.max(np.abs(e)) < 1e-12
+
+
+@st.composite
+def crack_sets(draw, grid: GridSpec) -> JumpSet:
+    """Random interior faces with a random owner_high subset."""
+    m = grid.cells_per_side
+    face = st.tuples(
+        st.integers(0, grid.dim - 1), st.integers(1, m - 1),
+        st.lists(st.integers(0, m - 1), min_size=grid.dim - 1,
+                 max_size=grid.dim - 1),
+    ).map(lambda t: (t[0], tuple(t[2][:t[0]]) + (t[1],) + tuple(t[2][t[0]:])))
+    faces = draw(st.lists(face, max_size=20, unique=True))
+    owned = draw(st.lists(st.booleans(), min_size=len(faces),
+                          max_size=len(faces)))
+    return JumpSet(grid, faces, [f for f, o in zip(faces, owned) if o])
+
+
+_STRAIN_GRIDS = (GridSpec(2, 8, 1.0), GridSpec(3, 4, 1.0))
+
+
+@pytest.mark.parametrize("g", _STRAIN_GRIDS, ids=["2d8", "3d4"])
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_strain_exactly_symmetric_on_random_cracks(g, data, seed):
+    js = data.draw(crack_sets(g))
+    rng = np.random.default_rng(seed)
+    u = DisplacementField(g, rng.normal(size=g.node_shape + (g.dim,)))
+    e = symmetric_gradient(u, js)
+    assert e.shape == g.cell_shape + (g.dim, g.dim)
+    assert np.array_equal(e, np.swapaxes(e, -1, -2))
+
+
+@pytest.mark.parametrize("g", _STRAIN_GRIDS, ids=["2d8", "3d4"])
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_rigid_motion_strain_vanishes_on_random_cracks(g, data, seed):
+    js = data.draw(crack_sets(g))
+    rng = np.random.default_rng(seed)
+    w = random_skew(rng, g.dim) * rng.uniform(0.0, 10.0)
+    b = rng.normal(size=g.dim) * rng.uniform(0.0, 10.0)
+    e = symmetric_gradient(rigid_field(g, w, b), js)
+    bound = 1e-12 * (1.0 + np.max(np.abs(w)) + np.max(np.abs(b)))
+    assert np.max(np.abs(e)) <= bound
 
 
 def test_jump_measure_values(grid2d):
@@ -166,7 +209,7 @@ def test_energy_G_examples(grid2d):
     params0 = EnergyParams(hooke, p=2.0, kappa=0.0, beta=1.0)
     from smalljump.energy import f_mu as _f
     e = symmetric_gradient(smooth, empty)
-    bulk = float(np.sum(_f(e.cell_values, params0))) * grid2d.spacing ** 2
+    bulk = float(np.sum(_f(e, params0))) * grid2d.spacing ** 2
     assert energy_G(smooth, empty, params0) == pytest.approx(bulk)
 
     # single mid-plane crack: beta * H^1 = 3 * 2.0

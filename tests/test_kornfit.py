@@ -149,7 +149,9 @@ def test_exceptional_set_empty_without_cracks():
     x = g.node_coord_grid()
     u = DisplacementField(g, 0.1 * np.sin(2 * x))
     cube = centered_cube(g, 8)
-    rep = extract_exceptional_set(u, JumpSet(g), cube, c_star=2.0)
+    rep = extract_exceptional_set(u, JumpSet(g),
+                                  symmetric_gradient(u, JumpSet(g)), cube,
+                                  c_star=2.0)
     assert rep.omega.n_cells == 0
     assert not rep.violation
     assert math.isfinite(rep.constants["c_sobolev"])
@@ -160,7 +162,8 @@ def test_exceptional_set_covers_pocket_and_respects_budget():
     g = GridSpec(2, 32, 1.0)
     cube = centered_cube(g, 16)
     u, jumps, w, b = two_motion_cube_field(g, 16, slice(14, 18), (0.8, -0.5))
-    rep = extract_exceptional_set(u, jumps, cube, c_star=2.0)
+    rep = extract_exceptional_set(u, jumps, symmetric_gradient(u, jumps),
+                                  cube, c_star=2.0)
     assert rep.omega.n_cells > 0
     assert rep.omega.volume <= 2.0 * (cube.side * g.spacing) * rep.crack_measure + 1e-12
     assert not rep.violation
@@ -194,7 +197,9 @@ def test_violation_flag_for_undeclared_jump():
     g = GridSpec(2, 32, 1.0)
     cube = centered_cube(g, 16)
     u, _, _, _ = two_motion_cube_field(g, 16, slice(14, 18), (0.9, 0.4))
-    rep = extract_exceptional_set(u, JumpSet(g), cube, c_star=2.0)
+    rep = extract_exceptional_set(u, JumpSet(g),
+                                  symmetric_gradient(u, JumpSet(g)), cube,
+                                  c_star=2.0)
     assert rep.budget_cells == 0
     assert rep.violation
 
@@ -203,7 +208,8 @@ def test_prefix_oracle_agrees_with_trim():
     g = GridSpec(2, 32, 1.0)
     cube = centered_cube(g, 16)
     u, jumps, _, _ = two_motion_cube_field(g, 16, slice(14, 18), (0.8, -0.5))
-    rep = extract_exceptional_set(u, jumps, cube, c_star=2.0)
+    rep = extract_exceptional_set(u, jumps, symmetric_gradient(u, jumps),
+                                  cube, c_star=2.0)
     sl = cube.enlarged_cell_ranges(g, "q2")
     centers = g.cell_center_grid()[sl].reshape(-1, 2)
     cvals = u.cell_means()[sl].reshape(-1, 2)
@@ -220,7 +226,9 @@ def test_mollified_strain_error_zero_for_rigid():
     g = GridSpec(2, 32, 1.0)
     u = rigid_field(g, random_skew(rng, 2), rng.normal(size=2))
     cube = centered_cube(g, 8)
-    rep = extract_exceptional_set(u, JumpSet(g), cube, c_star=2.0)
+    rep = extract_exceptional_set(u, JumpSet(g),
+                                  symmetric_gradient(u, JumpSet(g)), cube,
+                                  c_star=2.0)
     out = mollified_strain_error(u, JumpSet(g), cube, rep)
     assert out["error_p"] < 1e-26
 
@@ -232,7 +240,8 @@ def test_mollified_strain_error_decays_with_crack_size():
     for half_span in (8, 4, 2):
         u, jumps, _, _ = two_motion_cube_field(
             g, 32, slice(32 - half_span, 32 + half_span), (0.4, -0.2))
-        rep = extract_exceptional_set(u, jumps, cube, c_star=3.0)
+        rep = extract_exceptional_set(u, jumps, symmetric_gradient(u, jumps),
+                                      cube, c_star=3.0)
         out = mollified_strain_error(u, jumps, cube, rep)
         ratios.append(out["ratio"])
     assert ratios[2] < ratios[0]
@@ -310,12 +319,12 @@ def test_fitted_neighbor_distance_controlled_by_strain():
     u = DisplacementField(g, 0.05 * np.sin(2.0 * x))
     c1 = DyadicCube(0, (-8, -8), 8)
     c2 = DyadicCube(0, (0, -8), 8)
-    reps = [extract_exceptional_set(u, JumpSet(g), c, c_star=2.0)
+    e = symmetric_gradient(u, JumpSet(g))
+    reps = [extract_exceptional_set(u, JumpSet(g), e, c, c_star=2.0)
             for c in (c1, c2)]
     dist = neighbor_affine_distance(reps[0].motion, reps[1].motion, g, c1, c2)
-    e = symmetric_gradient(u, JumpSet(g))
     sl = c1.enlarged_cell_ranges(g, "q3")
-    mag = np.sqrt(np.sum(e.cell_values[sl] ** 2, axis=(-2, -1)))
+    mag = np.sqrt(np.sum(e[sl] ** 2, axis=(-2, -1)))
     norm = float(np.sum(mag ** 2) * g.spacing ** 2) ** 0.5
     delta_q = c1.side * g.spacing
     assert dist <= 20.0 * delta_q ** 0.5 * norm

@@ -10,10 +10,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from smalljump import oracle
-from smalljump.energy import EnergyParams, HookeTensor, energy_G, energy_breakdown
+from smalljump.energy import (
+    EnergyParams,
+    HookeTensor,
+    energy_G,
+    energy_G0,
+    energy_breakdown,
+)
 from smalljump.errors import SolverError
-from smalljump.generators import rigid_field
-from smalljump.grid import DisplacementField, GridSpec, JumpSet, centered_box
+from smalljump.generators import rigid_field, two_motion_crack_field
+from smalljump.grid import (
+    BallRegion,
+    DisplacementField,
+    GridSpec,
+    JumpSet,
+    centered_box,
+    faces_in_region,
+)
 from smalljump.oracle import (
     CrackConfig,
     ElasticSystem,
@@ -229,6 +242,33 @@ def test_density_monotone_in_beta():
                                         [4 * g.spacing])
         thetas.append(out["theta0"])
     assert thetas[0] <= thetas[1] <= thetas[2]
+
+
+@pytest.mark.parametrize("dim, cells, kappa",
+                         [(2, 32, 0.0), (2, 32, 2.0), (3, 16, 2.0)])
+def test_density_rows_equal_per_ball_energy_G0(dim, cells, kappa):
+    g = GridSpec(dim, cells, 1.0)
+    u, js, _ = two_motion_crack_field(g, area=12 * g.face_area(), seed=3)
+    params = EnergyParams(HOOKE, p=2.0, kappa=kappa, beta=0.5)
+    h = g.spacing
+    radii = [2 * h, 4 * h, 8 * h, 0.95]
+    out = density_lower_bound_check(u, js, params, radii)
+    # reference: one full-grid energy_G0 per (face, radius) pair
+    for row, rho in zip(out["rows"], radii):
+        theta0, theta1 = [], []
+        for face in js.sorted_faces():
+            x = g.face_center(face)
+            if np.max(np.abs(x)) + rho > g.half_width - h:
+                continue
+            ball = BallRegion(tuple(float(v) for v in x), rho)
+            scale = rho ** (g.dim - 1)
+            theta0.append(energy_G0(u, js, params, ball) / scale)
+            theta1.append(faces_in_region(g, js, ball) * g.face_area() / scale)
+        assert row == {"rho": rho, "centers": len(theta0),
+                       "theta0": min(theta0, default=None),
+                       "theta1": min(theta1, default=None)}
+    assert out["rows"][0]["centers"] == len(js)
+    assert out["rows"][-1]["centers"] == 0
 
 
 @pytest.mark.slow
