@@ -64,7 +64,14 @@ class GridSpec:
 
     def cell_center_grid(self) -> np.ndarray:
         """Array of shape cell_shape + (dim,) with all cell centers."""
-        axes = np.meshgrid(*[self.cell_centers_1d()] * self.dim, indexing="ij")
+        return self.cell_center_window((slice(None),) * self.dim)
+
+    def cell_center_window(self, window: tuple[slice, ...]) -> np.ndarray:
+        """Centers of the cells in one window of per-axis slices, shape
+        window shape + (dim,): ``cell_center_grid()[window]`` without
+        building the whole grid."""
+        c1d = self.cell_centers_1d()
+        axes = np.meshgrid(*[c1d[s] for s in window], indexing="ij")
         return np.stack(axes, axis=-1)
 
     def node_coord_grid(self) -> np.ndarray:

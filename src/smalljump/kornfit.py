@@ -179,7 +179,7 @@ def _cube_samples(u: DisplacementField, cube: DyadicCube
     sl = cube.enlarged_cell_ranges(grid, "q2")
     nodes = tuple(slice(s.start, s.stop + 1) for s in sl)
     vals = corner_average(u.values[nodes], grid.dim).reshape(-1, grid.dim)
-    centers = grid.cell_center_grid()[sl].reshape(-1, grid.dim)
+    centers = grid.cell_center_window(sl).reshape(-1, grid.dim)
     return sl, centers, vals
 
 
@@ -398,7 +398,7 @@ def affine_subset_bound(a: AffineMap, cube: DyadicCube, grid: GridSpec,
     """Both sides of the affine subset bound on a cube, plus the
     theta-shrunk variant and the small-volume absorption check."""
     sl = cube.cell_slices(grid)
-    centers = grid.cell_center_grid()[sl]
+    centers = grid.cell_center_window(sl)
     mag_p = np.linalg.norm(a(centers), axis=-1) ** p
     hvol = grid.spacing ** grid.dim
     vol_q = mag_p.size * hvol
@@ -444,7 +444,7 @@ def neighbor_affine_distance(a_i: AffineMap, a_j: AffineMap, grid: GridSpec,
     hi = np.minimum(hi_i, hi_j)
     if np.any(hi <= lo):
         raise ValueError("enlarged cubes do not overlap")
-    centers = grid.cell_center_grid()[cell_ranges12(grid, lo, hi)]
+    centers = grid.cell_center_window(cell_ranges12(grid, lo, hi))
     if centers.size == 0:
         raise ValueError("overlap contains no cell centers")
     q_exp = grid.dim * p / (grid.dim - 1)

@@ -4,9 +4,10 @@ For p = 2 the bulk plus fidelity energy is a positive (semi)definite
 quadratic form in the node values; each crack configuration decouples
 stencils across its faces, and the solver returns the exact minimizer of
 that discrete quadratic.  The brute-force oracle enumerates crack
-configurations over a candidate face list, re-solving the bulk problem
-per configuration, and exposes minimality gaps, density lower bounds and
-vanishing-jump convergence experiments built on top of it.
+configurations over a candidate face list, solving the bulk problem of
+each one (condensed onto the DOFs the candidates touch), and exposes
+minimality gaps, density lower bounds and vanishing-jump convergence
+experiments built on top of it.
 """
 
 from __future__ import annotations
@@ -88,6 +89,14 @@ class OracleResult:
 
 
 DENSE_DOF_LIMIT = 4000
+# Configuration energies within this relative distance of the lowest one
+# count as tied (condensed and full solves differ near 1e-15).
+TIE_RTOL = 1e-12
+# Bound on one chunk's correction matrices and node-value rows in the
+# condensed search (14 configurations of the 12-face cross on 2D 8^2).
+# That search peaked at 64.3-64.6 MB RSS with it and 65.4 MB with 1 MiB;
+# one full solve per configuration peaked at 62.8 MB.
+CHUNK_BYTES = 1 << 19
 
 
 class ElasticSystem:
@@ -108,7 +117,9 @@ class ElasticSystem:
     one BLAS thread): the 2D 8^2 exhaustive oracle (162 DOFs) took 8.4 s
     instead of 2.9 s with 16% more peak memory, and the 2D 64^2 CLI
     oracle (8 450 DOFs) ran in the same time with 22% more peak memory
-    from factor fill-in.
+    from factor fill-in.  The exhaustive search does not call ``solve``
+    per configuration on the dense form: ConfigurationEnergies condenses
+    it onto the DOFs the candidates touch.
     """
 
     def __init__(self, grid: GridSpec, params: EnergyParams,
@@ -280,12 +291,14 @@ class ElasticSystem:
                                         shape=H0.shape)).tocsr()
         return H, f, const
 
-    def fidelity_energy(self, u: DisplacementField) -> float:
+    def fidelity_energy(self, x: np.ndarray) -> np.ndarray:
+        """Fidelity energy of flat node-value rows, shape (..., n_dof)."""
         if self.params.kappa <= 0:
-            return 0.0
+            return np.zeros(x.shape[:-1])
         w = self.params.kappa * self.grid.spacing ** self.dim / 2 ** self.dim
-        diff2 = np.sum((u.values - self.g_vals) ** 2, axis=-1)
-        return w * float(np.sum(self._counts * diff2))
+        sq = (x - self.g_vals.reshape(-1)) ** 2
+        diff2 = sum(sq[..., c::self.dim] for c in range(self.dim))
+        return w * np.sum(self._counts.reshape(-1) * diff2, axis=-1)
 
     def solve(self, jumps: JumpSet) -> tuple[DisplacementField, dict]:
         H, f, const = self.system_for(jumps)
@@ -364,8 +377,164 @@ def solve_elastic(grid: GridSpec, jumps: JumpSet, params: EnergyParams,
     return u, info
 
 
-def _rank_key(energy: float, config: CrackConfig) -> tuple:
-    return (energy, config.n_active, config.bitstring())
+class ConfigurationEnergies:
+    """Energies of the crack configurations over one candidate list.
+
+    Configuration ``bits`` cracks the base faces plus the candidates whose
+    bit is set; every face keeps its ``owner_high`` flag from the base set.
+
+    On the dense storage form the search is condensed.  Candidates change
+    the Hessian only on the DOFs D of the cells they affect, so the other
+    free DOFs I are eliminated once (static condensation): H_II is
+    Cholesky-factored, the Schur complement S0 and right-hand side are
+    formed on D, and one correction block per (affected cell, subset of
+    its candidate faces) is stored with flat scatter indices into D x D.
+    A chunk of configurations (CHUNK_BYTES of corrections and node values)
+    adds its blocks to S0, runs one batched solve and rebuilds
+    u_I = y - H_II^-1 H_ID u_D.  Every configuration is checked on the
+    full Hessian: relative residual at most 1e-10, and the quadratic
+    energy of the full u.
+
+    The sparse form keeps one Jacobi-CG ``ElasticSystem.solve`` per
+    configuration: condensing it with a sparse LU of H_II ran the 2D 64^2
+    CLI oracle in 0.3 s instead of 3.2 s, but raised its peak memory from
+    83 to 95 MB with the factor's fill-in.
+    """
+
+    def __init__(self, system: ElasticSystem, candidates: list[Face],
+                 base: JumpSet, region: Region | None = None):
+        self.system = system
+        self.candidates = tuple(candidates)
+        self.base_faces = base.faces - set(candidates)
+        self.owner_high = base.owner_high
+        self.region = region
+        self.chunk = 1
+        if system.dense:
+            self._condense()
+
+    def jumps(self, bits: int) -> JumpSet:
+        active = CrackConfig(self.candidates, bits).active_faces()
+        faces = self.base_faces | set(active)
+        return JumpSet(self.system.grid, faces, self.owner_high & faces)
+
+    def _cell_blocks(self):
+        """(candidate indices, dofs, corrections) of each affected cell,
+        one correction per subset of the cell's candidates."""
+        sys_, grid = self.system, self.system.grid
+        reach: dict[tuple[int, ...], list[int]] = {}
+        for j, face in enumerate(self.candidates):
+            for cell in sys_._cells_of_face(face):
+                reach.setdefault(cell, []).append(j)
+        for cell, js in sorted(reach.items()):
+            near = {f for f in self.base_faces if cell in sys_._cells_of_face(f)}
+            locs = []
+            for t in range(2 ** len(js)):
+                faces = near | {self.candidates[j] for i, j in enumerate(js)
+                                if t >> i & 1}
+                jumps = JumpSet(grid, faces, self.owner_high & faces)
+                locs.append(sys_._cell_local(cell, CrackContext(grid, jumps)))
+            dofs = np.unique(np.concatenate([d for d, _ in locs]))
+            mats = np.zeros((len(locs), dofs.size, dofs.size))
+            for mat, (d, loc) in zip(mats, locs):
+                pos = np.searchsorted(dofs, d)
+                mat[pos[:, None], pos] = loc
+            mats -= mats[0]   # relative to the base configuration's block
+            used = np.any(mats != 0, axis=(0, 1))
+            if np.any(used):
+                yield np.array(js), dofs[used], mats[:, used][:, :, used]
+
+    def _condense(self) -> None:
+        sys_ = self.system
+        blocks = list(self._cell_blocks())
+        H, f, self._const = sys_.system_for(self.jumps(0))
+        pin = np.repeat(sys_.pinned.reshape(-1), sys_.dim)
+        x0 = np.where(pin, sys_.pin_values.reshape(-1), 0.0)
+        D = np.unique(np.concatenate([d for _, d, _ in blocks] + [[]])).astype(int)
+        Df = D[~pin[D]]
+        inner = np.setdiff1d(np.flatnonzero(~pin), Df)
+        D = np.concatenate([Df, D[pin[D]]])   # free DOFs of D first
+        pos = np.zeros(sys_.n_dof, dtype=int)
+        pos[D] = np.arange(D.size)
+        self._blocks = [((pos[d][:, None] * D.size + pos[d]).reshape(-1),
+                         mats.reshape(len(mats), -1)) for _, d, mats in blocks]
+        # subset index of block c for configuration bits: bit_row @ weights
+        self._weights = np.zeros((len(self.candidates), len(blocks)), dtype=np.int64)
+        for c, (js, _, _) in enumerate(blocks):
+            self._weights[js, c] = 1 << np.arange(len(js))
+        rhs = f - H @ x0
+        try:
+            chol = np.linalg.cholesky(H[inner[:, None], inner])
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"singular elastic system: {exc}") from exc
+        w = np.linalg.solve(chol, np.column_stack([rhs[inner],
+                                                   H[inner[:, None], Df]]))
+        yx = np.linalg.solve(chol.T, w)
+        self._S0 = H[Df[:, None], Df] - w[:, 1:].T @ w[:, 1:]
+        self._r0 = rhs[Df] - w[:, 1:].T @ w[:, 0]
+        self._rhs_Df, self._rhs_inner2 = rhs[Df], float(rhs[inner] @ rhs[inner])
+        # every solution is x = xc + M x_Df, with M = -H_II^-1 H_IDf on I
+        # and the identity on Df; H xc and H M give the full-Hessian checks
+        self._xc = x0.copy()
+        self._xc[inner] = yx[:, 0]
+        self._X = yx[:, 1:]
+        self._Hxc, self._HM = H @ self._xc, H[:, Df] - H[:, inner] @ self._X
+        self._f, self._free = f, np.flatnonzero(~pin)
+        self._inner, self._Df, self._D, self._xDp = inner, Df, D, x0[D[Df.size:]]
+        self.chunk = max(1, CHUNK_BYTES // (8 * (D.size ** 2 + 2 * sys_.n_dof)))
+
+    def _condensed_solve(self, bits: np.ndarray):
+        n_f, n_d = self._Df.size, self._D.size
+        delta = np.zeros((bits.size, n_d * n_d))
+        subsets = (bits[:, None] >> np.arange(len(self.candidates)) & 1) \
+            @ self._weights
+        for (flat, mats), t in zip(self._blocks, subsets.T):
+            delta[:, flat] += mats[t]
+        delta = delta.reshape(bits.size, n_d, n_d)
+        coupling = delta[:, :n_f, n_f:] @ self._xDp   # pinned DOFs in D
+        try:
+            x_Df = np.linalg.solve(self._S0 + delta[:, :n_f, :n_f],
+                                   (self._r0 - coupling)[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"singular elastic system: {exc}") from exc
+        x = np.repeat(self._xc[None], bits.size, axis=0)
+        x[:, self._inner] -= x_Df @ self._X.T
+        x[:, self._Df] = x_Df
+        hx = self._Hxc + x_Df @ self._HM.T
+        hx[:, self._D] += (delta @ x[:, self._D, None])[..., 0]
+        scale = np.sqrt(self._rhs_inner2
+                        + np.sum((self._rhs_Df - coupling) ** 2, axis=1))
+        rel = np.linalg.norm((hx - self._f)[:, self._free], axis=1) \
+            / np.maximum(scale, 1e-300)
+        if np.any(rel > 1e-10):
+            raise SolverError("elastic solve did not converge: rel residual "
+                              f"{float(np.max(rel)):.2e}")
+        return x, 0.5 * np.sum(x * hx, axis=1) - x @ self._f + self._const
+
+    def evaluate(self, bits) -> tuple[list[dict], np.ndarray]:
+        """Per configuration: its bitstring and energy breakdown, and its
+        node values as one flat row."""
+        sys_ = self.system
+        bits = np.asarray(bits, dtype=np.int64)
+        if sys_.dense:
+            x, quad = self._condensed_solve(bits)
+        else:
+            solved = [sys_.solve(self.jumps(int(b))) for b in bits]
+            x = np.array([u.values.reshape(-1) for u, _ in solved])
+            quad = [info["quadratic_energy"] for _, info in solved]
+        beta_area = sys_.params.beta * sys_.grid.face_area()
+        rows = []
+        for b, xb, q, fid in zip(bits.tolist(), x, quad, sys_.fidelity_energy(x)):
+            row = {"bits": CrackConfig(self.candidates, b).bitstring()}
+            if self.region is None:
+                surface = beta_area * (len(self.base_faces) + bin(b).count("1"))
+                row.update(bulk=float(q - fid), fidelity=float(fid),
+                           surface=surface, total=float(q + surface))
+            else:
+                u = DisplacementField(sys_.grid, xb.reshape(sys_.g_vals.shape))
+                row.update(energy_breakdown(u, self.jumps(b), sys_.params,
+                                            self.region, sys_.homogeneous))
+            rows.append(row)
+        return rows, x
 
 
 def brute_force_minimize(grid: GridSpec, candidates: list[Face],
@@ -377,67 +546,65 @@ def brute_force_minimize(grid: GridSpec, candidates: list[Face],
                          pinned_mask: np.ndarray | None = None,
                          pinned_values: np.ndarray | None = None,
                          heuristic: bool = False) -> OracleResult:
-    """Enumerate crack configurations, re-solving the bulk per subset.
+    """Minimize over the crack configurations of the candidate list.
 
-    Ties are broken by fewer active faces, then lexicographic bitset.
-    Above the exhaustive limit a greedy add/remove search from both
-    extremes is used and flagged.
+    Every energy comes from one ConfigurationEnergies, condensed on the
+    dense storage form.  Up to EXHAUSTIVE_LIMIT candidates all 2^k
+    configurations are evaluated, a chunk at a time; above it,
+    ``heuristic=True`` runs the greedy add/remove descent from both
+    extremes and the result is flagged as not exhaustive.  The winner is
+    the best configuration evaluated: energies within TIE_RTOL of the
+    lowest count as tied, and among them fewer active faces wins, then
+    the lexicographic bitstring.
     """
     candidates = sorted(candidates)
     k = len(candidates)
     if k > EXHAUSTIVE_LIMIT and not heuristic:
         raise ValueError(f"{k} candidates exceed the exhaustive regime; "
                          "set heuristic=True")
-    base = base_jumps or JumpSet(grid)
-    base_faces = base.faces - set(candidates)
     system = ElasticSystem(grid, params, boundary, homogeneous,
                            pinned_mask, pinned_values)
+    energies = ConfigurationEnergies(system, candidates,
+                                     base_jumps or JumpSet(grid), region)
+    per_config: dict[int, dict] = {}
+    tied: dict[int, np.ndarray] = {}   # node values of the current ties
+    lowest = math.inf
 
-    beta_area = params.beta * grid.face_area()
+    def evaluate(bits) -> None:
+        nonlocal lowest, tied
+        rows, x = energies.evaluate(bits)
+        for b, row, xb in zip(bits, rows, x):
+            per_config[b] = row
+            lowest = min(lowest, row["total"])
+            if row["total"] <= _tie_bound(lowest):
+                tied[b] = xb.copy()
+        tied = {b: xb for b, xb in tied.items()
+                if per_config[b]["total"] <= _tie_bound(lowest)}
 
-    def eval_config(bits: int) -> tuple[float, DisplacementField, dict]:
-        cfg = CrackConfig(tuple(candidates), bits)
-        jumps = JumpSet(grid, base_faces | set(cfg.active_faces()))
-        u, info = system.solve(jumps)
-        if region is None:
-            fid = system.fidelity_energy(u)
-            bd = {"bulk": info["quadratic_energy"] - fid, "fidelity": fid,
-                  "surface": beta_area * len(jumps),
-                  "total": info["quadratic_energy"] + beta_area * len(jumps)}
-        else:
-            bd = energy_breakdown(u, jumps, params, region, homogeneous)
-        return bd["total"], u, bd
-
-    per_config: list[dict] = []
-    best = None
-    if heuristic and k > EXHAUSTIVE_LIMIT:
-        visited: dict[int, tuple[float, DisplacementField, dict]] = {}
-
-        def energy_of(bits: int) -> float:
-            if bits not in visited:
-                visited[bits] = eval_config(bits)
-            return visited[bits][0]
-
-        best_bits = greedy_bits(k, energy_of)
-        total, u, bd = visited[best_bits]
-        best = (CrackConfig(tuple(candidates), best_bits), u, total, bd)
-        per_config = [{"bits": CrackConfig(tuple(candidates), b).bitstring(),
-                       **{kk: vv for kk, vv in v[2].items()}}
-                      for b, v in sorted(visited.items())]
-        exhaustive = False
+    exhaustive = not (heuristic and k > EXHAUSTIVE_LIMIT)
+    if exhaustive:
+        for start in range(0, 2 ** k, energies.chunk):
+            evaluate(range(start, min(start + energies.chunk, 2 ** k)))
     else:
-        for bits in range(2 ** k):
-            total, u, bd = eval_config(bits)
-            cfg = CrackConfig(tuple(candidates), bits)
-            per_config.append({"bits": cfg.bitstring(), **bd})
-            if best is None or _rank_key(total, cfg) < _rank_key(best[2], best[0]):
-                best = (cfg, u, total, bd)
-        exhaustive = True
+        def energy_of(bits: int) -> float:
+            if bits not in per_config:
+                evaluate([bits])
+            return per_config[bits]["total"]
 
-    cfg, u, total, bd = best
-    return OracleResult(best_config=cfg, minimizer_u=u, min_energy=total,
-                        breakdown=bd, per_config=per_config,
-                        exhaustive=exhaustive)
+        greedy_bits(k, energy_of)
+    best = min((CrackConfig(tuple(candidates), b) for b in tied),
+               key=lambda c: (c.n_active, c.bitstring()))
+    u = DisplacementField(grid, tied[best.active_bits].reshape(
+        system.g_vals.shape))
+    bd = {key: v for key, v in per_config[best.active_bits].items()
+          if key != "bits"}
+    return OracleResult(best_config=best, minimizer_u=u, min_energy=bd["total"],
+                        breakdown=bd, exhaustive=exhaustive,
+                        per_config=[per_config[b] for b in sorted(per_config)])
+
+
+def _tie_bound(lowest: float) -> float:
+    return lowest + TIE_RTOL * abs(lowest)
 
 
 def greedy_bits(k: int, energy_of) -> int:
@@ -503,7 +670,6 @@ def density_lower_bound_check(u: DisplacementField, jumps: JumpSet,
     bulk = f_zero(symmetric_gradient(u, jumps), params)
     fidelity = cellwise_pth_power(u.values, grid, params.p) \
         if params.kappa > 0 else None
-    centers = grid.cell_center_grid()
     c1d = grid.cell_centers_1d()
     _, face_centers = jumps.face_coord_arrays()
     rows = []
@@ -520,7 +686,7 @@ def density_lower_bound_check(u: DisplacementField, jumps: JumpSet,
             win = tuple(slice(int(np.searchsorted(c1d, v - rho - h)),
                               int(np.searchsorted(c1d, v + rho + h)))
                         for v in x)
-            mask = ball.contains_points(centers[win])
+            mask = ball.contains_points(grid.cell_center_window(win))
             g0_bulk = float(np.sum(bulk[win][mask]) * hvol)
             g0_fid = 0.0 if fidelity is None else \
                 params.kappa * float(np.sum(fidelity[win][mask]) * hvol)

@@ -21,6 +21,7 @@ from smalljump.errors import SolverError
 from smalljump.generators import rigid_field, two_motion_crack_field
 from smalljump.grid import (
     BallRegion,
+    BoxRegion,
     DisplacementField,
     GridSpec,
     JumpSet,
@@ -38,6 +39,7 @@ from smalljump.oracle import (
     vanishing_jump_harness,
 )
 from smalljump.strain import CrackContext, affected_cells, cell_strain_ops
+from tests.oracle_reference import full_solve_energies
 
 HOOKE = HookeTensor(1.0, 1.0)
 
@@ -144,18 +146,39 @@ def test_exhaustive_matches_greedy_on_midline_instance():
     cands = sorted([(0, (3, j)) for j in range(6)]
                    + [(1, (j, 3)) for j in range(2, 5)])
     res = brute_force_minimize(g, cands, params)
-    system = ElasticSystem(g, params)
-    cache: dict[int, float] = {}
+    energy_of = full_solve_energies(ElasticSystem(g, params), cands)
+    gb = greedy_bits(len(cands), lambda bits: energy_of(bits)["total"])
+    assert abs(energy_of(gb)["total"] - res.min_energy) <= 1e-9
 
-    def energy_of(bits: int) -> float:
-        if bits not in cache:
-            js = JumpSet(g, CrackConfig(tuple(cands), bits).active_faces())
-            u, _ = system.solve(js)
-            cache[bits] = energy_breakdown(u, js, params)["total"]
-        return cache[bits]
 
-    gb = greedy_bits(len(cands), energy_of)
-    assert abs(energy_of(gb) - res.min_energy) <= 1e-9
+def test_greedy_search_matches_full_solve_descent():
+    g = GridSpec(2, 6, 1.0)
+    params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02,
+                          g=two_sided_target(g))
+    cands = sorted([(0, (k, j)) for k in (2, 3, 4) for j in range(6)]
+                   + [(1, (j, 3)) for j in range(6)] + [(1, (0, 2))])
+    assert len(cands) == oracle.EXHAUSTIVE_LIMIT + 1
+    energy_of = full_solve_energies(ElasticSystem(g, params), cands)
+    expected = greedy_bits(len(cands), lambda bits: energy_of(bits)["total"])
+    res = brute_force_minimize(g, cands, params, heuristic=True)
+    assert not res.exhaustive
+    assert res.best_config.active_bits == expected
+    assert res.min_energy == pytest.approx(energy_of(expected)["total"],
+                                           rel=1e-12)
+
+
+def test_sparse_form_search_matches_dense(monkeypatch):
+    g = GridSpec(2, 6, 1.0)
+    params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02,
+                          g=two_sided_target(g))
+    cands = [(0, (3, j)) for j in range(1, 5)] + [(1, (2, 3)), (1, (3, 3))]
+    dense = brute_force_minimize(g, cands, params)
+    monkeypatch.setattr(oracle, "DENSE_DOF_LIMIT", 0)
+    sparse = brute_force_minimize(g, cands, params)
+    assert sparse.best_config == dense.best_config
+    for a, b in zip(sparse.per_config, dense.per_config):
+        assert a["bits"] == b["bits"]
+        assert a["total"] == pytest.approx(b["total"], rel=1e-9)
 
 
 def test_heuristic_flag_required_above_limit():
@@ -198,6 +221,23 @@ def test_psi0_empty_candidates_iff_elastic_solution():
     # of the homogeneous problem is its own best competitor
     u, _ = solve_elastic(g, JumpSet(g), params, homogeneous=True)
     out = deviation_psi0(u, JumpSet(g), params, centered_box(1.0, 2), [])
+    assert abs(out["psi0"]) <= 1e-9
+
+
+def test_psi0_keeps_owner_high_flags_of_the_field_jumps():
+    # u is its own Dirichlet minimizer on a crack with two owner_high
+    # faces; its competitors must use the same stencils, so psi0 = 0
+    g = GridSpec(2, 8, 1.0)
+    target = two_sided_target(g)
+    params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.05, g=target)
+    faces = [(0, (4, j)) for j in range(2, 6)]
+    js = JumpSet(g, faces, faces[1:3])
+    h = g.spacing
+    inner = BoxRegion((-1.0 + h,) * 2, (1.0 - h,) * 2)
+    pinned = ~inner.contains_points(g.node_coord_grid())
+    u, _ = solve_elastic(g, js, params, homogeneous=True, pinned_mask=pinned,
+                         pinned_values=target.values)
+    out = deviation_psi0(u, js, params, centered_box(1.0, 2), [])
     assert abs(out["psi0"]) <= 1e-9
 
 
@@ -459,3 +499,53 @@ def test_quadratic_energy_equals_quadrature_energy(faces, owner_flags, fixed):
     _, info = solve_elastic(g, js, params,
                             boundary="fixed" if fixed else "free")
     assert info["energy_consistency"] <= 1e-9
+
+
+_SEARCH_GRIDS = (GridSpec(2, 6, 1.0), GridSpec(2, 7, 1.0), GridSpec(2, 8, 1.0),
+                 GridSpec(3, 4, 1.0))
+
+
+def _face_lists(g: GridSpec, min_size: int, max_size: int):
+    m = g.cells_per_side
+    face = st.tuples(st.integers(0, g.dim - 1),
+                     st.lists(st.integers(0, m - 1), min_size=g.dim,
+                              max_size=g.dim),
+                     st.integers(1, m - 1)).map(
+        lambda t: (t[0], tuple(t[1][:t[0]] + [t[2]] + t[1][t[0] + 1:])))
+    return st.lists(face, min_size=min_size, max_size=max_size, unique=True)
+
+
+@given(data=st.data())
+def test_condensed_search_matches_full_solves(data):
+    g = data.draw(st.sampled_from(_SEARCH_GRIDS))
+    cands = sorted(data.draw(_face_lists(g, 1, 5)))
+    base_faces = data.draw(_face_lists(g, 0, 6))
+    owner = data.draw(st.lists(st.booleans(), min_size=len(base_faces),
+                               max_size=len(base_faces)))
+    base = JumpSet(g, base_faces, [f for f, o in zip(base_faces, owner) if o])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    shape = g.node_shape + (g.dim,)
+    kwargs = dict(
+        boundary=data.draw(st.sampled_from(["free", "fixed"])),
+        homogeneous=data.draw(st.booleans()),
+        pinned_mask=rng.random(g.node_shape) < 0.2
+        if data.draw(st.booleans()) else None,
+        pinned_values=rng.normal(size=shape) if data.draw(st.booleans()) else None)
+    params = EnergyParams(HookeTensor(0.7, 1.3), p=2.0,
+                          kappa=data.draw(st.sampled_from([0.5, 2.0])), beta=0.05,
+                          g=DisplacementField(g, rng.normal(size=shape)))
+
+    res = brute_force_minimize(g, cands, params, base_jumps=base, **kwargs)
+    energy_of = full_solve_energies(ElasticSystem(g, params, **kwargs), cands, base)
+    assert len(res.per_config) == 2 ** len(cands)
+    for bits, row in enumerate(res.per_config):
+        ref = energy_of(bits)
+        scale = max(abs(ref["total"]), abs(ref["bulk"]), abs(ref["fidelity"]))
+        for key in ("total", "bulk", "fidelity"):
+            assert abs(row[key] - ref[key]) <= 1e-12 * scale
+    totals = [energy_of(b)["total"] for b in range(2 ** len(cands))]
+    lowest = min(totals)
+    tied = [CrackConfig(tuple(cands), b) for b, e in enumerate(totals)
+            if e <= lowest + 1e-12 * abs(lowest)]
+    winner = min(tied, key=lambda c: (c.n_active, c.bitstring()))
+    assert res.best_config == winner
