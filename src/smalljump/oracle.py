@@ -385,9 +385,9 @@ class ConfigurationEnergies:
 
     On the dense storage form the search is condensed.  Candidates change
     the Hessian only on the DOFs D of the cells they affect, so the other
-    free DOFs I are eliminated once (static condensation): H_II is
-    Cholesky-factored, the Schur complement S0 and right-hand side are
-    formed on D, and one correction block per (affected cell, subset of
+    free DOFs I are eliminated once (static condensation): one LU solve
+    with H_II gives the Schur complement S0 and right-hand side on D,
+    and one correction block per (affected cell, subset of
     its candidate faces) is stored with flat scatter indices into D x D.
     A chunk of configurations (CHUNK_BYTES of corrections and node values)
     adds its blocks to S0, runs one batched solve and rebuilds
@@ -463,14 +463,13 @@ class ConfigurationEnergies:
             self._weights[js, c] = 1 << np.arange(len(js))
         rhs = f - H @ x0
         try:
-            chol = np.linalg.cholesky(H[inner[:, None], inner])
+            yx = np.linalg.solve(H[inner[:, None], inner],
+                                 np.column_stack([rhs[inner], H[inner[:, None], Df]]))
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular elastic system: {exc}") from exc
-        w = np.linalg.solve(chol, np.column_stack([rhs[inner],
-                                                   H[inner[:, None], Df]]))
-        yx = np.linalg.solve(chol.T, w)
-        self._S0 = H[Df[:, None], Df] - w[:, 1:].T @ w[:, 1:]
-        self._r0 = rhs[Df] - w[:, 1:].T @ w[:, 0]
+        H_DI = H[Df[:, None], inner]
+        self._S0 = H[Df[:, None], Df] - H_DI @ yx[:, 1:]
+        self._r0 = rhs[Df] - H_DI @ yx[:, 0]
         self._rhs_Df, self._rhs_inner2 = rhs[Df], float(rhs[inner] @ rhs[inner])
         # every solution is x = xc + M x_Df, with M = -H_II^-1 H_IDf on I
         # and the identity on Df; H xc and H M give the full-Hessian checks

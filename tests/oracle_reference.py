@@ -3,6 +3,7 @@ per crack configuration, without condensation."""
 
 from __future__ import annotations
 
+from smalljump.energy import energy_breakdown
 from smalljump.grid import JumpSet
 from smalljump.oracle import CrackConfig, ElasticSystem
 
@@ -18,9 +19,11 @@ def config_jumps(system: ElasticSystem, candidates, bits: int,
 
 
 def full_solve_energies(system: ElasticSystem, candidates,
-                        base: JumpSet | None = None):
+                        base: JumpSet | None = None, quadrature: bool = False):
     """Memoized ``bits -> breakdown`` from one full solve per configuration
-    (bulk, fidelity, surface, total; total is quadratic plus surface)."""
+    (bulk, fidelity, surface, total).  The total is the solve's quadratic
+    energy plus surface, or with ``quadrature=True`` the energy_breakdown
+    of the solved field."""
     cache: dict[int, dict] = {}
     beta_area = system.params.beta * system.grid.face_area()
 
@@ -28,11 +31,15 @@ def full_solve_energies(system: ElasticSystem, candidates,
         if bits not in cache:
             js = config_jumps(system, candidates, bits, base)
             u, info = system.solve(js)
-            quad = info["quadratic_energy"]
-            fid = float(system.fidelity_energy(u.values.reshape(-1)))
-            cache[bits] = {"bulk": quad - fid, "fidelity": fid,
-                           "surface": beta_area * len(js),
-                           "total": quad + beta_area * len(js)}
+            if quadrature:
+                cache[bits] = energy_breakdown(u, js, system.params,
+                                               homogeneous=system.homogeneous)
+            else:
+                quad = info["quadratic_energy"]
+                fid = float(system.fidelity_energy(u.values.reshape(-1)))
+                cache[bits] = {"bulk": quad - fid, "fidelity": fid,
+                               "surface": beta_area * len(js),
+                               "total": quad + beta_area * len(js)}
         return cache[bits]
 
     return breakdown

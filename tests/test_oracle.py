@@ -146,7 +146,10 @@ def test_exhaustive_matches_greedy_on_midline_instance():
     cands = sorted([(0, (3, j)) for j in range(6)]
                    + [(1, (j, 3)) for j in range(2, 5)])
     res = brute_force_minimize(g, cands, params)
-    energy_of = full_solve_energies(ElasticSystem(g, params), cands)
+    # scored by the quadrature energy of each solved field, so the bound
+    # also checks the search's quadratic energy against the functional
+    energy_of = full_solve_energies(ElasticSystem(g, params), cands,
+                                    quadrature=True)
     gb = greedy_bits(len(cands), lambda bits: energy_of(bits)["total"])
     assert abs(energy_of(gb)["total"] - res.min_energy) <= 1e-9
 
