@@ -45,11 +45,9 @@ from .grid import (
     centered_box,
     corner_average,
     faces_in_region,
-    node_mask_from_cells,
-    region_cell_mask,
 )
 from .kornfit import FitReport, cube_smoothed_field, extract_exceptional_set
-from .mollify import mollify
+from .mollify import mollify_strain_box
 from .strain import symmetric_gradient
 
 # Frozen calibration (scripts/calibrate.py): c_star covers the realized
@@ -427,16 +425,10 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
                                 condition=contained))
 
     # P3, strain form: || e(approx) - mollified e(u) || over the inner box.
-    mol, margin = mollify(e_u, dim, delta, h)
-    inner_box = centered_box(1.0 - sqrt_d, dim)
-    mask3 = region_cell_mask(grid, inner_box)
-    valid = np.zeros(grid.cell_shape, dtype=bool)
-    core = tuple(slice(margin, n - margin) for n in grid.cell_shape)
-    valid[core] = True
-    if not np.all(valid[mask3]):
-        raise CoveringError("mollification margin covers the inner box")
-    diff = np.sqrt(np.sum((e_t - mol) ** 2, axis=(-2, -1)))
-    lhs3 = float(np.sum(diff[mask3] ** p) * hvol) ** (1.0 / p)
+    inner = centered_box(1.0 - sqrt_d, dim).cell_slices(grid)
+    mol = mollify_strain_box(e_u, inner, delta, h)
+    diff = np.sqrt(np.sum((e_t[inner] - mol) ** 2, axis=(-2, -1)))
+    lhs3 = float(np.sum(diff.ravel() ** p) * hvol) ** (1.0 / p)
     budget3 = delta ** s_ref * strain_norm_q
     checks.append(PropertyCheck("p3_strain_error", lhs3, budget3,
                                 _ratio(lhs3, budget3, norm_floor)))
@@ -446,10 +438,9 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
     detail3b = {}
     domain = centered_box(1.0, dim)
     for name, region in _norm_region_boxes(dim, sqrt_d):
-        mask = region_cell_mask(grid, region)
-        lhs = float(np.sum(bulk_t[mask]) * hvol)
+        lhs = float(np.sum(bulk_t[region.cell_slices(grid)].ravel()) * hvol)
         dilated = region.dilate(3.0 * delta, clip=domain)
-        base = float(np.sum(bulk_u[region_cell_mask(grid, dilated)]) * hvol)
+        base = float(np.sum(bulk_u[dilated.cell_slices(grid)].ravel()) * hvol)
         excess = max(0.0, lhs - base)
         realized = _ratio(excess, delta ** s_ref * total_bulk_u, energy_floor)
         detail3b[name] = realized
@@ -491,9 +482,9 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
         worst6 = 0.0
         detail6 = {}
         for name, region in _norm_region_boxes(dim, sqrt_d):
-            mask = region_cell_mask(grid, region)
-            lhs = float(np.sum(t_pth[mask]) * hvol) ** (1.0 / p)
-            base = float(np.sum(u_pth[mask]) * hvol) ** (1.0 / p)
+            box = region.cell_slices(grid)
+            lhs = float(np.sum(t_pth[box].ravel()) * hvol) ** (1.0 / p)
+            base = float(np.sum(u_pth[box].ravel()) * hvol) ** (1.0 / p)
             excess = max(0.0, lhs - base)
             budget = delta ** (1.0 / (2.0 * p)) * (u_norm_q + strain_norm_q)
             realized = _ratio(excess, budget, norm_floor)
@@ -512,17 +503,20 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
 
 def _second_difference_proxy(u_tilde: DisplacementField, grid: GridSpec,
                              sqrt_d: float, delta: float) -> dict:
-    mask = region_cell_mask(grid, centered_box(1.0 - sqrt_d, grid.dim))
-    nodes = node_mask_from_cells(mask)
+    """Largest second difference of the approximant centred on a node of
+    the inner box's cells, read on that node box padded by one node along
+    the differenced axis."""
+    cells = centered_box(1.0 - sqrt_d, grid.dim).cell_slices(grid)
     worst = 0.0
     vals = u_tilde.values
-    for a in range(grid.dim):
-        second = np.abs(np.diff(vals, n=2, axis=a)) / grid.spacing ** 2
-        sl = [slice(None)] * grid.dim
-        sl[a] = slice(1, -1)
-        inner = nodes[tuple(sl)]
-        if inner.any():
-            worst = max(worst, float(np.max(second[inner])))
+    if cells[0].stop > cells[0].start:
+        nodes = tuple(slice(s.start, s.stop + 1) for s in cells)
+        n = grid.cells_per_side + 1
+        for a in range(grid.dim):
+            win = list(nodes)
+            win[a] = slice(max(nodes[a].start - 1, 0), min(nodes[a].stop + 1, n))
+            second = np.abs(np.diff(vals[tuple(win)], n=2, axis=a))
+            worst = max(worst, float(np.max(second / grid.spacing ** 2)))
     scale = float(np.max(np.abs(vals))) + 1e-300
     return {"max_second_difference": worst,
             "scaled_by_delta_sq": worst * delta ** 2 / scale,
@@ -552,10 +546,8 @@ def boundary_trace_check(u: DisplacementField, jumps: JumpSet,
     grid = result.u_tilde.grid
     h = grid.spacing
     r = result.radius
-    centers = grid.cell_center_grid()
-    inside_r = grid.cell_cheb_norm() < r
-    diff_cells = corner_average(
-        np.linalg.norm(result.u_tilde.values - u.values, axis=-1), grid.dim)
+    m = grid.cells_per_side
+    reach = max(TRACE_RADII_CELLS) + 1
 
     points = []
     for axis in range(grid.dim):
@@ -567,6 +559,14 @@ def boundary_trace_check(u: DisplacementField, jumps: JumpSet,
     rows = []
     passed = True
     for pt in points:
+        # every cell whose center is within the largest radius of pt
+        cell = np.floor((pt + grid.half_width) / h).astype(int)
+        win = tuple(slice(max(c - reach, 0), min(c + reach + 1, m)) for c in cell)
+        centers = grid.cell_center_window(win)
+        inside_r = np.max(np.abs(centers), axis=-1) < r
+        nodes = tuple(slice(s.start, s.stop + 1) for s in win)
+        diff_cells = corner_average(np.linalg.norm(
+            result.u_tilde.values[nodes] - u.values[nodes], axis=-1), grid.dim)
         d2 = np.sum((centers - pt) ** 2, axis=-1)
         for eps in TRACE_EPSILONS:
             fracs = []

@@ -215,14 +215,23 @@ class BoxRegion:
         hi = np.asarray(self.hi)
         return np.all((pts > lo) & (pts < hi), axis=-1)
 
-    def cell_mask(self, grid: GridSpec) -> np.ndarray:
-        per_axis = []
+    def cell_slices(self, grid: GridSpec) -> tuple[slice, ...]:
+        """Per-axis ranges of the cells whose center lies strictly inside;
+        empty on every axis when one axis has none.  ``cell_mask`` is
+        their product, so ``arr[slices].ravel()`` lists ``arr[mask]`` in
+        the same C order."""
         centers = grid.cell_centers_1d()
+        out = []
         for a in range(grid.dim):
-            per_axis.append((centers > self.lo[a]) & (centers < self.hi[a]))
-        mask = per_axis[0]
-        for a in range(1, grid.dim):
-            mask = np.multiply.outer(mask, per_axis[a])
+            idx = np.flatnonzero((centers > self.lo[a]) & (centers < self.hi[a]))
+            if idx.size == 0:
+                return (slice(0, 0),) * grid.dim
+            out.append(slice(int(idx[0]), int(idx[-1]) + 1))
+        return tuple(out)
+
+    def cell_mask(self, grid: GridSpec) -> np.ndarray:
+        mask = np.zeros(grid.cell_shape, dtype=bool)
+        mask[self.cell_slices(grid)] = True
         return mask
 
     def dilate(self, amount: float, clip: "BoxRegion | None" = None) -> "BoxRegion":

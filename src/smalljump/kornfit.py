@@ -22,8 +22,14 @@ from .covering import (
     face_coords12,
 )
 from .errors import FitError
-from .grid import DisplacementField, GridSpec, JumpSet, corner_average
-from .mollify import kernel_radius_cells, mollify
+from .grid import (
+    DisplacementField,
+    GridSpec,
+    JumpSet,
+    corner_average,
+    node_mask_from_cells,
+)
+from .mollify import kernel_radius_cells, mollify, mollify_strain_box
 from .strain import _standard_gradient, symmetric_gradient
 
 # Iteration caps and the IRLS step tolerance of the fits.
@@ -340,8 +346,7 @@ def mollified_strain_error(u: DisplacementField, jumps: JumpSet,
     grad = _standard_gradient(u_i, h)[local]
     e_ui = 0.5 * (grad + np.swapaxes(grad, -1, -2))
 
-    mol, _ = mollify(symmetric_gradient(u, jumps), dim, side, h)
-    ref = mol[sl1]
+    ref = mollify_strain_box(symmetric_gradient(u, jumps), sl1, side, h)
 
     hvol = h ** dim
     diff = np.sqrt(np.sum((e_ui - ref) ** 2, axis=(-2, -1)))
@@ -365,8 +370,6 @@ def cube_smoothed_field(u: DisplacementField, cube: DyadicCube,
     strictly interior nodes) together with the absolute window slices;
     every returned entry is a valid convolution.
     """
-    from .grid import node_mask_from_cells
-
     grid = u.grid
     h = grid.spacing
     side = cube.side * h
@@ -380,9 +383,15 @@ def cube_smoothed_field(u: DisplacementField, cube: DyadicCube,
 
     vals = u.values[win].copy()
     if fit is not None and fit.omega.n_cells > 0:
-        cell_mask = np.zeros(grid.cell_shape, dtype=bool)
-        cell_mask[tuple(fit.omega.global_indices().T)] = True
-        node_mask = node_mask_from_cells(cell_mask)[win]
+        # the cells incident to the window's nodes: one more layer below
+        lo = np.array([max(s.start - 1, 0) for s in win])
+        hi = np.array([min(s.stop, n) for s, n in zip(win, grid.cell_shape)])
+        idx = fit.omega.global_indices()
+        idx = idx[np.all((idx >= lo) & (idx < hi), axis=1)] - lo
+        cell_mask = np.zeros(tuple(hi - lo), dtype=bool)
+        cell_mask[tuple(idx.T)] = True
+        node_mask = node_mask_from_cells(cell_mask)[
+            tuple(slice(s.start - a, s.stop - a) for s, a in zip(win, lo))]
         if np.any(node_mask):
             axes = [grid.node_coords_1d()[s] for s in win]
             coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)

@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
+from .errors import CoveringError
+
 SUPPORT_FRACTION = 1.0 / 6.0
 
 
@@ -74,3 +76,34 @@ def mollify(values: np.ndarray, dim: int, scale: float,
     for c in range(flat_comps.shape[-1]):
         out[..., c] = ndimage.convolve(flat_comps[..., c], kern, mode="constant")
     return out.reshape(values.shape), margin
+
+
+def mollify_strain_box(strain: np.ndarray, box: tuple[slice, ...],
+                       scale: float, spacing: float) -> np.ndarray:
+    """``mollify(strain, ...)[0][box]`` for an exactly symmetric cell field
+    of (dim, dim) matrices, such as e(u).
+
+    Only the dim(dim+1)/2 upper-triangle components are convolved, each
+    over the box plus the kernel halo, and the result is mirrored: equal
+    inputs give equal convolutions, and an interior entry sums the same
+    kernel taps in the same order on a window as on the whole lattice.
+    An empty box gives an empty result.  Raises CoveringError when the
+    halo leaves the lattice, where the whole-lattice convolution would
+    read zero padding.
+    """
+    dim = len(box)
+    shape = tuple(s.stop - s.start for s in box)
+    out = np.empty(shape + (dim, dim))
+    if 0 in shape:
+        return out
+    kern = _cached_kernel(dim, kernel_radius_cells(scale, spacing))
+    margin = (kern.shape[0] - 1) // 2
+    win = tuple(slice(s.start - margin, s.stop + margin) for s in box)
+    if any(w.start < 0 or w.stop > n for w, n in zip(win, strain.shape)):
+        raise CoveringError("mollification margin covers the inner box")
+    core = tuple(slice(margin, margin + n) for n in shape)
+    for i in range(dim):
+        for j in range(i, dim):
+            comp = ndimage.convolve(strain[win + (i, j)], kern, mode="constant")
+            out[..., i, j] = out[..., j, i] = comp[core]
+    return out

@@ -7,25 +7,34 @@ import pytest
 
 from smalljump.approximator import (
     ApproxConfig,
+    _norm_region_boxes,
     approximate,
     boundary_trace_check,
     fit_decay_exponent,
     verify_properties,
 )
 from smalljump.covering import boundary_faces_of_mask
-from smalljump.energy import EnergyParams, HookeTensor, lp_norm_cells
+from smalljump.energy import (
+    EnergyParams,
+    HookeTensor,
+    cellwise_pth_power,
+    f_zero,
+    lp_norm_cells,
+)
 from smalljump.errors import RegimeError
 from smalljump.generators import (
     CrackPatch,
     field_with_patches,
     random_cracks_field,
+    rigid_patches_field,
     rigid_field,
     shrinking_crack_instance,
     sinusoid_field,
     two_motion_crack_field,
 )
-from smalljump.grid import GridSpec, centered_box
+from smalljump.grid import BoxRegion, GridSpec, centered_box
 from smalljump.strain import symmetric_gradient
+from tests import approx_reference as ref
 
 PARAMS = EnergyParams(HookeTensor(1.0, 1.0), p=2.0)
 CFG = ApproxConfig(eta=0.5)
@@ -201,3 +210,83 @@ def test_smoothness_proxy_reported_finite():
     proxy = rep.smoothness_proxy
     assert proxy["finite"]
     assert proxy["max_second_difference"] >= 0.0
+
+
+def _crown_crack_instance(dim: int, m: int, depth: int, half: int, eta: float):
+    """A crack bundle in the crown, 2*half cells wide on the plane ``depth``
+    cells above the centre, that turns crown cubes bad (delta = 0.25
+    lattice)."""
+    g = GridSpec(dim, m, 1.0)
+    off = m // 2
+    patch = CrackPatch(0, off + depth, (off - half,) * (dim - 1),
+                       (off + half,) * (dim - 1), 3, 2)
+    u, j = field_with_patches(g, [patch], [np.array([0.4, -0.2, 0.1][:dim])])
+    return u, j, ApproxConfig(eta=eta, delta=0.25)
+
+
+def _windowed_instances():
+    for dim, m in ((2, 64), (3, 32)):
+        g = GridSpec(dim, m, 1.0)
+        u, j, _ = rigid_patches_field(g, 3, 2, seed=dim)
+        yield f"{dim}d-rigid-patches", u, j, CFG, PARAMS
+        u, j, _ = two_motion_crack_field(g, area=4 * g.face_area(), seed=dim)
+        yield (f"{dim}d-two-motion-p1.5", u, j, CFG,
+               EnergyParams(HookeTensor(1.0, 1.0), p=1.5))
+    # a smooth field whose approximant leaves the 1e-2 and 1e-3 trace
+    # thresholds in many half-balls
+    yield ("3d-sinusoid", *sinusoid_field(GridSpec(3, 32, 1.0), seed=2), CFG,
+           PARAMS)
+    yield ("2d-crown", *_crown_crack_instance(2, 64, 18, 3, 0.5), PARAMS)
+    yield ("3d-crown", *_crown_crack_instance(3, 32, 8, 2, 0.5), PARAMS)
+
+
+@pytest.mark.parametrize("case", list(_windowed_instances()),
+                         ids=lambda c: c[0])
+def test_windowed_verification_equals_whole_grid_reference(case):
+    name, u, j, cfg, params = case
+    res = approximate(u, j, params, cfg)
+    if "crown" in name:
+        assert np.any(res.covering.bad_cells)
+    rep = verify_properties(u, j, res, params, cfg)
+    g = u.grid
+
+    assert rep.by_name("p3_strain_error").lhs == \
+        ref.p3_strain_lhs(u, j, res, params.p)
+    detail3b, detail6, sums = ref.region_checks(u, j, res, params)
+    assert rep.by_name("p3_energy").detail["per_region"] == detail3b
+    assert rep.by_name("p6_lp_growth").detail["per_region"] == detail6
+    # the same sums read through the box slices
+    bulk_u = f_zero(res.strain, params)
+    bulk_t = f_zero(symmetric_gradient(res.u_tilde, res.new_jump), params)
+    u_pth = cellwise_pth_power(u.values, g, params.p)
+    t_pth = cellwise_pth_power(res.u_tilde.values, g, params.p)
+    domain = centered_box(1.0, g.dim)
+    for region_name, region in _norm_region_boxes(g.dim, np.sqrt(res.delta)):
+        box = region.cell_slices(g)
+        dilated = region.dilate(3.0 * res.delta, clip=domain).cell_slices(g)
+        assert sums[region_name] == (
+            float(np.sum(bulk_t[box].ravel())),
+            float(np.sum(bulk_u[dilated].ravel())),
+            float(np.sum(t_pth[box].ravel())),
+            float(np.sum(u_pth[box].ravel())))
+    assert rep.smoothness_proxy == ref.second_difference_proxy(res)
+    assert boundary_trace_check(u, j, res)["rows"] == \
+        ref.boundary_trace_rows(u, res)
+
+
+def test_box_cell_slices_match_the_mask():
+    g = GridSpec(3, 16, 1.0)
+    h = g.spacing
+    boxes = [centered_box(0.5, 3), centered_box(1.0, 3),
+             BoxRegion((-0.75, 0.0, -1.0), (0.25, 2 * h, 1.0)),
+             BoxRegion((0.0, -0.1, 0.3), (0.5 * h, 0.4, 0.35)),   # empty
+             BoxRegion((h, -1.0, -1.0), (2 * h, 1.0, 1.0))]      # one cell thick
+    vals = np.random.default_rng(0).normal(size=g.cell_shape)
+    for box in boxes:
+        mask = ref.box_cell_mask(g, box)
+        sl = box.cell_slices(g)
+        assert np.array_equal(box.cell_mask(g), mask)
+        assert np.array_equal(vals[sl].ravel(), vals[mask])
+        assert np.sum(vals[sl].ravel()) == np.sum(vals[mask])
+        if not mask.any():
+            assert all(s.stop == s.start for s in sl)

@@ -3,17 +3,28 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from smalljump.approximator import (
+    C_STAR_DEFAULT,
+    SUITE_ETA,
+    ApproxConfig,
+    approximate,
+)
 from smalljump.covering import DyadicCube
+from smalljump.energy import EnergyParams, HookeTensor
 from smalljump.errors import FitError
+from smalljump.generators import rigid_patches_field
 from smalljump.grid import DisplacementField, GridSpec, JumpSet
 from smalljump.kornfit import (
     AffineMap,
+    ExceptionalSet,
     RigidMotion,
     affine_subset_bound,
+    cube_smoothed_field,
     extract_exceptional_set,
     fit_rigid_motion,
     mollified_strain_error,
@@ -22,6 +33,8 @@ from smalljump.kornfit import (
     skew_basis,
 )
 from smalljump.strain import symmetric_gradient
+
+from tests import approx_reference as ref
 
 from .test_fields import random_skew, rigid_field
 
@@ -245,6 +258,38 @@ def test_mollified_strain_error_decays_with_crack_size():
         out = mollified_strain_error(u, jumps, cube, rep)
         ratios.append(out["ratio"])
     assert ratios[2] < ratios[0]
+
+
+@pytest.mark.parametrize("dim,m", [(2, 64), (3, 32)])
+def test_smoothing_and_mollified_strain_error_equal_whole_grid_reference(dim, m):
+    # every fitted cube of an approximation, with and without exceptional
+    # cells, against the whole-grid exceptional mask and mollification
+    g = GridSpec(dim, m, 1.0)
+    u, jumps, _ = rigid_patches_field(g, 3, 2, seed=dim)
+    params = EnergyParams(HookeTensor(1.0, 1.0), p=2.0)
+    cov = approximate(u, jumps, params, ApproxConfig(eta=SUITE_ETA)).covering
+    strain = symmetric_gradient(u, jumps)
+    rng = np.random.default_rng(dim)
+    with_omega = 0
+    for i, cube in enumerate(cov.cubes):
+        if not cov.good[i] or cov.crack_in_third[i] == 0.0:
+            continue
+        fit = extract_exceptional_set(u, jumps, strain, cube, C_STAR_DEFAULT)
+        with_omega += fit.omega.n_cells > 0
+        # exceptional cells scattered over the whole grid, most of them
+        # outside the smoothing window
+        scattered = replace(fit, omega=ExceptionalSet(
+            cube, (slice(0, m),) * dim, rng.random(g.cell_shape) < 0.05,
+            g.spacing))
+        for f in (fit, scattered):
+            got, win = cube_smoothed_field(u, cube, f)
+            want, want_win = ref.cube_smoothed_field(u, cube, f)
+            assert win == want_win and np.array_equal(got, want)
+        for p in (2.0, 1.5):
+            out = mollified_strain_error(u, jumps, cube, fit, p=p)
+            assert out["error_p"] == ref.mollified_strain_error_lhs(
+                u, jumps, cube, fit, p)
+    assert with_omega > 0
 
 
 def test_affine_subset_bound_examples():

@@ -200,7 +200,12 @@ def test_psi0_of_minimizer_and_perturbation():
     target = two_sided_target(g)
     params = EnergyParams(HOOKE, p=2.0, kappa=3.0, beta=0.05, g=target)
     cands = [(0, (4, j)) for j in range(2, 6)]
-    res = brute_force_minimize(g, cands, params, homogeneous=True)
+    # Dirichlet data from the split target: with a free boundary the
+    # homogeneous minimizer is u = 0 and both checks would be vacuous
+    res = brute_force_minimize(g, cands, params, homogeneous=True,
+                               boundary="fixed", pinned_values=target.values)
+    assert res.min_energy > 0
+    assert np.any(res.minimizer_u.values != 0.0)
     own_jumps = JumpSet(g, res.best_config.active_faces())
     out = deviation_psi0(res.minimizer_u, own_jumps, params,
                          centered_box(1.0, 2), cands)
@@ -221,8 +226,11 @@ def test_psi0_empty_candidates_iff_elastic_solution():
     target = two_sided_target(g)
     params = EnergyParams(HOOKE, p=2.0, kappa=3.0, beta=0.05, g=target)
     # v must match u outside the inner box; u := the crack-free solution
-    # of the homogeneous problem is its own best competitor
-    u, _ = solve_elastic(g, JumpSet(g), params, homogeneous=True)
+    # of the homogeneous Dirichlet problem is its own best competitor
+    u, info = solve_elastic(g, JumpSet(g), params, homogeneous=True,
+                            boundary="fixed", pinned_values=target.values)
+    assert info["bulk_fidelity_energy"] > 0
+    assert np.any(u.values != 0.0)
     out = deviation_psi0(u, JumpSet(g), params, centered_box(1.0, 2), [])
     assert abs(out["psi0"]) <= 1e-9
 
