@@ -104,21 +104,18 @@ class ElasticSystem:
     The local matrix of every cell comes from the strain module's
     stencils, so the solver's internal energy is exactly the quadrature
     energy.  All crack-free cells share one local matrix, which is built
-    once and broadcast over the grid as COO triplets together with the
-    fidelity diagonal; a crack set adds cached per-cell corrections
-    (minus the crack-free block, plus the cracked one) as more triplets.
+    once and broadcast over the grid as COO triplets, and the fidelity
+    diagonal is added to their sum; a crack set adds cached per-cell
+    corrections (minus the crack-free block, plus the cracked one) as
+    more triplets.
 
-    The storage form and its solver follow from the DOF count alone.
-    Below DENSE_DOF_LIMIT unknowns the Hessian is a dense array solved by
-    LU; above, it is CSR solved by conjugate gradients with a Jacobi
-    preconditioner to 1e-12 relative residual.  A single CSR path with a
-    sparse LU (``splu``) lost on both sides of the limit (2-vCPU host,
-    one BLAS thread): the 2D 8^2 exhaustive oracle (162 DOFs) took 8.4 s
-    instead of 2.9 s with 16% more peak memory, and the 2D 64^2 CLI
-    oracle (8 450 DOFs) ran in the same time with 22% more peak memory
-    from factor fill-in.  The exhaustive search does not call ``solve``
-    per configuration on the dense form: ConfigurationEnergies condenses
-    it onto the DOFs the candidates touch.
+    The storage form follows from the DOF count alone.  Below
+    DENSE_DOF_LIMIT unknowns the Hessian is a dense array and ``solve``
+    uses LU; above, it is CSR with int32 indices and ``solve`` runs
+    conjugate gradients with a Jacobi preconditioner to 1e-12 relative
+    residual.  The oracle search calls ``solve`` on neither form:
+    ConfigurationEnergies condenses it onto the DOFs the candidates
+    touch, with a banded Cholesky of the crack-free block on CSR.
     """
 
     def __init__(self, grid: GridSpec, params: EnergyParams,
@@ -221,31 +218,35 @@ class ElasticSystem:
     def _base_system(self):
         """Hessian, linear term and constant for the crack-free stencils.
 
-        E = 0.5 u'Hu - f'u + c, with E_cell = 0.5 u loc u per cell.
+        E = 0.5 u'Hu - f'u + c, with E_cell = 0.5 u loc u per cell.  The
+        fidelity diagonal is added last, after the cell sums.
         """
         if self._base is not None:
             return self._base
         n = self.n_dof
         cells = np.indices(self.grid.cell_shape).reshape(self.dim, -1)
-        dofs = self._dof_offset(cells)[:, None] + self._std_dofs
+        # int32 triplet indices: the CSR form keeps them without a copy
+        dofs = (self._dof_offset(cells)[:, None] + self._std_dofs).astype(np.int32)
         rows, cols, vals = _triplets(dofs, self._std_loc)
-        f = np.zeros(n)
-        const = 0.0
+        diag, f, const = np.zeros(n), np.zeros(n), 0.0
         kappa = self.params.kappa
         if kappa > 0:
             w = kappa * self.grid.spacing ** self.dim / 2 ** self.dim
             diag = 2.0 * w * np.repeat(self._counts.reshape(-1), self.dim)
-            rows = np.concatenate([rows, np.arange(n)])
-            cols = np.concatenate([cols, np.arange(n)])
-            vals = np.concatenate([vals, diag])
-            f += diag * self.g_vals.reshape(-1)
-            const += w * float(np.sum(self._counts[..., None] * self.g_vals ** 2))
+            f = diag * self.g_vals.reshape(-1)
+            const = w * float(np.sum(self._counts[..., None] * self.g_vals ** 2))
         if self.dense:
             H = np.zeros((n, n))
             np.add.at(H, (rows, cols), vals)
+            np.fill_diagonal(H, H.diagonal() + diag)
         else:
             from scipy import sparse
             H = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+            # tocsr leaves the summed entries in triplet-sized buffers;
+            # compact them once the triplets are freed
+            del rows, cols, vals
+            H = H.copy()
+            H.setdiag(H.diagonal() + diag)
         self._base = (H, f, const)
         return self._base
 
@@ -346,6 +347,40 @@ def _triplets(dofs: np.ndarray, loc: np.ndarray):
     return rows, cols, vals
 
 
+def _dense(a) -> np.ndarray:
+    """``a`` itself if it is a dense array, else its dense copy."""
+    return a if isinstance(a, np.ndarray) else a.toarray()
+
+
+def _banded_solve(H, inner: np.ndarray, rhs: np.ndarray,
+                  Df: np.ndarray) -> np.ndarray:
+    """H_II^-1 [rhs_I, H_IDf] for sparse SPD H, by LAPACK's banded Cholesky.
+
+    The upper diagonals of H_II that hold nonzeros, w the farthest, are
+    copied into one (w + 1) x |I| Fortran-order array, which ``dpbtrf``
+    factors in place: no index arrays, no fill-in outside the band.  The
+    right-hand sides are allocated after the factor and solved in place.
+    """
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+    A = H[inner][:, inner]
+    diagonals = np.flatnonzero(np.bincount(np.maximum(A.indices - np.repeat(
+        np.arange(inner.size, dtype=A.indices.dtype), np.diff(A.indptr)), 0)))
+    w = int(diagonals.max(initial=0))
+    band = np.zeros((w + 1, inner.size), order="F")
+    for k in diagonals:
+        band[w - k, k:] = A.diagonal(k)
+    del A   # its CSR arrays need not sit beside the factor and the rhs
+    band = cholesky_banded(band, overwrite_ab=True)
+    # in Fortran order the H_IDf columns are one contiguous block to fill,
+    # and LAPACK solves all columns in place
+    yx = np.empty((inner.size, Df.size + 1), order="F")
+    yx[:, 0] = rhs[inner]
+    H[inner[:, None], Df].toarray(out=yx[:, 1:])
+    # the factor's input was checked finite
+    return cho_solve_banded((band, False), yx, overwrite_b=True,
+                            check_finite=False)
+
+
 def _scatter_corner_weights(cell_ones: np.ndarray, dim: int) -> np.ndarray:
     out = np.zeros(tuple(s + 1 for s in cell_ones.shape))
     for corner in np.ndindex(*(2,) * dim):
@@ -382,22 +417,23 @@ class ConfigurationEnergies:
     Configuration ``bits`` cracks the base faces plus the candidates whose
     bit is set; every face keeps its ``owner_high`` flag from the base set.
 
-    On the dense storage form the search is condensed.  Candidates change
-    the Hessian only on the DOFs D of the cells they affect, so the other
-    free DOFs I are eliminated once (static condensation): one LU solve
-    with H_II gives the Schur complement S0 and right-hand side on D,
-    and one correction block per (affected cell, subset of
-    its candidate faces) is stored with flat scatter indices into D x D.
-    A chunk of configurations (CHUNK_BYTES of corrections and node values)
-    adds its blocks to S0, runs one batched solve and rebuilds
-    u_I = y - H_II^-1 H_ID u_D.  Every configuration is checked on the
-    full Hessian: relative residual at most 1e-10, and the quadratic
-    energy of the full u.
+    The search is condensed.  Candidates change the Hessian only on the
+    DOFs D of the cells they affect, so the other free DOFs I are
+    eliminated once (static condensation): one solve with H_II gives the
+    Schur complement S0 and right-hand side on D, and one correction
+    block per (affected cell, subset of its candidate faces) is stored
+    with flat scatter indices into D x D.  A chunk of configurations
+    (CHUNK_BYTES of corrections and node values) adds its blocks to S0,
+    runs one batched solve and rebuilds u_I = y - H_II^-1 H_ID u_D.
+    Every configuration is checked on the full Hessian: relative residual
+    at most 1e-10, and the quadratic energy of the full u.
 
-    The sparse form keeps one Jacobi-CG ``ElasticSystem.solve`` per
-    configuration: condensing it with a sparse LU of H_II ran the 2D 64^2
-    CLI oracle in 0.3 s instead of 3.2 s, but raised its peak memory from
-    83 to 95 MB with the factor's fill-in.
+    H_II is solved by LU on the dense form.  On the sparse form it is
+    banded in the natural node order, and LAPACK's banded Cholesky keeps
+    its factor in (w + 1) |I| 8 bytes for half-bandwidth w: 8.6 MiB on
+    2D 64^2 (w = 133), 103 MiB on 3D 16^3 (w = 923).  On the 2D 64^2
+    CLI oracle a sparse LU (``splu``) of H_II took 0.24 s instead of
+    0.17 s and peaked at 100 MB instead of 87 MB.
     """
 
     def __init__(self, system: ElasticSystem, candidates: list[Face],
@@ -407,9 +443,7 @@ class ConfigurationEnergies:
         self.base_faces = base.faces - set(candidates)
         self.owner_high = base.owner_high
         self.region = region
-        self.chunk = 1
-        if system.dense:
-            self._condense()
+        self._condense()
 
     def jumps(self, bits: int) -> JumpSet:
         active = CrackConfig(self.candidates, bits).active_faces()
@@ -462,12 +496,15 @@ class ConfigurationEnergies:
             self._weights[js, c] = 1 << np.arange(len(js))
         rhs = f - H @ x0
         try:
-            yx = np.linalg.solve(H[inner[:, None], inner],
-                                 np.column_stack([rhs[inner], H[inner[:, None], Df]]))
+            if sys_.dense:
+                yx = np.linalg.solve(H[inner[:, None], inner], np.column_stack(
+                    [rhs[inner], H[inner[:, None], Df]]))
+            else:   # returns after freeing its band, before the products below
+                yx = _banded_solve(H, inner, rhs, Df)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular elastic system: {exc}") from exc
         H_DI = H[Df[:, None], inner]
-        self._S0 = H[Df[:, None], Df] - H_DI @ yx[:, 1:]
+        self._S0 = _dense(H[Df[:, None], Df]) - H_DI @ yx[:, 1:]
         self._r0 = rhs[Df] - H_DI @ yx[:, 0]
         self._rhs_Df, self._rhs_inner2 = rhs[Df], float(rhs[inner] @ rhs[inner])
         # every solution is x = xc + M x_Df, with M = -H_II^-1 H_IDf on I
@@ -475,7 +512,8 @@ class ConfigurationEnergies:
         self._xc = x0.copy()
         self._xc[inner] = yx[:, 0]
         self._X = yx[:, 1:]
-        self._Hxc, self._HM = H @ self._xc, H[:, Df] - H[:, inner] @ self._X
+        self._Hxc = H @ self._xc
+        self._HM = _dense(H[:, Df]) - H[:, inner] @ self._X
         self._f, self._free = f, np.flatnonzero(~pin)
         self._inner, self._Df, self._D, self._xDp = inner, Df, D, x0[D[Df.size:]]
         self.chunk = max(1, CHUNK_BYTES // (8 * (D.size ** 2 + 2 * sys_.n_dof)))
@@ -513,12 +551,7 @@ class ConfigurationEnergies:
         node values as one flat row."""
         sys_ = self.system
         bits = np.asarray(bits, dtype=np.int64)
-        if sys_.dense:
-            x, quad = self._condensed_solve(bits)
-        else:
-            solved = [sys_.solve(self.jumps(int(b))) for b in bits]
-            x = np.array([u.values.reshape(-1) for u, _ in solved])
-            quad = [info["quadratic_energy"] for _, info in solved]
+        x, quad = self._condensed_solve(bits)
         beta_area = sys_.params.beta * sys_.grid.face_area()
         rows = []
         for b, xb, q, fid in zip(bits.tolist(), x, quad, sys_.fidelity_energy(x)):

@@ -91,20 +91,14 @@ def test_two_motion_crack_budgets_and_direct_crosscheck():
 
 
 def test_crown_crack_produces_contained_new_jump():
-    # crack bundle deep in the crown: bad cubes appear and the only new
-    # faces are on the bad-set boundary
-    g = GridSpec(2, 64, 1.0)
-    off = g.cells_per_side // 2
-    m = 8  # delta = 0.25 lattice
-    plane = off + 2 * m + 2  # inside the crown slabs for i0=1
-    patch = CrackPatch(0, plane, (off - 2,), (off + 2,), 3, 2)
-    u, j = field_with_patches(g, [patch], [np.array([0.4, -0.2])])
-    cfg = ApproxConfig(eta=0.9, delta=0.25)
+    # a 6-cell crack bundle deep in the crown (plane 50 of 2D 64^2): bad
+    # cubes appear and the new faces lie on the bad-set boundary
+    u, j, cfg = _crown_crack_instance(2, 64, 18, 3, 0.5)
     res = approximate(u, j, PARAMS, cfg)
+    assert np.any(res.covering.bad_cells)
     new_faces = res.new_jump.faces - j.faces
-    if new_faces:
-        bad_boundary = set(boundary_faces_of_mask(res.covering.bad_cells))
-        assert new_faces <= bad_boundary
+    assert new_faces
+    assert new_faces <= set(boundary_faces_of_mask(res.covering.bad_cells))
     rep = verify_properties(u, j, res, PARAMS, cfg)
     assert rep.by_name("p2_new_jump").detail["containment"]
 

@@ -8,16 +8,20 @@ import sys
 import numpy as np
 import pytest
 
-from smalljump.cli import main
+from smalljump import generators
+from smalljump.cli import _midline_candidates, main
+from smalljump.energy import EnergyParams, HookeTensor
 from smalljump.grid import (
     DisplacementField,
     GridSpec,
     JumpSet,
+    centered_box,
     load_field,
     load_jump,
     save_field,
     save_jump,
 )
+from smalljump.oracle import brute_force_minimize, deviation_psi0
 
 
 def test_gen_rigid_and_roundtrip(tmp_path):
@@ -138,6 +142,22 @@ def test_oracle_beta_huge_empty_bitset(tmp_path):
     assert rc == 0
     summary2 = json.loads((out2 / "summary.json").read_text())
     assert abs(summary2["psi0"]) <= 1e-9
+
+    # with its free boundary that run has u = 0; the same instance on
+    # Dirichlet data from the target has a minimizer that is not zero
+    g = GridSpec(2, 8, 1.0)
+    target = generators.split_target(g, seed=1)
+    params = EnergyParams(HookeTensor(1.0, 1.0), p=2.0, kappa=2.0, beta=1e6,
+                          g=target)
+    cands = _midline_candidates(g, 6, False)
+    res = brute_force_minimize(g, cands, params, homogeneous=True,
+                               boundary="fixed", pinned_values=target.values)
+    assert set(res.best_config.bitstring()) == {"0"}
+    assert res.min_energy > 0
+    assert np.any(res.minimizer_u.values != 0.0)
+    psi = deviation_psi0(res.minimizer_u, JumpSet(g), params,
+                         centered_box(1.0, 2), cands)
+    assert abs(psi["psi0"]) <= 1e-9
 
 
 def test_oracle_density_tables(tmp_path):

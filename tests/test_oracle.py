@@ -184,6 +184,94 @@ def test_sparse_form_search_matches_dense(monkeypatch):
         assert a["total"] == pytest.approx(b["total"], rel=1e-9)
 
 
+def _assert_search_matches_full_solves(res, system, cands, base=None):
+    """Every configuration's breakdown within 1e-12 of one full solve, and
+    the winner of the same tie rule."""
+    energy_of = full_solve_energies(system, cands, base)
+    assert len(res.per_config) == 2 ** len(cands)
+    for bits, row in enumerate(res.per_config):
+        ref = energy_of(bits)
+        scale = max(abs(ref["total"]), abs(ref["bulk"]), abs(ref["fidelity"]))
+        for key in ("total", "bulk", "fidelity"):
+            assert abs(row[key] - ref[key]) <= 1e-12 * scale
+    totals = [energy_of(b)["total"] for b in range(2 ** len(cands))]
+    lowest = min(totals)
+    tied = [CrackConfig(tuple(cands), b) for b, e in enumerate(totals)
+            if e <= lowest + 1e-12 * abs(lowest)]
+    assert res.best_config == min(tied, key=lambda c: (c.n_active,
+                                                       c.bitstring()))
+
+
+def _sparse_search_settings():
+    g = GridSpec(2, 8, 1.0)
+    target = two_sided_target(g)
+    h = g.spacing
+    # psi0's setting: the nodes outside the inner box pinned to a field,
+    # base faces with owner_high flags, the homogeneous functional;
+    # candidates on the base crack, two of them in cells that straddle
+    # the pinned ring
+    faces = [(0, (4, j)) for j in range(7)]
+    inner = BoxRegion((-1.0 + h,) * 2, (1.0 - h,) * 2)
+    yield ("psi0", g, EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.05, g=target),
+           [(0, (4, 1)), (0, (4, 2)), (0, (4, 3)), (1, (3, 4)), (1, (1, 5))],
+           JumpSet(g, faces, faces[1:5]),
+           dict(homogeneous=True,
+                pinned_mask=~inner.contains_points(g.node_coord_grid()),
+                pinned_values=target.values))
+    # Dirichlet data on the boundary, the homogeneous functional
+    yield ("dirichlet", g, EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02, g=target),
+           [(0, (4, j)) for j in (0, 1, 3)] + [(1, (0, 4)), (1, (3, 4))], None,
+           dict(homogeneous=True, boundary="fixed", pinned_values=target.values))
+    # fidelity data, free boundary, on a 3D grid as well
+    for g in (GridSpec(2, 8, 1.0), GridSpec(3, 4, 1.0)):
+        cands = [(0, (g.cells_per_side // 2,) + (j,) * (g.dim - 1))
+                 for j in range(3)] + [(1, (1,) * g.dim)]
+        yield (f"fidelity-{g.dim}d", g,
+               EnergyParams(HookeTensor(0.7, 1.3), p=2.0, kappa=2.0, beta=0.02,
+                            g=two_sided_target(g)), cands, None, {})
+
+
+@pytest.mark.parametrize("case", list(_sparse_search_settings()),
+                         ids=lambda c: c[0])
+def test_sparse_condensed_search_matches_full_solves(monkeypatch, case):
+    _, g, params, cands, base, kwargs = case
+    # the reference: one dense LU solve per configuration
+    reference = ElasticSystem(g, params, **kwargs)
+    assert reference.dense
+    band_solve, eliminated = oracle._banded_solve, []
+
+    def spy(H, inner, *args):
+        eliminated.append(inner.size)
+        return band_solve(H, inner, *args)
+
+    monkeypatch.setattr(oracle, "_banded_solve", spy)
+    monkeypatch.setattr(oracle, "DENSE_DOF_LIMIT", 0)
+    res = brute_force_minimize(g, sorted(cands), params, base_jumps=base,
+                               **kwargs)
+    assert eliminated and eliminated[0] > 0
+    assert res.min_energy > 0
+    assert np.any(res.minimizer_u.values != 0.0)
+    _assert_search_matches_full_solves(res, reference, sorted(cands), base)
+
+
+@pytest.mark.parametrize("dense_limit", [oracle.DENSE_DOF_LIMIT, 0])
+def test_singular_crack_free_block_raises(monkeypatch, dense_limit):
+    # no fidelity, and two owner_high cracks that cut the corner cell off
+    # its neighbours: the corner node's rows of H_II are zero
+    monkeypatch.setattr(oracle, "DENSE_DOF_LIMIT", dense_limit)
+    g = GridSpec(2, 8, 1.0)
+    params = EnergyParams(HOOKE, p=2.0, kappa=0.0, beta=0.1)
+    corner = [(0, (1, 0)), (1, (0, 1))]
+    pinned = np.zeros(g.node_shape, dtype=bool)
+    pinned[-1] = True
+    values = np.zeros(g.node_shape + (2,))
+    values[-1, :, 0] = 0.3
+    with pytest.raises(SolverError, match="singular elastic system"):
+        brute_force_minimize(g, [(0, (4, 3)), (0, (4, 4))], params,
+                             base_jumps=JumpSet(g, corner, corner),
+                             pinned_mask=pinned, pinned_values=values)
+
+
 def test_heuristic_flag_required_above_limit():
     g = GridSpec(2, 8, 1.0)
     params = EnergyParams(HOOKE, p=2.0, kappa=1.0, beta=1.0,
@@ -547,16 +635,5 @@ def test_condensed_search_matches_full_solves(data):
                           g=DisplacementField(g, rng.normal(size=shape)))
 
     res = brute_force_minimize(g, cands, params, base_jumps=base, **kwargs)
-    energy_of = full_solve_energies(ElasticSystem(g, params, **kwargs), cands, base)
-    assert len(res.per_config) == 2 ** len(cands)
-    for bits, row in enumerate(res.per_config):
-        ref = energy_of(bits)
-        scale = max(abs(ref["total"]), abs(ref["bulk"]), abs(ref["fidelity"]))
-        for key in ("total", "bulk", "fidelity"):
-            assert abs(row[key] - ref[key]) <= 1e-12 * scale
-    totals = [energy_of(b)["total"] for b in range(2 ** len(cands))]
-    lowest = min(totals)
-    tied = [CrackConfig(tuple(cands), b) for b, e in enumerate(totals)
-            if e <= lowest + 1e-12 * abs(lowest)]
-    winner = min(tied, key=lambda c: (c.n_active, c.bitstring()))
-    assert res.best_config == winner
+    _assert_search_matches_full_solves(
+        res, ElasticSystem(g, params, **kwargs), cands, base)
