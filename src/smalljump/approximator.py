@@ -3,10 +3,11 @@
 The pipeline: pick a crown ring with controlled budgets, tile the
 selected box by dyadic cubes, classify cubes by local crack content, fit
 a rigid motion and trim an exceptional set on each cracked good cube,
-mollify per cube, and blend with the partition of unity.  The original
-field is kept on bad cubes and, through the rim patch, outside the
-selected box, so the approximant matches the input there exactly and new
-jump faces appear only on the bad-set boundary.
+mollify the cubes of one side and window shape as one stack, and blend
+with the partition of unity.  The original field is kept on bad cubes
+and, through the rim patch, outside the selected box, so the approximant
+matches the input there exactly and new jump faces appear only on the
+bad-set boundary.
 
 Every quantitative property of the construction is measured against its
 stated budget; the limiting constants are frozen, not assumed.
@@ -25,6 +26,7 @@ from .covering import (
     CrownSelection,
     Partition,
     WhitneyCovering,
+    bad_cell_mask,
     boundary_faces_of_mask,
     build_covering,
     classify,
@@ -32,6 +34,7 @@ from .covering import (
     lattice_delta,
     max_feasible_delta,
     partition_of_unity,
+    row_groups,
     select_crown,
 )
 from .energy import EnergyParams, cellwise_pth_power, f_zero, lp_norm_cells
@@ -45,8 +48,14 @@ from .grid import (
     centered_box,
     corner_average,
     faces_in_region,
+    window_flat_index,
 )
-from .kornfit import FitReport, cube_smoothed_field, extract_exceptional_set
+from .kornfit import (
+    FitReport,
+    extract_exceptional_set,
+    smooth_windows,
+    smoothing_windows,
+)
 from .mollify import mollify_strain_box
 from .strain import symmetric_gradient
 
@@ -216,34 +225,20 @@ def approximate(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
 
     fits: dict[int, FitReport] = {}
     demoted: list[int] = []
-    for i, cube in enumerate(covering.cubes):
-        if not covering.good[i] or covering.crack_in_third[i] == 0.0:
-            continue
-        rep = extract_exceptional_set(u, jumps, strain, cube, config.c_star,
-                                      p=params.p)
+    cracked = covering.good & (covering.crack_in_third != 0.0)
+    for i in np.flatnonzero(cracked).tolist():
+        rep = extract_exceptional_set(u, jumps, strain, covering.cubes[i],
+                                      config.c_star, p=params.p)
         if rep.violation:
             covering.good[i] = False
             demoted.append(i)
         else:
             fits[i] = rep
     if demoted:
-        from .covering import bad_cell_mask
         covering.bad_cells = bad_cell_mask(covering)
-        for i in demoted:
-            fits.pop(i, None)
 
     partition = partition_of_unity(covering)
-
-    node_shape = grid.node_shape
-    num = np.zeros(node_shape + (grid.dim,))
-    for entry in partition.entries:
-        cube = covering.cubes[entry.cube_index]
-        fit = fits.get(entry.cube_index)
-        u_i, win = cube_smoothed_field(u, cube, fit)
-        local = tuple(slice(s.start - w.start, s.stop - w.start)
-                      for s, w in zip(entry.window, win))
-        num[entry.window] += entry.phi_tilde[..., None] * u_i[local]
-    num[partition.rim_window] += partition.rim_phi[..., None] * u.values
+    num = _blend_numerator(u, partition, fits)
 
     blend_nodes = partition.blend_node_mask()
     values = u.values.copy()
@@ -265,6 +260,46 @@ def approximate(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
         radius=radius, delta=delta, selection=selection, covering=covering,
         partition=partition, fit_summaries=fit_summaries,
         demoted_cubes=demoted, strain=strain)
+
+
+def _blend_numerator(u: DisplacementField, partition: Partition,
+                     fits: dict[int, FitReport]) -> np.ndarray:
+    """sum_i phi~_i u_i + rim_phi u at every node, where u_i is cube i's
+    smoothed field.
+
+    The fields of all entries with one side, smoothing window shape and
+    partition window shape are smoothed as one stack.  Each entry's values
+    on its partition window are laid out like ``partition.phi_tilde``, so
+    one bincount per component adds each node's terms in entry order."""
+    grid = u.grid
+    dim = grid.dim
+    cov = partition.covering
+    index = partition.cube_index
+    sides = cov.sides[index]
+    lo, hi = (b[index] for b in cov.boxes12["q1"])
+    start, stop = smoothing_windows(grid, lo, hi, sides)
+    u_i = np.empty((partition.phi_tilde.size, dim))
+    keys = np.column_stack([sides, stop - start, partition.window_shape])
+    for key, members in row_groups(keys):
+        out, margin = smooth_windows(
+            u, key[0], start[members], key[1:1 + dim],
+            [fits.get(i) for i in index[members].tolist()])
+        # each partition window inside its entry's smoothed field
+        pick = window_flat_index(out.shape[1:1 + dim],
+                                 partition.window_start[members]
+                                 - start[members] - margin, key[1 + dim:])
+        rows = partition.offset[members, None] + np.arange(pick.shape[1])
+        u_i[rows] = out.reshape(len(members), -1, dim)[
+            np.arange(len(members))[:, None], pick]
+
+    node_index = partition.node_index()
+    num = np.empty(grid.node_shape + (dim,))
+    for c in range(dim):
+        num[..., c] = np.bincount(node_index, partition.phi_tilde * u_i[:, c],
+                                  minlength=num[..., c].size
+                                  ).reshape(grid.node_shape)
+    num += partition.rim_phi[..., None] * u.values
+    return num
 
 
 def _compose_jump(grid: GridSpec, covering: WhitneyCovering,

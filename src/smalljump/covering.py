@@ -16,20 +16,54 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CoveringError
-from .grid import DisplacementField, GridSpec, JumpSet
+from .grid import (
+    DisplacementField,
+    GridSpec,
+    JumpSet,
+    node_mask_from_cells,
+    window_flat_index,
+)
 from .energy import EnergyParams, cellwise_pth_power
 
-ENLARGE12 = {"q1": 14, "q2": 16, "q3": 18}  # 7/6, 4/3, 3/2 in twelfths
+ENLARGE12 = {"q": 12, "q1": 14, "q2": 16, "q3": 18}  # 1, 7/6, 4/3, 3/2 in twelfths
+BUCKET12 = 48        # neighbour-search bucket: the finest cube side, 4h, in h/12
+# Cube x face-coordinate elements per chunk of the broadcast that counts
+# faces in boxes: each boolean temporary of a chunk stays at 4 MB.
+FACE_CHUNK = 1 << 22
 
 
 def default_eta(dim: int, c_star: float) -> float:
     """Good-cube threshold 1/(2 * 8^dim * c_star)."""
     return 1.0 / (2.0 * 8 ** dim * c_star)
+
+
+def box12(anchors: np.ndarray, sides: np.ndarray,
+          which: str) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) in h/12 units of cubes or of one enlargement; ``anchors``
+    is (..., dim) in h units and ``sides`` (...) matches its leading
+    shape."""
+    sides = np.asarray(sides, dtype=np.int64)[..., None]
+    anchors = np.asarray(anchors, dtype=np.int64)
+    extra = (ENLARGE12[which] - 12) * sides // 2
+    return anchors * 12 - extra, (anchors + sides) * 12 + extra
+
+
+def inside12(grid: GridSpec, lo: np.ndarray, hi: np.ndarray,
+             nodes: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Index ranges (start, stop), per axis, of the cells whose center (or
+    the nodes) lie strictly inside each box (lo, hi), given in h/12 units,
+    clipped to the grid."""
+    m = grid.cells_per_side
+    shift, n = (0, m + 1) if nodes else (6, m)
+    start = np.maximum((np.asarray(lo) - shift) // 12 + 1 + m // 2, 0)
+    stop = np.minimum(-((shift - np.asarray(hi)) // 12) + m // 2, n)
+    return start, stop
 
 
 @dataclass(frozen=True)
@@ -42,11 +76,7 @@ class DyadicCube:
 
     def bounds12(self, which: str) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi) of the cube or an enlargement, in h/12 units."""
-        f12 = ENLARGE12[which] if which != "q" else 12
-        extra = (f12 - 12) * self.side // 2
-        lo = np.array(self.anchor, dtype=np.int64) * 12 - extra
-        hi = (np.array(self.anchor, dtype=np.int64) + self.side) * 12 + extra
-        return lo, hi
+        return box12(self.anchor, self.side, which)
 
     def cell_slices(self, grid: GridSpec) -> tuple[slice, ...]:
         """Slices of the cube's own cells in absolute cell indices."""
@@ -57,18 +87,6 @@ class DyadicCube:
         """Cells whose center lies strictly inside the enlargement."""
         return cell_ranges12(grid, *self.bounds12(which))
 
-    def node_window(self, grid: GridSpec, which: str) -> tuple[slice, ...]:
-        """Nodes strictly inside the enlargement, absolute indices."""
-        lo, hi = self.bounds12(which)
-        off = grid.cells_per_side // 2
-        out = []
-        for a in range(grid.dim):
-            lo_rel = int(lo[a]) // 12 + 1
-            hi_rel = -((-int(hi[a])) // 12) - 1
-            out.append(slice(max(lo_rel + off, 0),
-                             min(hi_rel + off + 1, grid.cells_per_side + 1)))
-        return tuple(out)
-
     def center_h(self) -> np.ndarray:
         return np.array(self.anchor, dtype=float) + self.side / 2.0
 
@@ -77,23 +95,24 @@ def cell_ranges12(grid: GridSpec, lo: np.ndarray,
                   hi: np.ndarray) -> tuple[slice, ...]:
     """Cells whose center lies strictly inside the box (lo, hi), given in
     h/12 units, clipped to the grid."""
-    off = grid.cells_per_side // 2
-    out = []
-    for a in range(grid.dim):
-        lo_rel = (int(lo[a]) - 6) // 12 + 1
-        hi_rel = -((-(int(hi[a]) - 6)) // 12) - 1
-        out.append(slice(max(lo_rel + off, 0),
-                         min(hi_rel + off + 1, grid.cells_per_side)))
-    return tuple(out)
+    start, stop = inside12(grid, lo, hi)
+    return tuple(slice(int(a), int(b)) for a, b in zip(start, stop))
 
 
-def count_faces_in_box12(face_coords12: np.ndarray, lo: np.ndarray,
-                         hi: np.ndarray) -> int:
-    """Faces (given by h/12 center coordinates) strictly inside the box."""
+def count_faces_in_boxes12(face_coords12: np.ndarray, lo: np.ndarray,
+                           hi: np.ndarray) -> np.ndarray:
+    """Faces (given by h/12 center coordinates) strictly inside each of
+    the (n, dim) boxes (lo, hi)."""
+    out = np.zeros(lo.shape[0], dtype=np.int64)
     if face_coords12.shape[0] == 0:
-        return 0
-    inside = np.all((face_coords12 > lo) & (face_coords12 < hi), axis=1)
-    return int(np.count_nonzero(inside))
+        return out
+    step = max(1, FACE_CHUNK // face_coords12.size)
+    fc = face_coords12[None]
+    for s in range(0, lo.shape[0], step):
+        inside = np.all((fc > lo[s:s + step, None]) & (fc < hi[s:s + step, None]),
+                        axis=2)
+        out[s:s + step] = np.count_nonzero(inside, axis=1)
+    return out
 
 
 def face_coords12(grid: GridSpec, jumps: JumpSet) -> np.ndarray:
@@ -101,14 +120,9 @@ def face_coords12(grid: GridSpec, jumps: JumpSet) -> np.ndarray:
     faces = jumps.sorted_faces()
     if not faces:
         return np.empty((0, grid.dim), dtype=np.int64)
-    off = grid.cells_per_side // 2
-    out = np.empty((len(faces), grid.dim), dtype=np.int64)
-    for i, (axis, idx) in enumerate(faces):
-        for a in range(grid.dim):
-            if a == axis:
-                out[i, a] = 12 * (idx[a] - off)
-            else:
-                out[i, a] = 12 * (idx[a] - off) + 6
+    idx = np.array([i for _, i in faces], dtype=np.int64)
+    out = 12 * (idx - grid.cells_per_side // 2) + 6
+    out[np.arange(len(faces)), [a for a, _ in faces]] -= 6
     return out
 
 
@@ -257,14 +271,18 @@ def select_crown(u: DisplacementField, jumps: JumpSet, strain: np.ndarray,
 
 @dataclass
 class WhitneyCovering:
-    """Dyadic cubes tiling the selected box, plus the rim shell."""
+    """Dyadic cubes tiling the selected box, plus the rim shell.
+
+    The cube table (``anchors``, ``sides`` and the h/12 boxes of every
+    enlargement, row i for ``cubes[i]``) is built from ``cubes`` on
+    construction; ``dataclasses.replace`` with new cubes rebuilds it."""
 
     grid: GridSpec
     delta: float
     m: int                     # delta in h units
     i0: int
     n_annuli: int
-    cubes: list[DyadicCube]
+    cubes: tuple[DyadicCube, ...]
     slab_counts: dict[int, int]
     w0_h: int                  # half-width of the covered box, h units
     w1_h: int                  # half-width of the interior box, h units
@@ -273,6 +291,35 @@ class WhitneyCovering:
     crack_in_third: np.ndarray | None = None
     eta: float | None = None
     jumps: JumpSet | None = None
+    anchors: np.ndarray = field(init=False, repr=False)   # (n, dim), h units
+    sides: np.ndarray = field(init=False, repr=False)     # (n,), h units
+    boxes12: dict = field(init=False, repr=False)         # which -> (lo, hi)
+
+    def __post_init__(self):
+        self.cubes = tuple(self.cubes)
+        self.anchors = np.array([c.anchor for c in self.cubes],
+                                dtype=np.int64).reshape(-1, self.grid.dim)
+        self.sides = np.array([c.side for c in self.cubes], dtype=np.int64)
+        self.boxes12 = {w: box12(self.anchors, self.sides, w) for w in ENLARGE12}
+
+    def cell_counts(self, select: np.ndarray | None = None) -> np.ndarray:
+        """Number of cubes (of the ``select`` mask, if given) whose own
+        cells contain each grid cell: +-1 at the 2^dim corners of every
+        cube's cell box, summed along each axis."""
+        dim = self.grid.dim
+        start = self.anchors + self.grid.cells_per_side // 2
+        stop = start + self.sides[:, None]
+        if select is not None:
+            start, stop = start[select], stop[select]
+        counts = np.zeros(tuple(n + 1 for n in self.grid.cell_shape),
+                          dtype=np.int32)
+        for corner in itertools.product((0, 1), repeat=dim):
+            idx = tuple(stop[:, a] if c else start[:, a]
+                        for a, c in enumerate(corner))
+            np.add.at(counts, idx, (-1) ** sum(corner))
+        for a in range(dim):
+            np.cumsum(counts, axis=a, out=counts)
+        return counts[tuple(slice(0, n) for n in self.grid.cell_shape)]
 
     @property
     def rim_inner_h(self) -> int:
@@ -365,13 +412,11 @@ def build_covering(grid: GridSpec, selection: CrownSelection,
 
 def _check_geometry(cov: WhitneyCovering) -> None:
     half = cov.grid.cells_per_side // 2
-    for cube in cov.cubes:
-        if cube.side < 4:
-            raise CoveringError("cube refined below side 4h")
-        _, hi = cube.bounds12("q3")
-        lo, _ = cube.bounds12("q3")
-        if np.any(hi > 12 * half) or np.any(lo < -12 * half):
-            raise CoveringError("enlarged cube exits the domain")
+    if np.any(cov.sides < 4):
+        raise CoveringError("cube refined below side 4h")
+    lo, hi = cov.boxes12["q3"]
+    if np.any(hi > 12 * half) or np.any(lo < -12 * half):
+        raise CoveringError("enlarged cube exits the domain")
 
 
 def classify(covering: WhitneyCovering, jumps: JumpSet,
@@ -379,18 +424,10 @@ def classify(covering: WhitneyCovering, jumps: JumpSet,
     """Set good/bad flags: good iff crack area in the 3/2 enlargement is
     at most eta * side^(dim-1)."""
     grid = covering.grid
-    fc12 = face_coords12(grid, jumps)
-    area = grid.face_area()
-    n = len(covering.cubes)
-    good = np.zeros(n, dtype=bool)
-    crack = np.zeros(n)
-    for i, cube in enumerate(covering.cubes):
-        lo, hi = cube.bounds12("q3")
-        meas = count_faces_in_box12(fc12, lo, hi) * area
-        crack[i] = meas
-        good[i] = meas <= eta * (cube.side * grid.spacing) ** (grid.dim - 1) \
-            + 1e-15
-    covering.good = good
+    crack = count_faces_in_boxes12(face_coords12(grid, jumps),
+                                   *covering.boxes12["q3"]) * grid.face_area()
+    covering.good = crack <= eta * (covering.sides * grid.spacing) \
+        ** (grid.dim - 1) + 1e-15
     covering.crack_in_third = crack
     covering.eta = eta
     covering.jumps = jumps
@@ -399,11 +436,7 @@ def classify(covering: WhitneyCovering, jumps: JumpSet,
 
 
 def bad_cell_mask(covering: WhitneyCovering) -> np.ndarray:
-    mask = np.zeros(covering.grid.cell_shape, dtype=bool)
-    for i, cube in enumerate(covering.cubes):
-        if not covering.good[i]:
-            mask[cube.cell_slices(covering.grid)] = True
-    return mask
+    return covering.cell_counts(~covering.good) > 0
 
 
 def boundary_faces_of_mask(mask: np.ndarray) -> list[tuple[int, tuple[int, ...]]]:
@@ -461,28 +494,56 @@ def plateau_profile(t: np.ndarray) -> np.ndarray:
     return _smoothstep((7.0 / 12.0 - np.abs(t)) * 12.0)
 
 
-@dataclass
-class PartitionEntry:
-    cube_index: int
-    window: tuple[slice, ...]
-    phi_tilde: np.ndarray
+def row_groups(keys: np.ndarray):
+    """(row, indices) for each distinct row of the (n, c) integer array,
+    rows in sorted order, indices ascending."""
+    rows, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    order = np.argsort(inverse, kind="stable")
+    bounds = np.cumsum(np.bincount(inverse, minlength=len(rows)))
+    for row, members in zip(rows, np.split(order, bounds[:-1])):
+        yield tuple(row.tolist()), members
+
+
+def _entry_node_index(node_shape: tuple[int, ...], start: np.ndarray,
+                      shape: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Flat node indices of windows laid out one after another: window j
+    (low corner ``start[j]``, extent ``shape[j]``) fills
+    ``offset[j]:offset[j + 1]`` in C order."""
+    out = np.empty(offset[-1], dtype=np.intp)
+    for win, members in row_groups(shape):
+        idx = window_flat_index(node_shape, start[members], win)
+        out[offset[members, None] + np.arange(idx.shape[1])] = idx
+    return out
 
 
 @dataclass
 class Partition:
     """Plateau bumps for good cubes plus the rim patch, normalized on the
-    covered box minus the bad set."""
+    covered box minus the bad set.
+
+    Entry j is good cube ``cube_index[j]``; its bump lives on the node
+    window with low corner ``window_start[j]`` and extent
+    ``window_shape[j]``, and its values, in C order over that window, are
+    ``phi_tilde[offset[j]:offset[j + 1]]``."""
 
     covering: WhitneyCovering
-    entries: list[PartitionEntry]
-    rim_window: tuple[slice, ...]
-    rim_phi: np.ndarray
+    cube_index: np.ndarray            # (k,) ascending
+    window_start: np.ndarray          # (k, dim) node indices
+    window_shape: np.ndarray          # (k, dim)
+    offset: np.ndarray                # (k + 1,)
+    phi_tilde: np.ndarray             # unnormalized bumps, entry by entry
+    rim_phi: np.ndarray               # the rim bump on the whole node grid
     densum: np.ndarray
     overlap_count: np.ndarray
     grad_scaled: dict[int, float]     # cube index -> max |grad phi| * side
 
+    def node_index(self) -> np.ndarray:
+        """Flat node index of every ``phi_tilde`` value."""
+        return _entry_node_index(self.densum.shape, self.window_start,
+                                 self.window_shape, self.offset)
+
     def blend_node_mask(self) -> np.ndarray:
-        from .grid import node_mask_from_cells
         cov = self.covering
         blend_cells = cov.covered_cell_mask() & ~cov.bad_cells
         return node_mask_from_cells(blend_cells)
@@ -490,11 +551,12 @@ class Partition:
     def partition_sum_error(self) -> float:
         """max |sum_i phi_i - 1| over blended nodes, phi accumulated
         term by term."""
-        total = np.zeros_like(self.densum)
+        idx = self.node_index()
+        den = self.densum.ravel()
         with np.errstate(invalid="ignore", divide="ignore"):
-            for e in self.entries:
-                total[e.window] += e.phi_tilde / self.densum[e.window]
-            total[self.rim_window] += self.rim_phi / self.densum[self.rim_window]
+            total = np.bincount(idx, self.phi_tilde / den[idx],
+                                minlength=den.size).reshape(self.densum.shape)
+            total += self.rim_phi / self.densum
         mask = self.blend_node_mask()
         return float(np.max(np.abs(total[mask] - 1.0)))
 
@@ -503,66 +565,86 @@ class Partition:
 
 
 def partition_of_unity(covering: WhitneyCovering) -> Partition:
+    """Bumps of the good cubes and the rim, their sum and overlap count.
+
+    A bump is the tensor product of one 1D plateau profile per axis.  Node
+    coordinates and cube centres are dyadic, so a profile depends only on
+    the side, the window's offset from the cube and its length; each
+    distinct one is evaluated once.  Each node's terms are summed in cube
+    order."""
     cov = covering.flagged()
     grid = cov.grid
-    h = grid.spacing
+    dim, h = grid.dim, grid.spacing
     coords = grid.node_coords_1d()
     node_shape = grid.node_shape
 
-    densum = np.zeros(node_shape)
-    counts = np.zeros(node_shape, dtype=np.int32)
-    entries: list[PartitionEntry] = []
-    grad_scaled: dict[int, float] = {}
+    index = np.flatnonzero(cov.good)
+    anchors, sides = cov.anchors[index], cov.sides[index]
+    lo, hi = (b[index] for b in cov.boxes12["q1"])
+    start, stop = inside12(grid, lo, hi, nodes=True)
+    shape = stop - start
+    offset = np.concatenate([[0], np.cumsum(np.prod(shape, axis=1))])
 
-    for i, cube in enumerate(cov.cubes):
-        if not cov.good[i]:
-            continue
-        window = cube.node_window(grid, "q1")
-        center = cube.center_h() * h
-        side = cube.side * h
-        axes_1d = [plateau_profile((coords[window[a]] - center[a]) / side)
-                   for a in range(grid.dim)]
-        phi = axes_1d[0]
-        for a in range(1, grid.dim):
-            phi = np.multiply.outer(phi, axes_1d[a])
-        entries.append(PartitionEntry(i, window, phi))
-        densum[window] += phi
-        counts[window] += (phi > 0)
+    rel = start - anchors - grid.cells_per_side // 2
+    axis_keys = np.stack([np.broadcast_to(sides[:, None], rel.shape), rel, shape],
+                         axis=-1).reshape(-1, 3)
+    _, first, inverse = np.unique(axis_keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    profiles = []
+    for j, a in (divmod(int(f), dim) for f in first):
+        center = (float(anchors[j, a]) + sides[j] / 2.0) * h
+        profiles.append(plateau_profile(
+            (coords[start[j, a]:stop[j, a]] - center) / (sides[j] * h)))
+
+    phi_tilde = np.empty(offset[-1])
+    for ids, members in row_groups(inverse.reshape(-1, dim)):
+        phi = profiles[ids[0]]
+        for a in range(1, dim):
+            phi = np.multiply.outer(phi, profiles[ids[a]])
+        phi_tilde[offset[members, None] + np.arange(phi.size)] = phi.ravel()
 
     # The rim bump is 1 outside the (w0-3h)-box and 0 inside the
     # (w0-5h)-box; the 2h ramp keeps every node over a bad boundary cube
     # covered even when the adjacent slab cubes are all bad.
     w0 = cov.w0_h * h
     rim_hi = w0 - 3 * h
-    rim_window = tuple(slice(0, s) for s in node_shape)
     inside = np.ones(node_shape)
-    for a in range(grid.dim):
+    for a in range(dim):
         fac = _smoothstep((rim_hi - np.abs(coords)) / (2.0 * h))
-        shape = [1] * grid.dim
-        shape[a] = -1
-        inside = inside * fac.reshape(shape)
+        shape_a = [1] * dim
+        shape_a[a] = -1
+        inside = inside * fac.reshape(shape_a)
     rim_phi = 1.0 - inside
+
+    idx = _entry_node_index(node_shape, start, shape, offset)
+    n_nodes = math.prod(node_shape)
+    densum = np.bincount(idx, phi_tilde, minlength=n_nodes).reshape(node_shape)
     densum += rim_phi
-    counts += (rim_phi > 0)
+    counts = np.bincount(idx[phi_tilde > 0], minlength=n_nodes) \
+        .astype(np.int32).reshape(node_shape)
+    counts += rim_phi > 0
 
-    part = Partition(covering=cov, entries=entries, rim_window=rim_window,
+    part = Partition(covering=cov, cube_index=index, window_start=start,
+                     window_shape=shape, offset=offset, phi_tilde=phi_tilde,
                      rim_phi=rim_phi, densum=densum, overlap_count=counts,
-                     grad_scaled=grad_scaled)
-
+                     grad_scaled={})
     blend = part.blend_node_mask()
     if np.any(blend & (densum <= 0)):
         raise CoveringError("covering defect: uncovered blended node")
 
-    for e in entries:
-        phi = e.phi_tilde / densum[e.window]
-        gmax = 0.0
-        for a in range(grid.dim):
-            if phi.shape[a] < 2:
+    grad = np.empty(len(index))
+    for win, members in row_groups(shape):
+        phi = phi_tilde[offset[members, None] + np.arange(math.prod(win))] \
+            .reshape((-1,) + win)
+        phi = phi / sliding_window_view(densum, win)[tuple(start[members].T)]
+        gmax = np.zeros(len(members))
+        for a in range(dim):
+            if win[a] < 2:
                 continue
-            d = np.abs(np.diff(phi, axis=a)) / h
-            gmax = max(gmax, float(d.max()))
-        side = cov.cubes[e.cube_index].side * h
-        grad_scaled[e.cube_index] = gmax * side
+            d = np.abs(np.diff(phi, axis=a + 1)) / h
+            gmax = np.maximum(gmax, d.reshape(len(members), -1).max(axis=1))
+        grad[members] = gmax * (sides[members] * h)
+    part.grad_scaled = dict(zip(index.tolist(), grad.tolist()))
     return part
 
 
@@ -570,27 +652,44 @@ def partition_of_unity(covering: WhitneyCovering) -> Partition:
 # Structural checks used by tests and the acceptance suite
 
 def neighbor_pairs(covering: WhitneyCovering, which: str) -> list[tuple[int, int]]:
-    """Pairs of good-or-bad cubes whose given enlargements intersect with
-    positive volume."""
-    cubes = covering.cubes
-    n = len(cubes)
-    lo = np.empty((n, covering.grid.dim), dtype=np.int64)
-    hi = np.empty((n, covering.grid.dim), dtype=np.int64)
-    for i, c in enumerate(cubes):
-        lo[i], hi[i] = c.bounds12(which)
-    pairs = []
-    chunk = 512
-    for s in range(0, n, chunk):
-        e = min(s + chunk, n)
-        inter_lo = np.maximum(lo[s:e, None, :], lo[None, :, :])
-        inter_hi = np.minimum(hi[s:e, None, :], hi[None, :, :])
-        ok = np.all(inter_hi > inter_lo, axis=-1)
-        for a, b in np.argwhere(ok):
-            ia = s + int(a)
-            ib = int(b)
-            if ia < ib:
-                pairs.append((ia, ib))
-    return pairs
+    """Pairs (ia < ib), sorted, of good-or-bad cubes whose given
+    enlargements intersect with positive volume.
+
+    Every enlarged box is hashed into the buckets of side 4h that it
+    meets; exact integer overlap is tested only for cubes sharing a
+    bucket, since a positive-volume intersection has an interior point in
+    some bucket of both."""
+    lo, hi = covering.boxes12[which]
+    n, dim = lo.shape
+    if n == 0:
+        return []
+    b_lo, b_hi = lo // BUCKET12, (hi - 1) // BUCKET12 + 1
+    base, span = b_lo.min(axis=0), b_hi.max(axis=0) - b_lo.min(axis=0)
+    extent = b_hi - b_lo
+    count = np.prod(extent, axis=1)
+    owner = np.repeat(np.arange(n), count)
+    local = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    bucket = np.zeros(owner.size, dtype=np.int64)
+    stride = 1
+    for a in reversed(range(dim)):
+        e = extent[owner, a]
+        bucket += (b_lo[owner, a] - base[a] + local % e) * stride
+        local //= e
+        stride *= int(span[a])
+
+    # every earlier member of a bucket (sorted by cube) is a candidate
+    order = np.lexsort((owner, bucket))
+    bucket, owner = bucket[order], owner[order]
+    pos = np.arange(owner.size)
+    first = np.maximum.accumulate(
+        np.where(np.r_[True, bucket[1:] != bucket[:-1]], pos, 0))
+    rank = pos - first
+    partner = np.repeat(first, rank) + np.arange(rank.sum()) \
+        - np.repeat(np.cumsum(rank) - rank, rank)
+    code = np.unique(owner[partner] * n + np.repeat(owner, rank))
+    ia, ib = np.divmod(code, n)
+    ok = np.all(np.minimum(hi[ia], hi[ib]) > np.maximum(lo[ia], lo[ib]), axis=1)
+    return list(zip(ia[ok].tolist(), ib[ok].tolist()))
 
 
 def covering_structure_report(covering: WhitneyCovering) -> dict:
@@ -599,28 +698,22 @@ def covering_structure_report(covering: WhitneyCovering) -> dict:
     cov = covering
     grid = cov.grid
 
-    counted = np.zeros(grid.cell_shape, dtype=np.int16)
-    for cube in cov.cubes:
-        counted[cube.cell_slices(grid)] += 1
+    counted = cov.cell_counts()
     rim = cov.rim_cell_mask()
     covered = cov.covered_cell_mask()
     tiling_exact = (np.all(counted[covered & ~rim] == 1)
                     and np.all(counted[~covered | rim] == 0))
 
-    ratios_ok = True
-    min_overlap_const = math.inf
-    for ia, ib in neighbor_pairs(cov, "q1"):
-        sa, sb = cov.cubes[ia].side, cov.cubes[ib].side
-        r = sb / sa
-        if r not in (0.5, 1.0, 2.0):
-            ratios_ok = False
-    for ia, ib in neighbor_pairs(cov, "q2"):
-        la, ha = cov.cubes[ia].bounds12("q2")
-        lb, hb = cov.cubes[ib].bounds12("q2")
-        inter = np.minimum(ha, hb) - np.maximum(la, lb)
-        vol12 = float(np.prod(inter.astype(float)))
-        big = float(max(cov.cubes[ia].side, cov.cubes[ib].side) * 12) ** grid.dim
-        min_overlap_const = min(min_overlap_const, vol12 / big)
+    ia, ib = np.array(neighbor_pairs(cov, "q1"), dtype=np.int64).reshape(-1, 2).T
+    ratios_ok = np.all(np.isin(cov.sides[ib] / cov.sides[ia], (0.5, 1.0, 2.0)))
+
+    ia, ib = np.array(neighbor_pairs(cov, "q2"), dtype=np.int64).reshape(-1, 2).T
+    lo, hi = cov.boxes12["q2"]
+    inter = np.minimum(hi[ia], hi[ib]) - np.maximum(lo[ia], lo[ib])
+    vol12 = np.prod(inter.astype(float), axis=1)
+    big = (np.maximum(cov.sides[ia], cov.sides[ib]) * 12).astype(float) \
+        ** grid.dim
+    min_overlap_const = float(np.min(vol12 / big)) if ia.size else math.inf
 
     sigma_const = 0.0
     for k, count in cov.slab_counts.items():

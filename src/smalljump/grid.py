@@ -304,6 +304,17 @@ def node_mask_from_cells(cell_mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def window_flat_index(lattice_shape: tuple[int, ...], starts: np.ndarray,
+                      shape: tuple[int, ...]) -> np.ndarray:
+    """Flat C-order lattice indices of k equal windows, shape (k, prod(shape)).
+
+    ``starts`` holds the (k, dim) low corners; each row lists its window's
+    points in C order."""
+    local = np.indices(shape).reshape(len(shape), -1)
+    return (np.ravel_multi_index(tuple(np.asarray(starts).T), lattice_shape)[:, None]
+            + np.ravel_multi_index(tuple(local), lattice_shape)[None, :])
+
+
 # ---------------------------------------------------------------------------
 # File formats: JSON header + raw little-endian float64 blocks per component;
 # jump sets as JSON arrays of (axis, cell-index-tuple).

@@ -18,8 +18,9 @@ import numpy as np
 from .covering import (
     DyadicCube,
     cell_ranges12,
-    count_faces_in_box12,
+    count_faces_in_boxes12,
     face_coords12,
+    inside12,
 )
 from .errors import FitError
 from .grid import (
@@ -28,8 +29,9 @@ from .grid import (
     JumpSet,
     corner_average,
     node_mask_from_cells,
+    window_flat_index,
 )
-from .mollify import kernel_radius_cells, mollify, mollify_strain_box
+from .mollify import kernel_radius_cells, mollify_stack, mollify_strain_box
 from .strain import _standard_gradient, symmetric_gradient
 
 # Iteration caps and the IRLS step tolerance of the fits.
@@ -203,8 +205,8 @@ def extract_exceptional_set(u: DisplacementField, jumps: JumpSet,
     side = cube.side * h
 
     lo3, hi3 = cube.bounds12("q3")
-    crack = count_faces_in_box12(face_coords12(grid, jumps), lo3, hi3) \
-        * grid.face_area()
+    crack = int(count_faces_in_boxes12(face_coords12(grid, jumps), lo3[None],
+                                       hi3[None])[0]) * grid.face_area()
     budget_cells = int(math.floor(c_star * side * crack / h ** dim + 1e-9))
 
     keep = np.ones(centers.shape[0], dtype=bool)
@@ -361,45 +363,85 @@ def mollified_strain_error(u: DisplacementField, jumps: JumpSet,
     }
 
 
+def smoothing_windows(grid: GridSpec, lo12: np.ndarray, hi12: np.ndarray,
+                      sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Node windows (low, high corners; (k, dim)) that smooth the cubes of
+    the given sides (h units) and q' boxes (h/12 units): the nodes of the
+    q' cells, one layer beyond the strictly interior nodes, widened by the
+    kernel radius of each side.  Raises FitError when one exits the grid."""
+    h = grid.spacing
+    start, stop = inside12(grid, lo12, hi12)
+    levels, inverse = np.unique(sides, return_inverse=True)
+    radius = np.array([math.ceil(kernel_radius_cells(s * h, h)) - 1
+                       for s in levels.tolist()], dtype=np.int64)
+    radius = radius[inverse][:, None]
+    start, stop = start - radius, stop + 1 + radius
+    if np.any(start < 0) or np.any(stop > grid.cells_per_side + 1):
+        raise FitError("smoothing window exits the grid")
+    return start, stop
+
+
+def smooth_windows(u: DisplacementField, side: int, starts: np.ndarray,
+                   shape: tuple[int, ...], fits: list[FitReport | None]
+                   ) -> tuple[np.ndarray, int]:
+    """Smoothed fields of cubes of one side on equal node windows.
+
+    Window j (low corner ``starts[j]``) holds u with the nodes incident to
+    the exceptional cells of ``fits[j]``, if any, replaced by its fitted
+    rigid motion; all windows are mollified at the cube scale at once.
+    Returns the (k, *inner, dim) entries that are exact convolutions and
+    the margin trimmed from each side of a window."""
+    grid = u.grid
+    flat = window_flat_index(grid.node_shape, starts, shape)
+    vals = u.values.reshape(-1, grid.dim)[flat].reshape(
+        (len(flat),) + shape + (grid.dim,))
+    for j, fit in enumerate(fits):
+        if fit is not None and fit.omega.n_cells > 0:
+            _rigid_on_omega(vals[j], grid, starts[j], fit)
+    out, margin = mollify_stack(vals, grid.dim, side * grid.spacing,
+                                grid.spacing)
+    inner = tuple(slice(margin, n - margin) for n in shape)
+    return out[(slice(None),) + inner], margin
+
+
+def _rigid_on_omega(vals: np.ndarray, grid: GridSpec, start: np.ndarray,
+                    fit: FitReport) -> None:
+    """Set the window's nodes incident to the fit's exceptional cells to
+    the fitted rigid motion, in place."""
+    win = tuple(slice(int(a), int(a) + n) for a, n in zip(start, vals.shape))
+    # the cells incident to the window's nodes: one more layer below
+    lo = np.array([max(s.start - 1, 0) for s in win])
+    hi = np.array([min(s.stop, n) for s, n in zip(win, grid.cell_shape)])
+    idx = fit.omega.global_indices()
+    idx = idx[np.all((idx >= lo) & (idx < hi), axis=1)] - lo
+    cell_mask = np.zeros(tuple(hi - lo), dtype=bool)
+    cell_mask[tuple(idx.T)] = True
+    node_mask = node_mask_from_cells(cell_mask)[
+        tuple(slice(s.start - a, s.stop - a) for s, a in zip(win, lo))]
+    if np.any(node_mask):
+        axes = [grid.node_coords_1d()[s] for s in win]
+        coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        vals[node_mask] = fit.motion(coords[node_mask])
+
+
 def cube_smoothed_field(u: DisplacementField, cube: DyadicCube,
                         fit: FitReport | None
                         ) -> tuple[np.ndarray, tuple[slice, ...]]:
-    """Mollified (replaced-on-omega) field on the q' node window.
+    """Mollified (replaced-on-omega) field of one cube on its q' node
+    window: ``smooth_windows`` for a stack of one.
 
     Returns node values covering the q' cells (one node layer beyond the
     strictly interior nodes) together with the absolute window slices;
     every returned entry is a valid convolution.
     """
-    grid = u.grid
-    h = grid.spacing
-    side = cube.side * h
-    radius = int(math.ceil(kernel_radius_cells(side, h))) - 1
-    cells1 = cube.enlarged_cell_ranges(grid, "q1")
-    target = tuple(slice(s.start, s.stop + 1) for s in cells1)
-    win = tuple(slice(s.start - radius, s.stop + radius) for s in target)
-    for s, n in zip(win, grid.node_shape):
-        if s.start < 0 or s.stop > n:
-            raise FitError("smoothing window exits the grid")
-
-    vals = u.values[win].copy()
-    if fit is not None and fit.omega.n_cells > 0:
-        # the cells incident to the window's nodes: one more layer below
-        lo = np.array([max(s.start - 1, 0) for s in win])
-        hi = np.array([min(s.stop, n) for s, n in zip(win, grid.cell_shape)])
-        idx = fit.omega.global_indices()
-        idx = idx[np.all((idx >= lo) & (idx < hi), axis=1)] - lo
-        cell_mask = np.zeros(tuple(hi - lo), dtype=bool)
-        cell_mask[tuple(idx.T)] = True
-        node_mask = node_mask_from_cells(cell_mask)[
-            tuple(slice(s.start - a, s.stop - a) for s, a in zip(win, lo))]
-        if np.any(node_mask):
-            axes = [grid.node_coords_1d()[s] for s in win]
-            coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-            vals[node_mask] = fit.motion(coords[node_mask])
-    out, margin = mollify(vals, grid.dim, side, h)
-    inner = tuple(slice(margin, s.stop - s.start - margin) for s in win)
-    final = tuple(slice(w.start + margin, w.stop - margin) for w in win)
-    return out[inner], final
+    lo, hi = cube.bounds12("q1")
+    start, stop = smoothing_windows(u.grid, lo[None], hi[None],
+                                    np.array([cube.side]))
+    out, margin = smooth_windows(u, cube.side, start,
+                                 tuple((stop - start)[0].tolist()), [fit])
+    final = tuple(slice(int(a) + margin, int(b) - margin)
+                  for a, b in zip(start[0], stop[0]))
+    return out[0], final
 
 
 def affine_subset_bound(a: AffineMap, cube: DyadicCube, grid: GridSpec,

@@ -68,14 +68,24 @@ def mollify(values: np.ndarray, dim: int, scale: float,
     ``margin`` lattice steps from every lattice boundary are exact
     convolutions; closer entries read zero padding and are not defined.
     """
-    radius = kernel_radius_cells(scale, spacing)
-    kern = _cached_kernel(dim, radius)
+    out, margin = mollify_stack(np.asarray(values, dtype=float)[None], dim,
+                                scale, spacing)
+    return out[0], margin
+
+
+def mollify_stack(stack: np.ndarray, dim: int, scale: float,
+                  spacing: float) -> tuple[np.ndarray, int]:
+    """``mollify`` of every field of a stack of equal lattice windows.
+
+    Axis 0 indexes the fields, the next ``dim`` axes are lattice axes and
+    trailing axes are components.  One convolution with the kernel padded
+    by unit axes serves them all: each entry sums the same kernel taps in
+    the same order as a convolution of its own field and component.
+    """
+    kern = _cached_kernel(dim, kernel_radius_cells(scale, spacing))
     margin = (kern.shape[0] - 1) // 2
-    flat_comps = values.reshape(values.shape[:dim] + (-1,))
-    out = np.empty_like(flat_comps, dtype=float)
-    for c in range(flat_comps.shape[-1]):
-        out[..., c] = ndimage.convolve(flat_comps[..., c], kern, mode="constant")
-    return out.reshape(values.shape), margin
+    kern = kern.reshape((1,) + kern.shape + (1,) * (stack.ndim - dim - 1))
+    return ndimage.convolve(stack, kern, mode="constant"), margin
 
 
 def mollify_strain_box(strain: np.ndarray, box: tuple[slice, ...],

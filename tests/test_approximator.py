@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from smalljump.approximator import (
+    C_STAR_DEFAULT,
     ApproxConfig,
+    _blend_numerator,
     _norm_region_boxes,
     approximate,
     boundary_trace_check,
     fit_decay_exponent,
     verify_properties,
 )
-from smalljump.covering import boundary_faces_of_mask
+from smalljump.covering import DyadicCube, boundary_faces_of_mask
 from smalljump.energy import (
     EnergyParams,
     HookeTensor,
@@ -21,7 +23,7 @@ from smalljump.energy import (
     f_zero,
     lp_norm_cells,
 )
-from smalljump.errors import RegimeError
+from smalljump.errors import FitError, RegimeError
 from smalljump.generators import (
     CrackPatch,
     field_with_patches,
@@ -32,9 +34,11 @@ from smalljump.generators import (
     sinusoid_field,
     two_motion_crack_field,
 )
-from smalljump.grid import BoxRegion, GridSpec, centered_box
+from smalljump.grid import BoxRegion, GridSpec, JumpSet, centered_box
+from smalljump.kornfit import cube_smoothed_field, extract_exceptional_set
 from smalljump.strain import symmetric_gradient
 from tests import approx_reference as ref
+from tests import covering_reference as cref
 
 PARAMS = EnergyParams(HookeTensor(1.0, 1.0), p=2.0)
 CFG = ApproxConfig(eta=0.5)
@@ -284,3 +288,61 @@ def test_box_cell_slices_match_the_mask():
         assert np.sum(vals[sl].ravel()) == np.sum(vals[mask])
         if not mask.any():
             assert all(s.stop == s.start for s in sl)
+
+
+def _mixed_instance(dim: int, m: int, crown: tuple, pocket: tuple,
+                    c_star: float):
+    """The crown bundle of ``_crown_crack_instance`` (bad cubes) and a
+    pocket with only its first face declared, which demotes a good cube
+    that fits it; other good cubes whose 3/2 boxes meet a declared face
+    keep fits, some with exceptional cells.  ``crown`` and ``pocket`` are
+    (axis, plane offset, transverse centre, half-width, pocket depth,
+    ramp), in cells from the centre."""
+    g = GridSpec(dim, m, 1.0)
+    off = m // 2
+    patches = [CrackPatch(axis, off + plane, tuple(off + c - half for c in centre),
+                          tuple(off + c + half for c in centre), depth, ramp)
+               for axis, plane, centre, half, depth, ramp in (crown, pocket)]
+    opening = np.array([0.4, -0.2, 0.1][:dim])
+    u, _ = field_with_patches(g, patches, [opening, opening])
+    faces = patches[0].faces(dim) + sorted(patches[1].faces(dim))[:1]
+    return u, JumpSet(g, faces), ApproxConfig(eta=0.5, delta=0.25, c_star=c_star)
+
+
+@pytest.mark.parametrize("case", [
+    (2, 64, (0, 18, (0,), 3, 3, 2), (1, -8, (-6,), 2, 4, 1), 0.5),
+    (3, 32, (0, 8, (0, 0), 2, 3, 2), (1, -4, (-4, -4), 1, 3, 2), C_STAR_DEFAULT),
+], ids=["2d", "3d"])
+def test_partition_and_blend_equal_per_cube_reference(case):
+    u, j, cfg = _mixed_instance(*case)
+    res = approximate(u, j, PARAMS, cfg)
+    cov, part = res.covering, res.partition
+    fits = {s["cube"]: extract_exceptional_set(u, j, res.strain, cov.cubes[s["cube"]],
+                                               cfg.c_star, p=PARAMS.p)
+            for s in res.fit_summaries}
+    assert res.demoted_cubes and np.count_nonzero(~cov.good) > len(res.demoted_cubes)
+    assert any(f.omega.n_cells > 0 for f in fits.values())
+
+    entries, densum, counts, grad = cref.partition_of_unity(cov, part.rim_phi)
+    assert part.cube_index.tolist() == [i for i, _, _ in entries]
+    assert np.array_equal(part.phi_tilde,
+                          np.concatenate([phi.ravel() for _, _, phi in entries]))
+    windows = [np.indices([s.stop - s.start for s in w]).reshape(u.grid.dim, -1)
+               + np.array([s.start for s in w])[:, None] for _, w, _ in entries]
+    assert np.array_equal(part.node_index(), np.concatenate(
+        [np.ravel_multi_index(tuple(w), u.grid.node_shape) for w in windows]))
+    assert np.array_equal(part.densum, densum)
+    assert np.array_equal(part.overlap_count, counts)
+    assert part.grad_scaled == grad
+    assert np.array_equal(_blend_numerator(u, part, fits),
+                          cref.blend_numerator(u, cov, entries, part.rim_phi, fits))
+
+
+def test_smoothing_window_exiting_the_grid_raises():
+    g = GridSpec(2, 32, 1.0)
+    u, _ = rigid_field(g, seed=1)
+    edge = DyadicCube(0, (-16, 0), 8)   # its q' cells start at the grid edge
+    with pytest.raises(FitError, match="smoothing window exits the grid"):
+        cube_smoothed_field(u, edge, None)
+    with pytest.raises(FitError, match="smoothing window exits the grid"):
+        ref.cube_smoothed_field(u, edge, None)

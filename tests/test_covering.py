@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smalljump.covering import (
     CrownSelection,
+    DyadicCube,
     bad_set_perimeter,
     boundary_faces_of_mask,
     build_covering,
@@ -16,6 +20,7 @@ from smalljump.covering import (
     covering_structure_report,
     default_eta,
     lattice_delta,
+    neighbor_pairs,
     partition_of_unity,
     pick_two_budget_index,
     select_crown,
@@ -23,6 +28,8 @@ from smalljump.covering import (
 from smalljump.errors import CoveringError
 from smalljump.grid import DisplacementField, GridSpec, JumpSet
 from smalljump.strain import symmetric_gradient
+
+from tests import covering_reference as cref
 
 from .test_fields import random_skew, rigid_field
 
@@ -266,3 +273,73 @@ def test_level_zero_cubes_good_when_scale_dominates_crack():
     for i, cube in enumerate(cov.cubes):
         if cube.level == 0:
             assert cov.good[i]
+
+
+@given(data=st.data())
+def test_neighbor_pairs_equal_all_pairs_scan(data):
+    dim = data.draw(st.sampled_from([2, 3]), label="dim")
+    cells = data.draw(st.sampled_from([32, 64, 128, 256] if dim == 2
+                                      else [32, 64]), label="cells")
+    g = GridSpec(dim, cells, 1.0)
+    sides = [m for m in (4, 8, 16, 32, 64) if cells // 2 // m >= 3]
+    if dim == 3 and cells == 64:
+        sides = [m for m in sides if m >= 8]   # keeps the O(n^2) scan small
+    m = data.draw(st.sampled_from(sides), label="delta_h")
+    i0 = data.draw(st.integers(1, cells // 2 // m - 2), label="i0")
+    cov = build_covering(g, make_selection(g, m * g.spacing, i0=i0))
+    for which in ("q", "q1", "q2", "q3"):
+        assert neighbor_pairs(cov, which) == cref.neighbor_pairs(cov, which)
+
+
+def test_neighbor_pairs_skip_boxes_that_only_touch():
+    # cubes 0 and 1 share a face inside one bucket; cube 2 overlaps both
+    g = GridSpec(2, 64, 1.0)
+    cov = build_covering(g, make_selection(g, 0.25, i0=1))
+    cubes = (DyadicCube(0, (0, 0), 2), DyadicCube(0, (2, 0), 2),
+             DyadicCube(0, (1, 1), 2))
+    assert neighbor_pairs(replace(cov, cubes=cubes), "q") == [(0, 2), (1, 2)]
+
+
+@pytest.mark.parametrize("dim,cells", [(2, 64), (3, 32)])
+def test_tiling_exact_fails_for_a_missing_or_duplicated_cube(dim, cells):
+    g = GridSpec(dim, cells, 1.0)
+    cov = build_covering(g, make_selection(g, 0.25, i0=1))
+    assert covering_structure_report(cov)["tiling_exact"]
+    mid = len(cov.cubes) // 2
+    for cubes in (cov.cubes[1:], cov.cubes[:mid] + cov.cubes[mid + 1:],
+                  cov.cubes + cov.cubes[-1:], cov.cubes + cov.cubes[mid:mid + 1]):
+        assert not covering_structure_report(replace(cov, cubes=cubes))["tiling_exact"]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_neighbor_ratios_fail_for_a_four_to_one_neighbor(dim):
+    # split a first-slab cube that touches the interior box into its 2^dim
+    # children: they tile the same cells, and each one facing the interior
+    # box is a quarter of its delta-cube neighbour's side
+    g = GridSpec(dim, 64, 1.0)
+    cov = build_covering(g, make_selection(g, 0.25, i0=1))
+    s1 = cov.m // 2
+    parent = DyadicCube(1, (-cov.w1_h - s1,) + (0,) * (dim - 1), s1)
+    assert parent in cov.cubes
+    s2 = s1 // 2
+    children = tuple(
+        DyadicCube(2, tuple(a + c * s2 for a, c in zip(parent.anchor, corner)), s2)
+        for corner in np.ndindex(*(2,) * dim))
+    edited = replace(cov, cubes=tuple(c for c in cov.cubes if c != parent)
+                     + children)
+    assert covering_structure_report(cov)["neighbor_ratios_ok"]
+    rep = covering_structure_report(edited)
+    assert rep["tiling_exact"]
+    assert not rep["neighbor_ratios_ok"]
+    assert neighbor_pairs(edited, "q1") == cref.neighbor_pairs(edited, "q1")
+
+
+def test_uncovered_blended_node_raises():
+    # without one delta-cube, the centre of its cells is in no bump
+    g = GridSpec(2, 64, 1.0)
+    cov = build_covering(g, make_selection(g, 0.25, i0=1))
+    hole = next(i for i, c in enumerate(cov.cubes) if c.anchor == (0, 0))
+    edited = classify(replace(cov, cubes=cov.cubes[:hole] + cov.cubes[hole + 1:]),
+                      JumpSet(g), eta=0.5)
+    with pytest.raises(CoveringError, match="uncovered blended node"):
+        partition_of_unity(edited)
