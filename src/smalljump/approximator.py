@@ -37,7 +37,14 @@ from .covering import (
     row_groups,
     select_crown,
 )
-from .energy import EnergyParams, cellwise_pth_power, f_zero, lp_norm_cells
+from .energy import (
+    EnergyParams,
+    cellwise_pth_power,
+    f_zero,
+    frobenius_sq,
+    strain_pth_power,
+    upper_pairs,
+)
 from .errors import CoveringError, RegimeError
 from .grid import (
     BoxRegion,
@@ -165,7 +172,8 @@ class PropertyReport:
 @dataclass
 class ApproxResult:
     """The approximant and its construction; ``strain`` is e(u) of the
-    input, computed once and read by the verification."""
+    input and ``strain_norm`` its L^p norm, each computed once and read by
+    the verification."""
 
     u_tilde: DisplacementField
     new_jump: JumpSet
@@ -178,6 +186,7 @@ class ApproxResult:
     fit_summaries: list[dict]
     demoted_cubes: list[int]
     strain: np.ndarray
+    strain_norm: float
     property_report: PropertyReport | None = None
     s_estimate: float | None = None
 
@@ -217,8 +226,11 @@ def approximate(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
 
     delta = _resolve_delta(grid, delta_raw, config)
     strain = symmetric_gradient(u, jumps)
+    strain_p = strain_pth_power(strain, params.p)
+    strain_norm = float(np.sum(strain_p) * grid.spacing ** grid.dim) \
+        ** (1.0 / params.p)
 
-    selection = select_crown(u, jumps, strain, delta,
+    selection = select_crown(u, jumps, strain_p, delta,
                              include_lp_budget=config.check_lp, params=params)
     covering = build_covering(grid, selection, delta)
     classify(covering, jumps, eta)
@@ -249,7 +261,7 @@ def approximate(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
     omega_cells = _global_omega(grid, covering, fits)
 
     radius = (covering.w0_h - 0.5) * grid.spacing
-    _assert_structure(u, u_tilde, omega_cells, covering, radius, delta)
+    _assert_structure(u, u_tilde, omega_cells, radius, delta)
 
     fit_summaries = [
         {"cube": i, "level": covering.cubes[i].level, **fits[i].to_summary()}
@@ -259,7 +271,7 @@ def approximate(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
         u_tilde=u_tilde, new_jump=new_jump, omega_cells=omega_cells,
         radius=radius, delta=delta, selection=selection, covering=covering,
         partition=partition, fit_summaries=fit_summaries,
-        demoted_cubes=demoted, strain=strain)
+        demoted_cubes=demoted, strain=strain, strain_norm=strain_norm)
 
 
 def _blend_numerator(u: DisplacementField, partition: Partition,
@@ -349,17 +361,33 @@ def _global_omega(grid: GridSpec, covering: WhitneyCovering,
 
 
 def _assert_structure(u: DisplacementField, u_tilde: DisplacementField,
-                      omega: np.ndarray, covering: WhitneyCovering,
-                      radius: float, delta: float) -> None:
+                      omega: np.ndarray, radius: float, delta: float) -> None:
     grid = u.grid
     sqrt_d = math.sqrt(delta)
     if not (1.0 - sqrt_d < radius < 1.0):
         raise CoveringError(f"radius {radius} outside (1 - sqrt(delta), 1)")
-    outside = grid.node_cheb_norm() > radius
-    if np.any(u.values[outside] != u_tilde.values[outside]):
+    if any(np.any(u.values[s] != u_tilde.values[s])
+           for s in _outside_node_slabs(grid, radius)):
         raise CoveringError("approximant differs from the input outside Q_R")
-    if np.any(omega) and np.max(grid.cell_cheb_norm()[omega]) >= radius:
+    omega_centers = grid.cell_centers_1d()[np.argwhere(omega)]
+    if omega_centers.size and np.max(np.abs(omega_centers)) >= radius:
         raise CoveringError("exceptional set leaks outside Q_R")
+
+
+def _outside_node_slabs(grid: GridSpec, radius: float) -> list[tuple[slice, ...]]:
+    """Non-empty node slabs whose union is the nodes with max_a |x_a| >
+    radius: per axis, the nodes below and above the centred node box."""
+    inside = np.flatnonzero(np.abs(grid.node_coords_1d()) <= radius)
+    if inside.size == 0:
+        return [(slice(None),) * grid.dim]
+    n = grid.cells_per_side + 1
+    slabs = []
+    for a in range(grid.dim):
+        for part in (slice(0, int(inside[0])), slice(int(inside[-1]) + 1, n)):
+            if part.stop > part.start:
+                slabs.append((slice(None),) * a + (part,)
+                             + (slice(None),) * (grid.dim - a - 1))
+    return slabs
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +433,8 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
     """Measure every property of the approximant against its budget.
 
     ``u`` and ``jumps`` are the input that ``result`` was built from;
-    its strain is read from ``result.strain``.
+    its strain and the strain's L^p norm (p of ``params``) are read from
+    ``result``.
     """
     config = config or ApproxConfig()
     grid = u.grid
@@ -418,7 +447,7 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
 
     e_u = result.strain
     e_t = symmetric_gradient(result.u_tilde, result.new_jump)
-    strain_norm_q = lp_norm_cells(e_u, grid, p)
+    strain_norm_q = result.strain_norm
     bulk_u = f_zero(e_u, params)
     bulk_t = f_zero(e_t, params)
     total_bulk_u = float(np.sum(bulk_u) * hvol)
@@ -431,9 +460,9 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
     checks: list[PropertyCheck] = []
 
     # P1: exact match outside Q_R; no jump faces on the R-planes.
-    outside = grid.node_cheb_norm() > result.radius
-    mismatch = float(np.max(np.abs(result.u_tilde.values[outside]
-                                   - u.values[outside]))) if outside.any() else 0.0
+    mismatch = max((float(np.max(np.abs(result.u_tilde.values[s] - u.values[s])))
+                    for s in _outside_node_slabs(grid, result.radius)),
+                   default=0.0)
     checks.append(PropertyCheck("p1_match_outside", mismatch, 1.0, mismatch))
     r_h = result.radius / h
     on_r = 0
@@ -462,7 +491,8 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
     # P3, strain form: || e(approx) - mollified e(u) || over the inner box.
     inner = centered_box(1.0 - sqrt_d, dim).cell_slices(grid)
     mol = mollify_strain_box(e_u, inner, delta, h)
-    diff = np.sqrt(np.sum((e_t[inner] - mol) ** 2, axis=(-2, -1)))
+    diff = np.sqrt(frobenius_sq({ik: e_t[ik + inner] - mol[ik]
+                                 for ik in upper_pairs(dim)}))
     lhs3 = float(np.sum(diff.ravel() ** p) * hvol) ** (1.0 / p)
     budget3 = delta ** s_ref * strain_norm_q
     checks.append(PropertyCheck("p3_strain_error", lhs3, budget3,

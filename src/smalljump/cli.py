@@ -25,7 +25,7 @@ from .approximator import (
     fit_decay_exponent,
     verify_properties,
 )
-from .energy import EnergyParams, HookeTensor, lp_norm_cells
+from .energy import EnergyParams, HookeTensor
 from .errors import CoveringError, RegimeError, SolverError
 from .grid import (
     GridSpec,
@@ -171,7 +171,7 @@ def _run_sweep(args, params: EnergyParams, out: Path) -> int:
                            check_lp=not args.no_lp)
         res = approximate(u, jumps, params, cfg)
         rep = verify_properties(u, jumps, res, params, cfg)
-        norm = lp_norm_cells(res.strain, grid, params.p)
+        norm = res.strain_norm
         check = rep.by_name("p3_strain_error")
         deltas.append(res.delta)
         excesses.append(check.lhs)

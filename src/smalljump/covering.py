@@ -182,7 +182,7 @@ def max_feasible_delta(grid: GridSpec) -> int:
     return best
 
 
-def select_crown(u: DisplacementField, jumps: JumpSet, strain: np.ndarray,
+def select_crown(u: DisplacementField, jumps: JumpSet, strain_p: np.ndarray,
                  delta: float, include_lp_budget: bool = False,
                  params: EnergyParams | None = None) -> CrownSelection:
     """Pick the crown index whose two rings respect the sqrt-delta budgets.
@@ -192,8 +192,8 @@ def select_crown(u: DisplacementField, jumps: JumpSet, strain: np.ndarray,
     optionally the |u|^p mass of the single ring, must not exceed
     8*sqrt(delta) times their totals over the outer shell of width
     sqrt(delta).  The valid candidate with the smallest normalized budget
-    sum wins, ties going to the smallest index.  ``strain`` is the
-    symmetric gradient of u with the jumps.
+    sum wins, ties going to the smallest index.  ``strain_p`` is |e(u)|^p
+    per cell (``energy.strain_pth_power``) with p of ``params``, 2 without.
     """
     grid = u.grid
     h = grid.spacing
@@ -204,7 +204,6 @@ def select_crown(u: DisplacementField, jumps: JumpSet, strain: np.ndarray,
         raise CoveringError("crown selection infeasible: delta too large for the grid")
 
     p = params.p if params is not None else 2.0
-    strain_p = np.sqrt(np.sum(strain ** 2, axis=(-2, -1))) ** p
     lp_cells = cellwise_pth_power(u.values, grid, p)
     hvol = h ** grid.dim
 

@@ -45,11 +45,68 @@ class HookeTensor:
                    (dim * self.lame_lambda + 2 * self.lame_mu) / 4.0)
 
     def quadratic_form(self, xi: np.ndarray) -> np.ndarray:
-        """C xi . xi for an array of matrices (..., d, d)."""
-        sym = 0.5 * (xi + np.swapaxes(xi, -1, -2))
-        tr = np.trace(sym, axis1=-2, axis2=-1)
-        frob2 = np.sum(sym * sym, axis=(-2, -1))
-        return self.lame_lambda * tr * tr + 2.0 * self.lame_mu * frob2
+        """C xi . xi for matrices stored as (d, d) planes, shape (d, d, ...)."""
+        xi = np.asarray(xi, dtype=float)
+        if xi.ndim == 2:
+            return self.quadratic_form(xi[..., None])[0]
+        dim = xi.shape[0]
+        sym = {}
+        for i, k in upper_pairs(dim):
+            # 0.5*(x + x) on the diagonal, so overflow behaves as off it
+            s = xi[i, k] + xi[k, i]
+            s *= 0.5
+            sym[i, k] = s
+        tr = sym[0, 0] + sym[1, 1]
+        for i in range(2, dim):
+            tr += sym[i, i]
+        for s in sym.values():
+            s *= s
+        frob2 = _sum_squares(sym)
+        q = self.lame_lambda * tr
+        q *= tr
+        frob2 *= 2.0 * self.lame_mu
+        q += frob2
+        return q
+
+
+def upper_pairs(dim: int) -> list[tuple[int, int]]:
+    """Component pairs (i, k), i <= k, of a symmetric (dim, dim) field."""
+    return [(i, k) for i in range(dim) for k in range(i, dim)]
+
+
+def _sum_squares(sq: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
+    """sum_ik x_ik^2 from the squares ``sq[i, k]``, i <= k, of a symmetric
+    2D or 3D field; the squares are overwritten.
+
+    The nine (four) row-major terms are added as a numpy sum over
+    trailing (d, d) axes adds them: in 2D left to right,
+    ((s00 + s01) + s01) + s11; in 3D the first eight pairwise, then the
+    ninth: (((s00 + s01) + (s02 + s01)) + ((s11 + s12) + (s02 + s12))) + s22.
+    """
+    acc = np.add(sq[0, 0], sq[0, 1], out=sq[0, 0])
+    if (2, 2) not in sq:
+        acc += sq[0, 1]
+        acc += sq[1, 1]
+        return acc
+    acc += np.add(sq[0, 2], sq[0, 1], out=sq[0, 1])
+    mid = np.add(sq[1, 1], sq[1, 2], out=sq[1, 1])
+    mid += np.add(sq[0, 2], sq[1, 2], out=sq[0, 2])
+    acc += mid
+    acc += sq[2, 2]
+    return acc
+
+
+def frobenius_sq(upper: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
+    """|x|^2 per cell of an exactly symmetric matrix field given by its
+    planes ``upper[i, k]``, i <= k, summed in the order of ``_sum_squares``."""
+    return _sum_squares({ik: x * x for ik, x in upper.items()})
+
+
+def strain_pth_power(strain: np.ndarray, p: float) -> np.ndarray:
+    """|e|^p per cell (Frobenius magnitude) of a symmetric (d, d) plane
+    field such as e(u)."""
+    frob2 = frobenius_sq({ik: strain[ik] for ik in upper_pairs(strain.shape[0])})
+    return np.sqrt(frob2, out=frob2) ** p
 
 
 @dataclass(frozen=True)
@@ -100,10 +157,9 @@ def cellwise_pth_power(u_vals: np.ndarray, grid: GridSpec, p: float) -> np.ndarr
 
 
 def lp_norm_cells(cell_vals: np.ndarray, grid: GridSpec, p: float) -> float:
-    """L^p norm of a cell field of matrices/vectors (Frobenius magnitude)."""
-    extra = cell_vals.ndim - grid.dim
-    mag = np.sqrt(np.sum(cell_vals ** 2, axis=tuple(range(grid.dim, grid.dim + extra))))
-    return float(np.sum(mag ** p) * grid.spacing ** grid.dim) ** (1.0 / p)
+    """L^p norm of a symmetric (dim, dim) plane field (Frobenius magnitude)."""
+    return float(np.sum(strain_pth_power(cell_vals, p))
+                 * grid.spacing ** grid.dim) ** (1.0 / p)
 
 
 def energy_G(u: DisplacementField, jumps: JumpSet, params: EnergyParams,

@@ -80,11 +80,11 @@ class GridSpec:
 
     def cell_cheb_norm(self) -> np.ndarray:
         """max_a |x_a| at every cell center, shape cell_shape."""
-        return _cheb_norm(self.cell_centers_1d(), self.dim)
-
-    def node_cheb_norm(self) -> np.ndarray:
-        """max_a |x_a| at every node, shape node_shape."""
-        return _cheb_norm(self.node_coords_1d(), self.dim)
+        per_axis = np.abs(self.cell_centers_1d())
+        out = per_axis
+        for _ in range(self.dim - 1):
+            out = np.maximum.outer(out, per_axis)
+        return out
 
     def face_center(self, face: Face) -> np.ndarray:
         axis, idx = face
@@ -98,14 +98,6 @@ class GridSpec:
 
     def face_area(self) -> float:
         return self.spacing ** (self.dim - 1)
-
-
-def _cheb_norm(coords_1d: np.ndarray, dim: int) -> np.ndarray:
-    per_axis = np.abs(coords_1d)
-    out = per_axis
-    for _ in range(dim - 1):
-        out = np.maximum.outer(out, per_axis)
-    return out
 
 
 def _as_readonly(arr: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from .covering import (
     face_coords12,
     inside12,
 )
+from .energy import frobenius_sq, strain_pth_power, upper_pairs
 from .errors import FitError
 from .grid import (
     DisplacementField,
@@ -32,7 +33,7 @@ from .grid import (
     window_flat_index,
 )
 from .mollify import kernel_radius_cells, mollify_stack, mollify_strain_box
-from .strain import _standard_gradient, symmetric_gradient
+from .strain import _standard_gradient
 
 # Iteration caps and the IRLS step tolerance of the fits.
 IRLS_MAX_ITER = 50
@@ -247,8 +248,8 @@ def extract_exceptional_set(u: DisplacementField, jumps: JumpSet,
     residual_sobolev = float(np.sum(kept_res ** q_exp) * hvol) ** (1.0 / q_exp)
 
     sl3 = cube.enlarged_cell_ranges(grid, "q3")
-    e_mag = np.sqrt(np.sum(strain[sl3] ** 2, axis=(-2, -1)))
-    strain_p = float(np.sum(e_mag ** p) * hvol)
+    strain_p = float(np.sum(strain_pth_power(strain[(slice(None),) * 2 + sl3],
+                                             p)) * hvol)
 
     def ratio(num: float, den: float) -> float:
         if den > 0:
@@ -331,11 +332,12 @@ def residual_prefix_oracle(points: np.ndarray, values: np.ndarray,
     return motions[best], mask, best
 
 
-def mollified_strain_error(u: DisplacementField, jumps: JumpSet,
+def mollified_strain_error(u: DisplacementField, strain: np.ndarray,
                            cube: DyadicCube, fit: FitReport,
                            p: float = 2.0) -> dict:
     """Compare the strain of the cube's smoothed field against the
-    mollified strain of the original, over the 7/6 enlargement."""
+    mollified strain of the original, over the 7/6 enlargement.
+    ``strain`` is the symmetric gradient of u with its jumps."""
     grid = u.grid
     h = grid.spacing
     dim = grid.dim
@@ -345,13 +347,13 @@ def mollified_strain_error(u: DisplacementField, jumps: JumpSet,
     sl1 = cube.enlarged_cell_ranges(grid, "q1")
     local = tuple(slice(s.start - w.start, s.stop - w.start)
                   for s, w in zip(sl1, win))
-    grad = _standard_gradient(u_i, h)[local]
-    e_ui = 0.5 * (grad + np.swapaxes(grad, -1, -2))
-
-    ref = mollify_strain_box(symmetric_gradient(u, jumps), sl1, side, h)
+    grad = _standard_gradient(u_i, h)[(slice(None),) * 2 + local]
+    ref = mollify_strain_box(strain, sl1, side, h)
 
     hvol = h ** dim
-    diff = np.sqrt(np.sum((e_ui - ref) ** 2, axis=(-2, -1)))
+    diff = np.sqrt(frobenius_sq({
+        (i, k): 0.5 * (grad[i, k] + grad[k, i]) - ref[i, k]
+        for i, k in upper_pairs(dim)}))
     lhs = float(np.sum(diff ** p) * hvol)
     strain_p = fit.constants.get("strain_p_third", 0.0)
     density = fit.crack_measure / side ** (dim - 1)

@@ -10,6 +10,14 @@ the crack (never differencing across another crack); an axis with no
 usable same-side pair contributes zero strain.  Bonded faces always
 couple through their shared nodes, and rigid motions produce exactly
 zero strain in every mode.
+
+The strain is stored plane-major: ``symmetric_gradient`` returns shape
+``(dim, dim) + cell_shape`` and ``e[i, k]`` is one C-contiguous cell
+plane.  Readers reduce over the components plane by plane
+(``energy.frobenius_sq``), adding the squares in the order a numpy sum
+over trailing (dim, dim) axes takes: left to right in 2D; in 3D the
+first eight pairwise, ((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7)), then the
+ninth.  So densities and magnitudes have the bits of that sum.
 """
 
 from __future__ import annotations
@@ -157,27 +165,34 @@ def affected_cells(grid: GridSpec, jumps: JumpSet) -> set[tuple[int, ...]]:
 
 def _standard_gradient(values: np.ndarray, h: float) -> np.ndarray:
     """Crack-free gradient of node values shaped nodes + (dim,), on the
-    cells between them; entry [..., c, a] is du_c/dx_a."""
+    cells between them, as (dim, dim) + cells planes: plane [c, a] is
+    du_c/dx_a.  Each plane is built from a contiguous copy of its node
+    component."""
     dim = values.shape[-1]
-    out = np.empty(tuple(s - 1 for s in values.shape[:-1]) + (dim, dim))
-    for a in range(dim):
-        d = np.diff(values, axis=a) / h
-        for o in range(dim):
-            if o == a:
-                continue
-            sl_lo = [slice(None)] * d.ndim
-            sl_hi = [slice(None)] * d.ndim
-            sl_lo[o] = slice(0, -1)
-            sl_hi[o] = slice(1, None)
-            d = 0.5 * (d[tuple(sl_lo)] + d[tuple(sl_hi)])
-        out[..., :, a] = d
+    out = np.empty((dim, dim) + tuple(s - 1 for s in values.shape[:-1]))
+    for c in range(dim):
+        comp = np.ascontiguousarray(values[..., c])
+        for a in range(dim):
+            d = np.diff(comp, axis=a)
+            d /= h
+            for o in range(dim):
+                if o == a:
+                    continue
+                sl_lo = [slice(None)] * dim
+                sl_hi = [slice(None)] * dim
+                sl_lo[o] = slice(0, -1)
+                sl_hi[o] = slice(1, None)
+                d = d[tuple(sl_lo)] + d[tuple(sl_hi)]
+                d *= 0.5
+            out[c, a] = d
     return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def symmetric_gradient(u: DisplacementField, jumps: JumpSet) -> np.ndarray:
-    """Per-cell symmetrized gradient, shape cell_shape + (dim, dim);
-    cracked faces contribute no strain.
+    """Per-cell symmetrized gradient, shape (dim, dim) + cell_shape with
+    one contiguous plane per component; cracked faces contribute no
+    strain.
 
     Exactly symmetric by construction, and read-only.  Finite node values
     can still overflow in the differences; that raises one ValueError
@@ -189,7 +204,8 @@ def symmetric_gradient(u: DisplacementField, jumps: JumpSet) -> np.ndarray:
             or jg.half_width != grid.half_width:
         raise ValueError("displacement and jump set live on different grids")
     dim = grid.dim
-    grad = _standard_gradient(u.values, grid.spacing)
+    e = _standard_gradient(u.values, grid.spacing)
+    planes = (slice(None), slice(None))
 
     dead_cells: list[tuple[tuple[int, ...], list[int]]] = []
     if len(jumps) > 0:
@@ -204,15 +220,22 @@ def symmetric_gradient(u: DisplacementField, jumps: JumpSet) -> np.ndarray:
                 for node, coef in ops[a]:
                     acc += coef * u.values[node]
                 d_local[:, a] = acc
-            grad[cell] = d_local
+            e[planes + cell] = d_local
             if dead:
                 dead_cells.append((cell, dead))
 
-    e = 0.5 * (grad + np.swapaxes(grad, -1, -2))
+    # 0.5*(g_ik + g_ki) in place, once per pair; the diagonal keeps
+    # 0.5*(g + g), which overflows where the sum does
+    for i in range(dim):
+        for k in range(i, dim):
+            np.add(e[i, k], e[k, i], out=e[i, k])
+            e[i, k] *= 0.5
+            if k != i:
+                e[k, i] = e[i, k]
     for cell, dead in dead_cells:
         for a in dead:
-            e[cell][a, :] = 0.0
-            e[cell][:, a] = 0.0
+            e[(a, slice(None)) + cell] = 0.0
+            e[(slice(None), a) + cell] = 0.0
     if not np.all(np.isfinite(e)):
         raise ValueError("strain values must be finite")
     e.flags.writeable = False   # shared by every layer of a run

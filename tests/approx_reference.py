@@ -2,6 +2,7 @@
 
 Each function evaluates one quantity of ``verify_properties``,
 ``boundary_trace_check`` or ``mollified_strain_error`` the direct way:
+the trailing-axes strain of ``strain_reference`` and its numpy sums,
 full-grid mollification of all dim*dim strain components, full-grid
 boolean box masks built as outer products of per-axis masks, and
 whole-grid distances.  The windowed code must return the same bits.
@@ -19,11 +20,16 @@ from smalljump.approximator import (
     _norm_region_boxes,
     _ratio,
 )
-from smalljump.energy import cellwise_pth_power, f_zero, lp_norm_cells
+from smalljump.energy import cellwise_pth_power
 from smalljump.errors import CoveringError, FitError
 from smalljump.grid import centered_box, corner_average, node_mask_from_cells
 from smalljump.mollify import kernel_radius_cells, mollify
-from smalljump.strain import _standard_gradient, symmetric_gradient
+from tests.strain_reference import (
+    f_zero,
+    lp_norm_cells,
+    standard_gradient,
+    symmetric_gradient,
+)
 
 
 def box_cell_mask(grid, box):
@@ -157,7 +163,7 @@ def mollified_strain_error_lhs(u, jumps, cube, fit, p):
     sl1 = cube.enlarged_cell_ranges(grid, "q1")
     local = tuple(slice(s.start - w.start, s.stop - w.start)
                   for s, w in zip(sl1, win))
-    grad = _standard_gradient(u_i, h)[local]
+    grad = standard_gradient(u_i, h)[local]
     e_ui = 0.5 * (grad + np.swapaxes(grad, -1, -2))
     mol, _ = mollify(symmetric_gradient(u, jumps), dim, cube.side * h, h)
     diff = np.sqrt(np.sum((e_ui - mol[sl1]) ** 2, axis=(-2, -1)))

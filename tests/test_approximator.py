@@ -8,8 +8,10 @@ import pytest
 from smalljump.approximator import (
     C_STAR_DEFAULT,
     ApproxConfig,
+    _assert_structure,
     _blend_numerator,
     _norm_region_boxes,
+    _outside_node_slabs,
     approximate,
     boundary_trace_check,
     fit_decay_exponent,
@@ -23,7 +25,7 @@ from smalljump.energy import (
     f_zero,
     lp_norm_cells,
 )
-from smalljump.errors import FitError, RegimeError
+from smalljump.errors import CoveringError, FitError, RegimeError
 from smalljump.generators import (
     CrackPatch,
     field_with_patches,
@@ -34,11 +36,18 @@ from smalljump.generators import (
     sinusoid_field,
     two_motion_crack_field,
 )
-from smalljump.grid import BoxRegion, GridSpec, JumpSet, centered_box
+from smalljump.grid import (
+    BoxRegion,
+    DisplacementField,
+    GridSpec,
+    JumpSet,
+    centered_box,
+)
 from smalljump.kornfit import cube_smoothed_field, extract_exceptional_set
 from smalljump.strain import symmetric_gradient
 from tests import approx_reference as ref
 from tests import covering_reference as cref
+from tests import strain_reference as sref
 
 PARAMS = EnergyParams(HookeTensor(1.0, 1.0), p=2.0)
 CFG = ApproxConfig(eta=0.5)
@@ -85,8 +94,8 @@ def test_two_motion_crack_budgets_and_direct_crosscheck():
     # independent re-evaluation of the strain error by raw quadrature
     from smalljump.mollify import mollify
 
-    e_u = symmetric_gradient(u, j)
-    e_t = symmetric_gradient(res.u_tilde, res.new_jump)
+    e_u = sref.symmetric_gradient(u, j)
+    e_t = sref.symmetric_gradient(res.u_tilde, res.new_jump)
     mol, margin = mollify(e_u, 2, res.delta, g.spacing)
     mask = centered_box(1.0 - np.sqrt(res.delta), 2).cell_mask(g)
     d = np.sqrt(np.sum((e_t - mol) ** 2, axis=(-2, -1)))
@@ -346,3 +355,42 @@ def test_smoothing_window_exiting_the_grid_raises():
         cube_smoothed_field(u, edge, None)
     with pytest.raises(FitError, match="smoothing window exits the grid"):
         ref.cube_smoothed_field(u, edge, None)
+
+
+@pytest.mark.parametrize("dim,m", [(2, 16), (3, 8)])
+def test_outside_node_slabs_are_the_nodes_outside_q_r(dim, m):
+    g = GridSpec(dim, m, 1.0)
+    for radius in (-1.0, 0.0, 0.3, 0.5, 1.0 - g.spacing, 0.99, 1.0):
+        mask = np.zeros(g.node_shape, dtype=bool)
+        for s in _outside_node_slabs(g, radius):
+            assert mask[s].size > 0
+            mask[s] = True
+        cheb = np.max(np.abs(g.node_coord_grid()), axis=-1)
+        assert np.array_equal(mask, cheb > radius)
+
+
+def test_assert_structure_catches_changes_outside_q_r_and_omega_leaks():
+    g = GridSpec(2, 16, 1.0)        # h = 1/8; node and cell coordinates
+    radius, delta = 0.8125, 0.25    # radius is a cell-centre coordinate
+    u = DisplacementField(g, np.zeros(g.node_shape + (2,)))
+    omega = np.zeros(g.cell_shape, dtype=bool)
+    _assert_structure(u, u, omega, radius, delta)
+    # node 15 sits at 0.875 > radius, node 14 at 0.75 inside
+    for node, outside in (((15, 8), True), ((8, 1), True), ((14, 14), False)):
+        vals = np.zeros(g.node_shape + (2,))
+        vals[node] = 1.0
+        changed = DisplacementField(g, vals)
+        if outside:
+            with pytest.raises(CoveringError, match="differs"):
+                _assert_structure(u, changed, omega, radius, delta)
+        else:
+            _assert_structure(u, changed, omega, radius, delta)
+    # cell 14 has its centre at 0.8125 = radius, cell 13 at 0.6875
+    for cell, leaks in (((8, 14), True), ((1, 8), True), ((13, 2), False)):
+        om = omega.copy()
+        om[cell] = True
+        if leaks:
+            with pytest.raises(CoveringError, match="leaks"):
+                _assert_structure(u, u, om, radius, delta)
+        else:
+            _assert_structure(u, u, om, radius, delta)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,7 +15,10 @@ from smalljump.energy import (
     energy_G,
     energy_G0,
     f_mu,
+    f_zero,
     jump_measure,
+    lp_norm_cells,
+    strain_pth_power,
 )
 from smalljump.grid import (
     BoxRegion,
@@ -26,7 +31,8 @@ from smalljump.grid import (
     save_jump,
 )
 from smalljump.mollify import mollify
-from smalljump.strain import symmetric_gradient
+from smalljump.strain import CrackContext, cell_strain_ops, symmetric_gradient
+from tests import strain_reference as sref
 
 
 def rigid_field(grid: GridSpec, w: np.ndarray, b: np.ndarray) -> DisplacementField:
@@ -83,7 +89,7 @@ def test_strain_identity_map(grid2d):
     x = grid2d.node_coord_grid()
     u = DisplacementField(grid2d, x.copy())
     e = symmetric_gradient(u, JumpSet(grid2d))
-    expected = np.eye(2)
+    expected = np.eye(2)[:, :, None, None]
     assert np.allclose(e - expected, 0.0, atol=1e-13)
 
 
@@ -130,8 +136,10 @@ def test_strain_exactly_symmetric_on_random_cracks(g, data, seed):
     rng = np.random.default_rng(seed)
     u = DisplacementField(g, rng.normal(size=g.node_shape + (g.dim,)))
     e = symmetric_gradient(u, js)
-    assert e.shape == g.cell_shape + (g.dim, g.dim)
-    assert np.array_equal(e, np.swapaxes(e, -1, -2))
+    assert e.shape == (g.dim, g.dim) + g.cell_shape
+    assert all(e[i, k].flags.c_contiguous
+               for i, k in itertools.product(range(g.dim), repeat=2))
+    assert np.array_equal(e, np.swapaxes(e, 0, 1))
 
 
 @pytest.mark.parametrize("g", _STRAIN_GRIDS, ids=["2d8", "3d4"])
@@ -144,6 +152,44 @@ def test_rigid_motion_strain_vanishes_on_random_cracks(g, data, seed):
     e = symmetric_gradient(rigid_field(g, w, b), js)
     bound = 1e-12 * (1.0 + np.max(np.abs(w)) + np.max(np.abs(b)))
     assert np.max(np.abs(e)) <= bound
+
+
+def _with_dead_axis(js: JumpSet) -> JumpSet:
+    """js plus the two faces bounding cell (1, ..., 1) along axis 0, the
+    low one owned by the low side and the high one by the high side: the
+    cell keeps no same-side pair on axis 0."""
+    c = (1,) * js.grid.dim
+    low, high = (0, c), (0, (2,) + c[1:])
+    return JumpSet(js.grid, js.faces | {low, high},
+                   (js.owner_high - {low}) | {high})
+
+
+@pytest.mark.parametrize("g", _STRAIN_GRIDS, ids=["2d8", "3d4"])
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_planes_and_densities_equal_trailing_axes_reference(g, data, seed):
+    # every strain plane, energy density and magnitude against the
+    # trailing-axes layout and its numpy sums, bit for bit
+    js = _with_dead_axis(data.draw(crack_sets(g)))
+    assert 0 in cell_strain_ops(g, CrackContext(g, js), (1,) * g.dim)[1]
+    rng = np.random.default_rng(seed)
+    u = DisplacementField(g, rng.normal(size=g.node_shape + (g.dim,)))
+    e = symmetric_gradient(u, js)
+    want = sref.symmetric_gradient(u, js)
+    for i, k in itertools.product(range(g.dim), repeat=2):
+        assert np.array_equal(e[i, k], want[..., i, k])
+    # general, non-symmetric matrices for the densities
+    xi = rng.normal(size=(3,) + g.cell_shape + (g.dim, g.dim))
+    hooke = HookeTensor(rng.uniform(0.0, 2.0), rng.uniform(0.1, 2.0))
+    for p in (1.5, 2.0, 3.0):
+        params = EnergyParams(hooke, p=p, mu_offset=rng.uniform(0.01, 1.0))
+        for x in (want, xi):
+            planes = sref.to_planes(x)
+            assert np.array_equal(hooke.quadratic_form(planes),
+                                  sref.quadratic_form(hooke, x))
+            assert np.array_equal(f_mu(planes, params), sref.f_mu(x, params))
+            assert np.array_equal(f_zero(planes, params), sref.f_zero(x, params))
+        assert np.array_equal(strain_pth_power(e, p), sref.magnitude(want) ** p)
+        assert lp_norm_cells(e, g, p) == sref.lp_norm_cells(want, g, p)
 
 
 def test_jump_measure_values(grid2d):
@@ -184,12 +230,12 @@ def test_hooke_coercivity():
         hooke.validate(dim)
         c0 = hooke.coercivity_constant(dim)
         assert c0 > 0
-        xi = rng.normal(size=(1000, dim, dim))
+        xi = rng.normal(size=(dim, dim, 1000))
         q = hooke.quadratic_form(xi)
-        norm2 = np.sum((xi + np.swapaxes(xi, -1, -2)) ** 2, axis=(-2, -1))
+        norm2 = np.sum((xi + np.swapaxes(xi, 0, 1)) ** 2, axis=(0, 1))
         assert np.all(q >= c0 * norm2 - 1e-10)
         # skew inputs carry no energy
-        skew = xi - np.swapaxes(xi, -1, -2)
+        skew = xi - np.swapaxes(xi, 0, 1)
         assert np.max(np.abs(hooke.quadratic_form(skew))) < 1e-12
 
 

@@ -2,8 +2,11 @@
 
 The determinism tests compare two runs of one build, so they cannot see
 a change that moves every run the same way.  These digests pin the bytes
-of ``report.json`` and ``u_tilde.bin`` for one 2D and one 3D instance; a
-refactor that is meant to keep outputs bit-identical must keep them.
+of ``report.json`` and ``u_tilde.bin`` for one 2D and two 3D instances
+(one at p = 1.5, which takes the fractional-power path of the energy
+densities), and of ``summary.json`` and ``minimizer.bin`` for one 2D
+oracle run whose minimizer is cracked, so its density table is filled;
+a refactor that is meant to keep outputs bit-identical must keep them.
 
 Recorded with numpy 2.4.6 and scipy 1.17.1 (Python 3.11, x86-64).  A
 different numpy or scipy build may round differently; if only the
@@ -20,14 +23,28 @@ from smalljump.cli import main
 
 GOLDEN = {
     "2d-128-rigid-patches": (
-        ["--dim", "2", "--cells", "128", "--seed", "2", "--count", "3"],
+        ["--dim", "2", "--cells", "128", "--seed", "2", "--count", "3"], [],
         "fe791991c0b4df92c981918a38e7f7db7307ce46c3c8bd5573ff682bb63bb948",
         "3fadb56e8bd6f13c0948d5d0d8ad65722d6d29ea8a0ebd8191e63e2064e8ac43",
     ),
     "3d-32-rigid-patches": (
-        ["--dim", "3", "--cells", "32", "--seed", "1", "--count", "2"],
+        ["--dim", "3", "--cells", "32", "--seed", "1", "--count", "2"], [],
         "134f172ca2cbd61512af051637881346f87fd16ae4522f040a05a50f27c5986a",
         "c44838a9656782af52eb0276c933ab29a0a4b52f74d5672c7aaa4aaec612fc02",
+    ),
+    "3d-32-rigid-patches-p1.5": (
+        ["--dim", "3", "--cells", "32", "--seed", "1", "--count", "2"],
+        ["--p", "1.5"],
+        "b7df7e68d7668753c0fce032aa3bd9bcb3e2739198cdff9a41830e008404e3d5",
+        "f2abd6b0c796618be4edcc1a25576c5529bde8516871ab37623e77a25d70ae8e",
+    ),
+}
+
+ORACLE_GOLDEN = {
+    "2d-16-cracked-minimizer": (
+        ["--dim", "2", "--cells", "16", "--kappa", "2", "--beta", "0.05"],
+        "534fc936e5bd8ddb7796b61850819dc1cfec53aa0cd91ee0c5077920253b39b5",
+        "a10a0241304cf0903c30243e68462e075a3b2df97c8d90123323a20d1555db6a",
     ),
 }
 
@@ -38,13 +55,24 @@ def _sha256(path) -> str:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_approx_outputs_match_golden_digests(tmp_path, name):
-    gen_args, report_sha, field_sha = GOLDEN[name]
+    gen_args, approx_args, report_sha, field_sha = GOLDEN[name]
     base = tmp_path / "field"
     assert main(["gen", "--spec", "rigid-patches", *gen_args,
                  "--out", str(base)]) == 0
     out = tmp_path / "run"
     assert main(["approx", "--field", str(base),
                  "--jump", str(base.with_suffix(".jump.json")),
-                 "--eta", "0.5", "--out", str(out)]) == 0
+                 "--eta", "0.5", *approx_args,
+                 "--out", str(out)]) == 0
     assert _sha256(out / "report.json") == report_sha
     assert _sha256(out / "u_tilde.bin") == field_sha
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GOLDEN))
+def test_oracle_outputs_match_golden_digests(tmp_path, name):
+    args, summary_sha, field_sha = ORACLE_GOLDEN[name]
+    out = tmp_path / "run"
+    assert main(["oracle", *args, "--out", str(out)]) == 0
+    assert (out / "density.csv").exists()
+    assert _sha256(out / "summary.json") == summary_sha
+    assert _sha256(out / "minimizer.bin") == field_sha

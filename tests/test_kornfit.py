@@ -239,10 +239,9 @@ def test_mollified_strain_error_zero_for_rigid():
     g = GridSpec(2, 32, 1.0)
     u = rigid_field(g, random_skew(rng, 2), rng.normal(size=2))
     cube = centered_cube(g, 8)
-    rep = extract_exceptional_set(u, JumpSet(g),
-                                  symmetric_gradient(u, JumpSet(g)), cube,
-                                  c_star=2.0)
-    out = mollified_strain_error(u, JumpSet(g), cube, rep)
+    strain = symmetric_gradient(u, JumpSet(g))
+    rep = extract_exceptional_set(u, JumpSet(g), strain, cube, c_star=2.0)
+    out = mollified_strain_error(u, strain, cube, rep)
     assert out["error_p"] < 1e-26
 
 
@@ -253,9 +252,9 @@ def test_mollified_strain_error_decays_with_crack_size():
     for half_span in (8, 4, 2):
         u, jumps, _, _ = two_motion_cube_field(
             g, 32, slice(32 - half_span, 32 + half_span), (0.4, -0.2))
-        rep = extract_exceptional_set(u, jumps, symmetric_gradient(u, jumps),
-                                      cube, c_star=3.0)
-        out = mollified_strain_error(u, jumps, cube, rep)
+        strain = symmetric_gradient(u, jumps)
+        rep = extract_exceptional_set(u, jumps, strain, cube, c_star=3.0)
+        out = mollified_strain_error(u, strain, cube, rep)
         ratios.append(out["ratio"])
     assert ratios[2] < ratios[0]
 
@@ -286,7 +285,7 @@ def test_smoothing_and_mollified_strain_error_equal_whole_grid_reference(dim, m)
             want, want_win = ref.cube_smoothed_field(u, cube, f)
             assert win == want_win and np.array_equal(got, want)
         for p in (2.0, 1.5):
-            out = mollified_strain_error(u, jumps, cube, fit, p=p)
+            out = mollified_strain_error(u, strain, cube, fit, p=p)
             assert out["error_p"] == ref.mollified_strain_error_lhs(
                 u, jumps, cube, fit, p)
     assert with_omega > 0
@@ -369,7 +368,7 @@ def test_fitted_neighbor_distance_controlled_by_strain():
             for c in (c1, c2)]
     dist = neighbor_affine_distance(reps[0].motion, reps[1].motion, g, c1, c2)
     sl = c1.enlarged_cell_ranges(g, "q3")
-    mag = np.sqrt(np.sum(e[sl] ** 2, axis=(-2, -1)))
+    mag = np.sqrt(np.sum(e[(slice(None),) * 2 + sl] ** 2, axis=(0, 1)))
     norm = float(np.sum(mag ** 2) * g.spacing ** 2) ** 0.5
     delta_q = c1.side * g.spacing
     assert dist <= 20.0 * delta_q ** 0.5 * norm
