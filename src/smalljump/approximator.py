@@ -172,8 +172,8 @@ class PropertyReport:
 @dataclass
 class ApproxResult:
     """The approximant and its construction; ``strain`` is e(u) of the
-    input and ``strain_norm`` its L^p norm, each computed once and read by
-    the verification."""
+    input, ``strain_norm`` its L^p norm and ``u_pth`` |u|^p per cell of
+    the input, each computed once and read by the verification."""
 
     u_tilde: DisplacementField
     new_jump: JumpSet
@@ -187,6 +187,7 @@ class ApproxResult:
     demoted_cubes: list[int]
     strain: np.ndarray
     strain_norm: float
+    u_pth: np.ndarray
     property_report: PropertyReport | None = None
     s_estimate: float | None = None
 
@@ -230,8 +231,9 @@ def approximate(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
     strain_norm = float(np.sum(strain_p) * grid.spacing ** grid.dim) \
         ** (1.0 / params.p)
 
-    selection = select_crown(u, jumps, strain_p, delta,
-                             include_lp_budget=config.check_lp, params=params)
+    u_pth = cellwise_pth_power(u.values, grid, params.p)
+    selection = select_crown(u, jumps, strain_p, u_pth, delta,
+                             include_lp_budget=config.check_lp)
     covering = build_covering(grid, selection, delta)
     classify(covering, jumps, eta)
 
@@ -271,7 +273,8 @@ def approximate(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
         u_tilde=u_tilde, new_jump=new_jump, omega_cells=omega_cells,
         radius=radius, delta=delta, selection=selection, covering=covering,
         partition=partition, fit_summaries=fit_summaries,
-        demoted_cubes=demoted, strain=strain, strain_norm=strain_norm)
+        demoted_cubes=demoted, strain=strain, strain_norm=strain_norm,
+        u_pth=u_pth)
 
 
 def _blend_numerator(u: DisplacementField, partition: Partition,
@@ -433,8 +436,8 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
     """Measure every property of the approximant against its budget.
 
     ``u`` and ``jumps`` are the input that ``result`` was built from;
-    its strain and the strain's L^p norm (p of ``params``) are read from
-    ``result``.
+    its strain, the strain's L^p norm and |u|^p (p of ``params``) are
+    read from ``result``.
     """
     config = config or ApproxConfig()
     grid = u.grid
@@ -451,7 +454,7 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
     bulk_u = f_zero(e_u, params)
     bulk_t = f_zero(e_t, params)
     total_bulk_u = float(np.sum(bulk_u) * hvol)
-    u_pth = cellwise_pth_power(u.values, grid, p)
+    u_pth = result.u_pth
     u_norm_q = float(np.sum(u_pth) * hvol) ** (1.0 / p)
     u_scale = 1.0 + u_norm_q
     norm_floor = 1e-12 * u_scale

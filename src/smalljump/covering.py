@@ -29,7 +29,6 @@ from .grid import (
     node_mask_from_cells,
     window_flat_index,
 )
-from .energy import EnergyParams, cellwise_pth_power
 
 ENLARGE12 = {"q": 12, "q1": 14, "q2": 16, "q3": 18}  # 1, 7/6, 4/3, 3/2 in twelfths
 BUCKET12 = 48        # neighbour-search bucket: the finest cube side, 4h, in h/12
@@ -183,8 +182,8 @@ def max_feasible_delta(grid: GridSpec) -> int:
 
 
 def select_crown(u: DisplacementField, jumps: JumpSet, strain_p: np.ndarray,
-                 delta: float, include_lp_budget: bool = False,
-                 params: EnergyParams | None = None) -> CrownSelection:
+                 u_p: np.ndarray, delta: float,
+                 include_lp_budget: bool = False) -> CrownSelection:
     """Pick the crown index whose two rings respect the sqrt-delta budgets.
 
     Budgets follow the averaging argument over disjoint ring pairs: the
@@ -193,7 +192,8 @@ def select_crown(u: DisplacementField, jumps: JumpSet, strain_p: np.ndarray,
     8*sqrt(delta) times their totals over the outer shell of width
     sqrt(delta).  The valid candidate with the smallest normalized budget
     sum wins, ties going to the smallest index.  ``strain_p`` is |e(u)|^p
-    per cell (``energy.strain_pth_power``) with p of ``params``, 2 without.
+    per cell (``energy.strain_pth_power``) and ``u_p`` is |u|^p per cell
+    (``energy.cellwise_pth_power``), both with the same p.
     """
     grid = u.grid
     h = grid.spacing
@@ -203,8 +203,6 @@ def select_crown(u: DisplacementField, jumps: JumpSet, strain_p: np.ndarray,
     if n_ann < 4 or i_max < 1:
         raise CoveringError("crown selection infeasible: delta too large for the grid")
 
-    p = params.p if params is not None else 2.0
-    lp_cells = cellwise_pth_power(u.values, grid, p)
     hvol = h ** grid.dim
 
     cheb = grid.cell_cheb_norm()
@@ -225,7 +223,7 @@ def select_crown(u: DisplacementField, jumps: JumpSet, strain_p: np.ndarray,
     shell_w = min((1.0 - sqrt_d) / h, float((n_ann - i_max - 2) * m))
     total_mask = ~box_cells(shell_w)
     tot_strain = float(np.sum(strain_p[total_mask]) * hvol)
-    tot_lp = float(np.sum(lp_cells[total_mask]) * hvol)
+    tot_lp = float(np.sum(u_p[total_mask]) * hvol)
     tot_jump = (len(jumps) - box_faces(shell_w)) * grid.face_area()
 
     cands = list(range(1, i_max + 1))
@@ -239,7 +237,7 @@ def select_crown(u: DisplacementField, jumps: JumpSet, strain_p: np.ndarray,
             * grid.face_area()
         if include_lp_budget:
             single = outer & ~box_cells((n_ann - i - 1) * m)
-            c_i = float(np.sum(lp_cells[single]) * hvol)
+            c_i = float(np.sum(u_p[single]) * hvol)
             rows.append((a_i, b_i, c_i))
         else:
             rows.append((a_i, b_i))

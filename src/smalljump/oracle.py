@@ -107,15 +107,11 @@ class ElasticSystem:
     once and broadcast over the grid as COO triplets, and the fidelity
     diagonal is added to their sum; a crack set adds cached per-cell
     corrections (minus the crack-free block, plus the cracked one) as
-    more triplets.
+    more triplets.  The Hessian is CSR with int32 indices at every size.
 
-    The storage form follows from the DOF count alone.  Below
-    DENSE_DOF_LIMIT unknowns the Hessian is a dense array and ``solve``
-    uses LU; above, it is CSR with int32 indices and ``solve`` runs
-    conjugate gradients with a Jacobi preconditioner to 1e-12 relative
-    residual.  The oracle search calls ``solve`` on neither form:
-    ConfigurationEnergies condenses it onto the DOFs the candidates
-    touch, with a banded Cholesky of the crack-free block on CSR.
+    ``solve`` is the condensed search of ConfigurationEnergies with no
+    candidates: every free DOF is eliminated, through the same
+    factorization of H_II that the oracle search uses.
     """
 
     def __init__(self, grid: GridSpec, params: EnergyParams,
@@ -155,7 +151,6 @@ class ElasticSystem:
         self.pinned = pin
         self.pin_values = self.g_vals if pinned_values is None else pinned_values
 
-        self.dense = self.n_dof < DENSE_DOF_LIMIT
         self._base = None
         self._cell_cache: dict = {}
         self._face_cells: dict = {}
@@ -235,18 +230,13 @@ class ElasticSystem:
             diag = 2.0 * w * np.repeat(self._counts.reshape(-1), self.dim)
             f = diag * self.g_vals.reshape(-1)
             const = w * float(np.sum(self._counts[..., None] * self.g_vals ** 2))
-        if self.dense:
-            H = np.zeros((n, n))
-            np.add.at(H, (rows, cols), vals)
-            np.fill_diagonal(H, H.diagonal() + diag)
-        else:
-            from scipy import sparse
-            H = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-            # tocsr leaves the summed entries in triplet-sized buffers;
-            # compact them once the triplets are freed
-            del rows, cols, vals
-            H = H.copy()
-            H.setdiag(H.diagonal() + diag)
+        from scipy import sparse
+        H = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        # tocsr leaves the summed entries in triplet-sized buffers;
+        # compact them once the triplets are freed
+        del rows, cols, vals
+        H = H.copy()
+        H.setdiag(H.diagonal() + diag)
         self._base = (H, f, const)
         return self._base
 
@@ -281,14 +271,10 @@ class ElasticSystem:
                 corrections.append(self._cell_cache[key])
         if not corrections:
             return H0, f, const
+        from scipy import sparse
         rows, cols, vals = (np.concatenate(parts) for parts in zip(*corrections))
-        if self.dense:
-            H = H0.copy()
-            np.add.at(H, (rows, cols), vals)
-        else:
-            from scipy import sparse
-            H = (H0 + sparse.coo_matrix((vals, (rows, cols)),
-                                        shape=H0.shape)).tocsr()
+        H = (H0 + sparse.coo_matrix((vals, (rows, cols)),
+                                    shape=H0.shape)).tocsr()
         return H, f, const
 
     def fidelity_energy(self, x: np.ndarray) -> np.ndarray:
@@ -301,38 +287,14 @@ class ElasticSystem:
         return w * np.sum(self._counts.reshape(-1) * diff2, axis=-1)
 
     def solve(self, jumps: JumpSet) -> tuple[DisplacementField, dict]:
-        H, f, const = self.system_for(jumps)
-        pin = np.repeat(self.pinned.reshape(-1), self.dim)
-        free, pinned = np.flatnonzero(~pin), np.flatnonzero(pin)
-        x = self.pin_values.reshape(-1).copy()
-        # outer indexing slices a dense array and a CSR matrix alike
-        rhs = f[free] - H[free[:, None], pinned] @ x[pinned]
-        Hff = H[free[:, None], free]
-        if self.dense:
-            try:
-                sol = np.linalg.solve(Hff, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"singular elastic system: {exc}") from exc
-        else:
-            from scipy.sparse import diags
-            from scipy.sparse.linalg import cg
-            diag = Hff.diagonal()
-            if np.any(diag <= 0):
-                raise SolverError("singular elastic system: nonpositive diagonal")
-            sol, info = cg(Hff, rhs, rtol=1e-12, atol=0.0, M=diags(1.0 / diag),
-                           maxiter=20 * rhs.size)
-            if info != 0:
-                raise SolverError(f"conjugate gradients did not converge ({info})")
-        x[free] = sol
-        residual = float(np.linalg.norm(Hff @ sol - rhs))
-        rel = residual / max(float(np.linalg.norm(rhs)), 1e-300)
-        if rel > 1e-10:
-            raise SolverError(f"elastic solve did not converge: rel residual {rel:.2e}")
-        vals = x.reshape(self.grid.node_shape + (self.dim,))
-        u = DisplacementField(self.grid, vals)
-        quad_energy = float(0.5 * x @ (H @ x) - f @ x + const)
-        return u, {"relative_residual": rel, "quadratic_energy": quad_energy,
-                   "energy_scale": abs(const)}
+        """Minimizer for one crack set, with its relative residual and
+        quadratic energy."""
+        energies = ConfigurationEnergies(self, [], jumps)
+        x, quad, rel = energies._condensed_solve(np.zeros(1, dtype=np.int64))
+        u = DisplacementField(self.grid, x[0].reshape(self.g_vals.shape))
+        return u, {"relative_residual": float(rel[0]),
+                   "quadratic_energy": float(quad[0]),
+                   "energy_scale": abs(energies._const)}
 
 
 def _triplets(dofs: np.ndarray, loc: np.ndarray):
@@ -392,15 +354,13 @@ def _scatter_corner_weights(cell_ones: np.ndarray, dim: int) -> np.ndarray:
 def solve_elastic(grid: GridSpec, jumps: JumpSet, params: EnergyParams,
                   boundary: str = "free", homogeneous: bool = False,
                   pinned_mask: np.ndarray | None = None,
-                  pinned_values: np.ndarray | None = None,
-                  system: ElasticSystem | None = None
+                  pinned_values: np.ndarray | None = None
                   ) -> tuple[DisplacementField, dict]:
     """Exact minimizer of the discrete bulk + fidelity energy for a fixed
     crack set; the energy consistency against the quadrature functional
     is returned in the info dictionary."""
-    sys_ = system or ElasticSystem(grid, params, boundary, homogeneous,
-                                   pinned_mask, pinned_values)
-    u, info = sys_.solve(jumps)
+    u, info = ElasticSystem(grid, params, boundary, homogeneous, pinned_mask,
+                            pinned_values).solve(jumps)
     bd = energy_breakdown(u, jumps, params, homogeneous=homogeneous)
     info["bulk_fidelity_energy"] = bd["bulk"] + bd["fidelity"]
     gap = abs(info["quadratic_energy"] - info["bulk_fidelity_energy"])
@@ -428,12 +388,18 @@ class ConfigurationEnergies:
     Every configuration is checked on the full Hessian: relative residual
     at most 1e-10, and the quadratic energy of the full u.
 
-    H_II is solved by LU on the dense form.  On the sparse form it is
-    banded in the natural node order, and LAPACK's banded Cholesky keeps
-    its factor in (w + 1) |I| 8 bytes for half-bandwidth w: 8.6 MiB on
-    2D 64^2 (w = 133), 103 MiB on 3D 16^3 (w = 923).  On the 2D 64^2
-    CLI oracle a sparse LU (``splu``) of H_II took 0.24 s instead of
-    0.17 s and peaked at 100 MB instead of 87 MB.
+    H_II is factored one of two ways, chosen by the DOF count alone, as
+    each way wins at one end.  Below DENSE_DOF_LIMIT DOFs the Hessian is
+    made dense once and H_II is solved by LU: small searches then never
+    import scipy.linalg, whose import alone raised the peak RSS of the
+    12-face cross on 2D 8^2 from 64.3-64.7 to 72.5-73.0 MB when the
+    banded factor ran at every size.  Above it a dense Hessian would not
+    fit (571 MB at 8 450 DOFs, 2D 64^2).  H_II is banded in the natural
+    node order, and LAPACK's banded Cholesky keeps its factor in
+    (w + 1) |I| 8 bytes for half-bandwidth w: 8.6 MiB on 2D 64^2
+    (w = 133), 103 MiB on 3D 16^3 (w = 923).  On the 2D 64^2 CLI oracle
+    a sparse LU (``splu``) of H_II took 0.24 s instead of 0.17 s and
+    peaked at 100 MB instead of 87 MB.
     """
 
     def __init__(self, system: ElasticSystem, candidates: list[Face],
@@ -480,6 +446,9 @@ class ConfigurationEnergies:
         sys_ = self.system
         blocks = list(self._cell_blocks())
         H, f, self._const = sys_.system_for(self.jumps(0))
+        dense = sys_.n_dof < DENSE_DOF_LIMIT
+        if dense:
+            H = H.toarray()
         pin = np.repeat(sys_.pinned.reshape(-1), sys_.dim)
         x0 = np.where(pin, sys_.pin_values.reshape(-1), 0.0)
         D = np.unique(np.concatenate([d for _, d, _ in blocks] + [[]])).astype(int)
@@ -496,7 +465,7 @@ class ConfigurationEnergies:
             self._weights[js, c] = 1 << np.arange(len(js))
         rhs = f - H @ x0
         try:
-            if sys_.dense:
+            if dense:
                 yx = np.linalg.solve(H[inner[:, None], inner], np.column_stack(
                     [rhs[inner], H[inner[:, None], Df]]))
             else:   # returns after freeing its band, before the products below
@@ -544,14 +513,15 @@ class ConfigurationEnergies:
         if np.any(rel > 1e-10):
             raise SolverError("elastic solve did not converge: rel residual "
                               f"{float(np.max(rel)):.2e}")
-        return x, 0.5 * np.sum(x * hx, axis=1) - x @ self._f + self._const
+        quad = 0.5 * np.sum(x * hx, axis=1) - x @ self._f + self._const
+        return x, quad, rel
 
     def evaluate(self, bits) -> tuple[list[dict], np.ndarray]:
         """Per configuration: its bitstring and energy breakdown, and its
         node values as one flat row."""
         sys_ = self.system
         bits = np.asarray(bits, dtype=np.int64)
-        x, quad = self._condensed_solve(bits)
+        x, quad, _ = self._condensed_solve(bits)
         beta_area = sys_.params.beta * sys_.grid.face_area()
         rows = []
         for b, xb, q, fid in zip(bits.tolist(), x, quad, sys_.fidelity_energy(x)):
@@ -579,14 +549,13 @@ def brute_force_minimize(grid: GridSpec, candidates: list[Face],
                          heuristic: bool = False) -> OracleResult:
     """Minimize over the crack configurations of the candidate list.
 
-    Every energy comes from one ConfigurationEnergies, condensed on the
-    dense storage form.  Up to EXHAUSTIVE_LIMIT candidates all 2^k
-    configurations are evaluated, a chunk at a time; above it,
-    ``heuristic=True`` runs the greedy add/remove descent from both
-    extremes and the result is flagged as not exhaustive.  The winner is
-    the best configuration evaluated: energies within TIE_RTOL of the
-    lowest count as tied, and among them fewer active faces wins, then
-    the lexicographic bitstring.
+    Every energy comes from one ConfigurationEnergies.  Up to
+    EXHAUSTIVE_LIMIT candidates all 2^k configurations are evaluated, a
+    chunk at a time; above it, ``heuristic=True`` runs the greedy
+    add/remove descent from both extremes and the result is flagged as
+    not exhaustive.  The winner is the best configuration evaluated:
+    energies within TIE_RTOL of the lowest count as tied, and among them
+    fewer active faces wins, then the lexicographic bitstring.
     """
     candidates = sorted(candidates)
     k = len(candidates)

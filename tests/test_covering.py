@@ -25,7 +25,7 @@ from smalljump.covering import (
     pick_two_budget_index,
     select_crown,
 )
-from smalljump.energy import strain_pth_power
+from smalljump.energy import cellwise_pth_power, strain_pth_power
 from smalljump.errors import CoveringError
 from smalljump.grid import DisplacementField, GridSpec, JumpSet
 from smalljump.strain import symmetric_gradient
@@ -42,9 +42,10 @@ def make_selection(grid: GridSpec, delta: float, i0: int = 1) -> CrownSelection:
                           budgets={}, candidates=(i0,), include_lp=False)
 
 
-def _strain_p(u, jumps):
-    """|e(u)|^2 per cell, the strain field select_crown reads at p = 2."""
-    return strain_pth_power(symmetric_gradient(u, jumps), 2.0)
+def _pth_powers(u, jumps):
+    """|e(u)|^2 and |u|^2 per cell, the fields select_crown reads at p = 2."""
+    return (strain_pth_power(symmetric_gradient(u, jumps), 2.0),
+            cellwise_pth_power(u.values, u.grid, 2.0))
 
 
 def test_pick_two_budget_index_matches_averaging_rule():
@@ -61,7 +62,7 @@ def test_select_crown_rigid_field_picks_first_candidate():
     g = GridSpec(2, 64, 1.0)
     rng = np.random.default_rng(0)
     u = rigid_field(g, random_skew(rng, 2), rng.normal(size=2))
-    sel = select_crown(u, JumpSet(g), _strain_p(u, JumpSet(g)), delta=0.25)
+    sel = select_crown(u, JumpSet(g), *_pth_powers(u, JumpSet(g)), delta=0.25)
     assert sel.i0 == 1
     for row in sel.budgets.values():
         assert row["value"] <= row["bound"] + 1e-12
@@ -74,7 +75,8 @@ def test_select_crown_budgets_against_direct_integrals():
     x = g.node_coord_grid()
     u = DisplacementField(g, 0.05 * np.sin(3 * x))
     e = symmetric_gradient(u, JumpSet(g))
-    sel = select_crown(u, JumpSet(g), strain_pth_power(e, 2.0), delta=1.0 / 8.0)
+    sel = select_crown(u, JumpSet(g), strain_pth_power(e, 2.0),
+                       cellwise_pth_power(u.values, g, 2.0), delta=1.0 / 8.0)
     dens = np.sum(e ** 2, axis=(0, 1))  # |e|^2 for p=2
     centers = g.cell_center_grid()
     cheb = np.max(np.abs(centers), axis=-1)
@@ -99,7 +101,7 @@ def test_select_crown_avoids_loaded_ring():
     plane = off + (n_ann - 1) * m - m // 2
     faces = [(0, (plane, off + j)) for j in range(-2, 2)]
     js = JumpSet(g, faces)
-    sel = select_crown(u, js, _strain_p(u, js), delta=1.0 / 32.0)
+    sel = select_crown(u, js, *_pth_powers(u, js), delta=1.0 / 32.0)
     assert len(sel.candidates) >= 2
     assert sel.i0 == 2
     assert sel.budgets["jump"]["value"] == 0.0
@@ -110,7 +112,7 @@ def test_select_crown_infeasible_when_delta_too_large():
     rng = np.random.default_rng(2)
     u = rigid_field(g, random_skew(rng, 2), rng.normal(size=2))
     with pytest.raises(CoveringError):
-        select_crown(u, JumpSet(g), _strain_p(u, JumpSet(g)), delta=0.9)
+        select_crown(u, JumpSet(g), *_pth_powers(u, JumpSet(g)), delta=0.9)
 
 
 def test_build_covering_interior_count_and_tiling():

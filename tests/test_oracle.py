@@ -231,27 +231,33 @@ def _sparse_search_settings():
                             g=two_sided_target(g)), cands, None, {})
 
 
-@pytest.mark.parametrize("case", list(_sparse_search_settings()),
-                         ids=lambda c: c[0])
-def test_sparse_condensed_search_matches_full_solves(monkeypatch, case):
-    _, g, params, cands, base, kwargs = case
-    # the reference: one dense LU solve per configuration
-    reference = ElasticSystem(g, params, **kwargs)
-    assert reference.dense
-    band_solve, eliminated = oracle._banded_solve, []
+@pytest.fixture
+def banded_sizes(monkeypatch):
+    """Sizes of the H_II blocks that ``_banded_solve`` factors."""
+    band_solve, sizes = oracle._banded_solve, []
 
     def spy(H, inner, *args):
-        eliminated.append(inner.size)
+        sizes.append(inner.size)
         return band_solve(H, inner, *args)
 
     monkeypatch.setattr(oracle, "_banded_solve", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("case", list(_sparse_search_settings()),
+                         ids=lambda c: c[0])
+def test_sparse_condensed_search_matches_full_solves(monkeypatch, banded_sizes,
+                                                     case):
+    _, g, params, cands, base, kwargs = case
     monkeypatch.setattr(oracle, "DENSE_DOF_LIMIT", 0)
     res = brute_force_minimize(g, sorted(cands), params, base_jumps=base,
                                **kwargs)
-    assert eliminated and eliminated[0] > 0
+    assert banded_sizes and banded_sizes[0] > 0
     assert res.min_energy > 0
     assert np.any(res.minimizer_u.values != 0.0)
-    _assert_search_matches_full_solves(res, reference, sorted(cands), base)
+    # the reference: one dense LU solve per configuration
+    _assert_search_matches_full_solves(res, ElasticSystem(g, params, **kwargs),
+                                       sorted(cands), base)
 
 
 @pytest.mark.parametrize("dense_limit", [oracle.DENSE_DOF_LIMIT, 0])
@@ -266,10 +272,13 @@ def test_singular_crack_free_block_raises(monkeypatch, dense_limit):
     pinned[-1] = True
     values = np.zeros(g.node_shape + (2,))
     values[-1, :, 0] = 0.3
+    base = JumpSet(g, corner, corner)
     with pytest.raises(SolverError, match="singular elastic system"):
         brute_force_minimize(g, [(0, (4, 3)), (0, (4, 4))], params,
-                             base_jumps=JumpSet(g, corner, corner),
-                             pinned_mask=pinned, pinned_values=values)
+                             base_jumps=base, pinned_mask=pinned,
+                             pinned_values=values)
+    with pytest.raises(SolverError, match="singular elastic system"):
+        solve_elastic(g, base, params, pinned_mask=pinned, pinned_values=values)
 
 
 def test_heuristic_flag_required_above_limit():
@@ -542,42 +551,39 @@ def random_crack_set(g: GridSpec, rng, n_faces: int) -> JumpSet:
 
 @pytest.mark.parametrize("dim, cells, n_faces, seed",
                          [(2, 8, 12, 0), (2, 8, 24, 1), (3, 4, 12, 2)])
-def test_assembly_matches_per_cell_reference(monkeypatch, dim, cells,
-                                             n_faces, seed):
+def test_assembly_matches_per_cell_reference(dim, cells, n_faces, seed):
     g = GridSpec(dim, cells, 1.0)
     rng = np.random.default_rng(seed)
     target = DisplacementField(g, rng.normal(size=g.node_shape + (dim,)))
     params = EnergyParams(HookeTensor(0.7, 1.3), p=2.0, kappa=1.5, beta=0.1,
                           g=target)
+    system = ElasticSystem(g, params)
+    # crack-free, the CSR sums equal the reference's bit for bit
+    H0, _, _ = system.system_for(JumpSet(g))
+    assert np.array_equal(H0.toarray(), reference_system(g, params, JumpSet(g)))
+
+    # the corrections of a crack set are summed in another order
     js = random_crack_set(g, rng, n_faces)
     ref = reference_system(g, params, js)
-
-    H, _, _ = ElasticSystem(g, params).system_for(js)
-    assert isinstance(H, np.ndarray)
-    assert np.array_equal(H, ref)
-
-    # the CSR form sums the same triplets in another order
-    monkeypatch.setattr(oracle, "DENSE_DOF_LIMIT", 0)
-    H_sparse, _, _ = ElasticSystem(g, params).system_for(js)
-    assert not isinstance(H_sparse, np.ndarray)
-    err = np.max(np.abs(H_sparse.toarray() - ref)) / np.max(np.abs(ref))
+    H, _, _ = system.system_for(js)
+    err = np.max(np.abs(H.toarray() - ref)) / np.max(np.abs(ref))
     assert err <= 1e-14
 
 
-def test_sparse_and_dense_solves_agree(monkeypatch):
+def test_sparse_and_dense_solves_agree(monkeypatch, banded_sizes):
     g = GridSpec(2, 16, 1.0)
     target = two_sided_target(g)
     params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.1, g=target)
     js = JumpSet(g, [(0, (8, j)) for j in range(4, 12)])
-    dense_sys = ElasticSystem(g, params)
-    assert dense_sys.dense
-    u_dense, _ = dense_sys.solve(js)
+    u_lu, info_lu = ElasticSystem(g, params).solve(js)
+    assert banded_sizes == []
     monkeypatch.setattr(oracle, "DENSE_DOF_LIMIT", 0)
-    sparse_sys = ElasticSystem(g, params)
-    assert not sparse_sys.dense
-    u_sparse, info = sparse_sys.solve(js)
+    u_band, info = ElasticSystem(g, params).solve(js)
+    # free boundary: every DOF is eliminated
+    assert banded_sizes == [2 * 17 ** 2]
+    assert info_lu["relative_residual"] <= 1e-10
     assert info["relative_residual"] <= 1e-10
-    assert float(np.max(np.abs(u_dense.values - u_sparse.values))) < 1e-9
+    assert float(np.max(np.abs(u_lu.values - u_band.values))) < 1e-9
 
 
 _PROPERTY_GRID = GridSpec(2, 8, 1.0)
@@ -588,15 +594,19 @@ _faces_2d8 = st.tuples(st.integers(0, 1), st.integers(1, 7),
 
 @given(faces=st.lists(_faces_2d8, max_size=20, unique=True),
        owner_flags=st.lists(st.booleans(), min_size=20, max_size=20),
-       fixed=st.booleans())
-def test_quadratic_energy_equals_quadrature_energy(faces, owner_flags, fixed):
+       fixed=st.booleans(),
+       dense_limit=st.sampled_from([oracle.DENSE_DOF_LIMIT, 0]))
+def test_quadratic_energy_equals_quadrature_energy(faces, owner_flags, fixed,
+                                                   dense_limit):
     g = _PROPERTY_GRID
     params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.1,
                           g=two_sided_target(g))
     owner_high = [f for f, flag in zip(faces, owner_flags) if flag]
     js = JumpSet(g, faces, owner_high)
-    _, info = solve_elastic(g, js, params,
-                            boundary="fixed" if fixed else "free")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "DENSE_DOF_LIMIT", dense_limit)
+        _, info = solve_elastic(g, js, params,
+                                boundary="fixed" if fixed else "free")
     assert info["energy_consistency"] <= 1e-9
 
 
