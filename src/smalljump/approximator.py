@@ -102,7 +102,6 @@ class ApproxConfig:
     eta: float | None = None            # gate/classification threshold
     c_star: float = C_STAR_DEFAULT
     delta: float | None = None          # covering scale override
-    check_lp: bool = True               # track |u|^p budgets and the L^p bound
 
     def resolved_eta(self, dim: int) -> float:
         return self.eta if self.eta is not None else default_eta(dim, self.c_star)
@@ -232,8 +231,7 @@ def approximate(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
         ** (1.0 / params.p)
 
     u_pth = cellwise_pth_power(u.values, grid, params.p)
-    selection = select_crown(u, jumps, strain_p, u_pth, delta,
-                             include_lp_budget=config.check_lp)
+    selection = select_crown(u, jumps, strain_p, u_pth, delta)
     covering = build_covering(grid, selection, delta)
     classify(covering, jumps, eta)
 
@@ -437,9 +435,9 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
 
     ``u`` and ``jumps`` are the input that ``result`` was built from;
     its strain, the strain's L^p norm and |u|^p (p of ``params``) are
-    read from ``result``.
+    read from ``result``.  No check reads ``config``: every property,
+    P6 included, is always measured.
     """
-    config = config or ApproxConfig()
     grid = u.grid
     dim, h = grid.dim, grid.spacing
     p = params.p
@@ -544,22 +542,21 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
     checks.append(PropertyCheck("p5_weighted_energy", worst5, 1.0, worst5,
                                 {"per_weight": detail5}))
 
-    # P6: L^p growth over the region family (tracked when requested).
-    if config.check_lp:
-        t_pth = cellwise_pth_power(result.u_tilde.values, grid, p)
-        worst6 = 0.0
-        detail6 = {}
-        for name, region in _norm_region_boxes(dim, sqrt_d):
-            box = region.cell_slices(grid)
-            lhs = float(np.sum(t_pth[box].ravel()) * hvol) ** (1.0 / p)
-            base = float(np.sum(u_pth[box].ravel()) * hvol) ** (1.0 / p)
-            excess = max(0.0, lhs - base)
-            budget = delta ** (1.0 / (2.0 * p)) * (u_norm_q + strain_norm_q)
-            realized = _ratio(excess, budget, norm_floor)
-            detail6[name] = realized
-            worst6 = max(worst6, realized)
-        checks.append(PropertyCheck("p6_lp_growth", worst6, 1.0, worst6,
-                                    {"per_region": detail6}))
+    # P6: L^p growth over the region family.
+    t_pth = cellwise_pth_power(result.u_tilde.values, grid, p)
+    worst6 = 0.0
+    detail6 = {}
+    for name, region in _norm_region_boxes(dim, sqrt_d):
+        box = region.cell_slices(grid)
+        lhs = float(np.sum(t_pth[box].ravel()) * hvol) ** (1.0 / p)
+        base = float(np.sum(u_pth[box].ravel()) * hvol) ** (1.0 / p)
+        excess = max(0.0, lhs - base)
+        budget = delta ** (1.0 / (2.0 * p)) * (u_norm_q + strain_norm_q)
+        realized = _ratio(excess, budget, norm_floor)
+        detail6[name] = realized
+        worst6 = max(worst6, realized)
+    checks.append(PropertyCheck("p6_lp_growth", worst6, 1.0, worst6,
+                                {"per_region": detail6}))
 
     smooth_proxy = _second_difference_proxy(result.u_tilde, grid, sqrt_d, delta)
     report = PropertyReport(checks=checks, s_budget_exponent=s_ref,

@@ -73,8 +73,7 @@ def _params_from(args) -> EnergyParams:
 
 
 def _config_from(args) -> ApproxConfig:
-    return ApproxConfig(eta=args.eta, c_star=args.c_star, delta=args.delta,
-                        check_lp=not args.no_lp)
+    return ApproxConfig(eta=args.eta, delta=args.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +166,7 @@ def _run_sweep(args, params: EnergyParams, out: Path) -> int:
     for k in range(args.sweep_levels):
         dk = args.delta0 * 2.0 ** (-k)
         u, jumps, meta = generators.shrinking_crack_instance(grid, dk, args.seed)
-        cfg = ApproxConfig(eta=args.eta, c_star=args.c_star, delta=dk,
-                           check_lp=not args.no_lp)
+        cfg = ApproxConfig(eta=args.eta, delta=dk)
         res = approximate(u, jumps, params, cfg)
         rep = verify_properties(u, jumps, res, params, cfg)
         norm = res.strain_norm
@@ -333,7 +331,6 @@ def _add_common_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--mu-offset", type=float, default=0.0)
     p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--c-star", type=float, default=4.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--jump")
     a.add_argument("--target", help="fidelity target field (optional)")
     a.add_argument("--delta", type=float, default=None)
-    a.add_argument("--no-lp", action="store_true")
     a.add_argument("--sweep-levels", type=int, default=0,
                    help="run the shrinking-crack sweep instead of one input")
     a.add_argument("--delta0", type=float, default=0.25)
@@ -380,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--jump", required=True)
     v.add_argument("--target")
     v.add_argument("--delta", type=float, default=None)
-    v.add_argument("--no-lp", action="store_true")
     v.add_argument("--out")
     _add_common_params(v)
     v.set_defaults(func=cmd_verify)

@@ -137,7 +137,6 @@ class CrownSelection:
     n_annuli: int
     budgets: dict
     candidates: tuple[int, ...]
-    include_lp: bool
 
 
 def pick_two_budget_index(per_candidate: list[tuple[float, ...]],
@@ -182,17 +181,16 @@ def max_feasible_delta(grid: GridSpec) -> int:
 
 
 def select_crown(u: DisplacementField, jumps: JumpSet, strain_p: np.ndarray,
-                 u_p: np.ndarray, delta: float,
-                 include_lp_budget: bool = False) -> CrownSelection:
+                 u_p: np.ndarray, delta: float) -> CrownSelection:
     """Pick the crown index whose two rings respect the sqrt-delta budgets.
 
     Budgets follow the averaging argument over disjoint ring pairs: the
-    strain energy and crack area of the selected double ring, and
-    optionally the |u|^p mass of the single ring, must not exceed
-    8*sqrt(delta) times their totals over the outer shell of width
-    sqrt(delta).  The valid candidate with the smallest normalized budget
-    sum wins, ties going to the smallest index.  ``strain_p`` is |e(u)|^p
-    per cell (``energy.strain_pth_power``) and ``u_p`` is |u|^p per cell
+    strain energy and crack area of the selected double ring, and the
+    |u|^p mass of the single ring, must not exceed 8*sqrt(delta) times
+    their totals over the outer shell of width sqrt(delta).  The valid
+    candidate with the smallest normalized budget sum wins, ties going to
+    the smallest index.  ``strain_p`` is |e(u)|^p per cell
+    (``energy.strain_pth_power``) and ``u_p`` is |u|^p per cell
     (``energy.cellwise_pth_power``), both with the same p.
     """
     grid = u.grid
@@ -235,16 +233,12 @@ def select_crown(u: DisplacementField, jumps: JumpSet, strain_p: np.ndarray,
         a_i = float(np.sum(strain_p[ring]) * hvol)
         b_i = (box_faces((n_ann - i) * m) - box_faces((n_ann - i - 2) * m)) \
             * grid.face_area()
-        if include_lp_budget:
-            single = outer & ~box_cells((n_ann - i - 1) * m)
-            c_i = float(np.sum(u_p[single]) * hvol)
-            rows.append((a_i, b_i, c_i))
-        else:
-            rows.append((a_i, b_i))
+        single = outer & ~box_cells((n_ann - i - 1) * m)
+        c_i = float(np.sum(u_p[single]) * hvol)
+        rows.append((a_i, b_i, c_i))
 
     bound = 8.0 * sqrt_d
-    totals = (tot_strain, tot_jump, tot_lp) if include_lp_budget \
-        else (tot_strain, tot_jump)
+    totals = (tot_strain, tot_jump, tot_lp)
 
     def ok(vals):
         return all(v <= bound * t + 1e-12 * (1.0 + t)
@@ -256,11 +250,10 @@ def select_crown(u: DisplacementField, jumps: JumpSet, strain_p: np.ndarray,
     pick = pick_two_budget_index([v for _, v in valid], totals)
     i0, vals = valid[pick]
 
-    names = ("strain", "jump", "lp")[: len(totals)]
     budgets = {nm: {"value": v, "total": t, "bound": bound * t}
-               for nm, v, t in zip(names, vals, totals)}
+               for nm, v, t in zip(("strain", "jump", "lp"), vals, totals)}
     return CrownSelection(i0=i0, delta=m * h, n_annuli=n_ann, budgets=budgets,
-                          candidates=tuple(cands), include_lp=include_lp_budget)
+                          candidates=tuple(cands))
 
 
 # ---------------------------------------------------------------------------

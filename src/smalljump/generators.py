@@ -204,34 +204,34 @@ def _separated_patches(grid: GridSpec, rng: np.random.Generator, count: int,
     return patches
 
 
-def random_cracks_field(grid: GridSpec, count: int, max_extent: int,
-                        seed: int = 0, amplitude: float = 0.08
-                        ) -> tuple[DisplacementField, JumpSet, dict]:
-    """Several well-separated small opening pockets."""
+def _pockets_field(grid: GridSpec, count: int, extent_of, seed: int,
+                   amplitude: float) -> tuple[DisplacementField, JumpSet, dict]:
+    """Separated pockets, each opened by a random direction of length
+    ``amplitude``; the patches, openings and field draw from one rng."""
     rng = np.random.default_rng(seed)
-    patches = _separated_patches(
-        grid, rng, count,
-        lambda r: int(r.integers(1, max_extent + 1)))
+    patches = _separated_patches(grid, rng, count, extent_of)
     openings = []
     for _ in patches:
         v = rng.normal(size=grid.dim)
         openings.append(v * amplitude / np.linalg.norm(v))
     u, jumps = field_with_patches(grid, patches, openings, rng)
     return u, jumps, {"patches": len(patches), "area": jumps.measure()}
+
+
+def random_cracks_field(grid: GridSpec, count: int, max_extent: int,
+                        seed: int = 0, amplitude: float = 0.08
+                        ) -> tuple[DisplacementField, JumpSet, dict]:
+    """Several well-separated small opening pockets."""
+    return _pockets_field(grid, count,
+                          lambda r: int(r.integers(1, max_extent + 1)),
+                          seed, amplitude)
 
 
 def rigid_patches_field(grid: GridSpec, n_patches: int, extent: int,
                         seed: int = 0, amplitude: float = 0.05
                         ) -> tuple[DisplacementField, JumpSet, dict]:
     """Fixed number of pockets of one size: the oscillating-patch family."""
-    rng = np.random.default_rng(seed)
-    patches = _separated_patches(grid, rng, n_patches, lambda r: extent)
-    openings = []
-    for _ in patches:
-        v = rng.normal(size=grid.dim)
-        openings.append(v * amplitude / np.linalg.norm(v))
-    u, jumps = field_with_patches(grid, patches, openings, rng)
-    return u, jumps, {"patches": len(patches), "area": jumps.measure()}
+    return _pockets_field(grid, n_patches, lambda r: extent, seed, amplitude)
 
 
 def split_target(grid: GridSpec, offset: np.ndarray | None = None,

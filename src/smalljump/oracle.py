@@ -37,12 +37,7 @@ from .grid import (
     faces_in_region,
     node_mask_from_cells,
 )
-from .strain import (
-    CrackContext,
-    affected_cells,
-    cell_strain_ops,
-    symmetric_gradient,
-)
+from .strain import cell_strain_ops, face_cells, symmetric_gradient
 
 EXHAUSTIVE_LIMIT = 24
 # Width, in cells, of the band along the region boundary where psi0's
@@ -105,9 +100,10 @@ class ElasticSystem:
     stencils, so the solver's internal energy is exactly the quadrature
     energy.  All crack-free cells share one local matrix, which is built
     once and broadcast over the grid as COO triplets, and the fidelity
-    diagonal is added to their sum; a crack set adds cached per-cell
-    corrections (minus the crack-free block, plus the cracked one) as
-    more triplets.  The Hessian is CSR with int32 indices at every size.
+    diagonal is added to their sum; a crack set adds per-cell corrections
+    (minus the crack-free block, plus the cracked one) from
+    ``cell_blocks`` as more triplets.  The Hessian is CSR with int32
+    indices at every size.
 
     ``solve`` is the condensed search of ConfigurationEnergies with no
     candidates: every free DOF is eliminated, through the same
@@ -152,25 +148,22 @@ class ElasticSystem:
         self.pin_values = self.g_vals if pinned_values is None else pinned_values
 
         self._base = None
-        self._cell_cache: dict = {}
-        self._face_cells: dict = {}
         self._counts = _scatter_corner_weights(
             np.ones(grid.cell_shape), grid.dim)
         # crack-free local matrix, the same for every cell up to a dof shift
         origin = (0,) * grid.dim
-        self._std_dofs, self._std_loc = self._cell_local(
-            origin, CrackContext(grid, JumpSet(grid)))
+        self._std_dofs, self._std_loc = self._cell_local(origin, JumpSet(grid))
 
     # -- assembly -----------------------------------------------------
 
     def _dof_offset(self, cells) -> np.ndarray:
         return np.ravel_multi_index(cells, self.grid.node_shape) * self.dim
 
-    def _cell_local(self, cell: tuple[int, ...], ctx: CrackContext):
+    def _cell_local(self, cell: tuple[int, ...], jumps: JumpSet):
         """(dof_indices, local_matrix) of one cell's bulk energy."""
         grid = self.grid
         dim = self.dim
-        ops, dead = cell_strain_ops(grid, ctx, cell)
+        ops, dead = cell_strain_ops(grid, jumps, cell)
         nodes: list[tuple[int, ...]] = []
         node_col: dict[tuple[int, ...], int] = {}
         weights = []
@@ -240,39 +233,44 @@ class ElasticSystem:
         self._base = (H, f, const)
         return self._base
 
-    def _cells_of_face(self, face: Face) -> tuple:
-        if face not in self._face_cells:
-            probe = JumpSet(self.grid, [face])
-            self._face_cells[face] = tuple(sorted(
-                affected_cells(self.grid, probe)))
-        return self._face_cells[face]
+    def cell_blocks(self, base: JumpSet, candidates=()):
+        """Every per-cell crack block of a base set and a candidate list.
 
-    def _correction(self, cell: tuple[int, ...], ctx: CrackContext):
-        """Triplets replacing the cell's crack-free block by its cracked one."""
-        std = self._dof_offset(cell) + self._std_dofs
-        dofs, loc = self._cell_local(cell, ctx)
-        return tuple(np.concatenate(parts) for parts in
-                     zip(_triplets(std, -self._std_loc), _triplets(dofs, loc)))
+        Yields ``(cell, js, locs)`` in sorted cell order for each cell that
+        a base face (one not among the candidates) or a candidate reaches:
+        ``js`` indexes the candidates reaching the cell and ``locs[t]`` is
+        its ``_cell_local`` with the candidates of subset ``t`` of ``js``
+        active.  Every face keeps its ``owner_high`` flag from ``base``.
+        """
+        candidates = tuple(candidates)
+        reach: dict[tuple[int, ...], tuple[list, list]] = {}
+        for face in base.faces - set(candidates):
+            for cell in face_cells(self.grid, face):
+                reach.setdefault(cell, ([], []))[0].append(face)
+        for j, face in enumerate(candidates):
+            for cell in face_cells(self.grid, face):
+                reach.setdefault(cell, ([], []))[1].append(j)
+        for cell, (near, js) in sorted(reach.items()):
+            locs = []
+            for t in range(2 ** len(js)):
+                faces = set(near) | {candidates[j] for i, j in enumerate(js)
+                                     if t >> i & 1}
+                locs.append(self._cell_local(
+                    cell, JumpSet(self.grid, faces, base.owner_high & faces)))
+            yield cell, js, locs
 
     def system_for(self, jumps: JumpSet):
+        """(H, f, const) with each cracked cell's crack-free block
+        replaced by its cracked one."""
         H0, f, const = self._base_system()
-        corrections = []
-        if len(jumps) > 0:
-            ctx = CrackContext(self.grid, jumps)
-            cell_faces: dict[tuple[int, ...], list] = {}
-            for face in jumps.sorted_faces():
-                owner = face in jumps.owner_high
-                for cell in self._cells_of_face(face):
-                    cell_faces.setdefault(cell, []).append((face, owner))
-            for cell in sorted(cell_faces):
-                key = (cell, frozenset(cell_faces[cell]))
-                if key not in self._cell_cache:
-                    self._cell_cache[key] = self._correction(cell, ctx)
-                corrections.append(self._cell_cache[key])
-        if not corrections:
+        triplets = []
+        for cell, _, ((dofs, loc),) in self.cell_blocks(jumps):
+            std = self._dof_offset(cell) + self._std_dofs
+            triplets += [_triplets(std, -self._std_loc), _triplets(dofs, loc)]
+        if not triplets:
             return H0, f, const
         from scipy import sparse
-        rows, cols, vals = (np.concatenate(parts) for parts in zip(*corrections))
+        rows, cols, vals = (np.concatenate(parts) for parts in zip(*triplets))
         H = (H0 + sparse.coo_matrix((vals, (rows, cols)),
                                     shape=H0.shape)).tocsr()
         return H, f, const
@@ -406,32 +404,24 @@ class ConfigurationEnergies:
                  base: JumpSet, region: Region | None = None):
         self.system = system
         self.candidates = tuple(candidates)
+        self.base = base
         self.base_faces = base.faces - set(candidates)
-        self.owner_high = base.owner_high
         self.region = region
         self._condense()
 
     def jumps(self, bits: int) -> JumpSet:
         active = CrackConfig(self.candidates, bits).active_faces()
         faces = self.base_faces | set(active)
-        return JumpSet(self.system.grid, faces, self.owner_high & faces)
+        return JumpSet(self.system.grid, faces, self.base.owner_high & faces)
 
     def _cell_blocks(self):
-        """(candidate indices, dofs, corrections) of each affected cell,
-        one correction per subset of the cell's candidates."""
-        sys_, grid = self.system, self.system.grid
-        reach: dict[tuple[int, ...], list[int]] = {}
-        for j, face in enumerate(self.candidates):
-            for cell in sys_._cells_of_face(face):
-                reach.setdefault(cell, []).append(j)
-        for cell, js in sorted(reach.items()):
-            near = {f for f in self.base_faces if cell in sys_._cells_of_face(f)}
-            locs = []
-            for t in range(2 ** len(js)):
-                faces = near | {self.candidates[j] for i, j in enumerate(js)
-                                if t >> i & 1}
-                jumps = JumpSet(grid, faces, self.owner_high & faces)
-                locs.append(sys_._cell_local(cell, CrackContext(grid, jumps)))
+        """(candidate indices, dofs, corrections) of each cell a candidate
+        reaches, one correction per subset of the cell's candidates."""
+        if not self.candidates:   # a single solve: system_for has every block
+            return
+        for _, js, locs in self.system.cell_blocks(self.base, self.candidates):
+            if not js:
+                continue
             dofs = np.unique(np.concatenate([d for d, _ in locs]))
             mats = np.zeros((len(locs), dofs.size, dofs.size))
             for mat, (d, loc) in zip(mats, locs):

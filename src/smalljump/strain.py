@@ -9,7 +9,9 @@ that node layer and falls back to a one-sided pair on its own side of
 the crack (never differencing across another crack); an axis with no
 usable same-side pair contributes zero strain.  Bonded faces always
 couple through their shared nodes, and rigid motions produce exactly
-zero strain in every mode.
+zero strain in every mode.  This owner rule lives here alone: the
+strain and the elastic solver take their per-cell stencils from
+``cell_strain_ops``, which reads the jump set through one face lookup.
 
 The strain is stored plane-major: ``symmetric_gradient`` returns shape
 ``(dim, dim) + cell_shape`` and ``e[i, k]`` is one C-contiguous cell
@@ -24,90 +26,57 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import DisplacementField, GridSpec, JumpSet
+from .grid import DisplacementField, Face, GridSpec, JumpSet
 
 
-class CrackContext:
-    """Per-cell face flags of a jump set, for stencil selection."""
-
-    def __init__(self, grid: GridSpec, jumps: JumpSet):
-        self.grid = grid
-        self.faces = jumps.faces
-        self.owner_high = jumps.owner_high
-        dim, m = grid.dim, grid.cells_per_side
-        shape = (dim,) + grid.cell_shape
-        self.cracked_low = np.zeros(shape, dtype=bool)
-        self.cracked_high = np.zeros(shape, dtype=bool)
-        self.blocked_low = np.zeros(shape, dtype=bool)
-        self.blocked_high = np.zeros(shape, dtype=bool)
-        for face in jumps.faces:
-            axis, idx = face
-            k = idx[axis]
-            owner_is_high = face in jumps.owner_high
-            hi_cell = idx
-            lo_cell = idx[:axis] + (k - 1,) + idx[axis + 1:]
-            if k <= m - 1:
-                self.cracked_low[(axis,) + hi_cell] = True
-                if not owner_is_high:
-                    self.blocked_low[(axis,) + hi_cell] = True
-            self.cracked_high[(axis,) + lo_cell] = True
-            if owner_is_high:
-                self.blocked_high[(axis,) + lo_cell] = True
-
-    def face_owner_high(self, axis: int, plane: int,
-                        trans_cell: tuple[int, ...]) -> bool | None:
-        """None when uncracked, else whether the high side owns it."""
-        face = (axis, trans_cell[:axis] + (plane,) + trans_cell[axis:])
-        if face not in self.faces:
-            return None
-        return face in self.owner_high
+def _face_owner(jumps: JumpSet, axis: int, cell: tuple[int, ...],
+                plane: int) -> bool | None:
+    """The owner rule's one lookup: None when the ``axis`` face on node
+    plane ``plane``, at ``cell``'s position across that axis, is
+    uncracked; else whether its high side owns it."""
+    face = (axis, cell[:axis] + (plane,) + cell[axis + 1:])
+    if face not in jumps:
+        return None
+    return face in jumps.owner_high
 
 
-def cell_strain_ops(grid: GridSpec, ctx: CrackContext, cell: tuple[int, ...]
+def cell_strain_ops(grid: GridSpec, jumps: JumpSet, cell: tuple[int, ...]
                     ) -> tuple[list[list[tuple[tuple[int, ...], float]] | None], list[int]]:
     """Difference stencil of each partial derivative at one cell.
 
     Returns ``(ops, dead_axes)``: ``ops[a]`` lists ``(node, coefficient)``
     pairs realizing d/dx_a for every component, or None when the axis has
     no usable same-side data.  Shared by the strain evaluation and the
-    elastic solver so both discretize identically.
+    elastic solver so both discretize identically.  It reads only faces
+    whose ``face_cells`` include ``cell``.
     """
     dim, m = grid.dim, grid.cells_per_side
     h = grid.spacing
-
-    tau_options: list[tuple[int, ...]] = []
-    for b in range(dim):
-        opts = []
-        if not ctx.blocked_low[(b,) + cell]:
-            opts.append(0)
-        if not ctx.blocked_high[(b,) + cell]:
-            opts.append(1)
-        tau_options.append(tuple(opts))
+    low = [_face_owner(jumps, b, cell, cell[b]) for b in range(dim)]
+    high = [_face_owner(jumps, b, cell, cell[b] + 1) for b in range(dim)]
+    # a node layer is dropped where the other side owns the cell's face
+    blocked_low = [owner is False for owner in low]
+    blocked_high = [owner is True for owner in high]
+    tau_options = [tuple(t for t, blocked in enumerate((blocked_low[b],
+                                                        blocked_high[b]))
+                         if not blocked) for b in range(dim)]
 
     ops: list[list[tuple[tuple[int, ...], float]] | None] = []
     dead: list[int] = []
-    trans_cell_of = {a: tuple(cell[b] for b in range(dim) if b != a)
-                     for a in range(dim)}
-
     for a in range(dim):
-        bl = ctx.blocked_low[(a,) + cell]
-        bh = ctx.blocked_high[(a,) + cell]
+        bl, bh = blocked_low[a], blocked_high[a]
         pair = None
         if not bl and not bh:
             pair = (cell[a], cell[a] + 1)
         elif bl and not bh:
             # one-sided on the high (own) side: legal when it crosses no
             # crack and the far node layer is owned by this side
-            far_owner = ctx.face_owner_high(a, cell[a] + 2, trans_cell_of[a]) \
-                if cell[a] + 2 <= m - 1 else None
-            if (cell[a] + 2 <= m and not ctx.cracked_high[(a,) + cell]
-                    and far_owner is not True):
+            if (cell[a] + 2 <= m and high[a] is None
+                    and _face_owner(jumps, a, cell, cell[a] + 2) is not True):
                 pair = (cell[a] + 1, cell[a] + 2)
         elif bh and not bl:
-            far_owner = ctx.face_owner_high(a, cell[a] - 1, trans_cell_of[a]) \
-                if cell[a] - 1 >= 1 else None
-            if (cell[a] - 1 >= 0 and not ctx.cracked_low[(a,) + cell]
-                    and far_owner is not False):
+            if (cell[a] - 1 >= 0 and low[a] is None
+                    and _face_owner(jumps, a, cell, cell[a] - 1) is not False):
                 pair = (cell[a] - 1, cell[a])
         if pair is None:
             ops.append(None)
@@ -146,21 +115,16 @@ def cell_strain_ops(grid: GridSpec, ctx: CrackContext, cell: tuple[int, ...]
     return ops, dead
 
 
-def affected_cells(grid: GridSpec, jumps: JumpSet) -> set[tuple[int, ...]]:
-    """Cells whose stencil may differ from the standard one.
+def face_cells(grid: GridSpec, face: Face) -> list[tuple[int, ...]]:
+    """Cells whose stencil may read ``face``, in increasing order.
 
     A face influences the two cells it bounds directly, and through the
     one-sided fallbacks the next cell out on each side.
     """
-    m = grid.cells_per_side
-    out: set[tuple[int, ...]] = set()
-    for axis, idx in jumps.faces:
-        k = idx[axis]
-        for ca in range(k - 2, k + 2):
-            if 0 <= ca <= m - 1:
-                cell = idx[:axis] + (ca,) + idx[axis + 1:]
-                out.add(cell)
-    return out
+    axis, idx = face
+    k = idx[axis]
+    return [idx[:axis] + (ca,) + idx[axis + 1:]
+            for ca in range(max(k - 2, 0), min(k + 2, grid.cells_per_side))]
 
 
 def _standard_gradient(values: np.ndarray, h: float) -> np.ndarray:
@@ -209,9 +173,9 @@ def symmetric_gradient(u: DisplacementField, jumps: JumpSet) -> np.ndarray:
 
     dead_cells: list[tuple[tuple[int, ...], list[int]]] = []
     if len(jumps) > 0:
-        ctx = CrackContext(grid, jumps)
-        for cell in sorted(affected_cells(grid, jumps)):
-            ops, dead = cell_strain_ops(grid, ctx, cell)
+        cells = {c for face in jumps.faces for c in face_cells(grid, face)}
+        for cell in sorted(cells):
+            ops, dead = cell_strain_ops(grid, jumps, cell)
             d_local = np.zeros((dim, dim))
             for a in range(dim):
                 if ops[a] is None:

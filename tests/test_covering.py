@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -39,7 +40,7 @@ def make_selection(grid: GridSpec, delta: float, i0: int = 1) -> CrownSelection:
     m = lattice_delta(grid, delta)
     n_ann = (grid.cells_per_side // 2) // m
     return CrownSelection(i0=i0, delta=m * grid.spacing, n_annuli=n_ann,
-                          budgets={}, candidates=(i0,), include_lp=False)
+                          budgets={}, candidates=(i0,))
 
 
 def _pth_powers(u, jumps):
@@ -86,6 +87,16 @@ def test_select_crown_budgets_against_direct_integrals():
     ring = (cheb < w_out) & (cheb >= w_in)
     direct = float(np.sum(dens[ring])) * g.spacing ** 2
     assert sel.budgets["strain"]["value"] == pytest.approx(direct, rel=1e-12)
+    # |u|^2 over the single outer ring, each cell the mean over its corners
+    w_single = (sel.n_annuli - sel.i0 - 1) * m * g.spacing
+    single = (cheb < w_out) & (cheb >= w_single)
+    sq = np.sum(u.values ** 2, axis=-1)
+    corners = [sq[tuple(slice(c, c + g.cells_per_side) for c in corner)]
+               for corner in itertools.product((0, 1), repeat=2)]
+    cell_sq = sum(corners) / len(corners)
+    direct_lp = float(np.sum(cell_sq[single])) * g.spacing ** 2
+    assert direct_lp > 0
+    assert sel.budgets["lp"]["value"] == pytest.approx(direct_lp, rel=1e-12)
 
 
 def test_select_crown_avoids_loaded_ring():

@@ -31,7 +31,7 @@ from smalljump.grid import (
     save_jump,
 )
 from smalljump.mollify import mollify
-from smalljump.strain import CrackContext, cell_strain_ops, symmetric_gradient
+from smalljump.strain import cell_strain_ops, face_cells, symmetric_gradient
 from tests import strain_reference as sref
 
 
@@ -165,12 +165,28 @@ def _with_dead_axis(js: JumpSet) -> JumpSet:
 
 
 @pytest.mark.parametrize("g", _STRAIN_GRIDS, ids=["2d8", "3d4"])
+@given(data=st.data())
+def test_stencils_equal_flag_array_reference(g, data):
+    # the face lookup against the whole-grid flag arrays, on every cell;
+    # cells outside every face's reach keep the crack-free stencil
+    js = _with_dead_axis(data.draw(crack_sets(g)))
+    ctx, clean = sref.CrackContext(g, js), sref.CrackContext(g, JumpSet(g))
+    reached = {c for f in js.faces for c in face_cells(g, f)}
+    assert reached == sref.affected_cells(g, js)
+    for cell in itertools.product(range(g.cells_per_side), repeat=g.dim):
+        got = cell_strain_ops(g, js, cell)
+        assert got == sref.cell_strain_ops(g, ctx, cell)
+        if cell not in reached:
+            assert got == sref.cell_strain_ops(g, clean, cell)
+
+
+@pytest.mark.parametrize("g", _STRAIN_GRIDS, ids=["2d8", "3d4"])
 @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
 def test_planes_and_densities_equal_trailing_axes_reference(g, data, seed):
     # every strain plane, energy density and magnitude against the
     # trailing-axes layout and its numpy sums, bit for bit
     js = _with_dead_axis(data.draw(crack_sets(g)))
-    assert 0 in cell_strain_ops(g, CrackContext(g, js), (1,) * g.dim)[1]
+    assert 0 in cell_strain_ops(g, js, (1,) * g.dim)[1]
     rng = np.random.default_rng(seed)
     u = DisplacementField(g, rng.normal(size=g.node_shape + (g.dim,)))
     e = symmetric_gradient(u, js)

@@ -38,8 +38,8 @@ from smalljump.oracle import (
     solve_elastic,
     vanishing_jump_harness,
 )
-from smalljump.strain import CrackContext, affected_cells, cell_strain_ops
 from tests.oracle_reference import full_solve_energies
+from tests.strain_reference import CrackContext, affected_cells, cell_strain_ops
 
 HOOKE = HookeTensor(1.0, 1.0)
 
@@ -156,8 +156,11 @@ def test_exhaustive_matches_greedy_on_midline_instance():
 
 def test_greedy_search_matches_full_solve_descent():
     g = GridSpec(2, 6, 1.0)
+    # a strained target on both sides, so the winner's bulk energy counts
+    strained = two_sided_target(g).values \
+        + 0.2 * g.node_coord_grid() * np.array([1.0, -0.5])
     params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02,
-                          g=two_sided_target(g))
+                          g=DisplacementField(g, strained))
     cands = sorted([(0, (k, j)) for k in (2, 3, 4) for j in range(6)]
                    + [(1, (j, 3)) for j in range(6)] + [(1, (0, 2))])
     assert len(cands) == oracle.EXHAUSTIVE_LIMIT + 1
@@ -168,6 +171,7 @@ def test_greedy_search_matches_full_solve_descent():
     assert res.best_config.active_bits == expected
     assert res.min_energy == pytest.approx(energy_of(expected)["total"],
                                            rel=1e-12)
+    assert res.breakdown["bulk"] > 1e-6 * res.min_energy
 
 
 def test_sparse_form_search_matches_dense(monkeypatch):
