@@ -187,8 +187,6 @@ class ApproxResult:
     strain: np.ndarray
     strain_norm: float
     u_pth: np.ndarray
-    property_report: PropertyReport | None = None
-    s_estimate: float | None = None
 
     @property
     def omega_volume(self) -> float:
@@ -232,7 +230,7 @@ def approximate(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
 
     u_pth = cellwise_pth_power(u.values, grid, params.p)
     selection = select_crown(u, jumps, strain_p, u_pth, delta)
-    covering = build_covering(grid, selection, delta)
+    covering = build_covering(grid, selection)
     classify(covering, jumps, eta)
 
     fits: dict[int, FitReport] = {}
@@ -562,7 +560,6 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
     report = PropertyReport(checks=checks, s_budget_exponent=s_ref,
                             s_reference_formula="min(pbar/p, 1/(dim*p))",
                             smoothness_proxy=smooth_proxy, delta=delta)
-    result.property_report = report
     return report
 
 

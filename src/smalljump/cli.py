@@ -9,6 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -64,12 +65,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _params_from(args) -> EnergyParams:
-    g = None
-    if getattr(args, "target", None):
-        g = load_field(args.target)
-    return EnergyParams(HookeTensor(args.lame_lambda, args.lame_mu),
-                        p=args.p, kappa=args.kappa, beta=args.beta,
-                        mu_offset=args.mu_offset, g=g)
+    return EnergyParams(HookeTensor(args.lame_lambda, args.lame_mu), p=args.p)
 
 
 def _config_from(args) -> ApproxConfig:
@@ -131,10 +127,6 @@ def cmd_approx(args) -> int:
     params = _params_from(args)
     config = _config_from(args)
     out = Path(args.out)
-
-    if args.sweep_levels:
-        return _run_sweep(args, params, out)
-
     u = load_field(args.field)
     jumps = load_jump(args.jump, u.grid)
     res = approximate(u, jumps, params, config)
@@ -159,11 +151,13 @@ def cmd_approx(args) -> int:
     return EXIT_PASS
 
 
-def _run_sweep(args, params: EnergyParams, out: Path) -> int:
+def cmd_sweep(args) -> int:
+    params = _params_from(args)
+    out = Path(args.out)
     grid = GridSpec(args.dim, args.cells, 1.0)
     deltas, excesses, ratios, rows = [], [], [], []
     all_pass = True
-    for k in range(args.sweep_levels):
+    for k in range(args.levels):
         dk = args.delta0 * 2.0 ** (-k)
         u, jumps, meta = generators.shrinking_crack_instance(grid, dk, args.seed)
         cfg = ApproxConfig(eta=args.eta, delta=dk)
@@ -243,11 +237,13 @@ def cmd_oracle(args) -> int:
     grid = GridSpec(args.dim, args.cells, args.half_width)
     if args.target:
         target = load_field(args.target)
+        if target.grid != grid:
+            raise ValueError(f"target grid {target.grid} does not match "
+                             f"the oracle grid {grid}")
     else:
         target = generators.split_target(grid, seed=args.seed)
     params = EnergyParams(HookeTensor(args.lame_lambda, args.lame_mu),
-                          p=args.p, kappa=args.kappa, beta=args.beta,
-                          mu_offset=args.mu_offset, g=target)
+                          kappa=args.kappa, beta=args.beta, g=target)
     out = Path(args.out)
     cands = _midline_candidates(grid, args.n_candidates, args.cross)
 
@@ -294,8 +290,7 @@ def cmd_oracle(args) -> int:
 def cmd_harness(args) -> int:
     grid = GridSpec(args.dim, args.cells, 1.0)
     params = EnergyParams(HookeTensor(args.lame_lambda, args.lame_mu),
-                          p=args.p, kappa=0.0, beta=args.beta,
-                          mu_offset=args.mu_offset)
+                          p=args.p, beta=args.beta)
     rep = vanishing_jump_harness(grid, args.generator, args.levels, params,
                                  eta=args.eta if args.eta is not None else 0.5,
                                  kappa0=args.kappa0, seed=args.seed)
@@ -323,13 +318,15 @@ def cmd_harness(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--p", type=float, default=2.0)
+def _add_lame(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lame-lambda", type=float, default=1.0)
     p.add_argument("--lame-mu", type=float, default=1.0)
-    p.add_argument("--kappa", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--mu-offset", type=float, default=0.0)
+
+
+def _add_approx_params(p: argparse.ArgumentParser) -> None:
+    """The flags an approximation run reads: p, the Lame pair and eta."""
+    p.add_argument("--p", type=float, default=2.0)
+    _add_lame(p)
     p.add_argument("--eta", type=float, default=None)
 
 
@@ -339,8 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Smooth approximation of displacement fields with small "
                     "crack sets, and a brute-force Griffith energy oracle.")
     sub = ap.add_subparsers(dest="command", required=True)
+    # no prefix matching: a flag that a subcommand lacks is an error
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    g = sub.add_parser("gen", help="generate a synthetic field and crack set")
+    g = add("gen", help="generate a synthetic field and crack set")
     g.add_argument("--spec", required=True,
                    choices=["rigid", "smooth-sinusoid", "two-motion-crack",
                             "random-cracks", "rigid-patches"])
@@ -356,31 +355,28 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen)
 
-    a = sub.add_parser("approx", help="run the approximation pipeline")
-    a.add_argument("--field")
-    a.add_argument("--jump")
-    a.add_argument("--target", help="fidelity target field (optional)")
-    a.add_argument("--delta", type=float, default=None)
-    a.add_argument("--sweep-levels", type=int, default=0,
-                   help="run the shrinking-crack sweep instead of one input")
-    a.add_argument("--delta0", type=float, default=0.25)
-    a.add_argument("--dim", type=int, default=2)
-    a.add_argument("--cells", type=int, default=256)
-    a.add_argument("--seed", type=int, default=0)
-    a.add_argument("--out", required=True)
-    _add_common_params(a)
-    a.set_defaults(func=cmd_approx)
+    for name, func, help_ in (
+            ("approx", cmd_approx, "run the approximation pipeline"),
+            ("verify", cmd_verify, "re-run the pipeline and print checks")):
+        a = add(name, help=help_)
+        a.add_argument("--field", required=True)
+        a.add_argument("--jump", required=True)
+        a.add_argument("--delta", type=float, default=None)
+        a.add_argument("--out", required=name == "approx")
+        _add_approx_params(a)
+        a.set_defaults(func=func)
 
-    v = sub.add_parser("verify", help="re-run the pipeline and print checks")
-    v.add_argument("--field", required=True)
-    v.add_argument("--jump", required=True)
-    v.add_argument("--target")
-    v.add_argument("--delta", type=float, default=None)
-    v.add_argument("--out")
-    _add_common_params(v)
-    v.set_defaults(func=cmd_verify)
+    s = add("sweep", help="approximate a shrinking crack at halving scales")
+    s.add_argument("--levels", type=int, default=4)
+    s.add_argument("--delta0", type=float, default=0.25)
+    s.add_argument("--dim", type=int, default=2)
+    s.add_argument("--cells", type=int, default=256)
+    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--out", required=True)
+    _add_approx_params(s)
+    s.set_defaults(func=cmd_sweep)
 
-    o = sub.add_parser("oracle", help="brute-force Griffith minimization")
+    o = add("oracle", help="brute-force Griffith minimization")
     o.add_argument("--dim", type=int, default=2)
     o.add_argument("--cells", type=int, default=8)
     o.add_argument("--half-width", type=float, default=1.0)
@@ -392,10 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--heuristic", action="store_true")
     o.add_argument("--homogeneous", action="store_true")
     o.add_argument("--out", required=True)
-    _add_common_params(o)
+    o.add_argument("--kappa", type=float, default=0.0)
+    o.add_argument("--beta", type=float, default=1.0)
+    _add_lame(o)
     o.set_defaults(func=cmd_oracle)
 
-    hn = sub.add_parser("harness", help="vanishing-jump convergence harness")
+    hn = add("harness", help="vanishing-jump convergence harness")
     hn.add_argument("--generator", required=True,
                     choices=["shrinking-crack", "rigid-patches"])
     hn.add_argument("--levels", type=int, default=4)
@@ -404,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     hn.add_argument("--kappa0", type=float, default=0.1)
     hn.add_argument("--seed", type=int, default=0)
     hn.add_argument("--out", required=True)
-    _add_common_params(hn)
+    hn.add_argument("--beta", type=float, default=1.0)
+    _add_approx_params(hn)
     hn.set_defaults(func=cmd_harness)
     return ap
 

@@ -279,7 +279,6 @@ class WhitneyCovering:
     good: np.ndarray | None = None
     bad_cells: np.ndarray | None = None
     crack_in_third: np.ndarray | None = None
-    eta: float | None = None
     jumps: JumpSet | None = None
     anchors: np.ndarray = field(init=False, repr=False)   # (n, dim), h units
     sides: np.ndarray = field(init=False, repr=False)     # (n,), h units
@@ -354,8 +353,8 @@ class WhitneyCovering:
         return json.dumps(payload, sort_keys=True)
 
 
-def build_covering(grid: GridSpec, selection: CrownSelection,
-                   delta: float | None = None) -> WhitneyCovering:
+def build_covering(grid: GridSpec,
+                   selection: CrownSelection) -> WhitneyCovering:
     """Tile the selected box: delta-cubes inside, dyadic slabs in the crown.
 
     Refinement stops at side 4h; the remaining shell of thickness 4h is
@@ -363,7 +362,7 @@ def build_covering(grid: GridSpec, selection: CrownSelection,
     """
     if not grid.is_dyadic:
         raise CoveringError("covering requires a power-of-two grid with M >= 8")
-    m = lattice_delta(grid, delta if delta is not None else selection.delta)
+    m = lattice_delta(grid, selection.delta)
     if m < 4:
         raise CoveringError("grid too coarse for covering")
     n_ann = (grid.cells_per_side // 2) // m
@@ -419,7 +418,6 @@ def classify(covering: WhitneyCovering, jumps: JumpSet,
     covering.good = crack <= eta * (covering.sides * grid.spacing) \
         ** (grid.dim - 1) + 1e-15
     covering.crack_in_third = crack
-    covering.eta = eta
     covering.jumps = jumps
     covering.bad_cells = bad_cell_mask(covering)
     return covering

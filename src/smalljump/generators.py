@@ -129,11 +129,10 @@ def sinusoid_field(grid: GridSpec, seed: int = 0, amplitude: float = 0.05
 
 def field_with_patches(grid: GridSpec, patches: list[CrackPatch],
                        openings: list[np.ndarray],
-                       rng: np.random.Generator | None = None,
-                       background_scale: float = 0.5
+                       rng: np.random.Generator | None = None
                        ) -> tuple[DisplacementField, JumpSet]:
     rng = rng or np.random.default_rng(0)
-    vals = rigid_background(grid, rng, scale=background_scale)
+    vals = rigid_background(grid, rng)
     faces: list[Face] = []
     for patch, opening in zip(patches, openings):
         m = pocket_indicator(grid, patch)
@@ -174,8 +173,10 @@ def two_motion_crack_field(grid: GridSpec, area: float, seed: int = 0,
 
 
 def _separated_patches(grid: GridSpec, rng: np.random.Generator, count: int,
-                       extent_for: "callable", margin_cells: int = 3
-                       ) -> list[CrackPatch]:
+                       extent_for: "callable") -> list[CrackPatch]:
+    """Up to ``count`` patches in 400 draws, their support boxes at least
+    3 cells apart along some axis."""
+    margin_cells = 3
     dim = grid.dim
     m = grid.cells_per_side
     patches: list[CrackPatch] = []

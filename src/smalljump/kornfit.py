@@ -138,7 +138,6 @@ def fit_rigid_motion(points: np.ndarray, values: np.ndarray,
 
 @dataclass
 class ExceptionalSet:
-    cube: DyadicCube
     cell_slices: tuple[slice, ...]       # the q'' cell window
     local_mask: np.ndarray               # exceptional cells inside the window
     spacing: float
@@ -196,7 +195,8 @@ def extract_exceptional_set(u: DisplacementField, jumps: JumpSet,
                             strain: np.ndarray, cube: DyadicCube,
                             c_star: float, p: float = 2.0) -> FitReport:
     """Fit-trim-refit until the exceptional set stabilizes or the volume
-    budget binds.  Jump-free enlargements force an empty set.  ``strain``
+    budget binds.  A jump-free enlargement has a zero budget, so its set
+    is empty.  ``strain``
     is the symmetric gradient of u with the jumps."""
     grid = u.grid
     sl, centers, vals = _cube_samples(u, cube)
@@ -211,35 +211,26 @@ def extract_exceptional_set(u: DisplacementField, jumps: JumpSet,
     budget_cells = int(math.floor(c_star * side * crack / h ** dim + 1e-9))
 
     keep = np.ones(centers.shape[0], dtype=bool)
-    violation = False
-    if crack == 0.0 or budget_cells == 0:
-        motion = fit_rigid_motion(centers, vals, p=p)
-        res = np.linalg.norm(vals - motion(centers), axis=1)
-        if crack == 0.0:
-            budget_cells = 0
-        want = _separated_cluster(res, np.ones_like(keep))
-        violation = bool(np.count_nonzero(want) > budget_cells)
-    else:
-        prev = None
-        for _ in range(TRIM_MAX_ITER):
-            motion = fit_rigid_motion(centers[keep], vals[keep], p=p)
-            res = np.linalg.norm(vals - motion(centers), axis=1)
-            want = _noise_threshold_trims(res, keep)
-            order = np.lexsort((np.arange(res.size), -res))
-            marked = [i for i in order if want[i]][:budget_cells]
-            new_keep = np.ones_like(keep)
-            new_keep[marked] = False
-            if prev is not None and np.array_equal(new_keep, prev):
-                keep = new_keep
-                break
-            prev, keep = new_keep, new_keep
+    prev = None
+    for _ in range(TRIM_MAX_ITER):
         motion = fit_rigid_motion(centers[keep], vals[keep], p=p)
         res = np.linalg.norm(vals - motion(centers), axis=1)
-        cluster = _separated_cluster(res, keep)
-        violation = bool(np.count_nonzero(cluster) > budget_cells)
+        want = _noise_threshold_trims(res, keep)
+        order = np.lexsort((np.arange(res.size), -res))
+        marked = [i for i in order if want[i]][:budget_cells]
+        new_keep = np.ones_like(keep)
+        new_keep[marked] = False
+        if prev is not None and np.array_equal(new_keep, prev):
+            keep = new_keep
+            break
+        prev, keep = new_keep, new_keep
+    motion = fit_rigid_motion(centers[keep], vals[keep], p=p)
+    res = np.linalg.norm(vals - motion(centers), axis=1)
+    cluster = _separated_cluster(res, keep)
+    violation = bool(np.count_nonzero(cluster) > budget_cells)
 
     omega_mask = (~keep).reshape(shape)
-    omega = ExceptionalSet(cube, sl, omega_mask, h)
+    omega = ExceptionalSet(sl, omega_mask, h)
 
     hvol = h ** dim
     q_exp = dim * p / (dim - 1)

@@ -79,7 +79,6 @@ class OracleResult:
     breakdown: dict
     per_config: list[dict]
     exhaustive: bool
-    psi0: float | None = None
 
 
 DENSE_DOF_LIMIT = 4000
@@ -237,10 +236,12 @@ class ElasticSystem:
         """Every per-cell crack block of a base set and a candidate list.
 
         Yields ``(cell, js, locs)`` in sorted cell order for each cell that
-        a base face (one not among the candidates) or a candidate reaches:
-        ``js`` indexes the candidates reaching the cell and ``locs[t]`` is
-        its ``_cell_local`` with the candidates of subset ``t`` of ``js``
-        active.  Every face keeps its ``owner_high`` flag from ``base``.
+        a candidate reaches, or with no candidates each cell that a base
+        face reaches: ``js`` indexes the candidates reaching the cell and
+        ``locs[t]`` is its ``_cell_local`` with the candidates of subset
+        ``t`` of ``js`` active, on top of the base faces (those not among
+        the candidates) that reach it.  Every face keeps its
+        ``owner_high`` flag from ``base``.
         """
         candidates = tuple(candidates)
         reach: dict[tuple[int, ...], tuple[list, list]] = {}
@@ -251,6 +252,8 @@ class ElasticSystem:
             for cell in face_cells(self.grid, face):
                 reach.setdefault(cell, ([], []))[1].append(j)
         for cell, (near, js) in sorted(reach.items()):
+            if candidates and not js:
+                continue
             locs = []
             for t in range(2 ** len(js)):
                 faces = set(near) | {candidates[j] for i, j in enumerate(js)
@@ -420,8 +423,6 @@ class ConfigurationEnergies:
         if not self.candidates:   # a single solve: system_for has every block
             return
         for _, js, locs in self.system.cell_blocks(self.base, self.candidates):
-            if not js:
-                continue
             dofs = np.unique(np.concatenate([d for d, _ in locs]))
             mats = np.zeros((len(locs), dofs.size, dofs.size))
             for mat, (d, loc) in zip(mats, locs):
@@ -638,7 +639,6 @@ def deviation_psi0(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
         homogeneous=True, boundary="free", pinned_mask=pinned_mask,
         pinned_values=u.values)
     psi0 = own - result.min_energy
-    result.psi0 = psi0
     return {"psi0": psi0, "own_energy": own, "infimum": result.min_energy,
             "oracle": result}
 

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import re
+import shlex
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from smalljump import generators
-from smalljump.cli import _midline_candidates, main
+from smalljump.cli import _midline_candidates, build_parser, main
 from smalljump.energy import EnergyParams, HookeTensor
 from smalljump.grid import (
     DisplacementField,
@@ -160,6 +164,18 @@ def test_oracle_beta_huge_empty_bitset(tmp_path):
     assert abs(psi["psi0"]) <= 1e-9
 
 
+def test_oracle_target_on_another_grid_exits_one(tmp_path, capsys):
+    base = tmp_path / "target"
+    save_field(base, generators.split_target(GridSpec(2, 16, 1.0), seed=0))
+    rc = main(["oracle", "--cells", "8", "--target", str(base),
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: target grid GridSpec(dim=2, cells_per_side=16, half_width=1.0)"
+        " does not match the oracle grid GridSpec(dim=2, cells_per_side=8, "
+        "half_width=1.0)\n")
+
+
 def test_oracle_density_tables(tmp_path):
     out = tmp_path / "oracle2"
     rc = main(["oracle", "--dim", "2", "--cells", "8", "--n-candidates", "6",
@@ -249,3 +265,104 @@ def test_ignored_thread_cap_warns_once_and_runs(tmp_path, monkeypatch, capsys,
     assert len(err) == 1
     assert err[0].startswith("warning: SMALLJUMP_THREADS")
     assert reason in err[0]
+
+
+FIELD_ARGS = ["--field", "f", "--jump", "f.jump.json"]
+SUBCOMMAND_ARGS = {
+    "approx": FIELD_ARGS + ["--out", "o"],
+    "verify": FIELD_ARGS,
+    "oracle": ["--out", "o"],
+    "harness": ["--generator", "shrinking-crack", "--out", "o"],
+}
+
+
+def _flags(parser) -> dict[str, set[str]]:
+    """Option strings of each subcommand, without -h/--help."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {s for a in p._actions for s in a.option_strings
+                   if s.startswith("--") and s != "--help"}
+            for name, p in sub.choices.items()}
+
+
+def test_each_subcommand_takes_exactly_the_flags_it_reads():
+    approx = {"--field", "--jump", "--delta", "--out", "--p", "--lame-lambda",
+              "--lame-mu", "--eta"}
+    flags = _flags(build_parser())
+    assert flags == {
+        "gen": {"--spec", "--dim", "--cells", "--half-width", "--seed",
+                "--area", "--count", "--max-size", "--amplitude", "--eta",
+                "--out"},
+        "approx": approx,
+        "verify": approx,
+        "sweep": {"--levels", "--delta0", "--dim", "--cells", "--seed",
+                  "--out", "--p", "--lame-lambda", "--lame-mu", "--eta"},
+        "oracle": {"--dim", "--cells", "--half-width", "--n-candidates",
+                   "--cross", "--target", "--seed", "--heuristic",
+                   "--homogeneous", "--out", "--kappa", "--beta",
+                   "--lame-lambda", "--lame-mu"},
+        "harness": {"--generator", "--levels", "--dim", "--cells", "--kappa0",
+                    "--seed", "--out", "--beta", "--p", "--lame-lambda",
+                    "--lame-mu", "--eta"},
+    }
+    assert sum(map(len, flags.values())) == 63
+
+
+@pytest.mark.parametrize("command, flag", [
+    *[(c, f) for c in ("approx", "verify")
+      for f in ("--kappa", "--beta", "--mu-offset", "--target")],
+    *[("oracle", f) for f in ("--p", "--eta", "--mu-offset")],
+    *[("harness", f) for f in ("--kappa", "--mu-offset")],
+    *[("approx", f) for f in ("--sweep-levels", "--delta0", "--dim",
+                              "--cells", "--seed")],
+])
+def test_flags_nothing_reads_are_usage_errors(capsys, command, flag):
+    parser = build_parser()
+    parser.parse_args([command, *SUBCOMMAND_ARGS[command]])
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([command, *SUBCOMMAND_ARGS[command], flag, "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: smalljump ")
+    assert err.endswith(
+        f"smalljump: error: unrecognized arguments: {flag} 1\n")
+
+
+@pytest.mark.parametrize("missing", ["--field", "--jump"])
+def test_approx_without_its_input_is_a_usage_error(capsys, missing):
+    argv = list(SUBCOMMAND_ARGS["approx"])
+    i = argv.index(missing)
+    del argv[i:i + 2]
+    with pytest.raises(SystemExit) as exc:
+        main(["approx", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: smalljump approx")
+    assert err.endswith(f"the following arguments are required: {missing}\n")
+
+
+def test_sweep_subcommand_writes_its_tables(tmp_path):
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--levels", "3", "--cells", "64", "--eta", "0.5",
+               "--out", str(out)])
+    assert rc == 0
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert rows[0] == "delta,strain_error,excess_ratio,faces,pass"
+    assert len(rows) == 1 + 3
+    report = json.loads((out / "sweep.json").read_text())
+    assert len(report["excess_ratios"]) == 3
+    assert report["strictly_decreasing"] and report["all_properties_pass"]
+
+
+def _readme_cli_lines() -> list[str]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n\n```\n(.*?)^```", readme,
+                      re.MULTILINE | re.DOTALL).group(1)
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("smalljump ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_examples_parse(line):
+    args = build_parser().parse_args(shlex.split(line)[1:])
+    assert args.command == shlex.split(line)[1]

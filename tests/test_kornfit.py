@@ -278,7 +278,7 @@ def test_smoothing_and_mollified_strain_error_equal_whole_grid_reference(dim, m)
         # exceptional cells scattered over the whole grid, most of them
         # outside the smoothing window
         scattered = replace(fit, omega=ExceptionalSet(
-            cube, (slice(0, m),) * dim, rng.random(g.cell_shape) < 0.05,
+            (slice(0, m),) * dim, rng.random(g.cell_shape) < 0.05,
             g.spacing))
         for f in (fit, scattered):
             got, win = cube_smoothed_field(u, cube, f)

@@ -18,7 +18,11 @@ from smalljump.energy import (
     energy_breakdown,
 )
 from smalljump.errors import SolverError
-from smalljump.generators import rigid_field, two_motion_crack_field
+from smalljump.generators import (
+    rigid_field,
+    split_target,
+    two_motion_crack_field,
+)
 from smalljump.grid import (
     BallRegion,
     BoxRegion,
@@ -38,6 +42,7 @@ from smalljump.oracle import (
     solve_elastic,
     vanishing_jump_harness,
 )
+from smalljump.strain import face_cells
 from tests.oracle_reference import full_solve_energies
 from tests.strain_reference import CrackContext, affected_cells, cell_strain_ops
 
@@ -264,6 +269,22 @@ def test_sparse_condensed_search_matches_full_solves(monkeypatch, banded_sizes,
                                        sorted(cands), base)
 
 
+def test_cell_blocks_build_only_the_cells_candidates_reach(monkeypatch):
+    g = GridSpec(2, 16, 1.0)
+    system = ElasticSystem(g, EnergyParams(HOOKE, p=2.0, kappa=1.0))
+    # one base face next to the candidates, one far from them
+    base = JumpSet(g, [(0, (8, 11)), (1, (3, 3))], [(0, (8, 11))])
+    cands = [(0, (8, j)) for j in range(5, 11)]
+    built = []
+    cell_local = ElasticSystem._cell_local
+    monkeypatch.setattr(ElasticSystem, "_cell_local", lambda self, cell, js: (
+        built.append(cell), cell_local(self, cell, js))[1])
+    blocks = list(system.cell_blocks(base, cands))
+    assert [cell for cell, _, _ in blocks] == sorted(
+        {cell for f in cands for cell in face_cells(g, f)})
+    assert len(built) == sum(len(locs) for _, _, locs in blocks)
+
+
 @pytest.mark.parametrize("dense_limit", [oracle.DENSE_DOF_LIMIT, 0])
 def test_singular_crack_free_block_raises(monkeypatch, dense_limit):
     # no fidelity, and two owner_high cracks that cut the corner cell off
@@ -320,6 +341,38 @@ def test_psi0_of_minimizer_and_perturbation():
     out2 = deviation_psi0(res.minimizer_u, js_pert, params,
                           centered_box(1.0, 2), cands + [extra])
     assert out2["psi0"] > 0
+
+
+def test_psi0_on_proper_sub_boxes():
+    # a sub-box that leaves cells out makes the search evaluate each
+    # competitor's energy on the region alone
+    g = GridSpec(2, 16, 1.0)
+    target = split_target(g, seed=0)
+    params = EnergyParams(HOOKE, p=2.0, kappa=3.0, beta=0.05, g=target)
+    cands = [(0, (8, j)) for j in range(5, 11)]
+    res = brute_force_minimize(g, cands, params, homogeneous=True,
+                               boundary="fixed", pinned_values=target.values)
+    assert res.best_config.bitstring() == "111111"
+    own = res.best_config.active_faces()
+    boxes = (centered_box(0.75, 2), BoxRegion((-0.75, -1.0), (1.0, 0.75)))
+    whole_box = centered_box(1.0, 2)
+    for box in boxes:
+        assert not np.all(box.cell_mask(g))
+        out = deviation_psi0(res.minimizer_u, JumpSet(g, own), params, box,
+                             cands)
+        assert abs(out["psi0"]) <= 1e-9
+
+    # an extra face outside the candidates: every sub-box competitor is a
+    # whole-box competitor with the same energy off the sub-box, so the
+    # sub-box gap is at most the whole-box one
+    perturbed = JumpSet(g, own + [(0, (8, 11))])
+    whole = deviation_psi0(res.minimizer_u, perturbed, params, whole_box,
+                           cands)
+    assert whole["psi0"] > 0
+    for box in boxes:
+        out = deviation_psi0(res.minimizer_u, perturbed, params, box, cands)
+        assert out["own_energy"] < whole["own_energy"]
+        assert 0 < out["psi0"] <= whole["psi0"]
 
 
 def test_psi0_empty_candidates_iff_elastic_solution():
