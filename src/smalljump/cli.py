@@ -26,6 +26,7 @@ from .approximator import (
     fit_decay_exponent,
     verify_properties,
 )
+from .covering import lattice_delta
 from .energy import EnergyParams, HookeTensor
 from .errors import CoveringError, RegimeError, SolverError
 from .grid import (
@@ -50,9 +51,19 @@ EXIT_REGIME = 2
 EXIT_VIOLATION = 3
 
 
+def _finite_or_null(x):
+    """``x`` with each non-finite float as None: JSON has no Infinity."""
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_null(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    path.write_text(json.dumps(_finite_or_null(payload), sort_keys=True,
+                               indent=1, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -155,10 +166,18 @@ def cmd_sweep(args) -> int:
     params = _params_from(args)
     out = Path(args.out)
     grid = GridSpec(args.dim, args.cells, 1.0)
+    dks = [args.delta0 * 2.0 ** (-k) for k in range(args.levels)]
+    if len(dks) < 2:
+        raise RegimeError(f"a sweep fits its decay over at least 2 levels, "
+                          f"got {args.levels}")
+    scales = [lattice_delta(grid, dk) for dk in dks]
+    if len(set(scales)) < len(scales):
+        raise RegimeError(
+            f"levels share a covering scale ({scales} grid steps; the "
+            f"lattice delta is at least 4h): use fewer levels or more cells")
     deltas, excesses, ratios, rows = [], [], [], []
     all_pass = True
-    for k in range(args.levels):
-        dk = args.delta0 * 2.0 ** (-k)
+    for dk in dks:
         u, jumps, meta = generators.shrinking_crack_instance(grid, dk, args.seed)
         cfg = ApproxConfig(eta=args.eta, delta=dk)
         res = approximate(u, jumps, params, cfg)
@@ -180,7 +199,8 @@ def cmd_sweep(args) -> int:
                  "s_estimate": slope, "strictly_decreasing": decreasing,
                  "all_properties_pass": all_pass})
     print(f"s_estimate = {slope:.4f}; strictly decreasing: {decreasing}")
-    if not (all_pass and decreasing and slope >= 0.05):
+    if not (all_pass and decreasing and math.isfinite(slope)
+            and slope >= 0.05):
         return EXIT_VIOLATION
     return EXIT_PASS
 

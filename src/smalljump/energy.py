@@ -26,7 +26,7 @@ from .strain import symmetric_gradient
 
 @dataclass(frozen=True)
 class HookeTensor:
-    """Isotropic Hooke law C xi = lam*tr(sym xi)*Id + 2*mu*sym(xi)."""
+    """Isotropic Hooke law C xi = lam*tr(xi)*Id + 2*mu*xi on symmetric xi."""
 
     lame_lambda: float
     lame_mu: float
@@ -45,23 +45,20 @@ class HookeTensor:
                    (dim * self.lame_lambda + 2 * self.lame_mu) / 4.0)
 
     def quadratic_form(self, xi: np.ndarray) -> np.ndarray:
-        """C xi . xi for matrices stored as (d, d) planes, shape (d, d, ...)."""
+        """C xi . xi for symmetric matrices stored as their upper planes,
+        shape (npairs, ...) in ``upper_pairs`` order; one matrix may be
+        given as its (npairs,) vector.  3 planes mean 2D, 6 mean 3D."""
         xi = np.asarray(xi, dtype=float)
-        if xi.ndim == 2:
-            return self.quadratic_form(xi[..., None])[0]
-        dim = xi.shape[0]
-        sym = {}
-        for i, k in upper_pairs(dim):
-            # 0.5*(x + x) on the diagonal, so overflow behaves as off it
-            s = xi[i, k] + xi[k, i]
-            s *= 0.5
-            sym[i, k] = s
-        tr = sym[0, 0] + sym[1, 1]
-        for i in range(2, dim):
-            tr += sym[i, i]
-        for s in sym.values():
-            s *= s
-        frob2 = _sum_squares(sym)
+        if xi.ndim == 1:
+            return self.quadratic_form(xi[:, None])[0]
+        diag = {3: (0, 2), 6: (0, 3, 5)}.get(xi.shape[0])  # the (i, i) planes
+        if diag is None:
+            raise ValueError(f"{xi.shape[0]} strain planes are neither 3 (2D) "
+                             "nor 6 (3D)")
+        tr = xi[diag[0]] + xi[diag[1]]
+        for n in diag[2:]:
+            tr += xi[n]
+        frob2 = frobenius_sq(xi)
         q = self.lame_lambda * tr
         q *= tr
         frob2 *= 2.0 * self.lame_mu
@@ -69,43 +66,38 @@ class HookeTensor:
         return q
 
 
-def upper_pairs(dim: int) -> list[tuple[int, int]]:
-    """Component pairs (i, k), i <= k, of a symmetric (dim, dim) field."""
-    return [(i, k) for i in range(dim) for k in range(i, dim)]
-
-
-def _sum_squares(sq: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
-    """sum_ik x_ik^2 from the squares ``sq[i, k]``, i <= k, of a symmetric
-    2D or 3D field; the squares are overwritten.
+def _sum_squares(sq: np.ndarray) -> np.ndarray:
+    """sum_ik x_ik^2 from the squares ``sq[n]`` of the upper planes of a
+    symmetric 2D or 3D field; the squares are overwritten.
 
     The nine (four) row-major terms are added as a numpy sum over
     trailing (d, d) axes adds them: in 2D left to right,
     ((s00 + s01) + s01) + s11; in 3D the first eight pairwise, then the
     ninth: (((s00 + s01) + (s02 + s01)) + ((s11 + s12) + (s02 + s12))) + s22.
     """
-    acc = np.add(sq[0, 0], sq[0, 1], out=sq[0, 0])
-    if (2, 2) not in sq:
-        acc += sq[0, 1]
-        acc += sq[1, 1]
+    acc = np.add(sq[0], sq[1], out=sq[0])
+    if len(sq) == 3:    # s00, s01, s11
+        acc += sq[1]
+        acc += sq[2]
         return acc
-    acc += np.add(sq[0, 2], sq[0, 1], out=sq[0, 1])
-    mid = np.add(sq[1, 1], sq[1, 2], out=sq[1, 1])
-    mid += np.add(sq[0, 2], sq[1, 2], out=sq[0, 2])
+    _, s01, s02, s11, s12, s22 = sq
+    acc += np.add(s02, s01, out=s01)
+    mid = np.add(s11, s12, out=s11)
+    mid += np.add(s02, s12, out=s02)
     acc += mid
-    acc += sq[2, 2]
+    acc += s22
     return acc
 
 
-def frobenius_sq(upper: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
-    """|x|^2 per cell of an exactly symmetric matrix field given by its
-    planes ``upper[i, k]``, i <= k, summed in the order of ``_sum_squares``."""
-    return _sum_squares({ik: x * x for ik, x in upper.items()})
+def frobenius_sq(planes: np.ndarray) -> np.ndarray:
+    """|x|^2 per cell of a symmetric matrix field given by its upper
+    planes, summed in the order of ``_sum_squares``."""
+    return _sum_squares(planes * planes)
 
 
 def strain_pth_power(strain: np.ndarray, p: float) -> np.ndarray:
-    """|e|^p per cell (Frobenius magnitude) of a symmetric (d, d) plane
-    field such as e(u)."""
-    frob2 = frobenius_sq({ik: strain[ik] for ik in upper_pairs(strain.shape[0])})
+    """|e|^p per cell (Frobenius magnitude) of upper planes such as e(u)."""
+    frob2 = frobenius_sq(strain)
     return np.sqrt(frob2, out=frob2) ** p
 
 
@@ -157,7 +149,7 @@ def cellwise_pth_power(u_vals: np.ndarray, grid: GridSpec, p: float) -> np.ndarr
 
 
 def lp_norm_cells(cell_vals: np.ndarray, grid: GridSpec, p: float) -> float:
-    """L^p norm of a symmetric (dim, dim) plane field (Frobenius magnitude)."""
+    """L^p norm of a strain plane field (Frobenius magnitude)."""
     return float(np.sum(strain_pth_power(cell_vals, p))
                  * grid.spacing ** grid.dim) ** (1.0 / p)
 

@@ -176,14 +176,6 @@ class JumpSet:
     def __contains__(self, face: Face) -> bool:
         return face in self._faces
 
-    def __or__(self, other: "JumpSet") -> "JumpSet":
-        return JumpSet(self.grid, self._faces | other._faces,
-                       self._owner_high | other._owner_high)
-
-    def difference(self, other: "JumpSet") -> "JumpSet":
-        faces = self._faces - other._faces
-        return JumpSet(self.grid, faces, self._owner_high & faces)
-
     def face_coord_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(axes, centers): int array (n,), float array (n, dim)."""
         faces = self.sorted_faces()

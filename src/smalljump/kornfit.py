@@ -22,7 +22,7 @@ from .covering import (
     face_coords12,
     inside12,
 )
-from .energy import frobenius_sq, strain_pth_power, upper_pairs
+from .energy import frobenius_sq, strain_pth_power
 from .errors import FitError
 from .grid import (
     DisplacementField,
@@ -33,7 +33,7 @@ from .grid import (
     window_flat_index,
 )
 from .mollify import kernel_radius_cells, mollify_stack, mollify_strain_box
-from .strain import _standard_gradient
+from .strain import crack_free_strain
 
 # Iteration caps and the IRLS step tolerance of the fits.
 IRLS_MAX_ITER = 50
@@ -239,7 +239,7 @@ def extract_exceptional_set(u: DisplacementField, jumps: JumpSet,
     residual_sobolev = float(np.sum(kept_res ** q_exp) * hvol) ** (1.0 / q_exp)
 
     sl3 = cube.enlarged_cell_ranges(grid, "q3")
-    strain_p = float(np.sum(strain_pth_power(strain[(slice(None),) * 2 + sl3],
+    strain_p = float(np.sum(strain_pth_power(strain[(slice(None),) + sl3],
                                              p)) * hvol)
 
     def ratio(num: float, den: float) -> float:
@@ -338,13 +338,11 @@ def mollified_strain_error(u: DisplacementField, strain: np.ndarray,
     sl1 = cube.enlarged_cell_ranges(grid, "q1")
     local = tuple(slice(s.start - w.start, s.stop - w.start)
                   for s, w in zip(sl1, win))
-    grad = _standard_gradient(u_i, h)[(slice(None),) * 2 + local]
+    e_i = crack_free_strain(u_i, h)[(slice(None),) + local]
     ref = mollify_strain_box(strain, sl1, side, h)
 
     hvol = h ** dim
-    diff = np.sqrt(frobenius_sq({
-        (i, k): 0.5 * (grad[i, k] + grad[k, i]) - ref[i, k]
-        for i, k in upper_pairs(dim)}))
+    diff = np.sqrt(frobenius_sq(e_i - ref))
     lhs = float(np.sum(diff ** p) * hvol)
     strain_p = fit.constants.get("strain_p_third", 0.0)
     density = fit.crack_measure / side ** (dim - 1)

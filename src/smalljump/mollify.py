@@ -90,30 +90,26 @@ def mollify_stack(stack: np.ndarray, dim: int, scale: float,
 
 def mollify_strain_box(strain: np.ndarray, box: tuple[slice, ...],
                        scale: float, spacing: float) -> np.ndarray:
-    """The mollified strain on a box of cells, shape (dim, dim) + box, for
-    an exactly symmetric (dim, dim) plane field such as e(u).
+    """The mollified strain on a box of cells, shape (npairs,) + box, for
+    strain planes such as e(u).
 
-    Only the dim(dim+1)/2 upper-triangle planes are convolved, each over
-    the box plus the kernel halo, and the result is mirrored: equal
-    inputs give equal convolutions, and an interior entry sums the same
-    kernel taps in the same order on a window as on the whole lattice.
-    An empty box gives an empty result.  Raises CoveringError when the
-    halo leaves the lattice, where the whole-lattice convolution would
-    read zero padding.
+    Each plane is convolved over the box plus the kernel halo: an
+    interior entry sums the same kernel taps in the same order on a
+    window as on the whole lattice.  An empty box gives an empty result.
+    Raises CoveringError when the halo leaves the lattice, where the
+    whole-lattice convolution would read zero padding.
     """
     dim = len(box)
     shape = tuple(s.stop - s.start for s in box)
-    out = np.empty((dim, dim) + shape)
+    out = np.empty(strain.shape[:1] + shape)
     if 0 in shape:
         return out
     kern = _cached_kernel(dim, kernel_radius_cells(scale, spacing))
     margin = (kern.shape[0] - 1) // 2
     win = tuple(slice(s.start - margin, s.stop + margin) for s in box)
-    if any(w.start < 0 or w.stop > n for w, n in zip(win, strain.shape[2:])):
+    if any(w.start < 0 or w.stop > n for w, n in zip(win, strain.shape[1:])):
         raise CoveringError("mollification margin covers the inner box")
     core = tuple(slice(margin, margin + n) for n in shape)
-    for i in range(dim):
-        for j in range(i, dim):
-            comp = ndimage.convolve(strain[(i, j) + win], kern, mode="constant")
-            out[i, j] = out[j, i] = comp[core]
+    for n, plane in enumerate(strain):
+        out[n] = ndimage.convolve(plane[win], kern, mode="constant")[core]
     return out

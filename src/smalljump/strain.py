@@ -13,11 +13,12 @@ zero strain in every mode.  This owner rule lives here alone: the
 strain and the elastic solver take their per-cell stencils from
 ``cell_strain_ops``, which reads the jump set through one face lookup.
 
-The strain is stored plane-major: ``symmetric_gradient`` returns shape
-``(dim, dim) + cell_shape`` and ``e[i, k]`` is one C-contiguous cell
-plane.  Readers reduce over the components plane by plane
-(``energy.frobenius_sq``), adding the squares in the order a numpy sum
-over trailing (dim, dim) axes takes: left to right in 2D; in 3D the
+The strain is stored as its independent components: ``symmetric_gradient``
+returns shape ``(npairs,) + cell_shape``, one C-contiguous cell plane per
+pair (i, k), i <= k, of ``upper_pairs(dim)`` (3 planes in 2D, 6 in 3D).
+Readers reduce over the pairs plane by plane (``energy.frobenius_sq``),
+adding the squares in the order a numpy sum over the trailing (dim, dim)
+axes of the full symmetric matrix takes: left to right in 2D; in 3D the
 first eight pairwise, ((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7)), then the
 ninth.  So densities and magnitudes have the bits of that sum.
 """
@@ -127,40 +128,54 @@ def face_cells(grid: GridSpec, face: Face) -> list[tuple[int, ...]]:
             for ca in range(max(k - 2, 0), min(k + 2, grid.cells_per_side))]
 
 
-def _standard_gradient(values: np.ndarray, h: float) -> np.ndarray:
-    """Crack-free gradient of node values shaped nodes + (dim,), on the
-    cells between them, as (dim, dim) + cells planes: plane [c, a] is
-    du_c/dx_a.  Each plane is built from a contiguous copy of its node
-    component."""
+def upper_pairs(dim: int) -> list[tuple[int, int]]:
+    """Component pairs (i, k), i <= k, of a symmetric (dim, dim) field, in
+    the order of its strain planes."""
+    return [(i, k) for i in range(dim) for k in range(i, dim)]
+
+
+def crack_free_strain(values: np.ndarray, h: float) -> np.ndarray:
+    """Crack-free strain of node values shaped nodes + (dim,), on the
+    cells between them, as (npairs,) + cells planes.
+
+    Plane (i, k) is (du_i/dx_k + du_k/dx_i) * 0.5, and (g + g) * 0.5 on
+    the diagonal, which overflows where the sum does.  Each partial
+    derivative is built once, from a contiguous copy of its node
+    component, and added into the plane of its pair.
+    """
     dim = values.shape[-1]
-    out = np.empty((dim, dim) + tuple(s - 1 for s in values.shape[:-1]))
+    index = {ik: n for n, ik in enumerate(upper_pairs(dim))}
+    out = np.empty((len(index),) + tuple(s - 1 for s in values.shape[:-1]))
     for c in range(dim):
         comp = np.ascontiguousarray(values[..., c])
         for a in range(dim):
             d = np.diff(comp, axis=a)
             d /= h
             for o in range(dim):
-                if o == a:
-                    continue
-                sl_lo = [slice(None)] * dim
-                sl_hi = [slice(None)] * dim
-                sl_lo[o] = slice(0, -1)
-                sl_hi[o] = slice(1, None)
-                d = d[tuple(sl_lo)] + d[tuple(sl_hi)]
-                d *= 0.5
-            out[c, a] = d
+                if o != a:  # mean over the cell's edges along axis a
+                    d = d[(slice(None),) * o + (slice(0, -1),)] \
+                        + d[(slice(None),) * o + (slice(1, None),)]
+                    d *= 0.5
+            plane = out[index[min(c, a), max(c, a)]]
+            if c == a:
+                np.add(d, d, out=plane)
+            elif c < a:
+                plane[...] = d
+            else:
+                plane += d
+    out *= 0.5
     return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def symmetric_gradient(u: DisplacementField, jumps: JumpSet) -> np.ndarray:
-    """Per-cell symmetrized gradient, shape (dim, dim) + cell_shape with
-    one contiguous plane per component; cracked faces contribute no
-    strain.
+    """Per-cell symmetrized gradient, shape (npairs,) + cell_shape with
+    one contiguous plane per pair of ``upper_pairs``; cracked faces
+    contribute no strain.
 
-    Exactly symmetric by construction, and read-only.  Finite node values
-    can still overflow in the differences; that raises one ValueError
-    instead of floating-point warnings.
+    Read-only.  Finite node values can still overflow in the
+    differences; that raises one ValueError instead of floating-point
+    warnings.
     """
     grid = u.grid
     jg = jumps.grid
@@ -168,10 +183,8 @@ def symmetric_gradient(u: DisplacementField, jumps: JumpSet) -> np.ndarray:
             or jg.half_width != grid.half_width:
         raise ValueError("displacement and jump set live on different grids")
     dim = grid.dim
-    e = _standard_gradient(u.values, grid.spacing)
-    planes = (slice(None), slice(None))
+    e = crack_free_strain(u.values, grid.spacing)
 
-    dead_cells: list[tuple[tuple[int, ...], list[int]]] = []
     if len(jumps) > 0:
         cells = {c for face in jumps.faces for c in face_cells(grid, face)}
         for cell in sorted(cells):
@@ -184,22 +197,10 @@ def symmetric_gradient(u: DisplacementField, jumps: JumpSet) -> np.ndarray:
                 for node, coef in ops[a]:
                     acc += coef * u.values[node]
                 d_local[:, a] = acc
-            e[planes + cell] = d_local
-            if dead:
-                dead_cells.append((cell, dead))
-
-    # 0.5*(g_ik + g_ki) in place, once per pair; the diagonal keeps
-    # 0.5*(g + g), which overflows where the sum does
-    for i in range(dim):
-        for k in range(i, dim):
-            np.add(e[i, k], e[k, i], out=e[i, k])
-            e[i, k] *= 0.5
-            if k != i:
-                e[k, i] = e[i, k]
-    for cell, dead in dead_cells:
-        for a in dead:
-            e[(a, slice(None)) + cell] = 0.0
-            e[(slice(None), a) + cell] = 0.0
+            # a dead axis zeroes every pair that contains it
+            for n, (i, k) in enumerate(upper_pairs(dim)):
+                e[(n,) + cell] = 0.0 if i in dead or k in dead \
+                    else (d_local[i, k] + d_local[k, i]) * 0.5
     if not np.all(np.isfinite(e)):
         raise ValueError("strain values must be finite")
     e.flags.writeable = False   # shared by every layer of a run

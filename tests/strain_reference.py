@@ -7,7 +7,7 @@ and its face lookup.
 
 The strain used to be stored as ``cell_shape + (dim, dim)`` and reduced
 with numpy sums over the two trailing axes.  These are those functions,
-kept as the reference that the plane-major ``smalljump.strain`` and
+kept as the reference that the packed ``smalljump.strain`` and
 ``smalljump.energy`` must match bit for bit: the gradient, the
 symmetrized strain, the Hooke quadratic form with the densities built on
 it, and the Frobenius magnitude with the L^p norm.
@@ -232,6 +232,10 @@ def lp_norm_cells(e, grid, p):
     return float(np.sum(magnitude(e) ** p) * grid.spacing ** grid.dim) ** (1.0 / p)
 
 
-def to_planes(x):
-    """A trailing-axes (d, d) field as contiguous (d, d) planes."""
-    return np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1)))
+def packed(x):
+    """The symmetric part 0.5 * (x + x^T) of a trailing-axes (d, d) field as
+    its upper planes (i, k), i <= k, in row-major order: the layout of
+    ``smalljump.strain``."""
+    sym = 0.5 * (x + np.swapaxes(x, -1, -2))
+    d = x.shape[-1]
+    return np.stack([sym[..., i, k] for i in range(d) for k in range(i, d)])

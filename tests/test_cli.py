@@ -341,17 +341,69 @@ def test_approx_without_its_input_is_a_usage_error(capsys, missing):
     assert err.endswith(f"the following arguments are required: {missing}\n")
 
 
+def _strict_json(path: Path):
+    """A JSON file's payload; Infinity or NaN in it fails the test."""
+    def refuse(name):
+        raise AssertionError(f"{path.name} holds {name}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def test_sweep_subcommand_writes_its_tables(tmp_path):
     out = tmp_path / "sweep"
-    rc = main(["sweep", "--levels", "3", "--cells", "64", "--eta", "0.5",
+    rc = main(["sweep", "--levels", "3", "--cells", "128", "--eta", "0.5",
                "--out", str(out)])
     assert rc == 0
     rows = (out / "sweep.csv").read_text().splitlines()
     assert rows[0] == "delta,strain_error,excess_ratio,faces,pass"
     assert len(rows) == 1 + 3
-    report = json.loads((out / "sweep.json").read_text())
+    report = _strict_json(out / "sweep.json")
+    assert report["deltas"] == [0.25, 0.125, 0.0625]
     assert len(report["excess_ratios"]) == 3
     assert report["strictly_decreasing"] and report["all_properties_pass"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--levels", "0"], "a sweep fits its decay over at least 2 levels, got 0"),
+    (["--levels", "1"], "a sweep fits its decay over at least 2 levels, got 1"),
+    # 2D 64^2: the lattice delta stops at 4h = 0.125 on the third level
+    (["--levels", "3", "--cells", "64"],
+     "levels share a covering scale ([8, 4, 4] grid steps; the lattice "
+     "delta is at least 4h): use fewer levels or more cells"),
+])
+def test_sweep_refuses_what_it_cannot_fit(tmp_path, capsys, argv, message):
+    out = tmp_path / "sweep"
+    assert main(["sweep", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"regime violation: {message}\n"
+    assert not out.exists()
+
+
+def test_oracle_without_a_density_ball_writes_null(tmp_path):
+    # no density ball fits 3D 4^3, so both density constants are infinite
+    out = tmp_path / "oracle"
+    rc = main(["oracle", "--dim", "3", "--cells", "4", "--n-candidates", "2",
+               "--cross", "--kappa", "2", "--beta", "0.05", "--out", str(out)])
+    assert rc == 0
+    density = _strict_json(out / "summary.json")["density"]
+    assert density == {"status": "degenerate", "theta0": None, "theta1": None}
+
+
+@pytest.mark.parametrize("dim, cells, count, want", [
+    (2, 8, 4, [(0, (4, 3)), (0, (4, 4)), (1, (3, 4)), (1, (4, 4))]),
+    (2, 8, 5, [(0, (4, 3)), (0, (4, 4)), (1, (2, 4)), (1, (3, 4)),
+               (1, (4, 4))]),
+    (3, 4, 2, [(0, (2, 1, 2)), (1, (1, 2, 2))]),
+])
+def test_cross_candidate_layouts(dim, cells, count, want):
+    assert _midline_candidates(GridSpec(dim, cells, 1.0), count, True) == want
+
+
+def test_too_many_candidates_exits_one(tmp_path, capsys):
+    rc = main(["oracle", "--cells", "8", "--n-candidates", "7",
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: 7 candidates do not fit strictly inside the domain "
+        "(at most 6 for 8 cells per side)\n")
 
 
 def _readme_cli_lines() -> list[str]:

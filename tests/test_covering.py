@@ -32,6 +32,7 @@ from smalljump.grid import DisplacementField, GridSpec, JumpSet
 from smalljump.strain import symmetric_gradient
 
 from tests import covering_reference as cref
+from tests import strain_reference as sref
 
 from .test_fields import random_skew, rigid_field
 
@@ -78,7 +79,8 @@ def test_select_crown_budgets_against_direct_integrals():
     e = symmetric_gradient(u, JumpSet(g))
     sel = select_crown(u, JumpSet(g), strain_pth_power(e, 2.0),
                        cellwise_pth_power(u.values, g, 2.0), delta=1.0 / 8.0)
-    dens = np.sum(e ** 2, axis=(0, 1))  # |e|^2 for p=2
+    # |e|^2 for p=2, over the full (d, d) matrix of the reference strain
+    dens = np.sum(sref.symmetric_gradient(u, JumpSet(g)) ** 2, axis=(-2, -1))
     centers = g.cell_center_grid()
     cheb = np.max(np.abs(centers), axis=-1)
     m = lattice_delta(g, 1.0 / 8.0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -89,7 +90,7 @@ def test_strain_identity_map(grid2d):
     x = grid2d.node_coord_grid()
     u = DisplacementField(grid2d, x.copy())
     e = symmetric_gradient(u, JumpSet(grid2d))
-    expected = np.eye(2)[:, :, None, None]
+    expected = sref.packed(np.eye(2))[:, None, None]
     assert np.allclose(e - expected, 0.0, atol=1e-13)
 
 
@@ -136,10 +137,15 @@ def test_strain_exactly_symmetric_on_random_cracks(g, data, seed):
     rng = np.random.default_rng(seed)
     u = DisplacementField(g, rng.normal(size=g.node_shape + (g.dim,)))
     e = symmetric_gradient(u, js)
-    assert e.shape == (g.dim, g.dim) + g.cell_shape
-    assert all(e[i, k].flags.c_contiguous
-               for i, k in itertools.product(range(g.dim), repeat=2))
-    assert np.array_equal(e, np.swapaxes(e, 0, 1))
+    pairs = [(i, k) for i in range(g.dim) for k in range(i, g.dim)]
+    assert e.shape == (len(pairs),) + g.cell_shape
+    assert all(plane.flags.c_contiguous for plane in e)
+    assert not e.flags.writeable
+    # each plane stands for both triangles of the reference's strain
+    want = sref.symmetric_gradient(u, js)
+    for n, (i, k) in enumerate(pairs):
+        assert np.array_equal(e[n], want[..., i, k])
+        assert np.array_equal(e[n], want[..., k, i])
 
 
 @pytest.mark.parametrize("g", _STRAIN_GRIDS, ids=["2d8", "3d4"])
@@ -191,15 +197,19 @@ def test_planes_and_densities_equal_trailing_axes_reference(g, data, seed):
     u = DisplacementField(g, rng.normal(size=g.node_shape + (g.dim,)))
     e = symmetric_gradient(u, js)
     want = sref.symmetric_gradient(u, js)
-    for i, k in itertools.product(range(g.dim), repeat=2):
-        assert np.array_equal(e[i, k], want[..., i, k])
-    # general, non-symmetric matrices for the densities
+    pairs = [(i, k) for i in range(g.dim) for k in range(i, g.dim)]
+    assert e.shape == (len(pairs),) + g.cell_shape
+    for n, (i, k) in enumerate(pairs):
+        assert np.array_equal(e[n], want[..., i, k])
+    # general, non-symmetric matrices for the densities, packed as the
+    # symmetric part the reference's quadratic form reads
     xi = rng.normal(size=(3,) + g.cell_shape + (g.dim, g.dim))
     hooke = HookeTensor(rng.uniform(0.0, 2.0), rng.uniform(0.1, 2.0))
     for p in (1.5, 2.0, 3.0):
         params = EnergyParams(hooke, p=p, mu_offset=rng.uniform(0.01, 1.0))
+        assert np.array_equal(f_zero(e, params), sref.f_zero(want, params))
         for x in (want, xi):
-            planes = sref.to_planes(x)
+            planes = sref.packed(x)
             assert np.array_equal(hooke.quadratic_form(planes),
                                   sref.quadratic_form(hooke, x))
             assert np.array_equal(f_mu(planes, params), sref.f_mu(x, params))
@@ -220,19 +230,19 @@ def test_jump_measure_values(grid2d):
 def test_f_mu_values_and_convexity():
     hooke = HookeTensor(lame_lambda=0.0, lame_mu=0.5)
     params = EnergyParams(hooke, p=2.0, mu_offset=0.0)
-    assert f_mu(np.zeros((2, 2)), params) == pytest.approx(0.0)
-    assert f_mu(np.eye(2), params) == pytest.approx(1.0)
+    assert f_mu(sref.packed(np.zeros((2, 2))), params) == pytest.approx(0.0)
+    assert f_mu(sref.packed(np.eye(2)), params) == pytest.approx(1.0)
     # p = 2 makes f_mu independent of mu
     for mu in (0.0, 1.0, 1e6):
         pm = EnergyParams(hooke, p=2.0, mu_offset=mu)
-        assert f_mu(np.eye(2), pm) == pytest.approx(1.0)
+        assert f_mu(sref.packed(np.eye(2)), pm) == pytest.approx(1.0)
 
     rng = np.random.default_rng(2)
     params = EnergyParams(HookeTensor(1.3, 0.7), p=2.7, mu_offset=0.4)
     for _ in range(100):
         x1 = rng.normal(size=(2, 2))
         x2 = rng.normal(size=(2, 2))
-        x1, x2 = 0.5 * (x1 + x1.T), 0.5 * (x2 + x2.T)
+        x1, x2 = sref.packed(x1), sref.packed(x2)
         for t in (0.25, 0.5, 0.75):
             lhs = f_mu(t * x1 + (1 - t) * x2, params)
             rhs = t * f_mu(x1, params) + (1 - t) * f_mu(x2, params)
@@ -246,13 +256,13 @@ def test_hooke_coercivity():
         hooke.validate(dim)
         c0 = hooke.coercivity_constant(dim)
         assert c0 > 0
-        xi = rng.normal(size=(dim, dim, 1000))
-        q = hooke.quadratic_form(xi)
-        norm2 = np.sum((xi + np.swapaxes(xi, 0, 1)) ** 2, axis=(0, 1))
+        xi = rng.normal(size=(1000, dim, dim))
+        q = hooke.quadratic_form(sref.packed(xi))
+        norm2 = np.sum((xi + np.swapaxes(xi, -1, -2)) ** 2, axis=(-2, -1))
         assert np.all(q >= c0 * norm2 - 1e-10)
-        # skew inputs carry no energy
-        skew = xi - np.swapaxes(xi, 0, 1)
-        assert np.max(np.abs(hooke.quadratic_form(skew))) < 1e-12
+        # skew inputs have a zero symmetric part and carry no energy
+        skew = xi - np.swapaxes(xi, -1, -2)
+        assert np.all(hooke.quadratic_form(sref.packed(skew)) == 0.0)
 
 
 def test_energy_G_examples(grid2d):
@@ -369,3 +379,13 @@ def test_field_io_roundtrip(tmp_path, grid2d):
     save_jump(tmp_path / "cracks.json", js)
     back_j = load_jump(tmp_path / "cracks.json", grid2d)
     assert back_j.faces == js.faces
+    assert back_j.owner_high == frozenset()
+
+    # the object form carries the faces whose high side owns the plane
+    owned = JumpSet(grid2d, [(0, (8, 3)), (1, (2, 7)), (0, (5, 5))],
+                    [(1, (2, 7)), (0, (5, 5))])
+    save_jump(tmp_path / "owned.json", owned)
+    assert isinstance(json.loads((tmp_path / "owned.json").read_text()), dict)
+    back_o = load_jump(tmp_path / "owned.json", grid2d)
+    assert back_o.faces == owned.faces
+    assert back_o.owner_high == owned.owner_high == {(1, (2, 7)), (0, (5, 5))}

@@ -35,6 +35,7 @@ from smalljump.kornfit import (
 from smalljump.strain import symmetric_gradient
 
 from tests import approx_reference as ref
+from tests import strain_reference as sref
 
 from .test_fields import random_skew, rigid_field
 
@@ -368,7 +369,8 @@ def test_fitted_neighbor_distance_controlled_by_strain():
             for c in (c1, c2)]
     dist = neighbor_affine_distance(reps[0].motion, reps[1].motion, g, c1, c2)
     sl = c1.enlarged_cell_ranges(g, "q3")
-    mag = np.sqrt(np.sum(e[(slice(None),) * 2 + sl] ** 2, axis=(0, 1)))
+    e_ref = sref.symmetric_gradient(u, JumpSet(g))
+    mag = np.sqrt(np.sum(e_ref[sl] ** 2, axis=(-2, -1)))
     norm = float(np.sum(mag ** 2) * g.spacing ** 2) ** 0.5
     delta_q = c1.side * g.spacing
     assert dist <= 20.0 * delta_q ** 0.5 * norm
