@@ -30,7 +30,6 @@ from .energy import (
     energy_G0,
     f_mu,
     f_zero,
-    jump_measure,
 )
 from .errors import CoveringError, FitError, RegimeError, SolverError
 from .grid import (
@@ -79,7 +78,7 @@ __all__ = [
     "covering_structure_report", "default_eta", "density_lower_bound_check",
     "deviation_psi0", "energy_G", "energy_G0", "extract_exceptional_set",
     "f_mu", "f_zero", "fit_decay_exponent", "fit_rigid_motion",
-    "jump_measure", "load_field", "load_jump", "mollified_strain_error",
+    "load_field", "load_jump", "mollified_strain_error",
     "mollify", "neighbor_affine_distance", "partition_of_unity",
     "save_field", "save_jump", "select_crown", "solve_elastic",
     "symmetric_gradient", "vanishing_jump_harness", "verify_properties",

@@ -267,9 +267,7 @@ def cmd_oracle(args) -> int:
     out = Path(args.out)
     cands = _midline_candidates(grid, args.n_candidates, args.cross)
 
-    result = brute_force_minimize(grid, cands, params,
-                                  homogeneous=args.homogeneous,
-                                  heuristic=args.heuristic)
+    result = brute_force_minimize(grid, cands, params, heuristic=args.heuristic)
     rows = [[r["bits"], r["bulk"], r["fidelity"], r["surface"], r["total"]]
             for r in result.per_config]
     _write_csv(out / "configs.csv",
@@ -406,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--target", help="fidelity target field file")
     o.add_argument("--seed", type=int, default=0)
     o.add_argument("--heuristic", action="store_true")
-    o.add_argument("--homogeneous", action="store_true")
     o.add_argument("--out", required=True)
     o.add_argument("--kappa", type=float, default=0.0)
     o.add_argument("--beta", type=float, default=1.0)

@@ -8,7 +8,7 @@ solvable.  The crack term is exact: face count times h^(dim-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,8 +36,11 @@ class HookeTensor:
             raise ValueError("lame_mu must be positive")
 
     def validate(self, dim: int) -> None:
-        if dim * self.lame_lambda + 2 * self.lame_mu <= 0:
-            raise ValueError("dim*lambda + 2*mu must be positive")
+        """Raise unless C is coercive on symmetric dim x dim matrices."""
+        bulk = dim * self.lame_lambda + 2 * self.lame_mu
+        if bulk <= 0:
+            raise ValueError(f"dim*lambda + 2*mu must be positive, got {bulk:g} "
+                             f"in {dim}D")
 
     def coercivity_constant(self, dim: int) -> float:
         """c0 with C xi . xi >= c0 |xi + xi^T|^2."""
@@ -55,6 +58,7 @@ class HookeTensor:
         if diag is None:
             raise ValueError(f"{xi.shape[0]} strain planes are neither 3 (2D) "
                              "nor 6 (3D)")
+        self.validate(len(diag))
         tr = xi[diag[0]] + xi[diag[1]]
         for n in diag[2:]:
             tr += xi[n]
@@ -120,6 +124,10 @@ class EnergyParams:
         if self.kappa < 0 or self.mu_offset < 0:
             raise ValueError("kappa and mu_offset must be nonnegative")
 
+    def homogeneous(self) -> EnergyParams:
+        """The parameters of G0: G with mu = 0 and no fidelity target."""
+        return replace(self, g=None, mu_offset=0.0)
+
     def require_p_gt_one(self) -> None:
         if self.p <= 1:
             raise ValueError("this routine requires p > 1")
@@ -136,10 +144,6 @@ def f_zero(xi: np.ndarray, params: EnergyParams) -> np.ndarray:
     """Homogeneous density (1/p)(C xi.xi)^(p/2)."""
     q = params.hooke.quadratic_form(np.asarray(xi))
     return q ** (params.p / 2.0) / params.p
-
-
-def jump_measure(jumps: JumpSet) -> float:
-    return jumps.measure()
 
 
 def cellwise_pth_power(u_vals: np.ndarray, grid: GridSpec, p: float) -> np.ndarray:
@@ -162,28 +166,21 @@ def energy_G(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
 
 def energy_G0(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
               region: Region | None = None) -> float:
-    """Homogeneous variant: f_0 bulk and kappa|u|^p fidelity."""
-    return energy_breakdown(u, jumps, params, region, homogeneous=True)["total"]
+    """Homogeneous variant: G with f_0 bulk and kappa|u|^p fidelity."""
+    return energy_breakdown(u, jumps, params.homogeneous(), region)["total"]
 
 
 def energy_breakdown(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
-                     region: Region | None = None,
-                     homogeneous: bool = False) -> dict[str, float]:
-    """Bulk / fidelity / surface split of G (or G0 when homogeneous)."""
+                     region: Region | None = None) -> dict[str, float]:
+    """Bulk / fidelity / surface split of G; g = None is the zero target."""
     strain = symmetric_gradient(u, jumps)
     grid = u.grid
     mask = region_cell_mask(grid, region)
     hvol = grid.spacing ** grid.dim
-    dens = f_zero(strain, params) if homogeneous else f_mu(strain, params)
-    bulk = float(np.sum(dens[mask]) * hvol)
+    bulk = float(np.sum(f_mu(strain, params)[mask]) * hvol)
     fidelity = 0.0
     if params.kappa > 0:
-        if homogeneous:
-            delta = u.values
-        else:
-            if params.g is None:
-                raise ValueError("kappa > 0 requires a fidelity target g")
-            delta = u.values - params.g.values
+        delta = u.values if params.g is None else u.values - params.g.values
         cells = cellwise_pth_power(delta, grid, params.p)
         fidelity = params.kappa * float(np.sum(cells[mask]) * hvol)
     surf = params.beta * faces_in_region(grid, jumps, region) * grid.face_area()

@@ -8,6 +8,7 @@ are the declared faces (whose planes' nodes keep the low-side values).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,22 +26,13 @@ class CrackPatch:
     decay: int                      # ramp length in cells, >= 1
 
     def faces(self, dim: int) -> list[Face]:
+        others = [b for b in range(dim) if b != self.axis]
         out = []
-        if dim == 2:
-            for t in range(self.trans_lo[0], self.trans_hi[0]):
-                idx = [0, 0]
-                idx[self.axis] = self.plane
-                idx[1 - self.axis] = t
-                out.append((self.axis, tuple(idx)))
-        else:
-            others = [b for b in range(3) if b != self.axis]
-            for t0 in range(self.trans_lo[0], self.trans_hi[0]):
-                for t1 in range(self.trans_lo[1], self.trans_hi[1]):
-                    idx = [0, 0, 0]
-                    idx[self.axis] = self.plane
-                    idx[others[0]] = t0
-                    idx[others[1]] = t1
-                    out.append((self.axis, tuple(idx)))
+        for trans in itertools.product(*map(range, self.trans_lo, self.trans_hi)):
+            idx = [self.plane] * dim
+            for b, t in zip(others, trans):
+                idx[b] = t
+            out.append((self.axis, tuple(idx)))
         return out
 
     def support_box(self, dim: int) -> tuple[tuple[int, int], ...]:
@@ -155,16 +147,21 @@ def _patch_at(grid: GridSpec, axis: int, plane: int,
     return CrackPatch(axis, plane, tuple(lo), tuple(hi), depth, decay)
 
 
+def _centered_patch(grid: GridSpec, extent: int) -> CrackPatch:
+    """Patch on the mid plane across axis 0, centred on the other axes."""
+    mid = grid.cells_per_side // 2
+    return _patch_at(grid, 0, mid, (mid,) * (grid.dim - 1), extent)
+
+
 def two_motion_crack_field(grid: GridSpec, area: float, seed: int = 0,
                            amplitude: float = 0.1
                            ) -> tuple[DisplacementField, JumpSet, dict]:
     """One centered crack patch whose measure approximates ``area``."""
     rng = np.random.default_rng(seed)
     dim = grid.dim
-    m = grid.cells_per_side
     n_faces = max(1, round(area / grid.face_area()))
     extent = max(1, round(n_faces ** (1.0 / (dim - 1))))
-    patch = _patch_at(grid, 0, m // 2, (m // 2,) * (dim - 1), extent)
+    patch = _centered_patch(grid, extent)
     opening = rng.normal(size=dim)
     opening *= amplitude / np.linalg.norm(opening)
     u, jumps = field_with_patches(grid, [patch], [opening], rng)
@@ -261,10 +258,9 @@ def shrinking_crack_instance(grid: GridSpec, delta: float, seed: int = 0,
     single-face patch has no interior node and carries zero opening.
     """
     area = delta ** grid.dim
-    m = grid.cells_per_side
     n_faces = max(1, round(area / grid.face_area()))
     extent = max(2, round(n_faces ** (1.0 / (grid.dim - 1))))
-    patch = _patch_at(grid, 0, m // 2, (m // 2,) * (grid.dim - 1), extent)
+    patch = _centered_patch(grid, extent)
     rng = np.random.default_rng(seed)
     opening = rng.normal(size=grid.dim)
     opening *= 0.4 * delta / np.linalg.norm(opening)
@@ -291,10 +287,7 @@ def vanishing_sequence(grid: GridSpec, kind: str, levels: int, seed: int = 0
     if kind == "shrinking-crack":
         base_extent = 16 if grid.dim == 2 else 4
         for lv in range(levels):
-            extent = max(1, base_extent >> lv)
-            patch = _patch_at(grid, 0, grid.cells_per_side // 2,
-                              (grid.cells_per_side // 2,) * (grid.dim - 1),
-                              extent)
+            patch = _centered_patch(grid, max(1, base_extent >> lv))
             rng = np.random.default_rng(seed)
             opening = rng.normal(size=grid.dim)
             opening *= 0.02 * 0.125 ** lv / np.linalg.norm(opening)

@@ -6,8 +6,15 @@ from __future__ import annotations
 import numpy as np
 
 from smalljump.energy import energy_breakdown
-from smalljump.grid import DisplacementField, JumpSet
+from smalljump.grid import DisplacementField, GridSpec, JumpSet
 from smalljump.oracle import CrackConfig, ElasticSystem
+
+
+def boundary_nodes(grid: GridSpec) -> np.ndarray:
+    """Node mask of the grid boundary: Dirichlet data on all of it."""
+    mask = np.ones(grid.node_shape, dtype=bool)
+    mask[(slice(1, -1),) * grid.dim] = False
+    return mask
 
 
 def config_jumps(system: ElasticSystem, candidates, bits: int,
@@ -50,8 +57,7 @@ def full_solve_energies(system: ElasticSystem, candidates,
             if quadrature:
                 u = DisplacementField(system.grid, x.reshape(
                     system.grid.node_shape + (system.dim,)))
-                cache[bits] = energy_breakdown(u, js, system.params,
-                                               homogeneous=system.homogeneous)
+                cache[bits] = energy_breakdown(u, js, system.params)
             else:
                 fid = float(system.fidelity_energy(x))
                 cache[bits] = {"bulk": quad - fid, "fidelity": fid,

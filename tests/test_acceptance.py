@@ -44,7 +44,7 @@ from smalljump.oracle import (
     vanishing_jump_harness,
 )
 from smalljump.strain import symmetric_gradient
-from tests.oracle_reference import full_solve_energies
+from tests.oracle_reference import boundary_nodes, full_solve_energies
 
 PARAMS = EnergyParams(HookeTensor(1.0, 1.0), p=2.0)
 HOOKE = HookeTensor(1.0, 1.0)
@@ -258,9 +258,10 @@ def test_criterion_6_oracle_exactness():
         assert len(cands) <= 14
         # Dirichlet data from the split target keeps the homogeneous problem
         # away from the trivial minimizer u = 0 with no crack
-        dirichlet = dict(homogeneous=True, boundary="fixed",
+        dirichlet = dict(pinned_mask=boundary_nodes(g),
                          pinned_values=params.g.values)
-        res = brute_force_minimize(g, cands, params, **dirichlet)
+        g0 = params.homogeneous()
+        res = brute_force_minimize(g, cands, g0, **dirichlet)
         own = JumpSet(g, res.best_config.active_faces())
         energies.append(res.min_energy)
         if 0 < res.best_config.n_active < len(cands):
@@ -269,11 +270,11 @@ def test_criterion_6_oracle_exactness():
                              centered_box(1.0, 2), cands)
         if abs(psi["psi0"]) <= 1e-9:
             psi_ok += 1
-        _, info = solve_elastic(g, own, params, **dirichlet)
+        _, info = solve_elastic(g, own, g0, **dirichlet)
         if info["energy_consistency"] <= 1e-9:
             consistency_ok += 1
 
-        energy_of = full_solve_energies(ElasticSystem(g, params, **dirichlet),
+        energy_of = full_solve_energies(ElasticSystem(g, g0, **dirichlet),
                                         cands)
         gb = greedy_bits(len(cands), lambda bits: energy_of(bits)["total"])
         if abs(energy_of(gb)["total"] - res.min_energy) <= 1e-9:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,26 @@ def test_two_motion_crack_budgets_and_direct_crosscheck():
     d = np.sqrt(np.sum((e_t - mol) ** 2, axis=(-2, -1)))
     lhs3 = (np.sum(d[mask] ** 2) * g.spacing ** 2) ** 0.5
     assert rep.by_name("p3_strain_error").lhs == pytest.approx(lhs3, rel=1e-12)
+
+
+def test_p1_counts_crack_changes_off_the_open_box_q_r():
+    g = GridSpec(2, 64, 1.0)
+    u, j = sinusoid_field(g, seed=2)
+    res = approximate(u, j, PARAMS, CFG)
+    assert verify_properties(u, j, res, PARAMS, CFG).by_name(
+        "p1_boundary_faces").passed
+    # R/h is a half-integer: row k of faces across axis 1 has its centre
+    # at (k + 1/2 - M/2) h, which is R on row k = M/2 + R/h - 1/2
+    row = g.cells_per_side // 2 + round(res.radius / g.spacing - 0.5)
+    mid = g.cells_per_side // 2
+    for face, inside in (((0, (1, 1)), False),          # near the corner
+                         ((0, (mid, row)), False),      # straddles dQ_R
+                         ((0, (mid, row - 1)), True)):  # last row inside
+        moved = replace(res, new_jump=JumpSet(g, res.new_jump.faces | {face}))
+        check = verify_properties(u, j, moved, PARAMS, CFG).by_name(
+            "p1_boundary_faces")
+        assert check.passed == inside
+        assert check.lhs == (0.0 if inside else 1.0)
 
 
 def test_crown_crack_produces_contained_new_jump():

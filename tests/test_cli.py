@@ -26,6 +26,7 @@ from smalljump.grid import (
     save_jump,
 )
 from smalljump.oracle import brute_force_minimize, deviation_psi0
+from tests.oracle_reference import boundary_nodes
 
 
 def test_gen_rigid_and_roundtrip(tmp_path):
@@ -138,24 +139,16 @@ def test_oracle_beta_huge_empty_bitset(tmp_path):
     assert lines[0] == "bits,bulk,fidelity,surface,total"
     assert len(lines) == 1 + 2 ** 6
 
-    # the homogeneous minimizer is its own best competitor
-    out2 = tmp_path / "oracle_h"
-    rc = main(["oracle", "--dim", "2", "--cells", "8", "--n-candidates", "6",
-               "--kappa", "2.0", "--beta", "1e6", "--seed", "1",
-               "--homogeneous", "--out", str(out2)])
-    assert rc == 0
-    summary2 = json.loads((out2 / "summary.json").read_text())
-    assert abs(summary2["psi0"]) <= 1e-9
-
-    # with its free boundary that run has u = 0; the same instance on
-    # Dirichlet data from the target has a minimizer that is not zero
+    # the homogeneous minimizer of the same instance on Dirichlet data
+    # from the target is not zero, and it is its own best competitor
     g = GridSpec(2, 8, 1.0)
     target = generators.split_target(g, seed=1)
     params = EnergyParams(HookeTensor(1.0, 1.0), p=2.0, kappa=2.0, beta=1e6,
                           g=target)
     cands = _midline_candidates(g, 6, False)
     res = brute_force_minimize(g, cands, params, homogeneous=True,
-                               boundary="fixed", pinned_values=target.values)
+                               pinned_mask=boundary_nodes(g),
+                               pinned_values=target.values)
     assert set(res.best_config.bitstring()) == {"0"}
     assert res.min_energy > 0
     assert np.any(res.minimizer_u.values != 0.0)
@@ -299,13 +292,13 @@ def test_each_subcommand_takes_exactly_the_flags_it_reads():
                   "--out", "--p", "--lame-lambda", "--lame-mu", "--eta"},
         "oracle": {"--dim", "--cells", "--half-width", "--n-candidates",
                    "--cross", "--target", "--seed", "--heuristic",
-                   "--homogeneous", "--out", "--kappa", "--beta",
+                   "--out", "--kappa", "--beta",
                    "--lame-lambda", "--lame-mu"},
         "harness": {"--generator", "--levels", "--dim", "--cells", "--kappa0",
                     "--seed", "--out", "--beta", "--p", "--lame-lambda",
                     "--lame-mu", "--eta"},
     }
-    assert sum(map(len, flags.values())) == 63
+    assert sum(map(len, flags.values())) == 62
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -418,3 +411,25 @@ def _readme_cli_lines() -> list[str]:
 def test_readme_cli_examples_parse(line):
     args = build_parser().parse_args(shlex.split(line)[1:])
     assert args.command == shlex.split(line)[1]
+
+
+@pytest.mark.parametrize("command, args", [
+    ("approx", "--field {tmp}/f --jump {tmp}/f.jump.json --eta 0.5 "
+               "--out {tmp}/run"),
+    ("verify", "--field {tmp}/f --jump {tmp}/f.jump.json --eta 0.5"),
+    ("sweep", "--levels 2 --cells 64 --eta 0.5 --out {tmp}/run"),
+    ("oracle", "--cells 8 --n-candidates 4 --kappa 2 --beta 0.02 "
+               "--out {tmp}/run"),
+    ("harness", "--generator shrinking-crack --levels 2 --cells 128 "
+                "--eta 0.5 --out {tmp}/run"),
+])
+def test_non_coercive_hooke_tensor_exits_one(tmp_path, capsys, command, args):
+    # 2D: 2*lambda + 2*mu = -8, so C xi . xi < 0 on some strains
+    assert main(["gen", "--spec", "two-motion-crack", "--dim", "2", "--cells",
+                 "32", "--area", "0.05", "--seed", "1",
+                 "--out", str(tmp_path / "f")]) == 0
+    capsys.readouterr()
+    argv = [command, *args.format(tmp=tmp_path).split(), "--lame-lambda", "-5"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: dim*lambda + 2*mu must be positive, got -8 in 2D\n")

@@ -17,7 +17,6 @@ from smalljump.energy import (
     energy_G0,
     f_mu,
     f_zero,
-    jump_measure,
     lp_norm_cells,
     strain_pth_power,
 )
@@ -219,12 +218,12 @@ def test_planes_and_densities_equal_trailing_axes_reference(g, data, seed):
 
 
 def test_jump_measure_values(grid2d):
-    assert jump_measure(JumpSet(grid2d)) == 0.0
+    assert JumpSet(grid2d).measure() == 0.0
     g = GridSpec(2, 8, 1.0)  # h = 0.25
-    assert jump_measure(JumpSet(g, [(1, (3, 4))])) == pytest.approx(0.25)
+    assert JumpSet(g, [(1, (3, 4))]).measure() == pytest.approx(0.25)
     # full mid-plane in 2d, M=16, r=1: 16 faces of length 2/16 each
     faces = [(0, (8, j)) for j in range(16)]
-    assert jump_measure(JumpSet(grid2d, faces)) == pytest.approx(2.0)
+    assert JumpSet(grid2d, faces).measure() == pytest.approx(2.0)
 
 
 def test_f_mu_values_and_convexity():
@@ -263,6 +262,18 @@ def test_hooke_coercivity():
         # skew inputs have a zero symmetric part and carry no energy
         skew = xi - np.swapaxes(xi, -1, -2)
         assert np.all(hooke.quadratic_form(sref.packed(skew)) == 0.0)
+
+
+def test_densities_refuse_a_tensor_that_is_not_coercive_in_their_dimension():
+    # 2*lambda + 2*mu = 0.4 but 3*lambda + 2*mu = -0.4: a 3D strain can
+    # have C xi . xi < 0, and its fractional power would be NaN
+    params = EnergyParams(HookeTensor(-0.8, 1.0), p=1.5)
+    rng = np.random.default_rng(6)
+    assert np.all(np.isfinite(f_zero(rng.normal(size=(3, 4, 4)), params)))
+    planes3 = rng.normal(size=(6, 4, 4, 4))
+    for density in (f_mu, f_zero):
+        with pytest.raises(ValueError, match="got -0.4 in 3D"):
+            density(planes3, params)
 
 
 def test_energy_G_examples(grid2d):

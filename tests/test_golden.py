@@ -5,8 +5,10 @@ a change that moves every run the same way.  These digests pin the bytes
 of ``report.json`` and ``u_tilde.bin`` for one 2D and two 3D instances
 (one at p = 1.5, which takes the fractional-power path of the energy
 densities), and of ``summary.json`` and ``minimizer.bin`` for one 2D
-oracle run whose minimizer is cracked, so its density table is filled;
-a refactor that is meant to keep outputs bit-identical must keep them.
+oracle run whose minimizer is cracked, so its density table is filled.
+Two more pin library runs of the homogeneous Dirichlet problem, which
+the CLI does not reach: one elastic solve and one 6-candidate search.
+A refactor that is meant to keep outputs bit-identical must keep them.
 
 Recorded with numpy 2.4.6 and scipy 1.17.1 (Python 3.11, x86-64).  A
 different numpy or scipy build may round differently; if only the
@@ -16,10 +18,17 @@ library versions changed, re-record the digests and say so.
 from __future__ import annotations
 
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
 from smalljump.cli import main
+from smalljump.energy import EnergyParams, HookeTensor
+from smalljump.generators import split_target
+from smalljump.grid import GridSpec, JumpSet
+from smalljump.oracle import brute_force_minimize, solve_elastic
+from tests.oracle_reference import boundary_nodes
 
 GOLDEN = {
     "2d-128-rigid-patches": (
@@ -76,3 +85,41 @@ def test_oracle_outputs_match_golden_digests(tmp_path, name):
     assert (out / "density.csv").exists()
     assert _sha256(out / "summary.json") == summary_sha
     assert _sha256(out / "minimizer.bin") == field_sha
+
+
+# Library runs that no CLI digest reaches: the homogeneous functional G0
+# with Dirichlet data on the grid boundary, taken from the split target,
+# a nonzero mu_offset (which G0 drops) and base faces with owner_high flags.
+def _dirichlet_instance():
+    g = GridSpec(2, 16, 1.0)
+    target = split_target(g, seed=1)
+    params = EnergyParams(HookeTensor(1.0, 1.0), p=2.0, mu_offset=0.1,
+                          kappa=2.0, beta=0.05, g=target)
+    return g, target, params
+
+
+def test_dirichlet_solve_matches_golden_digest():
+    g, target, params = _dirichlet_instance()
+    faces = [(0, (8, j)) for j in range(4, 12)]
+    u, info = solve_elastic(g, JumpSet(g, faces, faces[2:5]),
+                            params.homogeneous(), pinned_mask=boundary_nodes(g),
+                            pinned_values=target.values)
+    digest = hashlib.sha256(u.values.tobytes()
+                            + json.dumps(info, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "68a131c1a5de17baec97bf303473892d12e27149676e4897054f330d9bc799a4")
+
+
+def test_dirichlet_search_matches_golden_digest():
+    g, target, params = _dirichlet_instance()
+    cands = [(0, (8, j)) for j in range(5, 11)]
+    res = brute_force_minimize(g, cands, params, homogeneous=True,
+                               pinned_mask=boundary_nodes(g),
+                               pinned_values=target.values)
+    totals = np.array([row["total"] for row in res.per_config])
+    assert totals.size == 64
+    digest = hashlib.sha256(totals.tobytes()
+                            + res.minimizer_u.values.tobytes()
+                            + res.best_config.bitstring().encode())
+    assert digest.hexdigest() == (
+        "c72a78e3e1c9713854e6a4072bf1365cfc768f57131febf5982b1d8954a55b09")

@@ -43,7 +43,7 @@ from smalljump.oracle import (
     vanishing_jump_harness,
 )
 from smalljump.strain import face_cells
-from tests.oracle_reference import full_solve_energies
+from tests.oracle_reference import boundary_nodes, full_solve_energies
 from tests.strain_reference import CrackContext, affected_cells, cell_strain_ops
 
 HOOKE = HookeTensor(1.0, 1.0)
@@ -104,8 +104,34 @@ def test_fixed_boundary_without_fidelity():
     g = GridSpec(2, 8, 1.0)
     u_r, _ = rigid_field(g, seed=2)
     params = EnergyParams(HOOKE, p=2.0, kappa=0.0, beta=1.0, g=u_r)
-    u, info = solve_elastic(g, JumpSet(g), params, boundary="fixed")
+    u, info = solve_elastic(g, JumpSet(g), params,
+                            pinned_mask=boundary_nodes(g))
     assert float(np.max(np.abs(u.values - u_r.values))) < 1e-9
+
+
+def test_solver_refuses_a_tensor_that_is_not_coercive():
+    g = GridSpec(3, 4, 1.0)
+    params = EnergyParams(HookeTensor(-0.8, 1.0), p=2.0, kappa=1.0)
+    with pytest.raises(ValueError, match="got -0.4 in 3D"):
+        ElasticSystem(g, params)
+    ElasticSystem(GridSpec(2, 4, 1.0), params)
+
+
+def test_fidelity_without_a_target_pulls_toward_zero():
+    # g = None is the zero target, in the solve and in the energy alike
+    g = GridSpec(2, 8, 1.0)
+    params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.1)
+    u, info = solve_elastic(g, JumpSet(g), params)
+    assert np.all(u.values == 0.0)
+    assert info["energy_consistency"] <= 1e-9
+    pinned = np.zeros(g.node_shape, dtype=bool)
+    pinned[0] = True
+    values = np.zeros(g.node_shape + (2,))
+    values[0, :, 0] = 0.3
+    u, info = solve_elastic(g, JumpSet(g, midplane_faces(g)), params,
+                            pinned_mask=pinned, pinned_values=values)
+    assert info["bulk_fidelity_energy"] > 0
+    assert info["energy_consistency"] <= 1e-9
 
 
 def test_solver_requires_p2():
@@ -166,8 +192,11 @@ def test_greedy_search_matches_full_solve_descent():
         + 0.2 * g.node_coord_grid() * np.array([1.0, -0.5])
     params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02,
                           g=DisplacementField(g, strained))
-    cands = sorted([(0, (k, j)) for k in (2, 3, 4) for j in range(6)]
-                   + [(1, (j, 3)) for j in range(6)] + [(1, (0, 2))])
+    # the cross on the mid lines, then faces of the planes beside it
+    cands = sorted(([(0, (3, j)) for j in range(6)]
+                    + [(1, (j, 3)) for j in range(6)] + [(1, (0, 2))]
+                    + [(0, (k, j)) for k in (2, 4) for j in range(6)]
+                    )[:oracle.EXHAUSTIVE_LIMIT + 1])
     assert len(cands) == oracle.EXHAUSTIVE_LIMIT + 1
     energy_of = full_solve_energies(ElasticSystem(g, params), cands)
     expected = greedy_bits(len(cands), lambda bits: energy_of(bits)["total"])
@@ -221,16 +250,17 @@ def _sparse_search_settings():
     # the pinned ring
     faces = [(0, (4, j)) for j in range(7)]
     inner = BoxRegion((-1.0 + h,) * 2, (1.0 - h,) * 2)
-    yield ("psi0", g, EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.05, g=target),
+    yield ("psi0", g,
+           EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.05, g=target).homogeneous(),
            [(0, (4, 1)), (0, (4, 2)), (0, (4, 3)), (1, (3, 4)), (1, (1, 5))],
            JumpSet(g, faces, faces[1:5]),
-           dict(homogeneous=True,
-                pinned_mask=~inner.contains_points(g.node_coord_grid()),
+           dict(pinned_mask=~inner.contains_points(g.node_coord_grid()),
                 pinned_values=target.values))
     # Dirichlet data on the boundary, the homogeneous functional
-    yield ("dirichlet", g, EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02, g=target),
+    yield ("dirichlet", g,
+           EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02, g=target).homogeneous(),
            [(0, (4, j)) for j in (0, 1, 3)] + [(1, (0, 4)), (1, (3, 4))], None,
-           dict(homogeneous=True, boundary="fixed", pinned_values=target.values))
+           dict(pinned_mask=boundary_nodes(g), pinned_values=target.values))
     # fidelity data, free boundary, on a 3D grid as well
     for g in (GridSpec(2, 8, 1.0), GridSpec(3, 4, 1.0)):
         cands = [(0, (g.cells_per_side // 2,) + (j,) * (g.dim - 1))
@@ -310,9 +340,9 @@ def test_heuristic_flag_required_above_limit():
     g = GridSpec(2, 8, 1.0)
     params = EnergyParams(HOOKE, p=2.0, kappa=1.0, beta=1.0,
                           g=rigid_field(g, 0)[0])
-    cands = [(0, (4, j)) for j in range(8)] + [(1, (j, 4)) for j in range(8)] \
-        + [(0, (2, j)) for j in range(8)] + [(0, (6, j)) for j in range(1)]
-    assert len(cands) == 25
+    cands = ([(0, (4, j)) for j in range(8)] + [(1, (j, 4)) for j in range(8)]
+             + [(0, (2, j)) for j in range(8)])[:oracle.EXHAUSTIVE_LIMIT + 1]
+    assert len(cands) == oracle.EXHAUSTIVE_LIMIT + 1
     with pytest.raises(ValueError):
         brute_force_minimize(g, cands, params)
 
@@ -325,7 +355,8 @@ def test_psi0_of_minimizer_and_perturbation():
     # Dirichlet data from the split target: with a free boundary the
     # homogeneous minimizer is u = 0 and both checks would be vacuous
     res = brute_force_minimize(g, cands, params, homogeneous=True,
-                               boundary="fixed", pinned_values=target.values)
+                               pinned_mask=boundary_nodes(g),
+                               pinned_values=target.values)
     assert res.min_energy > 0
     assert np.any(res.minimizer_u.values != 0.0)
     own_jumps = JumpSet(g, res.best_config.active_faces())
@@ -351,7 +382,8 @@ def test_psi0_on_proper_sub_boxes():
     params = EnergyParams(HOOKE, p=2.0, kappa=3.0, beta=0.05, g=target)
     cands = [(0, (8, j)) for j in range(5, 11)]
     res = brute_force_minimize(g, cands, params, homogeneous=True,
-                               boundary="fixed", pinned_values=target.values)
+                               pinned_mask=boundary_nodes(g),
+                               pinned_values=target.values)
     assert res.best_config.bitstring() == "111111"
     own = res.best_config.active_faces()
     boxes = (centered_box(0.75, 2), BoxRegion((-0.75, -1.0), (1.0, 0.75)))
@@ -381,8 +413,9 @@ def test_psi0_empty_candidates_iff_elastic_solution():
     params = EnergyParams(HOOKE, p=2.0, kappa=3.0, beta=0.05, g=target)
     # v must match u outside the inner box; u := the crack-free solution
     # of the homogeneous Dirichlet problem is its own best competitor
-    u, info = solve_elastic(g, JumpSet(g), params, homogeneous=True,
-                            boundary="fixed", pinned_values=target.values)
+    u, info = solve_elastic(g, JumpSet(g), params.homogeneous(),
+                            pinned_mask=boundary_nodes(g),
+                            pinned_values=target.values)
     assert info["bulk_fidelity_energy"] > 0
     assert np.any(u.values != 0.0)
     out = deviation_psi0(u, JumpSet(g), params, centered_box(1.0, 2), [])
@@ -400,7 +433,7 @@ def test_psi0_keeps_owner_high_flags_of_the_field_jumps():
     h = g.spacing
     inner = BoxRegion((-1.0 + h,) * 2, (1.0 - h,) * 2)
     pinned = ~inner.contains_points(g.node_coord_grid())
-    u, _ = solve_elastic(g, js, params, homogeneous=True, pinned_mask=pinned,
+    u, _ = solve_elastic(g, js, params.homogeneous(), pinned_mask=pinned,
                          pinned_values=target.values)
     out = deviation_psi0(u, js, params, centered_box(1.0, 2), [])
     assert abs(out["psi0"]) <= 1e-9
@@ -663,7 +696,7 @@ def test_quadratic_energy_equals_quadrature_energy(faces, owner_flags, fixed,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "DENSE_DOF_LIMIT", dense_limit)
         _, info = solve_elastic(g, js, params,
-                                boundary="fixed" if fixed else "free")
+                                pinned_mask=boundary_nodes(g) if fixed else None)
     assert info["energy_consistency"] <= 1e-9
 
 
@@ -691,16 +724,21 @@ def test_condensed_search_matches_full_solves(data):
     base = JumpSet(g, base_faces, [f for f, o in zip(base_faces, owner) if o])
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
     shape = g.node_shape + (g.dim,)
+    fixed = data.draw(st.booleans())
+    homogeneous = data.draw(st.booleans())
+    pinned = boundary_nodes(g) if fixed else np.zeros(g.node_shape, dtype=bool)
+    if data.draw(st.booleans()):
+        pinned = pinned | (rng.random(g.node_shape) < 0.2)
     kwargs = dict(
-        boundary=data.draw(st.sampled_from(["free", "fixed"])),
-        homogeneous=data.draw(st.booleans()),
-        pinned_mask=rng.random(g.node_shape) < 0.2
-        if data.draw(st.booleans()) else None,
+        pinned_mask=pinned if pinned.any() else None,
         pinned_values=rng.normal(size=shape) if data.draw(st.booleans()) else None)
-    params = EnergyParams(HookeTensor(0.7, 1.3), p=2.0,
+    params = EnergyParams(HookeTensor(0.7, 1.3), p=2.0, mu_offset=0.3,
                           kappa=data.draw(st.sampled_from([0.5, 2.0])), beta=0.05,
                           g=DisplacementField(g, rng.normal(size=shape)))
 
-    res = brute_force_minimize(g, cands, params, base_jumps=base, **kwargs)
+    res = brute_force_minimize(g, cands, params, base_jumps=base,
+                               homogeneous=homogeneous, **kwargs)
+    if homogeneous:
+        params = params.homogeneous()
     _assert_search_matches_full_solves(
         res, ElasticSystem(g, params, **kwargs), cands, base)
