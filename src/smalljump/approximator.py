@@ -213,6 +213,7 @@ def approximate(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
     if grid.half_width != 1.0:
         raise RegimeError("approximation is set on the unit cube (half_width 1)")
     params.require_p_gt_one()
+    params.hooke.validate(grid.dim)
 
     eta = config.resolved_eta(grid.dim)
     delta_raw = jumps.measure() ** (1.0 / grid.dim)

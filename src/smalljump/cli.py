@@ -39,6 +39,8 @@ from .grid import (
     save_jump,
 )
 from .oracle import (
+    EXHAUSTIVE_LIMIT,
+    CrackConfig,
     brute_force_minimize,
     density_lower_bound_check,
     deviation_psi0,
@@ -224,32 +226,24 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _midline_candidates(grid: GridSpec, count: int, cross: bool) -> list:
+    """Centred faces on the mid plane across axis 0; a cross puts
+    ``count // 2`` there and the rest on the one across axis 1."""
     m = grid.cells_per_side
-    mid = m // 2
-    if count > m - 2:
+    arms = [count // 2, count - count // 2] if cross else [count]
+    if max(arms) > m - 2:
         raise ValueError(
             f"{count} candidates do not fit strictly inside the domain "
-            f"(at most {m - 2} for {m} cells per side)")
+            f"(at most {(m - 2) * len(arms)} for {m} cells per side)")
+    if count > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"{count} candidates exceed the exhaustive search "
+                         f"(at most {EXHAUSTIVE_LIMIT})")
     cands = []
-    n_axis = count if not cross else count // 2
-    start = max(1, (m - n_axis) // 2)
-    for j in range(start, start + n_axis):
-        idx = [0] * grid.dim
-        idx[0] = mid
-        idx[1] = j
-        if grid.dim == 3:
-            idx[2] = mid
-        cands.append((0, tuple(idx)))
-    if cross:
-        n_other = count - n_axis
-        start2 = max(1, (m - n_other) // 2)
-        for j in range(start2, start2 + n_other):
-            idx = [0] * grid.dim
-            idx[0] = j
-            idx[1] = mid
-            if grid.dim == 3:
-                idx[2] = mid
-            cands.append((1, tuple(idx)))
+    for axis, n in enumerate(arms):
+        start = max(1, (m - n) // 2)
+        for j in range(start, start + n):
+            idx = [m // 2] * grid.dim
+            idx[1 - axis] = j
+            cands.append((axis, tuple(idx)))
     return cands
 
 
@@ -267,11 +261,12 @@ def cmd_oracle(args) -> int:
     out = Path(args.out)
     cands = _midline_candidates(grid, args.n_candidates, args.cross)
 
-    result = brute_force_minimize(grid, cands, params, heuristic=args.heuristic)
-    rows = [[r["bits"], r["bulk"], r["fidelity"], r["surface"], r["total"]]
-            for r in result.per_config]
-    _write_csv(out / "configs.csv",
-               ["bits", "bulk", "fidelity", "surface", "total"], rows)
+    result = brute_force_minimize(grid, cands, params)
+    # tolist gives Python floats: the CSV writes their repr
+    sorted_cands = result.best_config.candidates
+    rows = [[CrackConfig(sorted_cands, bits).bitstring(), *energies]
+            for bits, *energies in result.per_config.tolist()]
+    _write_csv(out / "configs.csv", list(result.per_config.dtype.names), rows)
     save_field(out / "minimizer", result.minimizer_u)
     own_jumps = JumpSet(grid, result.best_config.active_faces())
     save_jump(out / "minimizer.jump.json", own_jumps)
@@ -403,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="split candidates between two orthogonal midlines")
     o.add_argument("--target", help="fidelity target field file")
     o.add_argument("--seed", type=int, default=0)
-    o.add_argument("--heuristic", action="store_true")
     o.add_argument("--out", required=True)
     o.add_argument("--kappa", type=float, default=0.0)
     o.add_argument("--beta", type=float, default=1.0)

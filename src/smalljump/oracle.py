@@ -39,8 +39,8 @@ from .grid import (
 )
 from .strain import cell_strain_ops, face_cells, symmetric_gradient
 
-# The most candidates whose exhaustive search stays within 1 GB (see
-# brute_force_minimize).
+# The most candidates of an exhaustive search, bound by its time: 2^k
+# solves (see brute_force_minimize).
 EXHAUSTIVE_LIMIT = 20
 # Width, in cells, of the band along the region boundary where psi0's
 # competitors are pinned to the field.
@@ -79,10 +79,14 @@ class OracleResult:
     minimizer_u: DisplacementField
     min_energy: float
     breakdown: dict
-    per_config: list[dict]
+    per_config: np.ndarray   # CONFIG_DTYPE rows, sorted by bits
     exhaustive: bool
 
 
+# A row of the search's table: candidate bits, then the minimizer's energies.
+ENERGY_TERMS = ("bulk", "fidelity", "surface", "total")
+CONFIG_DTYPE = np.dtype([("bits", np.int64)]
+                        + [(t, np.float64) for t in ENERGY_TERMS])
 DENSE_DOF_LIMIT = 4000
 # Configuration energies within this relative distance of the lowest one
 # count as tied (condensed and full solves differ near 1e-15).
@@ -495,25 +499,27 @@ class ConfigurationEnergies:
         quad = 0.5 * np.sum(x * hx, axis=1) - x @ self._f + self._const
         return x, quad, rel
 
-    def evaluate(self, bits) -> tuple[list[dict], np.ndarray]:
-        """Per configuration: its bitstring and energy breakdown, and its
-        node values as one flat row."""
+    def evaluate(self, bits) -> tuple[np.ndarray, np.ndarray]:
+        """Per configuration: its CONFIG_DTYPE row, and its node values as
+        one flat row."""
         sys_ = self.system
         bits = np.asarray(bits, dtype=np.int64)
         x, quad, _ = self._condensed_solve(bits)
-        beta_area = sys_.params.beta * sys_.grid.face_area()
-        rows = []
-        for b, xb, q, fid in zip(bits.tolist(), x, quad, sys_.fidelity_energy(x)):
-            row = {"bits": CrackConfig(self.candidates, b).bitstring()}
-            if self.region is None:
-                surface = beta_area * (len(self.base_faces) + bin(b).count("1"))
-                row.update(bulk=float(q - fid), fidelity=float(fid),
-                           surface=surface, total=float(q + surface))
-            else:
+        rows = np.zeros(bits.size, CONFIG_DTYPE)
+        rows["bits"] = bits
+        if self.region is None:
+            n_faces = len(self.base_faces) + np.sum(
+                bits[:, None] >> np.arange(len(self.candidates)) & 1, axis=1)
+            rows["fidelity"] = sys_.fidelity_energy(x)
+            rows["bulk"] = quad - rows["fidelity"]
+            rows["surface"] = sys_.params.beta * sys_.grid.face_area() * n_faces
+            rows["total"] = quad + rows["surface"]
+        else:
+            for i, (b, xb) in enumerate(zip(bits.tolist(), x)):
                 u = DisplacementField(sys_.grid, xb.reshape(sys_.g_vals.shape))
-                row.update(energy_breakdown(u, self.jumps(b), sys_.params,
-                                            self.region))
-            rows.append(row)
+                bd = energy_breakdown(u, self.jumps(b), sys_.params,
+                                      self.region)
+                rows[i] = (b, *(bd[t] for t in ENERGY_TERMS))
         return rows, x
 
 
@@ -531,62 +537,60 @@ def brute_force_minimize(grid: GridSpec, candidates: list[Face],
     EXHAUSTIVE_LIMIT candidates all 2^k configurations are evaluated, a
     chunk at a time; above it, ``heuristic=True`` runs the greedy
     add/remove descent from both extremes and the result is flagged as
-    not exhaustive.  Every configuration keeps its breakdown row, 469 B:
-    on a 2D 16^2 cross 18 candidates peaked at 187.5 MB in 125 s and 19
-    at 310.4 MB in 257 s, so 20 come to about 556 MB and 21 would pass
-    1 GB.  The winner is the best configuration evaluated:
-    energies within TIE_RTOL of the lowest count as tied, and among them
-    fewer active faces wins, then the lexicographic bitstring.
-    ``homogeneous=True`` minimizes G0, that is G on ``params.homogeneous()``.
+    not exhaustive.  ``per_config`` is one CONFIG_DTYPE row (40 B) per
+    configuration evaluated, sorted by bits; node values live for one
+    chunk, and the winner's chunk is solved again for its field.  Time
+    sets the limit: on a 2D 16^2 cross 18 candidates took 100 s and 19
+    took 197 s (peak RSS 77.4 and 86.7 MiB), so 20 take about 7 minutes.
+    The winner is the best configuration evaluated: energies within
+    TIE_RTOL of the lowest count as tied, and among them fewer active
+    faces wins, then the lexicographic bitstring.  ``homogeneous=True``
+    minimizes G0, that is G on ``params.homogeneous()``.
     """
     params = params.homogeneous() if homogeneous else params
     candidates = sorted(candidates)
     k = len(candidates)
-    if k > EXHAUSTIVE_LIMIT and not heuristic:
+    exhaustive = k <= EXHAUSTIVE_LIMIT
+    if not (exhaustive or heuristic):
         raise ValueError(f"{k} candidates exceed the exhaustive regime; "
                          "set heuristic=True")
     system = ElasticSystem(grid, params, pinned_mask, pinned_values)
     energies = ConfigurationEnergies(system, candidates,
                                      base_jumps or JumpSet(grid), region)
-    per_config: dict[int, dict] = {}
-    tied: dict[int, np.ndarray] = {}   # node values of the current ties
-    lowest = math.inf
+    step = energies.chunk if exhaustive else 1
 
-    def evaluate(bits) -> None:
-        nonlocal lowest, tied
-        rows, x = energies.evaluate(bits)
-        for b, row, xb in zip(bits, rows, x):
-            per_config[b] = row
-            lowest = min(lowest, row["total"])
-            if row["total"] <= _tie_bound(lowest):
-                tied[b] = xb.copy()
-        tied = {b: xb for b, xb in tied.items()
-                if per_config[b]["total"] <= _tie_bound(lowest)}
+    def chunk_of(bits: int) -> np.ndarray:
+        start = bits - bits % step
+        return np.arange(start, min(start + step, 2 ** k))
 
-    exhaustive = not (heuristic and k > EXHAUSTIVE_LIMIT)
     if exhaustive:
-        for start in range(0, 2 ** k, energies.chunk):
-            evaluate(range(start, min(start + energies.chunk, 2 ** k)))
+        per_config = np.empty(2 ** k, CONFIG_DTYPE)
+        for start in range(0, 2 ** k, step):
+            rows, _ = energies.evaluate(chunk_of(start))
+            per_config[start:start + step] = rows
     else:
+        memo: dict[int, np.ndarray] = {}
+
         def energy_of(bits: int) -> float:
-            if bits not in per_config:
-                evaluate([bits])
-            return per_config[bits]["total"]
+            if bits not in memo:
+                memo[bits] = energies.evaluate(chunk_of(bits))[0]
+            return float(memo[bits]["total"][0])
 
         greedy_bits(k, energy_of)
-    best = min((CrackConfig(tuple(candidates), b) for b in tied),
+        per_config = np.concatenate([memo[b] for b in sorted(memo)])
+    totals = per_config["total"]
+    lowest = totals.min()
+    tied = per_config["bits"][totals <= lowest + TIE_RTOL * abs(lowest)]
+    best = min((CrackConfig(tuple(candidates), b) for b in tied.tolist()),
                key=lambda c: (c.n_active, c.bitstring()))
-    u = DisplacementField(grid, tied[best.active_bits].reshape(
-        system.g_vals.shape))
-    bd = {key: v for key, v in per_config[best.active_bits].items()
-          if key != "bits"}
+    # the chunk that held the winner solves it again to the same bits
+    rows, x = energies.evaluate(chunk_of(best.active_bits))
+    i = best.active_bits % step
+    bd = dict(zip(ENERGY_TERMS, rows[i].item()[1:]))
+    u = DisplacementField(grid, x[i].reshape(system.g_vals.shape).copy())
     return OracleResult(best_config=best, minimizer_u=u, min_energy=bd["total"],
                         breakdown=bd, exhaustive=exhaustive,
-                        per_config=[per_config[b] for b in sorted(per_config)])
-
-
-def _tie_bound(lowest: float) -> float:
-    return lowest + TIE_RTOL * abs(lowest)
+                        per_config=per_config)
 
 
 def greedy_bits(k: int, energy_of) -> int:

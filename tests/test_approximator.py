@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from smalljump import approximator
 from smalljump.approximator import (
     C_STAR_DEFAULT,
     ApproxConfig,
@@ -143,6 +144,20 @@ def test_regime_gate():
     u, j, _ = two_motion_crack_field(g, area=0.5, seed=4)
     with pytest.raises(RegimeError):
         approximate(u, j, PARAMS, ApproxConfig(eta=0.1))
+
+
+def test_non_coercive_hooke_tensor_refused_before_any_work(monkeypatch):
+    g = GridSpec(2, 32, 1.0)
+    u, j, _ = two_motion_crack_field(g, area=0.05, seed=1)
+
+    def no_strain(*args, **kwargs):
+        raise AssertionError("the approximation ran on a refused tensor")
+
+    monkeypatch.setattr(approximator, "symmetric_gradient", no_strain)
+    params = EnergyParams(HookeTensor(-5.0, 1.0), p=2.0)
+    with pytest.raises(ValueError, match="dim\\*lambda \\+ 2\\*mu must be "
+                                         "positive, got -8 in 2D"):
+        approximate(u, j, params, CFG)
 
 
 def test_non_dyadic_grid_rejected():

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smalljump import generators
+from smalljump import cli, generators
 from smalljump.cli import _midline_candidates, build_parser, main
 from smalljump.energy import EnergyParams, HookeTensor
 from smalljump.grid import (
@@ -291,14 +291,14 @@ def test_each_subcommand_takes_exactly_the_flags_it_reads():
         "sweep": {"--levels", "--delta0", "--dim", "--cells", "--seed",
                   "--out", "--p", "--lame-lambda", "--lame-mu", "--eta"},
         "oracle": {"--dim", "--cells", "--half-width", "--n-candidates",
-                   "--cross", "--target", "--seed", "--heuristic",
+                   "--cross", "--target", "--seed",
                    "--out", "--kappa", "--beta",
                    "--lame-lambda", "--lame-mu"},
         "harness": {"--generator", "--levels", "--dim", "--cells", "--kappa0",
                     "--seed", "--out", "--beta", "--p", "--lame-lambda",
                     "--lame-mu", "--eta"},
     }
-    assert sum(map(len, flags.values())) == 62
+    assert sum(map(len, flags.values())) == 61
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -385,9 +385,38 @@ def test_oracle_without_a_density_ball_writes_null(tmp_path):
     (2, 8, 5, [(0, (4, 3)), (0, (4, 4)), (1, (2, 4)), (1, (3, 4)),
                (1, (4, 4))]),
     (3, 4, 2, [(0, (2, 1, 2)), (1, (1, 2, 2))]),
+    # each arm holds m - 2 faces, the most strictly inside the domain
+    (2, 8, 12, [(0, (4, j)) for j in range(1, 7)]
+     + [(1, (j, 4)) for j in range(1, 7)]),
+    (3, 4, 4, [(0, (2, 1, 2)), (0, (2, 2, 2)), (1, (1, 2, 2)),
+               (1, (2, 2, 2))]),
 ])
 def test_cross_candidate_layouts(dim, cells, count, want):
     assert _midline_candidates(GridSpec(dim, cells, 1.0), count, True) == want
+
+
+def test_too_many_cross_candidates_exits_one(tmp_path, capsys):
+    rc = main(["oracle", "--cells", "8", "--n-candidates", "13", "--cross",
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: 13 candidates do not fit strictly inside the domain "
+        "(at most 12 for 8 cells per side)\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_more_candidates_than_the_exhaustive_search_exits_one(
+        tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the oracle solved before refusing its input")
+
+    monkeypatch.setattr(cli, "brute_force_minimize", no_solve)
+    rc = main(["oracle", "--cells", "32", "--n-candidates", "22", "--cross",
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: 22 candidates exceed the exhaustive search (at most 20)\n")
+    assert not (tmp_path / "run").exists()
 
 
 def test_too_many_candidates_exits_one(tmp_path, capsys):

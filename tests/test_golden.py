@@ -4,8 +4,9 @@ The determinism tests compare two runs of one build, so they cannot see
 a change that moves every run the same way.  These digests pin the bytes
 of ``report.json`` and ``u_tilde.bin`` for one 2D and two 3D instances
 (one at p = 1.5, which takes the fractional-power path of the energy
-densities), and of ``summary.json`` and ``minimizer.bin`` for one 2D
-oracle run whose minimizer is cracked, so its density table is filled.
+densities), and of ``configs.csv``, ``summary.json`` and
+``minimizer.bin`` for one 2D oracle run whose minimizer is cracked, so
+its density table is filled.
 Two more pin library runs of the homogeneous Dirichlet problem, which
 the CLI does not reach: one elastic solve and one 6-candidate search.
 A refactor that is meant to keep outputs bit-identical must keep them.
@@ -52,6 +53,7 @@ GOLDEN = {
 ORACLE_GOLDEN = {
     "2d-16-cracked-minimizer": (
         ["--dim", "2", "--cells", "16", "--kappa", "2", "--beta", "0.05"],
+        "9ec6d6e6012cebb3c3a2e398a6a6e64189783b6c33d55b75ce6a67f0093bb862",
         "534fc936e5bd8ddb7796b61850819dc1cfec53aa0cd91ee0c5077920253b39b5",
         "a10a0241304cf0903c30243e68462e075a3b2df97c8d90123323a20d1555db6a",
     ),
@@ -79,10 +81,11 @@ def test_approx_outputs_match_golden_digests(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GOLDEN))
 def test_oracle_outputs_match_golden_digests(tmp_path, name):
-    args, summary_sha, field_sha = ORACLE_GOLDEN[name]
+    args, configs_sha, summary_sha, field_sha = ORACLE_GOLDEN[name]
     out = tmp_path / "run"
     assert main(["oracle", *args, "--out", str(out)]) == 0
     assert (out / "density.csv").exists()
+    assert _sha256(out / "configs.csv") == configs_sha
     assert _sha256(out / "summary.json") == summary_sha
     assert _sha256(out / "minimizer.bin") == field_sha
 

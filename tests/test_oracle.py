@@ -206,6 +206,13 @@ def test_greedy_search_matches_full_solve_descent():
     assert res.min_energy == pytest.approx(energy_of(expected)["total"],
                                            rel=1e-12)
     assert res.breakdown["bulk"] > 1e-6 * res.min_energy
+    # the table holds the configurations the descent visited, sorted
+    bits = res.per_config["bits"]
+    assert np.all(np.diff(bits) > 0)
+    assert bits.size < 2 ** len(cands)
+    for b, total in zip(bits.tolist(), res.per_config["total"].tolist()):
+        ref = energy_of(b)["total"]
+        assert abs(total - ref) <= 1e-12 * abs(ref)
 
 
 def test_sparse_form_search_matches_dense(monkeypatch):
