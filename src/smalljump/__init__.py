@@ -28,7 +28,6 @@ from .energy import (
     HookeTensor,
     energy_G,
     energy_G0,
-    f_mu,
     f_zero,
 )
 from .errors import CoveringError, FitError, RegimeError, SolverError
@@ -77,7 +76,7 @@ __all__ = [
     "brute_force_minimize", "build_covering", "classify",
     "covering_structure_report", "default_eta", "density_lower_bound_check",
     "deviation_psi0", "energy_G", "energy_G0", "extract_exceptional_set",
-    "f_mu", "f_zero", "fit_decay_exponent", "fit_rigid_motion",
+    "f_zero", "fit_decay_exponent", "fit_rigid_motion",
     "load_field", "load_jump", "mollified_strain_error",
     "mollify", "neighbor_affine_distance", "partition_of_unity",
     "save_field", "save_jump", "select_crown", "solve_elastic",

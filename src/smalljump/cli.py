@@ -39,7 +39,6 @@ from .grid import (
     save_jump,
 )
 from .oracle import (
-    EXHAUSTIVE_LIMIT,
     CrackConfig,
     brute_force_minimize,
     density_lower_bound_check,
@@ -234,9 +233,6 @@ def _midline_candidates(grid: GridSpec, count: int, cross: bool) -> list:
         raise ValueError(
             f"{count} candidates do not fit strictly inside the domain "
             f"(at most {(m - 2) * len(arms)} for {m} cells per side)")
-    if count > EXHAUSTIVE_LIMIT:
-        raise ValueError(f"{count} candidates exceed the exhaustive search "
-                         f"(at most {EXHAUSTIVE_LIMIT})")
     cands = []
     for axis, n in enumerate(arms):
         start = max(1, (m - n) // 2)
@@ -275,7 +271,7 @@ def cmd_oracle(args) -> int:
         "best_bits": result.best_config.bitstring(),
         "min_energy": result.min_energy,
         "breakdown": result.breakdown,
-        "exhaustive": result.exhaustive,
+        "exhaustive": True,   # every search is; the key keeps the layout
         "n_candidates": len(cands),
     }
     psi = deviation_psi0(result.minimizer_u, own_jumps, params,
@@ -399,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--target", help="fidelity target field file")
     o.add_argument("--seed", type=int, default=0)
     o.add_argument("--out", required=True)
-    o.add_argument("--kappa", type=float, default=0.0)
+    o.add_argument("--kappa", type=float, required=True)
     o.add_argument("--beta", type=float, default=1.0)
     _add_lame(o)
     o.set_defaults(func=cmd_oracle)

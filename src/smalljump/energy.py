@@ -111,7 +111,6 @@ class EnergyParams:
 
     hooke: HookeTensor
     p: float = 2.0
-    mu_offset: float = 0.0
     kappa: float = 0.0
     beta: float = 1.0
     g: DisplacementField | None = None
@@ -121,27 +120,20 @@ class EnergyParams:
             raise ValueError("p must be at least 1")
         if self.beta <= 0:
             raise ValueError("beta must be positive")
-        if self.kappa < 0 or self.mu_offset < 0:
-            raise ValueError("kappa and mu_offset must be nonnegative")
+        if self.kappa < 0:
+            raise ValueError("kappa must be nonnegative")
 
     def homogeneous(self) -> EnergyParams:
-        """The parameters of G0: G with mu = 0 and no fidelity target."""
-        return replace(self, g=None, mu_offset=0.0)
+        """The parameters of G0: G with no fidelity target."""
+        return replace(self, g=None)
 
     def require_p_gt_one(self) -> None:
         if self.p <= 1:
             raise ValueError("this routine requires p > 1")
 
 
-def f_mu(xi: np.ndarray, params: EnergyParams) -> np.ndarray:
-    """Energy density (1/p)((C xi.xi + mu)^(p/2) - mu^(p/2))."""
-    q = params.hooke.quadratic_form(np.asarray(xi))
-    p, mu = params.p, params.mu_offset
-    return ((q + mu) ** (p / 2.0) - mu ** (p / 2.0)) / p
-
-
 def f_zero(xi: np.ndarray, params: EnergyParams) -> np.ndarray:
-    """Homogeneous density (1/p)(C xi.xi)^(p/2)."""
+    """Bulk density (1/p)(C xi.xi)^(p/2) of both G and G0."""
     q = params.hooke.quadratic_form(np.asarray(xi))
     return q ** (params.p / 2.0) / params.p
 
@@ -160,13 +152,13 @@ def lp_norm_cells(cell_vals: np.ndarray, grid: GridSpec, p: float) -> float:
 
 def energy_G(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
              region: Region | None = None) -> float:
-    """Bulk f_mu + kappa|u-g|^p + beta * crack area, over a region."""
+    """Bulk f_0 + kappa|u-g|^p + beta * crack area, over a region."""
     return energy_breakdown(u, jumps, params, region)["total"]
 
 
 def energy_G0(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
               region: Region | None = None) -> float:
-    """Homogeneous variant: G with f_0 bulk and kappa|u|^p fidelity."""
+    """Homogeneous variant: G with kappa|u|^p fidelity (no target)."""
     return energy_breakdown(u, jumps, params.homogeneous(), region)["total"]
 
 
@@ -177,7 +169,7 @@ def energy_breakdown(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
     grid = u.grid
     mask = region_cell_mask(grid, region)
     hvol = grid.spacing ** grid.dim
-    bulk = float(np.sum(f_mu(strain, params)[mask]) * hvol)
+    bulk = float(np.sum(f_zero(strain, params)[mask]) * hvol)
     fidelity = 0.0
     if params.kappa > 0:
         delta = u.values if params.g is None else u.values - params.g.values

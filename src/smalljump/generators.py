@@ -232,22 +232,19 @@ def rigid_patches_field(grid: GridSpec, n_patches: int, extent: int,
     return _pockets_field(grid, n_patches, lambda r: extent, seed, amplitude)
 
 
-def split_target(grid: GridSpec, offset: np.ndarray | None = None,
-                 seed: int = 0) -> DisplacementField:
-    """Piecewise-constant target jumping across the mid plane; the plane
-    nodes carry the low-side values."""
+def split_target(grid: GridSpec, seed: int = 0) -> DisplacementField:
+    """Piecewise-constant target jumping across the mid plane by a random
+    offset; the plane nodes carry the low-side values."""
     rng = np.random.default_rng(seed)
-    if offset is None:
-        offset = rng.uniform(0.3, 0.8, size=grid.dim) * rng.choice(
-            [-1.0, 1.0], size=grid.dim)
+    offset = rng.uniform(0.3, 0.8, size=grid.dim) * rng.choice(
+        [-1.0, 1.0], size=grid.dim)
     x = grid.node_coord_grid()
     base = np.full(grid.node_shape + (grid.dim,), 0.05)
-    vals = np.where(x[..., :1] <= 0.0, base, base + np.asarray(offset))
+    vals = np.where(x[..., :1] <= 0.0, base, base + offset)
     return DisplacementField(grid, vals)
 
 
-def shrinking_crack_instance(grid: GridSpec, delta: float, seed: int = 0,
-                             background_amplitude: float = 0.05
+def shrinking_crack_instance(grid: GridSpec, delta: float, seed: int = 0
                              ) -> tuple[DisplacementField, JumpSet, dict]:
     """Sweep member at scale delta: smooth background plus a centered
     pocket whose area tracks delta^dim and whose opening scales with
@@ -265,8 +262,7 @@ def shrinking_crack_instance(grid: GridSpec, delta: float, seed: int = 0,
     opening = rng.normal(size=grid.dim)
     opening *= 0.4 * delta / np.linalg.norm(opening)
 
-    base, _ = sinusoid_field(grid, seed=seed + 17,
-                             amplitude=background_amplitude)
+    base, _ = sinusoid_field(grid, seed=seed + 17)
     mpro = pocket_indicator(grid, patch)
     vals = base.values + mpro[..., None] * opening
     jumps = JumpSet(grid, patch.faces(grid.dim))

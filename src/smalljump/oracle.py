@@ -80,7 +80,6 @@ class OracleResult:
     min_energy: float
     breakdown: dict
     per_config: np.ndarray   # CONFIG_DTYPE rows, sorted by bits
-    exhaustive: bool
 
 
 # A row of the search's table: candidate bits, then the minimizer's energies.
@@ -529,55 +528,41 @@ def brute_force_minimize(grid: GridSpec, candidates: list[Face],
                          base_jumps: JumpSet | None = None,
                          homogeneous: bool = False,
                          pinned_mask: np.ndarray | None = None,
-                         pinned_values: np.ndarray | None = None,
-                         heuristic: bool = False) -> OracleResult:
-    """Minimize over the crack configurations of the candidate list.
+                         pinned_values: np.ndarray | None = None
+                         ) -> OracleResult:
+    """Minimize over all 2^k crack configurations of the candidate list.
 
-    Every energy comes from one ConfigurationEnergies.  Up to
-    EXHAUSTIVE_LIMIT candidates all 2^k configurations are evaluated, a
-    chunk at a time; above it, ``heuristic=True`` runs the greedy
-    add/remove descent from both extremes and the result is flagged as
-    not exhaustive.  ``per_config`` is one CONFIG_DTYPE row (40 B) per
-    configuration evaluated, sorted by bits; node values live for one
-    chunk, and the winner's chunk is solved again for its field.  Time
-    sets the limit: on a 2D 16^2 cross 18 candidates took 100 s and 19
-    took 197 s (peak RSS 77.4 and 86.7 MiB), so 20 take about 7 minutes.
-    The winner is the best configuration evaluated: energies within
-    TIE_RTOL of the lowest count as tied, and among them fewer active
-    faces wins, then the lexicographic bitstring.  ``homogeneous=True``
-    minimizes G0, that is G on ``params.homogeneous()``.
+    Every energy comes from one ConfigurationEnergies, a chunk of
+    configurations at a time.  More than EXHAUSTIVE_LIMIT candidates are
+    refused before any system is built.  ``per_config`` is one
+    CONFIG_DTYPE row (40 B) per configuration, sorted by bits; node
+    values live for one chunk, and the winner's chunk is solved again
+    for its field.  Time sets the limit: on a 2D 16^2 cross 18
+    candidates took 100 s and 19 took 197 s (peak RSS 77.4 and
+    86.7 MiB), so 20 take about 7 minutes.  Energies within TIE_RTOL of
+    the lowest count as tied, and among them fewer active faces wins,
+    then the lexicographic bitstring.  ``homogeneous=True`` minimizes
+    G0, that is G on ``params.homogeneous()``.
     """
     params = params.homogeneous() if homogeneous else params
     candidates = sorted(candidates)
     k = len(candidates)
-    exhaustive = k <= EXHAUSTIVE_LIMIT
-    if not (exhaustive or heuristic):
-        raise ValueError(f"{k} candidates exceed the exhaustive regime; "
-                         "set heuristic=True")
+    if k > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"{k} candidates exceed the exhaustive search "
+                         f"(at most {EXHAUSTIVE_LIMIT})")
     system = ElasticSystem(grid, params, pinned_mask, pinned_values)
     energies = ConfigurationEnergies(system, candidates,
                                      base_jumps or JumpSet(grid), region)
-    step = energies.chunk if exhaustive else 1
+    step = energies.chunk
 
     def chunk_of(bits: int) -> np.ndarray:
         start = bits - bits % step
         return np.arange(start, min(start + step, 2 ** k))
 
-    if exhaustive:
-        per_config = np.empty(2 ** k, CONFIG_DTYPE)
-        for start in range(0, 2 ** k, step):
-            rows, _ = energies.evaluate(chunk_of(start))
-            per_config[start:start + step] = rows
-    else:
-        memo: dict[int, np.ndarray] = {}
-
-        def energy_of(bits: int) -> float:
-            if bits not in memo:
-                memo[bits] = energies.evaluate(chunk_of(bits))[0]
-            return float(memo[bits]["total"][0])
-
-        greedy_bits(k, energy_of)
-        per_config = np.concatenate([memo[b] for b in sorted(memo)])
+    per_config = np.empty(2 ** k, CONFIG_DTYPE)
+    for start in range(0, 2 ** k, step):
+        rows, _ = energies.evaluate(chunk_of(start))
+        per_config[start:start + step] = rows
     totals = per_config["total"]
     lowest = totals.min()
     tied = per_config["bits"][totals <= lowest + TIE_RTOL * abs(lowest)]
@@ -589,12 +574,12 @@ def brute_force_minimize(grid: GridSpec, candidates: list[Face],
     bd = dict(zip(ENERGY_TERMS, rows[i].item()[1:]))
     u = DisplacementField(grid, x[i].reshape(system.g_vals.shape).copy())
     return OracleResult(best_config=best, minimizer_u=u, min_energy=bd["total"],
-                        breakdown=bd, exhaustive=exhaustive,
-                        per_config=per_config)
+                        breakdown=bd, per_config=per_config)
 
 
 def greedy_bits(k: int, energy_of) -> int:
-    """Best-improvement single-flip descent from both extremes."""
+    """Best-improvement single-flip descent from both extremes: a
+    reference for the exhaustive search, not part of it."""
     best_bits, best_e = None, math.inf
     for start in (0, 2 ** k - 1):
         bits = start

@@ -212,12 +212,6 @@ def quadratic_form(hooke, xi):
     return hooke.lame_lambda * tr * tr + 2.0 * hooke.lame_mu * frob2
 
 
-def f_mu(xi, params):
-    q = quadratic_form(params.hooke, np.asarray(xi))
-    p, mu = params.p, params.mu_offset
-    return ((q + mu) ** (p / 2.0) - mu ** (p / 2.0)) / p
-
-
 def f_zero(xi, params):
     q = quadratic_form(params.hooke, np.asarray(xi))
     return q ** (params.p / 2.0) / params.p

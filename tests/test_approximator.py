@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from smalljump import approximator
 from smalljump.approximator import (
@@ -404,6 +406,27 @@ def test_outside_node_slabs_are_the_nodes_outside_q_r(dim, m):
             mask[s] = True
         cheb = np.max(np.abs(g.node_coord_grid()), axis=-1)
         assert np.array_equal(mask, cheb > radius)
+
+
+@settings(max_examples=10)
+@given(grid=st.sampled_from([(2, 32), (2, 64), (3, 32)]),
+       generator=st.sampled_from([random_cracks_field, rigid_patches_field]),
+       count=st.integers(1, 3), extent=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 16))
+def test_approximant_equals_the_input_outside_q_r(grid, generator, count,
+                                                   extent, seed):
+    g = GridSpec(*grid, 1.0)
+    u, j, _ = generator(g, count, extent, seed=seed)
+    try:
+        res = approximate(u, j, PARAMS, CFG)
+    except RegimeError:
+        reject()
+    # bitwise: u~ is u itself on every node outside Q_R
+    for s in _outside_node_slabs(g, res.radius):
+        assert res.u_tilde.values[s].tobytes() == u.values[s].tobytes()
+    rep = verify_properties(u, j, res, PARAMS, CFG)
+    assert rep.by_name("p1_match_outside").lhs == 0.0
+    assert rep.by_name("p1_boundary_faces").lhs == 0.0
 
 
 def test_assert_structure_catches_changes_outside_q_r_and_omega_leaks():

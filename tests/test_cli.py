@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smalljump import cli, generators
+from smalljump import generators, oracle
 from smalljump.cli import _midline_candidates, build_parser, main
 from smalljump.energy import EnergyParams, HookeTensor
 from smalljump.grid import (
@@ -161,7 +161,7 @@ def test_oracle_target_on_another_grid_exits_one(tmp_path, capsys):
     base = tmp_path / "target"
     save_field(base, generators.split_target(GridSpec(2, 16, 1.0), seed=0))
     rc = main(["oracle", "--cells", "8", "--target", str(base),
-               "--out", str(tmp_path / "run")])
+               "--kappa", "2", "--out", str(tmp_path / "run")])
     assert rc == 1
     assert capsys.readouterr().err == (
         "error: target grid GridSpec(dim=2, cells_per_side=16, half_width=1.0)"
@@ -264,7 +264,7 @@ FIELD_ARGS = ["--field", "f", "--jump", "f.jump.json"]
 SUBCOMMAND_ARGS = {
     "approx": FIELD_ARGS + ["--out", "o"],
     "verify": FIELD_ARGS,
-    "oracle": ["--out", "o"],
+    "oracle": ["--kappa", "2", "--out", "o"],
     "harness": ["--generator", "shrinking-crack", "--out", "o"],
 }
 
@@ -334,6 +334,19 @@ def test_approx_without_its_input_is_a_usage_error(capsys, missing):
     assert err.endswith(f"the following arguments are required: {missing}\n")
 
 
+def test_oracle_without_kappa_is_a_usage_error(tmp_path, capsys):
+    # with no boundary data, kappa = 0 would leave the system singular
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--cells", "8", "--n-candidates", "4",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: smalljump oracle")
+    assert err.endswith("the following arguments are required: --kappa\n")
+    assert not out.exists()
+
+
 def _strict_json(path: Path):
     """A JSON file's payload; Infinity or NaN in it fails the test."""
     def refuse(name):
@@ -397,7 +410,7 @@ def test_cross_candidate_layouts(dim, cells, count, want):
 
 def test_too_many_cross_candidates_exits_one(tmp_path, capsys):
     rc = main(["oracle", "--cells", "8", "--n-candidates", "13", "--cross",
-               "--out", str(tmp_path / "run")])
+               "--kappa", "2", "--out", str(tmp_path / "run")])
     assert rc == 1
     assert capsys.readouterr().err == (
         "error: 13 candidates do not fit strictly inside the domain "
@@ -407,12 +420,12 @@ def test_too_many_cross_candidates_exits_one(tmp_path, capsys):
 
 def test_more_candidates_than_the_exhaustive_search_exits_one(
         tmp_path, capsys, monkeypatch):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("the oracle solved before refusing its input")
+    def no_system(*args, **kwargs):
+        raise AssertionError("the oracle built a system before refusing")
 
-    monkeypatch.setattr(cli, "brute_force_minimize", no_solve)
+    monkeypatch.setattr(oracle, "ElasticSystem", no_system)
     rc = main(["oracle", "--cells", "32", "--n-candidates", "22", "--cross",
-               "--out", str(tmp_path / "run")])
+               "--kappa", "2", "--out", str(tmp_path / "run")])
     assert rc == 1
     assert capsys.readouterr().err == (
         "error: 22 candidates exceed the exhaustive search (at most 20)\n")
@@ -421,7 +434,7 @@ def test_more_candidates_than_the_exhaustive_search_exits_one(
 
 def test_too_many_candidates_exits_one(tmp_path, capsys):
     rc = main(["oracle", "--cells", "8", "--n-candidates", "7",
-               "--out", str(tmp_path / "run")])
+               "--kappa", "2", "--out", str(tmp_path / "run")])
     assert rc == 1
     assert capsys.readouterr().err == (
         "error: 7 candidates do not fit strictly inside the domain "

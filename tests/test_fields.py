@@ -15,7 +15,6 @@ from smalljump.energy import (
     HookeTensor,
     energy_G,
     energy_G0,
-    f_mu,
     f_zero,
     lp_norm_cells,
     strain_pth_power,
@@ -205,13 +204,12 @@ def test_planes_and_densities_equal_trailing_axes_reference(g, data, seed):
     xi = rng.normal(size=(3,) + g.cell_shape + (g.dim, g.dim))
     hooke = HookeTensor(rng.uniform(0.0, 2.0), rng.uniform(0.1, 2.0))
     for p in (1.5, 2.0, 3.0):
-        params = EnergyParams(hooke, p=p, mu_offset=rng.uniform(0.01, 1.0))
+        params = EnergyParams(hooke, p=p)
         assert np.array_equal(f_zero(e, params), sref.f_zero(want, params))
         for x in (want, xi):
             planes = sref.packed(x)
             assert np.array_equal(hooke.quadratic_form(planes),
                                   sref.quadratic_form(hooke, x))
-            assert np.array_equal(f_mu(planes, params), sref.f_mu(x, params))
             assert np.array_equal(f_zero(planes, params), sref.f_zero(x, params))
         assert np.array_equal(strain_pth_power(e, p), sref.magnitude(want) ** p)
         assert lp_norm_cells(e, g, p) == sref.lp_norm_cells(want, g, p)
@@ -226,25 +224,23 @@ def test_jump_measure_values(grid2d):
     assert JumpSet(grid2d, faces).measure() == pytest.approx(2.0)
 
 
-def test_f_mu_values_and_convexity():
+def test_f_zero_values_and_convexity():
     hooke = HookeTensor(lame_lambda=0.0, lame_mu=0.5)
-    params = EnergyParams(hooke, p=2.0, mu_offset=0.0)
-    assert f_mu(sref.packed(np.zeros((2, 2))), params) == pytest.approx(0.0)
-    assert f_mu(sref.packed(np.eye(2)), params) == pytest.approx(1.0)
-    # p = 2 makes f_mu independent of mu
-    for mu in (0.0, 1.0, 1e6):
-        pm = EnergyParams(hooke, p=2.0, mu_offset=mu)
-        assert f_mu(sref.packed(np.eye(2)), pm) == pytest.approx(1.0)
+    params = EnergyParams(hooke, p=2.7)
+    assert f_zero(sref.packed(np.zeros((2, 2))), params) == 0.0
+    # C Id . Id = 2, so f_0(Id) = 2^(p/2) / p
+    assert f_zero(sref.packed(np.eye(2)), params) == pytest.approx(
+        2.0 ** 1.35 / 2.7, rel=1e-15)
 
     rng = np.random.default_rng(2)
-    params = EnergyParams(HookeTensor(1.3, 0.7), p=2.7, mu_offset=0.4)
+    params = EnergyParams(HookeTensor(1.3, 0.7), p=2.7)
     for _ in range(100):
         x1 = rng.normal(size=(2, 2))
         x2 = rng.normal(size=(2, 2))
         x1, x2 = sref.packed(x1), sref.packed(x2)
         for t in (0.25, 0.5, 0.75):
-            lhs = f_mu(t * x1 + (1 - t) * x2, params)
-            rhs = t * f_mu(x1, params) + (1 - t) * f_mu(x2, params)
+            lhs = f_zero(t * x1 + (1 - t) * x2, params)
+            rhs = t * f_zero(x1, params) + (1 - t) * f_zero(x2, params)
             assert lhs <= rhs + 1e-12
 
 
@@ -271,9 +267,8 @@ def test_densities_refuse_a_tensor_that_is_not_coercive_in_their_dimension():
     rng = np.random.default_rng(6)
     assert np.all(np.isfinite(f_zero(rng.normal(size=(3, 4, 4)), params)))
     planes3 = rng.normal(size=(6, 4, 4, 4))
-    for density in (f_mu, f_zero):
-        with pytest.raises(ValueError, match="got -0.4 in 3D"):
-            density(planes3, params)
+    with pytest.raises(ValueError, match="got -0.4 in 3D"):
+        f_zero(planes3, params)
 
 
 def test_energy_G_examples(grid2d):
@@ -290,9 +285,8 @@ def test_energy_G_examples(grid2d):
     smooth = DisplacementField(
         grid2d, np.sin(grid2d.node_coord_grid()) * 0.1)
     params0 = EnergyParams(hooke, p=2.0, kappa=0.0, beta=1.0)
-    from smalljump.energy import f_mu as _f
     e = symmetric_gradient(smooth, empty)
-    bulk = float(np.sum(_f(e, params0))) * grid2d.spacing ** 2
+    bulk = float(np.sum(f_zero(e, params0))) * grid2d.spacing ** 2
     assert energy_G(smooth, empty, params0) == pytest.approx(bulk)
 
     # single mid-plane crack: beta * H^1 = 3 * 2.0

@@ -92,12 +92,12 @@ def test_oracle_outputs_match_golden_digests(tmp_path, name):
 
 # Library runs that no CLI digest reaches: the homogeneous functional G0
 # with Dirichlet data on the grid boundary, taken from the split target,
-# a nonzero mu_offset (which G0 drops) and base faces with owner_high flags.
+# and base faces with owner_high flags.
 def _dirichlet_instance():
     g = GridSpec(2, 16, 1.0)
     target = split_target(g, seed=1)
-    params = EnergyParams(HookeTensor(1.0, 1.0), p=2.0, mu_offset=0.1,
-                          kappa=2.0, beta=0.05, g=target)
+    params = EnergyParams(HookeTensor(1.0, 1.0), p=2.0, kappa=2.0, beta=0.05,
+                          g=target)
     return g, target, params
 
 

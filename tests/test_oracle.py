@@ -185,36 +185,6 @@ def test_exhaustive_matches_greedy_on_midline_instance():
     assert abs(energy_of(gb)["total"] - res.min_energy) <= 1e-9
 
 
-def test_greedy_search_matches_full_solve_descent():
-    g = GridSpec(2, 6, 1.0)
-    # a strained target on both sides, so the winner's bulk energy counts
-    strained = two_sided_target(g).values \
-        + 0.2 * g.node_coord_grid() * np.array([1.0, -0.5])
-    params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02,
-                          g=DisplacementField(g, strained))
-    # the cross on the mid lines, then faces of the planes beside it
-    cands = sorted(([(0, (3, j)) for j in range(6)]
-                    + [(1, (j, 3)) for j in range(6)] + [(1, (0, 2))]
-                    + [(0, (k, j)) for k in (2, 4) for j in range(6)]
-                    )[:oracle.EXHAUSTIVE_LIMIT + 1])
-    assert len(cands) == oracle.EXHAUSTIVE_LIMIT + 1
-    energy_of = full_solve_energies(ElasticSystem(g, params), cands)
-    expected = greedy_bits(len(cands), lambda bits: energy_of(bits)["total"])
-    res = brute_force_minimize(g, cands, params, heuristic=True)
-    assert not res.exhaustive
-    assert res.best_config.active_bits == expected
-    assert res.min_energy == pytest.approx(energy_of(expected)["total"],
-                                           rel=1e-12)
-    assert res.breakdown["bulk"] > 1e-6 * res.min_energy
-    # the table holds the configurations the descent visited, sorted
-    bits = res.per_config["bits"]
-    assert np.all(np.diff(bits) > 0)
-    assert bits.size < 2 ** len(cands)
-    for b, total in zip(bits.tolist(), res.per_config["total"].tolist()):
-        ref = energy_of(b)["total"]
-        assert abs(total - ref) <= 1e-12 * abs(ref)
-
-
 def test_sparse_form_search_matches_dense(monkeypatch):
     g = GridSpec(2, 6, 1.0)
     params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02,
@@ -343,15 +313,25 @@ def test_singular_crack_free_block_raises(monkeypatch, dense_limit):
         solve_elastic(g, base, params, pinned_mask=pinned, pinned_values=values)
 
 
-def test_heuristic_flag_required_above_limit():
-    g = GridSpec(2, 8, 1.0)
-    params = EnergyParams(HOOKE, p=2.0, kappa=1.0, beta=1.0,
-                          g=rigid_field(g, 0)[0])
-    cands = ([(0, (4, j)) for j in range(8)] + [(1, (j, 4)) for j in range(8)]
-             + [(0, (2, j)) for j in range(8)])[:oracle.EXHAUSTIVE_LIMIT + 1]
-    assert len(cands) == oracle.EXHAUSTIVE_LIMIT + 1
-    with pytest.raises(ValueError):
+def test_more_candidates_than_the_exhaustive_search_are_refused(monkeypatch):
+    def no_system(*args, **kwargs):
+        raise AssertionError("the search built a system before refusing")
+
+    monkeypatch.setattr(oracle, "ElasticSystem", no_system)
+    g = GridSpec(2, 16, 1.0)
+    u = rigid_field(g, 0)[0]
+    params = EnergyParams(HOOKE, p=2.0, kappa=1.0, beta=1.0, g=u)
+    # faces of the two mid lines, all inside deviation_psi0's inner box
+    cands = ([(0, (8, j)) for j in range(2, 14)]
+             + [(1, (j, 8)) for j in range(2, 14)])[:oracle.EXHAUSTIVE_LIMIT + 1]
+    assert len(cands) == 21
+    message = "21 candidates exceed the exhaustive search (at most 20)"
+    with pytest.raises(ValueError) as exc:
         brute_force_minimize(g, cands, params)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        deviation_psi0(u, JumpSet(g), params, centered_box(1.0, 2), cands)
+    assert str(exc.value) == message
 
 
 def test_psi0_of_minimizer_and_perturbation():
@@ -739,7 +719,7 @@ def test_condensed_search_matches_full_solves(data):
     kwargs = dict(
         pinned_mask=pinned if pinned.any() else None,
         pinned_values=rng.normal(size=shape) if data.draw(st.booleans()) else None)
-    params = EnergyParams(HookeTensor(0.7, 1.3), p=2.0, mu_offset=0.3,
+    params = EnergyParams(HookeTensor(0.7, 1.3), p=2.0,
                           kappa=data.draw(st.sampled_from([0.5, 2.0])), beta=0.05,
                           g=DisplacementField(g, rng.normal(size=shape)))
 
