@@ -40,7 +40,7 @@ from .grid import (
 from .strain import cell_strain_ops, face_cells, symmetric_gradient
 
 # The most candidates of an exhaustive search, bound by its time: 2^k
-# solves (see brute_force_minimize).
+# configurations (see brute_force_minimize).
 EXHAUSTIVE_LIMIT = 20
 # Width, in cells, of the band along the region boundary where psi0's
 # competitors are pinned to the field.
@@ -90,10 +90,9 @@ DENSE_DOF_LIMIT = 4000
 # Configuration energies within this relative distance of the lowest one
 # count as tied (condensed and full solves differ near 1e-15).
 TIE_RTOL = 1e-12
-# Bound on one chunk's correction matrices and node-value rows in the
-# condensed search (14 configurations of the 12-face cross on 2D 8^2).
-# That search peaked at 64.3-64.6 MB RSS with it and 65.4 MB with 1 MiB;
-# one full solve per configuration peaked at 62.8 MB.
+# Bound on one breadth-first batch of the search's elimination tree: a
+# subtree's nodes, each counted with the S it is born with and a D-sized
+# row (subtrees of 64 leaves for the 12-face cross on 2D 8^2).
 CHUNK_BYTES = 1 << 19
 
 
@@ -140,6 +139,9 @@ class ElasticSystem:
         self._base = None
         self._counts = _scatter_corner_weights(
             np.ones(grid.cell_shape), grid.dim)
+        # weight of each DOF in the fidelity energy, sum w (x - g)^2
+        self.fid_weights = params.kappa * grid.spacing ** grid.dim / 2 ** grid.dim \
+            * np.repeat(self._counts.reshape(-1), grid.dim)
         # crack-free local matrix, the same for every cell up to a dof shift
         origin = (0,) * grid.dim
         self._std_dofs, self._std_loc = self._cell_local(origin, JumpSet(grid))
@@ -271,18 +273,15 @@ class ElasticSystem:
 
     def fidelity_energy(self, x: np.ndarray) -> np.ndarray:
         """Fidelity energy of flat node-value rows, shape (..., n_dof)."""
-        if self.params.kappa <= 0:
-            return np.zeros(x.shape[:-1])
-        w = self.params.kappa * self.grid.spacing ** self.dim / 2 ** self.dim
-        sq = (x - self.g_vals.reshape(-1)) ** 2
-        diff2 = sum(sq[..., c::self.dim] for c in range(self.dim))
-        return w * np.sum(self._counts.reshape(-1) * diff2, axis=-1)
+        return np.sum(self.fid_weights * (x - self.g_vals.reshape(-1)) ** 2,
+                      axis=-1)
 
     def solve(self, jumps: JumpSet) -> tuple[DisplacementField, dict]:
         """Minimizer for one crack set, with its relative residual and
         quadratic energy."""
         energies = ConfigurationEnergies(self, [], jumps)
-        x, quad, rel = energies._condensed_solve(np.zeros(1, dtype=np.int64))
+        x, quad, rel = energies._field(np.zeros(1, dtype=np.int64),
+                                       np.zeros((1, 0)))
         u = DisplacementField(self.grid, x[0].reshape(self.g_vals.shape))
         return u, {"relative_residual": float(rel[0]),
                    "quadratic_energy": float(quad[0]),
@@ -369,29 +368,19 @@ class ConfigurationEnergies:
     Configuration ``bits`` cracks the base faces plus the candidates whose
     bit is set; every face keeps its ``owner_high`` flag from the base set.
 
-    The search is condensed.  Candidates change the Hessian only on the
-    DOFs D of the cells they affect, so the other free DOFs I are
-    eliminated once (static condensation): one solve with H_II gives the
-    Schur complement S0 and right-hand side on D, and one correction
-    block per (affected cell, subset of its candidate faces) is stored
-    with flat scatter indices into D x D.  A chunk of configurations
-    (CHUNK_BYTES of corrections and node values) adds its blocks to S0,
-    runs one batched solve and rebuilds u_I = y - H_II^-1 H_ID u_D.
-    Every configuration is checked on the full Hessian: relative residual
-    at most 1e-10, and the quadratic energy of the full u.
-
-    H_II is factored one of two ways, chosen by the DOF count alone, as
-    each way wins at one end.  Below DENSE_DOF_LIMIT DOFs the Hessian is
-    made dense once and H_II is solved by LU: small searches then never
-    import scipy.linalg, whose import alone raised the peak RSS of the
-    12-face cross on 2D 8^2 from 64.3-64.7 to 72.5-73.0 MB when the
-    banded factor ran at every size.  Above it a dense Hessian would not
-    fit (571 MB at 8 450 DOFs, 2D 64^2).  H_II is banded in the natural
-    node order, and LAPACK's banded Cholesky keeps its factor in
-    (w + 1) |I| 8 bytes for half-bandwidth w: 8.6 MiB on 2D 64^2
-    (w = 133), 103 MiB on 3D 16^3 (w = 923).  On the 2D 64^2 CLI oracle
-    a sparse LU (``splu``) of H_II took 0.24 s instead of 0.17 s and
-    peaked at 100 MB instead of 87 MB.
+    The free DOFs I that no candidate touches are eliminated once, by
+    dense LU below DENSE_DOF_LIMIT DOFs and banded Cholesky above it:
+    every solution is x = xc + M x_Df, with x_Df on the free DOFs of the
+    candidates' cells D solving (S0 + delta_ff) x_Df = r0 - delta_fp x_Dp.
+    The configurations are the leaves of a binary tree over the
+    candidates, as in nested dissection (George 1973): each level decides
+    one candidate, in a greedy order, adds to S the per-cell correction
+    blocks it completes and eliminates the DOFs of Df that no pending
+    block touches, so a subtree's leaves share the factorization above
+    it.  Energies and the residual check of every leaf come from
+    |D|-sized coefficients; node values are built only for the winner,
+    checked on the full Hessian, and for a region's energy_breakdown.
+    README, "Oracle", has the details and the measurements.
     """
 
     def __init__(self, system: ElasticSystem, candidates: list[Face],
@@ -425,7 +414,7 @@ class ConfigurationEnergies:
                 yield np.array(js), dofs[used], mats[:, used][:, :, used]
 
     def _condense(self) -> None:
-        sys_ = self.system
+        sys_, k = self.system, len(self.candidates)
         blocks = list(self._cell_blocks())
         H, f, self._const = sys_.system_for(self.jumps(0))
         dense = sys_.n_dof < DENSE_DOF_LIMIT
@@ -434,17 +423,26 @@ class ConfigurationEnergies:
         pin = np.repeat(sys_.pinned.reshape(-1), sys_.dim)
         x0 = np.where(pin, sys_.pin_values.reshape(-1), 0.0)
         D = np.unique(np.concatenate([d for _, d, _ in blocks] + [[]])).astype(int)
-        Df = D[~pin[D]]
+        self._order, block_level, dof_level = _elimination_order(
+            blocks, D[~pin[D]], k)
+        Df = D[~pin[D]][np.argsort(dof_level, kind="stable")]
+        # ends[l]: the DOFs eliminated once l candidates are decided
+        self._ends = np.searchsorted(np.sort(dof_level), np.arange(k + 1),
+                                     side="right")
         inner = np.setdiff1d(np.flatnonzero(~pin), Df)
         D = np.concatenate([Df, D[pin[D]]])   # free DOFs of D first
         pos = np.zeros(sys_.n_dof, dtype=int)
         pos[D] = np.arange(D.size)
-        self._blocks = [((pos[d][:, None] * D.size + pos[d]).reshape(-1),
-                         mats.reshape(len(mats), -1)) for _, d, mats in blocks]
-        # subset index of block c for configuration bits: bit_row @ weights
-        self._weights = np.zeros((len(self.candidates), len(blocks)), dtype=np.int64)
-        for c, (js, _, _) in enumerate(blocks):
-            self._weights[js, c] = 1 << np.arange(len(js))
+        # each block whole for the checks, and its free part placed in the
+        # S of its level for the tree
+        self._blocks, self._levels = [], [[] for _ in range(k)]
+        for (js, d, mats), level in zip(blocks, block_level):
+            free = ~pin[d]
+            coupling = mats[:, free][:, :, ~free] @ x0[d[~free]]
+            self._blocks.append((js, pos[d], mats, pos[d[free]], coupling))
+            self._levels[level - 1].append(
+                (js, pos[d[free]] - self._ends[level - 1],
+                 mats[:, free][:, :, free], coupling))
         rhs = f - H @ x0
         try:
             if dense:
@@ -462,64 +460,173 @@ class ConfigurationEnergies:
         # and the identity on Df; H xc and H M give the full-Hessian checks
         self._xc = x0.copy()
         self._xc[inner] = yx[:, 0]
-        self._X = yx[:, 1:]
+        self._X = X = yx[:, 1:]
         self._Hxc = H @ self._xc
-        self._HM = _dense(H[:, Df]) - H[:, inner] @ self._X
+        self._HM = _dense(H[:, Df]) - H[:, inner] @ X
         self._f, self._free = f, np.flatnonzero(~pin)
         self._inner, self._Df, self._D, self._xDp = inner, Df, D, x0[D[Df.size:]]
-        self.chunk = max(1, CHUNK_BYTES // (8 * (D.size ** 2 + 2 * sys_.n_dof)))
+        # the leaves' coefficients: E(xc), ||R_I||, ||(HM)_I||_2, and the
+        # fidelity a + x_Df.(2b + C x_Df)
+        self._E_xc = 0.5 * self._xc @ self._Hxc - f @ self._xc + self._const
+        K = self._HM[inner]
+        self._bound_I = (np.linalg.norm(self._Hxc[inner] - f[inner]),
+                         np.sqrt(np.linalg.eigvalsh(K.T @ K).max(initial=0.0)))
+        wd = sys_.fid_weights
+        e0 = wd * (self._xc - sys_.g_vals.reshape(-1))
+        self._fid = (sys_.fidelity_energy(self._xc), e0[Df] - X.T @ e0[inner],
+                     np.diag(wd[Df]) + X.T @ (wd[inner, None] * X))
+        # the shallowest level whose subtrees fit CHUNK_BYTES, counting for
+        # each node the S it is born with (its parent's) and a D-sized row
+        live, self._batch_level = 0, k
+        for lv in reversed(range(k)):
+            front = Df.size - int(self._ends[lv])
+            live = 2 * (live + 8 * ((front + 1) ** 2 + D.size))
+            if live > CHUNK_BYTES:
+                break
+            self._batch_level = lv
 
-    def _condensed_solve(self, bits: np.ndarray):
-        n_f, n_d = self._Df.size, self._D.size
-        delta = np.zeros((bits.size, n_d * n_d))
-        subsets = (bits[:, None] >> np.arange(len(self.candidates)) & 1) \
-            @ self._weights
-        for (flat, mats), t in zip(self._blocks, subsets.T):
-            delta[:, flat] += mats[t]
-        delta = delta.reshape(bits.size, n_d, n_d)
-        coupling = delta[:, :n_f, n_f:] @ self._xDp   # pinned DOFs in D
+    def _leaves(self, only: int | None = None, level: int = 0, node=None,
+                path: tuple = ()):
+        """(bits, x_Df) of every batch of leaves below a batch of nodes (S,
+        r, bits), the root by default, or of the one leaf ``only``;
+        ``path`` holds the ancestors' solves."""
+        S, r, bits = node or (self._S0[None], self._r0[None],
+                              np.zeros(1, dtype=np.int64))
+        if level == len(self.candidates):   # back-substitution
+            x = np.empty((bits.size, self._Df.size))
+            for lv in reversed(range(level)):
+                # each leaf's ancestor: the leaves of a node are contiguous
+                anc = np.repeat(path[lv], bits.size // len(path[lv]), axis=0)
+                lo, hi = self._ends[lv], self._ends[lv + 1]
+                x[:, lo:hi] = (anc[..., -1]
+                               - (anc[..., :-1] @ x[:, hi:, None])[..., 0])
+            yield bits, x
+            return
+        # child 2i + b of node i sets candidate order[level] to b; the blocks
+        # that complete are added and the DOFs they finish eliminated
+        bits = (bits[:, None] | np.array([0, 1 << self._order[level]])).reshape(-1)
+        S, r = np.repeat(S, 2, axis=0), np.repeat(r, 2, axis=0)
+        for js, pos, mats, coupling in self._levels[level]:
+            t = _subsets(bits, js)
+            S[:, pos[:, None], pos] += mats[t]
+            r[:, pos] -= coupling[t]
+        e = self._ends[level + 1] - self._ends[level]
         try:
-            x_Df = np.linalg.solve(self._S0 + delta[:, :n_f, :n_f],
-                                   (self._r0 - coupling)[..., None])[..., 0]
+            sol = np.linalg.solve(S[:, :e, :e], np.concatenate(
+                [S[:, :e, e:], r[:, :e, None]], axis=2))
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular elastic system: {exc}") from exc
-        x = np.repeat(self._xc[None], bits.size, axis=0)
+        update = S[:, e:, :e] @ sol
+        S, r = S[:, e:, e:] - update[..., :-1], r[:, e:] - update[..., -1]
+        if only is None and level >= self._batch_level:   # breadth-first
+            yield from self._leaves(None, level + 1, (S, r, bits), path + (sol,))
+            return
+        for b in (0, 1):
+            if only is None or only >> self._order[level] & 1 == b:
+                yield from self._leaves(only, level + 1, (
+                    S[b:b + 1], r[b:b + 1], bits[b:b + 1]), path + (sol[b:b + 1],))
+
+    def _corrections(self, bits: np.ndarray, x_D: np.ndarray):
+        """delta x_D of configurations, from the stored blocks, and the norm
+        of their right-hand sides (rhs_Df - delta_fp x_Dp on Df)."""
+        dx = np.zeros(x_D.shape)
+        coupling = np.zeros((bits.size, self._Df.size))
+        for js, pos, mats, free_pos, cpl in self._blocks:
+            t = _subsets(bits, js)
+            dx[:, pos] += (mats[t] @ x_D[:, pos, None])[..., 0]
+            coupling[:, free_pos] += cpl[t]
+        return dx, np.sqrt(self._rhs_inner2
+                           + np.sum((self._rhs_Df - coupling) ** 2, axis=1))
+
+    def _field(self, bits: np.ndarray, x_Df: np.ndarray):
+        """Node values, quadratic energy and relative residual of
+        configurations, checked on the full Hessian."""
+        x = np.repeat(self._xc[None], len(x_Df), axis=0)
         x[:, self._inner] -= x_Df @ self._X.T
         x[:, self._Df] = x_Df
         hx = self._Hxc + x_Df @ self._HM.T
-        hx[:, self._D] += (delta @ x[:, self._D, None])[..., 0]
-        scale = np.sqrt(self._rhs_inner2
-                        + np.sum((self._rhs_Df - coupling) ** 2, axis=1))
-        rel = np.linalg.norm((hx - self._f)[:, self._free], axis=1) \
-            / np.maximum(scale, 1e-300)
-        if np.any(rel > 1e-10):
-            raise SolverError("elastic solve did not converge: rel residual "
-                              f"{float(np.max(rel)):.2e}")
+        dx, scale = self._corrections(bits, x[:, self._D])
+        hx[:, self._D] += dx
+        rel = _converged(np.linalg.norm((hx - self._f)[:, self._free], axis=1),
+                         scale)
         quad = 0.5 * np.sum(x * hx, axis=1) - x @ self._f + self._const
         return x, quad, rel
 
-    def evaluate(self, bits) -> tuple[np.ndarray, np.ndarray]:
-        """Per configuration: its CONFIG_DTYPE row, and its node values as
-        one flat row."""
-        sys_ = self.system
-        bits = np.asarray(bits, dtype=np.int64)
-        x, quad, _ = self._condensed_solve(bits)
+    def _rows(self, bits: np.ndarray, x_Df: np.ndarray) -> np.ndarray:
+        sys_, n_f = self.system, self._Df.size
+        x_D = np.concatenate([x_Df, np.broadcast_to(
+            self._xDp, (bits.size, self._xDp.size))], axis=1)
+        dx, scale = self._corrections(bits, x_D)
+        res_D = (self._S0 @ x_Df[..., None])[..., 0] + dx[:, :n_f] - self._r0
+        res_I = self._bound_I[0] + self._bound_I[1] * np.linalg.norm(x_Df, axis=1)
+        _converged(np.sqrt(np.sum(res_D ** 2, axis=1) + res_I ** 2), scale)
+        # E(xc) - r0.x_Df + x_Df.S0 x_Df / 2 + x_D.delta x_D / 2, grouped so
+        # that the residual carries the S0 term
+        quad = self._E_xc + 0.5 * (np.sum(x_Df * (res_D - self._r0), axis=1)
+                                   + np.sum(x_D[:, n_f:] * dx[:, n_f:], axis=1))
         rows = np.zeros(bits.size, CONFIG_DTYPE)
         rows["bits"] = bits
         if self.region is None:
-            n_faces = len(self.base_faces) + np.sum(
-                bits[:, None] >> np.arange(len(self.candidates)) & 1, axis=1)
-            rows["fidelity"] = sys_.fidelity_energy(x)
+            a, b, C = self._fid
+            rows["fidelity"] = a + np.sum(
+                x_Df * (2.0 * b + (C @ x_Df[..., None])[..., 0]), axis=1)
             rows["bulk"] = quad - rows["fidelity"]
-            rows["surface"] = sys_.params.beta * sys_.grid.face_area() * n_faces
+            rows["surface"] = sys_.params.beta * sys_.grid.face_area() * (
+                len(self.base_faces) + np.bitwise_count(bits))
             rows["total"] = quad + rows["surface"]
         else:
-            for i, (b, xb) in enumerate(zip(bits.tolist(), x)):
-                u = DisplacementField(sys_.grid, xb.reshape(sys_.g_vals.shape))
-                bd = energy_breakdown(u, self.jumps(b), sys_.params,
-                                      self.region)
+            for i, b in enumerate(bits.tolist()):
+                x = self._field(bits[i:i + 1], x_Df[i:i + 1])[0]
+                bd = energy_breakdown(DisplacementField(sys_.grid, x.reshape(
+                    sys_.g_vals.shape)), self.jumps(b), sys_.params, self.region)
                 rows[i] = (b, *(bd[t] for t in ENERGY_TERMS))
-        return rows, x
+        return rows
+
+    def evaluate(self) -> np.ndarray:
+        """Every configuration's CONFIG_DTYPE row, sorted by bits."""
+        rows = np.empty(2 ** len(self.candidates), CONFIG_DTYPE)
+        for bits, x_Df in self._leaves():
+            rows[bits] = self._rows(bits, x_Df)
+        return rows
+
+    def minimizer(self, bits: int) -> np.ndarray:
+        """Flat node values of one configuration: its path is walked again,
+        to the same x_Df, and the field is checked on the full Hessian."""
+        (leaf,) = self._leaves(bits)
+        return self._field(*leaf)[0][0]
+
+
+def _converged(residual: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Residual norms relative to the right-hand side's, at most 1e-10."""
+    rel = residual / np.maximum(scale, 1e-300)
+    if np.any(rel > 1e-10):
+        raise SolverError("elastic solve did not converge: rel residual "
+                          f"{float(np.max(rel)):.2e}")
+    return rel
+
+
+def _subsets(bits: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """Index of the subset of candidates ``js`` active in each of ``bits``."""
+    return (bits[:, None] >> js & 1) @ (1 << np.arange(js.size))
+
+
+def _elimination_order(blocks, Df: np.ndarray, k: int):
+    """Greedy candidate order of the elimination tree: the next candidate
+    finishes the most DOFs of Df, the lower index on ties.  A block is
+    added with its last candidate and a DOF eliminated with its last
+    block; returns the order and these (1-based) levels."""
+    need = np.zeros((len(blocks), k), dtype=bool)
+    touch = np.zeros((len(blocks), Df.size), dtype=bool)
+    for c, (js, d, _) in enumerate(blocks):
+        need[c, js], touch[c] = True, np.isin(Df, d)
+    order: list[int] = []
+    for _ in range(k):
+        order.append(max((j for j in range(k) if j not in order), key=lambda j: (
+            np.count_nonzero(~np.any(touch[np.any(np.delete(
+                need, order + [j], axis=1), axis=1)], axis=0)), -j)))
+    level = 1 + np.max(np.where(need, np.argsort(order), -1), axis=1, initial=-1)
+    return order, level, np.max(np.where(touch, level[:, None], 0), axis=0,
+                                initial=0)
 
 
 def brute_force_minimize(grid: GridSpec, candidates: list[Face],
@@ -532,17 +639,14 @@ def brute_force_minimize(grid: GridSpec, candidates: list[Face],
                          ) -> OracleResult:
     """Minimize over all 2^k crack configurations of the candidate list.
 
-    Every energy comes from one ConfigurationEnergies, a chunk of
-    configurations at a time.  More than EXHAUSTIVE_LIMIT candidates are
-    refused before any system is built.  ``per_config`` is one
-    CONFIG_DTYPE row (40 B) per configuration, sorted by bits; node
-    values live for one chunk, and the winner's chunk is solved again
-    for its field.  Time sets the limit: on a 2D 16^2 cross 18
-    candidates took 100 s and 19 took 197 s (peak RSS 77.4 and
-    86.7 MiB), so 20 take about 7 minutes.  Energies within TIE_RTOL of
-    the lowest count as tied, and among them fewer active faces wins,
-    then the lexicographic bitstring.  ``homogeneous=True`` minimizes
-    G0, that is G on ``params.homogeneous()``.
+    Every energy comes from one ConfigurationEnergies.  More than
+    EXHAUSTIVE_LIMIT candidates are refused before any system is built,
+    a limit set by time (README, "Oracle").  ``per_config`` is one
+    CONFIG_DTYPE row (40 B) per configuration, sorted by bits; only the
+    winner's node values are built.  Energies within TIE_RTOL of the
+    lowest count as tied, and among them fewer active faces wins, then
+    the lexicographic bitstring.  ``homogeneous=True`` minimizes G0, that
+    is G on ``params.homogeneous()``.
     """
     params = params.homogeneous() if homogeneous else params
     candidates = sorted(candidates)
@@ -553,26 +657,15 @@ def brute_force_minimize(grid: GridSpec, candidates: list[Face],
     system = ElasticSystem(grid, params, pinned_mask, pinned_values)
     energies = ConfigurationEnergies(system, candidates,
                                      base_jumps or JumpSet(grid), region)
-    step = energies.chunk
-
-    def chunk_of(bits: int) -> np.ndarray:
-        start = bits - bits % step
-        return np.arange(start, min(start + step, 2 ** k))
-
-    per_config = np.empty(2 ** k, CONFIG_DTYPE)
-    for start in range(0, 2 ** k, step):
-        rows, _ = energies.evaluate(chunk_of(start))
-        per_config[start:start + step] = rows
+    per_config = energies.evaluate()
     totals = per_config["total"]
     lowest = totals.min()
     tied = per_config["bits"][totals <= lowest + TIE_RTOL * abs(lowest)]
     best = min((CrackConfig(tuple(candidates), b) for b in tied.tolist()),
                key=lambda c: (c.n_active, c.bitstring()))
-    # the chunk that held the winner solves it again to the same bits
-    rows, x = energies.evaluate(chunk_of(best.active_bits))
-    i = best.active_bits % step
-    bd = dict(zip(ENERGY_TERMS, rows[i].item()[1:]))
-    u = DisplacementField(grid, x[i].reshape(system.g_vals.shape).copy())
+    bd = dict(zip(ENERGY_TERMS, per_config[best.active_bits].item()[1:]))
+    u = DisplacementField(grid, energies.minimizer(best.active_bits)
+                          .reshape(system.g_vals.shape))
     return OracleResult(best_config=best, minimizer_u=u, min_energy=bd["total"],
                         breakdown=bd, per_config=per_config)
 

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from smalljump import oracle
+from smalljump.cli import _midline_candidates
 from smalljump.energy import (
     EnergyParams,
     HookeTensor,
@@ -290,6 +291,90 @@ def test_cell_blocks_build_only_the_cells_candidates_reach(monkeypatch):
     assert [cell for cell, _, _ in blocks] == sorted(
         {cell for f in cands for cell in face_cells(g, f)})
     assert len(built) == sum(len(locs) for _, _, locs in blocks)
+
+
+def test_batching_cannot_move_bits(monkeypatch):
+    # 64 B: every node is walked depth-first, down to single leaves;
+    # 64 MiB: the whole tree is one breadth-first batch
+    g = GridSpec(2, 8, 1.0)
+    params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02,
+                          g=split_target(g, seed=0))
+    cands = sorted(_midline_candidates(g, 12, cross=True))
+    results = []
+    for chunk, batch_level in ((64, 12), (1 << 26, 0)):
+        monkeypatch.setattr(oracle, "CHUNK_BYTES", chunk)
+        energies = oracle.ConfigurationEnergies(ElasticSystem(g, params), cands,
+                                                JumpSet(g))
+        assert energies._batch_level == batch_level
+        results.append(brute_force_minimize(g, cands, params))
+    a, b = results
+    assert np.array_equal(a.per_config, b.per_config)
+    assert a.best_config == b.best_config
+    assert a.min_energy == b.min_energy
+    assert np.array_equal(a.minimizer_u.values, b.minimizer_u.values)
+
+
+def test_deep_tree_matches_full_solves(monkeypatch, banded_sizes):
+    # psi0's setting on a 10-face cross: the nodes outside the inner box
+    # pinned to a field, base faces with owner_high flags (two of them
+    # among the candidates), the homogeneous functional
+    g = GridSpec(2, 8, 1.0)
+    target = two_sided_target(g)
+    h = g.spacing
+    inner = BoxRegion((-1.0 + h,) * 2, (1.0 - h,) * 2)
+    faces = [(0, (4, 2)), (0, (4, 3)), (0, (4, 6))]
+    base = JumpSet(g, faces, faces[1:])
+    params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02,
+                          g=target).homogeneous()
+    kwargs = dict(pinned_mask=~inner.contains_points(g.node_coord_grid()),
+                  pinned_values=target.values)
+    cands = sorted(_midline_candidates(g, 10, cross=True))
+    # the reference's 1 024 assemblies dominate: both forms share them
+    system = ElasticSystem(g, params, **kwargs)
+    hessians, assemble = {}, system.system_for
+
+    def system_for(jumps):
+        key = (frozenset(jumps.faces), frozenset(jumps.owner_high))
+        if key not in hessians:
+            hessians[key] = assemble(jumps)
+        return hessians[key]
+
+    monkeypatch.setattr(system, "system_for", system_for)
+    for dense_limit in (oracle.DENSE_DOF_LIMIT, 0):
+        monkeypatch.setattr(oracle, "DENSE_DOF_LIMIT", dense_limit)
+        res = brute_force_minimize(g, cands, params, base_jumps=base, **kwargs)
+        assert 0 < res.best_config.n_active < len(cands)
+        _assert_search_matches_full_solves(res, system, cands, base)
+        assert bool(banded_sizes) == (dense_limit == 0)
+    assert len(hessians) == 2 ** len(cands)
+
+
+def test_residual_checks_can_fail(monkeypatch):
+    g = GridSpec(2, 8, 1.0)
+    params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02,
+                          g=split_target(g, seed=0))
+    cands = sorted(_midline_candidates(g, 6, cross=True))
+    brute_force_minimize(g, cands, params)
+    energies = oracle.ConfigurationEnergies
+    condense, field = energies._condense, energies._field
+
+    def perturbed_tree(self):
+        # the tree eliminates with a block off by 1e-6; the leaves' D-row
+        # residual reads the true one
+        condense(self)
+        level = next(blocks for blocks in self._levels if blocks)
+        js, pos, mats, coupling = level[0]
+        level[0] = (js, pos, mats * (1 + 1e-6), coupling)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(energies, "_condense", perturbed_tree)
+        with pytest.raises(SolverError, match="did not converge"):
+            brute_force_minimize(g, cands, params)
+    # the winner's x_Df off by 1e-6: its full-Hessian check fires
+    monkeypatch.setattr(energies, "_field", lambda self, bits, x_Df: field(
+        self, bits, x_Df * (1 + 1e-6)))
+    with pytest.raises(SolverError, match="did not converge"):
+        brute_force_minimize(g, cands, params)
 
 
 @pytest.mark.parametrize("dense_limit", [oracle.DENSE_DOF_LIMIT, 0])
