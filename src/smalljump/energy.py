@@ -20,6 +20,7 @@ from .grid import (
     corner_average,
     faces_in_region,
     region_cell_mask,
+    slabwise,
 )
 from .strain import symmetric_gradient
 
@@ -96,13 +97,14 @@ def _sum_squares(sq: np.ndarray) -> np.ndarray:
 def frobenius_sq(planes: np.ndarray) -> np.ndarray:
     """|x|^2 per cell of a symmetric matrix field given by its upper
     planes, summed in the order of ``_sum_squares``."""
-    return _sum_squares(planes * planes)
+    return slabwise(planes.shape[1:],
+                    lambda sl: _sum_squares(planes[:, sl] * planes[:, sl]))
 
 
 def strain_pth_power(strain: np.ndarray, p: float) -> np.ndarray:
     """|e|^p per cell (Frobenius magnitude) of upper planes such as e(u)."""
-    frob2 = frobenius_sq(strain)
-    return np.sqrt(frob2, out=frob2) ** p
+    return slabwise(strain.shape[1:],
+                    lambda sl: np.sqrt(frobenius_sq(strain[:, sl])) ** p)
 
 
 @dataclass(frozen=True)
@@ -134,14 +136,24 @@ class EnergyParams:
 
 def f_zero(xi: np.ndarray, params: EnergyParams) -> np.ndarray:
     """Bulk density (1/p)(C xi.xi)^(p/2) of both G and G0."""
-    q = params.hooke.quadratic_form(np.asarray(xi))
-    return q ** (params.p / 2.0) / params.p
+    xi = np.asarray(xi)
+    form = params.hooke.quadratic_form
+    if xi.ndim == 1:
+        return form(xi) ** (params.p / 2.0) / params.p
+    return slabwise(xi.shape[1:],
+                    lambda sl: form(xi[:, sl]) ** (params.p / 2.0) / params.p)
 
 
-def cellwise_pth_power(u_vals: np.ndarray, grid: GridSpec, p: float) -> np.ndarray:
-    """Corner-mean of |u|^p per cell (vector magnitude at nodes)."""
-    mag_p = np.linalg.norm(u_vals, axis=-1) ** p
-    return corner_average(mag_p, grid.dim)
+def cellwise_pth_power(u_vals: np.ndarray, grid: GridSpec, p: float,
+                       subtrahend: np.ndarray | None = None) -> np.ndarray:
+    """Corner-mean of |u|^p per cell (vector magnitude at nodes), or of
+    |u - subtrahend|^p for node values ``subtrahend`` shaped like u."""
+    def power(sl: slice) -> np.ndarray:
+        x = u_vals[sl.start:sl.stop + 1]    # the slab's cells' nodes
+        if subtrahend is not None:
+            x = x - subtrahend[sl.start:sl.stop + 1]
+        return corner_average(np.linalg.norm(x, axis=-1) ** p, grid.dim)
+    return slabwise(grid.cell_shape, power)
 
 
 def lp_norm_cells(cell_vals: np.ndarray, grid: GridSpec, p: float) -> float:
@@ -172,8 +184,8 @@ def energy_breakdown(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
     bulk = float(np.sum(f_zero(strain, params)[mask]) * hvol)
     fidelity = 0.0
     if params.kappa > 0:
-        delta = u.values if params.g is None else u.values - params.g.values
-        cells = cellwise_pth_power(delta, grid, params.p)
+        cells = cellwise_pth_power(u.values, grid, params.p,
+                                   None if params.g is None else params.g.values)
         fidelity = params.kappa * float(np.sum(cells[mask]) * hvol)
     surf = params.beta * faces_in_region(grid, jumps, region) * grid.face_area()
     return {"bulk": bulk, "fidelity": fidelity, "surface": surf,

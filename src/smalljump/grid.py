@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -265,6 +265,28 @@ def faces_in_region(grid: GridSpec, jumps: JumpSet, region: Region | None) -> in
 
 # ---------------------------------------------------------------------------
 # Small array helpers shared by quadrature and strain code.
+
+# Elementwise whole-grid cell kernels run over slabs of axis-0 cell planes
+# whose float field fits this budget.  Sums run on assembled arrays: their
+# shape sets numpy's pairwise summation order.
+SLAB_BYTES = 1 << 18
+
+
+def cell_slabs(cell_shape: tuple[int, ...]) -> list[slice]:
+    """Axis-0 slices of ``SLAB_BYTES`` slabs (one plane at least)."""
+    step = max(1, SLAB_BYTES // (8 * max(int(np.prod(cell_shape[1:])), 1)))
+    n = cell_shape[0]
+    return [slice(s, min(s + step, n)) for s in range(0, n, step)]
+
+
+def slabwise(cell_shape: tuple[int, ...],
+             kernel: Callable[[slice], np.ndarray]) -> np.ndarray:
+    """A float array of ``cell_shape``, ``kernel(sl)`` on each slab ``sl``."""
+    out = np.empty(cell_shape)
+    for sl in cell_slabs(cell_shape):
+        out[sl] = kernel(sl)
+    return out
+
 
 def corner_average(node_vals: np.ndarray, dim: int) -> np.ndarray:
     """Average node values over the 2^dim corners of each cell."""

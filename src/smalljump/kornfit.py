@@ -22,7 +22,7 @@ from .covering import (
     face_coords12,
     inside12,
 )
-from .energy import frobenius_sq, strain_pth_power
+from .energy import strain_pth_power
 from .errors import FitError
 from .grid import (
     DisplacementField,
@@ -342,8 +342,7 @@ def mollified_strain_error(u: DisplacementField, strain: np.ndarray,
     ref = mollify_strain_box(strain, sl1, side, h)
 
     hvol = h ** dim
-    diff = np.sqrt(frobenius_sq(e_i - ref))
-    lhs = float(np.sum(diff ** p) * hvol)
+    lhs = float(np.sum(strain_pth_power(e_i - ref, p)) * hvol)
     strain_p = fit.constants.get("strain_p_third", 0.0)
     density = fit.crack_measure / side ** (dim - 1)
     return {

@@ -25,9 +25,12 @@ ninth.  So densities and magnitudes have the bits of that sum.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from typing import Iterator
+
 import numpy as np
 
-from .grid import DisplacementField, Face, GridSpec, JumpSet
+from .grid import DisplacementField, Face, GridSpec, JumpSet, cell_slabs
 
 
 def _face_owner(jumps: JumpSet, axis: int, cell: tuple[int, ...],
@@ -167,41 +170,58 @@ def crack_free_strain(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def symmetric_gradient(u: DisplacementField, jumps: JumpSet) -> np.ndarray:
     """Per-cell symmetrized gradient, shape (npairs,) + cell_shape with
     one contiguous plane per pair of ``upper_pairs``; cracked faces
     contribute no strain.
 
-    Read-only.  Finite node values can still overflow in the
-    differences; that raises one ValueError instead of floating-point
-    warnings.
+    Read-only; assembled from ``strain_slabs``.  Finite node values can
+    still overflow in the differences; that raises one ValueError
+    instead of floating-point warnings.
     """
+    e = np.empty((len(upper_pairs(u.grid.dim)),) + u.grid.cell_shape)
+    for sl, part in strain_slabs(u, jumps):
+        e[:, sl] = part
+    e.flags.writeable = False   # shared by every layer of a run
+    return e
+
+
+def strain_slabs(u: DisplacementField, jumps: JumpSet
+                 ) -> Iterator[tuple[slice, np.ndarray]]:
+    """``(sl, e(u) on the cells of sl)`` for each ``cell_slabs`` slice."""
     grid = u.grid
     jg = jumps.grid
     if jg.dim != grid.dim or jg.cells_per_side != grid.cells_per_side \
             or jg.half_width != grid.half_width:
         raise ValueError("displacement and jump set live on different grids")
-    dim = grid.dim
-    e = crack_free_strain(u.values, grid.spacing)
+    cells = sorted({c for face in jumps.faces for c in face_cells(grid, face)})
+    for sl in cell_slabs(grid.cell_shape):   # sorted cells group by axis 0
+        yield sl, _strain_slab(u, jumps, sl, cells[
+            bisect_left(cells, (sl.start,)):bisect_left(cells, (sl.stop,))])
 
-    if len(jumps) > 0:
-        cells = {c for face in jumps.faces for c in face_cells(grid, face)}
-        for cell in sorted(cells):
-            ops, dead = cell_strain_ops(grid, jumps, cell)
-            d_local = np.zeros((dim, dim))
-            for a in range(dim):
-                if ops[a] is None:
-                    continue
-                acc = np.zeros(dim)
-                for node, coef in ops[a]:
-                    acc += coef * u.values[node]
-                d_local[:, a] = acc
-            # a dead axis zeroes every pair that contains it
-            for n, (i, k) in enumerate(upper_pairs(dim)):
-                e[(n,) + cell] = 0.0 if i in dead or k in dead \
-                    else (d_local[i, k] + d_local[k, i]) * 0.5
+
+@np.errstate(over="ignore", invalid="ignore")
+def _strain_slab(u: DisplacementField, jumps: JumpSet, sl: slice,
+                 cells: list[tuple[int, ...]]) -> np.ndarray:
+    """Slab ``sl`` of e(u): the crack-free stencil, then the crack stencils
+    of its ``cells``."""
+    grid, dim = u.grid, u.grid.dim
+    e = crack_free_strain(u.values[sl.start:sl.stop + 1], grid.spacing)
+    for cell in cells:
+        ops, dead = cell_strain_ops(grid, jumps, cell)
+        d_local = np.zeros((dim, dim))
+        for a in range(dim):
+            if ops[a] is None:
+                continue
+            acc = np.zeros(dim)
+            for node, coef in ops[a]:
+                acc += coef * u.values[node]
+            d_local[:, a] = acc
+        # a dead axis zeroes every pair that contains it
+        at = (cell[0] - sl.start,) + cell[1:]
+        for n, (i, k) in enumerate(upper_pairs(dim)):
+            e[(n,) + at] = 0.0 if i in dead or k in dead \
+                else (d_local[i, k] + d_local[k, i]) * 0.5
     if not np.all(np.isfinite(e)):
         raise ValueError("strain values must be finite")
-    e.flags.writeable = False   # shared by every layer of a run
     return e

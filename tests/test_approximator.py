@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from smalljump import approximator
+from smalljump import grid as grid_module
 from smalljump.approximator import (
     C_STAR_DEFAULT,
     ApproxConfig,
@@ -318,6 +320,32 @@ def test_windowed_verification_equals_whole_grid_reference(case):
     assert rep.smoothness_proxy == ref.second_difference_proxy(res)
     assert boundary_trace_check(u, j, res)["rows"] == \
         ref.boundary_trace_rows(u, res)
+    # the same bits from slabs of three cell planes, whose edges cut the
+    # inner box
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_module, "SLAB_BYTES",
+                   8 * 3 * g.cells_per_side ** (g.dim - 1))
+        res3 = approximate(u, j, params, cfg)
+        assert np.array_equal(res3.u_tilde.values, res.u_tilde.values)
+        assert np.array_equal(res3.strain, res.strain)
+        assert verify_properties(u, j, res3, params, cfg).to_json() == \
+            rep.to_json()
+
+
+def test_approximation_peak_memory_in_units_of_the_field():
+    # the traced peak of approximate + verify_properties on 3D 64^3: 9.8
+    # fields while the whole-grid cell kernels ran on whole arrays, 6.9
+    # since they run slab by slab
+    g = GridSpec(3, 64, 1.0)
+    u, j, _ = rigid_patches_field(g, 3, 2, 0, amplitude=0.08)
+    tracemalloc.start()
+    try:
+        res = approximate(u, j, PARAMS, CFG)
+        assert verify_properties(u, j, res, PARAMS, CFG).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / u.values.nbytes < 8.0
 
 
 def test_box_cell_slices_match_the_mask():

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import itertools
 import json
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from smalljump import grid as grid_module
 from smalljump.energy import (
     EnergyParams,
     HookeTensor,
+    cellwise_pth_power,
     energy_G,
     energy_G0,
     f_zero,
@@ -24,6 +27,8 @@ from smalljump.grid import (
     DisplacementField,
     GridSpec,
     JumpSet,
+    cell_slabs,
+    corner_average,
     load_field,
     load_jump,
     save_field,
@@ -126,6 +131,21 @@ def crack_sets(draw, grid: GridSpec) -> JumpSet:
 
 
 _STRAIN_GRIDS = (GridSpec(2, 8, 1.0), GridSpec(3, 4, 1.0))
+# slab sizes in cell planes: the default budget (one slab on these grids),
+# then slabs of one and of three planes, the last slab a short one
+_SLAB_PLANES = (None, 1, 3)
+
+
+@contextmanager
+def _slabs_of(g: GridSpec, planes: int | None):
+    """The whole-grid kernels on ``g`` run in slabs of ``planes`` cell
+    planes (None: the default budget) inside the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        if planes is not None:
+            mp.setattr(grid_module, "SLAB_BYTES",
+                       8 * planes * g.cells_per_side ** (g.dim - 1))
+            assert len(cell_slabs(g.cell_shape)) == -(-g.cells_per_side // planes)
+        yield
 
 
 @pytest.mark.parametrize("g", _STRAIN_GRIDS, ids=["2d8", "3d4"])
@@ -134,16 +154,44 @@ def test_strain_exactly_symmetric_on_random_cracks(g, data, seed):
     js = data.draw(crack_sets(g))
     rng = np.random.default_rng(seed)
     u = DisplacementField(g, rng.normal(size=g.node_shape + (g.dim,)))
-    e = symmetric_gradient(u, js)
     pairs = [(i, k) for i in range(g.dim) for k in range(i, g.dim)]
-    assert e.shape == (len(pairs),) + g.cell_shape
-    assert all(plane.flags.c_contiguous for plane in e)
-    assert not e.flags.writeable
-    # each plane stands for both triangles of the reference's strain
     want = sref.symmetric_gradient(u, js)
-    for n, (i, k) in enumerate(pairs):
-        assert np.array_equal(e[n], want[..., i, k])
-        assert np.array_equal(e[n], want[..., k, i])
+    for planes in _SLAB_PLANES:
+        with _slabs_of(g, planes):
+            e = symmetric_gradient(u, js)
+        assert e.shape == (len(pairs),) + g.cell_shape
+        assert all(plane.flags.c_contiguous for plane in e)
+        assert not e.flags.writeable
+        # each plane stands for both triangles of the reference's strain
+        for n, (i, k) in enumerate(pairs):
+            assert np.array_equal(e[n], want[..., i, k])
+            assert np.array_equal(e[n], want[..., k, i])
+
+
+def test_strain_slabs_meet_on_a_cracked_node_plane():
+    # slabs of three cell planes on 3D 6^3 meet on node plane 3, and the
+    # faces there take each crack stencil: a one-sided fallback below an
+    # owner_high face, a dead axis, a one-sided fallback above a low-owned
+    # face
+    g = GridSpec(3, 6, 1.0)
+    high = [(0, (3, 1, 1)), (0, (4, 3, 3))]
+    js = JumpSet(g, high + [(0, (3, 3, 3)), (0, (3, 1, 4))], high)
+
+    def axis0_nodes(cell):
+        ops, _ = cell_strain_ops(g, js, cell)
+        return sorted({node[0] for node, _ in ops[0]})
+    assert axis0_nodes((2, 1, 1)) == [1, 2]
+    assert 0 in cell_strain_ops(g, js, (3, 3, 3))[1]
+    assert axis0_nodes((3, 1, 4)) == [4, 5]
+    u = DisplacementField(
+        g, np.random.default_rng(0).normal(size=g.node_shape + (3,)))
+    want = sref.symmetric_gradient(u, js)
+    for planes in _SLAB_PLANES:
+        with _slabs_of(g, planes):
+            e = symmetric_gradient(u, js)
+        for n, (i, k) in enumerate([(i, k) for i in range(3)
+                                    for k in range(i, 3)]):
+            assert np.array_equal(e[n], want[..., i, k])
 
 
 @pytest.mark.parametrize("g", _STRAIN_GRIDS, ids=["2d8", "3d4"])
@@ -188,31 +236,44 @@ def test_stencils_equal_flag_array_reference(g, data):
 @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
 def test_planes_and_densities_equal_trailing_axes_reference(g, data, seed):
     # every strain plane, energy density and magnitude against the
-    # trailing-axes layout and its numpy sums, bit for bit
+    # trailing-axes layout and its numpy sums, bit for bit, in slabs of
+    # any size
     js = _with_dead_axis(data.draw(crack_sets(g)))
     assert 0 in cell_strain_ops(g, js, (1,) * g.dim)[1]
     rng = np.random.default_rng(seed)
     u = DisplacementField(g, rng.normal(size=g.node_shape + (g.dim,)))
-    e = symmetric_gradient(u, js)
     want = sref.symmetric_gradient(u, js)
     pairs = [(i, k) for i in range(g.dim) for k in range(i, g.dim)]
-    assert e.shape == (len(pairs),) + g.cell_shape
-    for n, (i, k) in enumerate(pairs):
-        assert np.array_equal(e[n], want[..., i, k])
     # general, non-symmetric matrices for the densities, packed as the
     # symmetric part the reference's quadratic form reads
     xi = rng.normal(size=(3,) + g.cell_shape + (g.dim, g.dim))
     hooke = HookeTensor(rng.uniform(0.0, 2.0), rng.uniform(0.1, 2.0))
-    for p in (1.5, 2.0, 3.0):
-        params = EnergyParams(hooke, p=p)
-        assert np.array_equal(f_zero(e, params), sref.f_zero(want, params))
-        for x in (want, xi):
-            planes = sref.packed(x)
-            assert np.array_equal(hooke.quadratic_form(planes),
-                                  sref.quadratic_form(hooke, x))
-            assert np.array_equal(f_zero(planes, params), sref.f_zero(x, params))
-        assert np.array_equal(strain_pth_power(e, p), sref.magnitude(want) ** p)
-        assert lp_norm_cells(e, g, p) == sref.lp_norm_cells(want, g, p)
+    other = rng.normal(size=u.values.shape)
+    for slab_planes in _SLAB_PLANES:
+        with _slabs_of(g, slab_planes):
+            e = symmetric_gradient(u, js)
+            assert e.shape == (len(pairs),) + g.cell_shape
+            for n, (i, k) in enumerate(pairs):
+                assert np.array_equal(e[n], want[..., i, k])
+            for p in (1.5, 2.0, 3.0):
+                params = EnergyParams(hooke, p=p)
+                assert np.array_equal(f_zero(e, params),
+                                      sref.f_zero(want, params))
+                for x in (want, xi):
+                    planes = sref.packed(x)
+                    assert np.array_equal(hooke.quadratic_form(planes),
+                                          sref.quadratic_form(hooke, x))
+                    assert np.array_equal(f_zero(planes, params),
+                                          sref.f_zero(x, params))
+                assert np.array_equal(strain_pth_power(e, p),
+                                      sref.magnitude(want) ** p)
+                assert lp_norm_cells(e, g, p) == sref.lp_norm_cells(want, g, p)
+                for sub in (None, other):
+                    diff = u.values if sub is None else u.values - sub
+                    assert np.array_equal(
+                        cellwise_pth_power(u.values, g, p, sub),
+                        corner_average(np.linalg.norm(diff, axis=-1) ** p,
+                                       g.dim))
 
 
 def test_jump_measure_values(grid2d):
