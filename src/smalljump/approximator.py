@@ -502,6 +502,8 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
 
     # P3, strain form: || e(approx) - mollified e(u) || over the inner box.
     lhs3 = float(np.sum(err_p.ravel()) * hvol) ** (1.0 / p)
+    # each whole-grid cell field is released once its property is measured
+    del mol, err_p
     budget3 = delta ** s_ref * strain_norm_q
     checks.append(PropertyCheck("p3_strain_error", lhs3, budget3,
                                 _ratio(lhs3, budget3, norm_floor)))
@@ -533,6 +535,7 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
     budget4b = delta ** p * strain_norm_q ** p
     checks.append(PropertyCheck("p4_distance", lhs4b, budget4b,
                                 _ratio(lhs4b, budget4b, energy_floor)))
+    del diff_p
 
     # P5: weighted energy comparison for Lipschitz weights.
     worst5 = 0.0
@@ -546,6 +549,7 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
         realized = _ratio(excess, budget, energy_floor)
         detail5[name] = realized
         worst5 = max(worst5, realized)
+    del psi
     checks.append(PropertyCheck("p5_weighted_energy", worst5, 1.0, worst5,
                                 {"per_weight": detail5}))
 
@@ -562,6 +566,7 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
         realized = _ratio(excess, budget, norm_floor)
         detail6[name] = realized
         worst6 = max(worst6, realized)
+    del t_pth
     checks.append(PropertyCheck("p6_lp_growth", worst6, 1.0, worst6,
                                 {"per_region": detail6}))
 

@@ -5,13 +5,13 @@ support radius max(SUPPORT_FRACTION * L, 2h) for smoothing scale L, the
 paper-style radius L/6 floored at two grid steps so the sampled kernel
 always has interior weight.  Discrete normalization makes the kernel sum
 to one exactly, and symmetry of the sample offsets reproduces affine
-fields exactly at interior points.
+fields exactly at interior points.  ``scipy.ndimage`` is imported at the
+first convolution, so a process that never convolves does not load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import CoveringError
 
@@ -82,6 +82,7 @@ def mollify_stack(stack: np.ndarray, dim: int, scale: float,
     by unit axes serves them all: each entry sums the same kernel taps in
     the same order as a convolution of its own field and component.
     """
+    from scipy import ndimage
     kern = _cached_kernel(dim, kernel_radius_cells(scale, spacing))
     margin = (kern.shape[0] - 1) // 2
     kern = kern.reshape((1,) + kern.shape + (1,) * (stack.ndim - dim - 1))
@@ -110,6 +111,7 @@ def mollify_strain_box(strain: np.ndarray, box: tuple[slice, ...],
     if any(w.start < 0 or w.stop > n for w, n in zip(win, strain.shape[1:])):
         raise CoveringError("mollification margin covers the inner box")
     core = tuple(slice(margin, margin + n) for n in shape)
+    from scipy import ndimage
     for n, plane in enumerate(strain):
         out[n] = ndimage.convolve(plane[win], kern, mode="constant")[core]
     return out

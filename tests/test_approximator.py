@@ -335,7 +335,11 @@ def test_windowed_verification_equals_whole_grid_reference(case):
 def test_approximation_peak_memory_in_units_of_the_field():
     # the traced peak of approximate + verify_properties on 3D 64^3: 9.8
     # fields while the whole-grid cell kernels ran on whole arrays, 6.9
-    # since they run slab by slab
+    # since they run slab by slab, 5.95 since verify_properties releases
+    # each cell field once its property is measured.  scipy.ndimage is
+    # imported at the first convolution; import it first, so that its
+    # module objects are not traced with the arrays.
+    from scipy import ndimage  # noqa: F401
     g = GridSpec(3, 64, 1.0)
     u, j, _ = rigid_patches_field(g, 3, 2, 0, amplitude=0.08)
     tracemalloc.start()
@@ -345,7 +349,7 @@ def test_approximation_peak_memory_in_units_of_the_field():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / u.values.nbytes < 8.0
+    assert peak / u.values.nbytes < 6.5
 
 
 def test_box_cell_slices_match_the_mask():

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -475,3 +477,44 @@ def test_non_coercive_hooke_tensor_exits_one(tmp_path, capsys, command, args):
     assert main(argv) == 1
     assert capsys.readouterr().err == (
         "error: dim*lambda + 2*mu must be positive, got -8 in 2D\n")
+
+
+def _fresh_interpreter(code: str, cwd: Path):
+    """Run ``code``, which may use ``json`` and ``sys``, in a new
+    interpreter with the package on its path, and return the JSON value
+    it prints on its last line."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", "import json, sys\n" + code],
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cold_import_loads_no_scipy(tmp_path):
+    loaded = _fresh_interpreter(
+        "import smalljump, smalljump.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] == 'scipy')))", tmp_path)
+    assert loaded == []
+
+
+def test_oracle_process_never_loads_ndimage(tmp_path):
+    out = _fresh_interpreter(
+        "from smalljump.cli import main\n"
+        "rc = main(['oracle', '--dim', '2', '--cells', '8', '--n-candidates',\n"
+        "           '4', '--kappa', '2', '--beta', '0.02', '--out', 'run'])\n"
+        "print(json.dumps([rc, 'scipy.ndimage' in sys.modules]))", tmp_path)
+    assert out == [0, False]
+
+
+def test_approx_process_loads_ndimage_at_the_first_convolution(tmp_path):
+    out = _fresh_interpreter(
+        "from smalljump.cli import main\n"
+        "rc = [main(['gen', '--spec', 'rigid', '--dim', '3', '--cells', '32',\n"
+        "            '--seed', '1', '--out', 'f'])]\n"
+        "loaded = ['scipy.ndimage' in sys.modules]\n"
+        "rc.append(main(['approx', '--field', 'f', '--jump', 'f.jump.json',\n"
+        "                '--eta', '0.5', '--out', 'run']))\n"
+        "loaded.append('scipy.ndimage' in sys.modules)\n"
+        "print(json.dumps([rc, loaded]))", tmp_path)
+    assert out == [[0, 0], [False, True]]
