@@ -3,11 +3,11 @@
 The pipeline: pick a crown ring with controlled budgets, tile the
 selected box by dyadic cubes, classify cubes by local crack content, fit
 a rigid motion and trim an exceptional set on each cracked good cube,
-mollify the cubes of one side and window shape as one stack, and blend
-with the partition of unity.  The original field is kept on bad cubes
-and, through the rim patch, outside the selected box, so the approximant
-matches the input there exactly and new jump faces appear only on the
-bad-set boundary.
+mollify u once per cube side (cubes with exceptional cells in stacks),
+and blend with the partition of unity.  The original field is kept on
+bad cubes and, through the rim patch, outside the selected box, so the
+approximant matches the input there exactly and new jump faces appear
+only on the bad-set boundary.
 
 Every quantitative property of the construction is measured against its
 stated budget; the limiting constants are frozen, not assumed.
@@ -61,7 +61,7 @@ from .kornfit import (
     smooth_windows,
     smoothing_windows,
 )
-from .mollify import mollify_strain_box
+from .mollify import mollify_stack, mollify_strain_box
 from .strain import strain_slabs, symmetric_gradient
 
 # Frozen calibration (scripts/calibrate.py): c_star covers the realized
@@ -276,12 +276,13 @@ def approximate(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
 def _blend_numerator(u: DisplacementField, partition: Partition,
                      fits: dict[int, FitReport]) -> np.ndarray:
     """sum_i phi~_i u_i + rim_phi u at every node, where u_i is cube i's
-    smoothed field.
-
-    The fields of all entries with one side, smoothing window shape and
-    partition window shape are smoothed as one stack.  Each entry's values
-    on its partition window are laid out like ``partition.phi_tilde``, so
-    one bincount per component adds each node's terms in entry order."""
+    smoothed field.  Without exceptional cells, u_i is u mollified at the
+    cube's scale, read from one convolution per side over the box that
+    side's smoothing windows span: an entry ``margin`` inside it sums the
+    same kernel taps in the same order as on the cube's own window.  Cubes
+    with exceptional cells are smoothed in stacks of equal side and window
+    shapes.  Values are laid out like ``partition.phi_tilde``, so one
+    bincount per component adds each node's terms in entry order."""
     grid = u.grid
     dim = grid.dim
     cov = partition.covering
@@ -289,19 +290,36 @@ def _blend_numerator(u: DisplacementField, partition: Partition,
     sides = cov.sides[index]
     lo, hi = (b[index] for b in cov.boxes12["q1"])
     start, stop = smoothing_windows(grid, lo, hi, sides)
+    corner, shape = partition.window_start, partition.window_shape
     u_i = np.empty((partition.phi_tilde.size, dim))
-    keys = np.column_stack([sides, stop - start, partition.window_shape])
-    for key, members in row_groups(keys):
-        out, margin = smooth_windows(
-            u, key[0], start[members], key[1:1 + dim],
-            [fits.get(i) for i in index[members].tolist()])
-        # each partition window inside its entry's smoothed field
-        pick = window_flat_index(out.shape[1:1 + dim],
-                                 partition.window_start[members]
-                                 - start[members] - margin, key[1 + dim:])
+
+    def put(members, field, rel, win):
+        # partition windows (low corners rel) of a stack of one field per
+        # member, or of one field shared by all members
+        pick = window_flat_index(field.shape[1:1 + dim], rel, win)
+        pick += math.prod(field.shape[1:1 + dim]) * np.arange(len(field))[:, None]
         rows = partition.offset[members, None] + np.arange(pick.shape[1])
-        u_i[rows] = out.reshape(len(members), -1, dim)[
-            np.arange(len(members))[:, None], pick]
+        u_i[rows] = field.reshape(-1, dim)[pick]
+
+    omega = np.array([i in fits and fits[i].omega.n_cells > 0
+                      for i in index.tolist()], dtype=bool)
+    for side in np.unique(sides[~omega]).tolist():
+        level = np.flatnonzero((sides == side) & ~omega)
+        box_lo = start[level].min(axis=0)
+        box = tuple(map(slice, box_lo.tolist(), stop[level].max(axis=0).tolist()))
+        field, _ = mollify_stack(u.values[box][None], dim, side * grid.spacing,
+                                 grid.spacing)
+        for win, members in row_groups(shape[level]):
+            put(level[members], field, corner[level[members]] - box_lo, win)
+        del field   # freed before the next side's convolution
+    keys = np.column_stack([sides, stop - start, shape])
+    for key, members in row_groups(keys[omega]):
+        members = np.flatnonzero(omega)[members]
+        field, margin = smooth_windows(
+            u, key[0], start[members], key[1:1 + dim],
+            [fits[i] for i in index[members].tolist()])
+        put(members, field, corner[members] - start[members] - margin,
+            key[1 + dim:])
 
     node_index = partition.node_index()
     num = np.empty(grid.node_shape + (dim,))
@@ -394,12 +412,11 @@ def _outside_node_slabs(grid: GridSpec, radius: float) -> list[tuple[slice, ...]
 # Verification of the quantitative properties
 
 def _norm_region_boxes(dim: int, sqrt_d: float) -> list[tuple[str, BoxRegion]]:
-    fam = [("Q_quarter", centered_box(0.25, dim)),
-           ("Q_half", centered_box(0.5, dim)),
-           ("Q_3quarter", centered_box(0.75, dim)),
-           ("Q_inner", centered_box(1.0 - sqrt_d, dim)),
-           ("offset_box", BoxRegion((-0.75,) * dim, (0.25,) * dim))]
-    return fam
+    return [("Q_quarter", centered_box(0.25, dim)),
+            ("Q_half", centered_box(0.5, dim)),
+            ("Q_3quarter", centered_box(0.75, dim)),
+            ("Q_inner", centered_box(1.0 - sqrt_d, dim)),
+            ("offset_box", BoxRegion((-0.75,) * dim, (0.25,) * dim))]
 
 
 _LIPSCHITZ_RAMPS = (("const_one", 0.0), ("ramp_1", 1.0), ("ramp_4", 4.0),
@@ -571,10 +588,9 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
                                 {"per_region": detail6}))
 
     smooth_proxy = _second_difference_proxy(result.u_tilde, grid, sqrt_d, delta)
-    report = PropertyReport(checks=checks, s_budget_exponent=s_ref,
-                            s_reference_formula="min(pbar/p, 1/(dim*p))",
-                            smoothness_proxy=smooth_proxy, delta=delta)
-    return report
+    return PropertyReport(checks=checks, s_budget_exponent=s_ref,
+                          s_reference_formula="min(pbar/p, 1/(dim*p))",
+                          smoothness_proxy=smooth_proxy, delta=delta)
 
 
 def _second_difference_proxy(u_tilde: DisplacementField, grid: GridSpec,
@@ -607,8 +623,7 @@ def fit_decay_exponent(deltas: list[float], values: list[float]) -> float:
         return math.inf
     x = np.log([d for d, _ in pairs])
     y = np.log([v for _, v in pairs])
-    slope = float(np.polyfit(x, y, 1)[0])
-    return slope
+    return float(np.polyfit(x, y, 1)[0])
 
 
 def boundary_trace_check(u: DisplacementField, jumps: JumpSet,

@@ -523,7 +523,6 @@ class Partition:
     phi_tilde: np.ndarray             # unnormalized bumps, entry by entry
     rim_phi: np.ndarray               # the rim bump on the whole node grid
     densum: np.ndarray
-    overlap_count: np.ndarray
     grad_scaled: dict[int, float]     # cube index -> max |grad phi| * side
 
     def node_index(self) -> np.ndarray:
@@ -536,24 +535,9 @@ class Partition:
         blend_cells = cov.covered_cell_mask() & ~cov.bad_cells
         return node_mask_from_cells(blend_cells)
 
-    def partition_sum_error(self) -> float:
-        """max |sum_i phi_i - 1| over blended nodes, phi accumulated
-        term by term."""
-        idx = self.node_index()
-        den = self.densum.ravel()
-        with np.errstate(invalid="ignore", divide="ignore"):
-            total = np.bincount(idx, self.phi_tilde / den[idx],
-                                minlength=den.size).reshape(self.densum.shape)
-            total += self.rim_phi / self.densum
-        mask = self.blend_node_mask()
-        return float(np.max(np.abs(total[mask] - 1.0)))
-
-    def max_overlap(self) -> int:
-        return int(np.max(self.overlap_count[self.blend_node_mask()]))
-
 
 def partition_of_unity(covering: WhitneyCovering) -> Partition:
-    """Bumps of the good cubes and the rim, their sum and overlap count.
+    """Bumps of the good cubes and the rim, and their sum.
 
     A bump is the tensor product of one 1D plateau profile per axis.  Node
     coordinates and cube centres are dyadic, so a profile depends only on
@@ -605,17 +589,12 @@ def partition_of_unity(covering: WhitneyCovering) -> Partition:
     rim_phi = 1.0 - inside
 
     idx = _entry_node_index(node_shape, start, shape, offset)
-    n_nodes = math.prod(node_shape)
-    densum = np.bincount(idx, phi_tilde, minlength=n_nodes).reshape(node_shape)
+    densum = np.bincount(idx, phi_tilde, minlength=rim_phi.size).reshape(node_shape)
     densum += rim_phi
-    counts = np.bincount(idx[phi_tilde > 0], minlength=n_nodes) \
-        .astype(np.int32).reshape(node_shape)
-    counts += rim_phi > 0
 
     part = Partition(covering=cov, cube_index=index, window_start=start,
                      window_shape=shape, offset=offset, phi_tilde=phi_tilde,
-                     rim_phi=rim_phi, densum=densum, overlap_count=counts,
-                     grad_scaled={})
+                     rim_phi=rim_phi, densum=densum, grad_scaled={})
     blend = part.blend_node_mask()
     if np.any(blend & (densum <= 0)):
         raise CoveringError("covering defect: uncovered blended node")

@@ -43,11 +43,6 @@ class HookeTensor:
             raise ValueError(f"dim*lambda + 2*mu must be positive, got {bulk:g} "
                              f"in {dim}D")
 
-    def coercivity_constant(self, dim: int) -> float:
-        """c0 with C xi . xi >= c0 |xi + xi^T|^2."""
-        return min(self.lame_mu / 2.0,
-                   (dim * self.lame_lambda + 2 * self.lame_mu) / 4.0)
-
     def quadratic_form(self, xi: np.ndarray) -> np.ndarray:
         """C xi . xi for symmetric matrices stored as their upper planes,
         shape (npairs, ...) in ``upper_pairs`` order; one matrix may be
@@ -152,7 +147,12 @@ def cellwise_pth_power(u_vals: np.ndarray, grid: GridSpec, p: float,
         x = u_vals[sl.start:sl.stop + 1]    # the slab's cells' nodes
         if subtrahend is not None:
             x = x - subtrahend[sl.start:sl.stop + 1]
-        return corner_average(np.linalg.norm(x, axis=-1) ** p, grid.dim)
+        s = x[..., 0] * x[..., 0]   # in component order, as np.linalg.norm
+        for c in range(1, grid.dim):
+            s += x[..., c] * x[..., c]
+        np.sqrt(s, out=s)
+        s **= p
+        return corner_average(s, grid.dim)
     return slabwise(grid.cell_shape, power)
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import RegimeError
 from .grid import DisplacementField, Face, GridSpec, JumpSet
 
 
@@ -184,6 +185,9 @@ def _separated_patches(grid: GridSpec, rng: np.random.Generator, count: int,
         extent = extent_for(rng)
         axis = int(rng.integers(0, dim))
         pad = extent + margin_cells + 4
+        if m - pad <= pad:
+            raise RegimeError(f"grid too small for the patch extent: {m} "
+                              f"cells per side, extent {extent} needs > {2 * pad}")
         plane = int(rng.integers(pad, m - pad))
         trans = tuple(int(rng.integers(pad, m - pad)) for _ in range(dim - 1))
         patch = _patch_at(grid, axis, plane, trans, extent)

@@ -296,7 +296,8 @@ def corner_average(node_vals: np.ndarray, dim: int) -> np.ndarray:
         sl_hi = [slice(None)] * v.ndim
         sl_lo[a] = slice(0, -1)
         sl_hi[a] = slice(1, None)
-        v = 0.5 * (v[tuple(sl_lo)] + v[tuple(sl_hi)])
+        v = np.add(v[tuple(sl_lo)], v[tuple(sl_hi)])
+        v *= 0.5
     return v
 
 

@@ -378,9 +378,10 @@ def smooth_windows(u: DisplacementField, side: int, starts: np.ndarray,
 
     Window j (low corner ``starts[j]``) holds u with the nodes incident to
     the exceptional cells of ``fits[j]``, if any, replaced by its fitted
-    rigid motion; all windows are mollified at the cube scale at once.
-    Returns the (k, *inner, dim) entries that are exact convolutions and
-    the margin trimmed from each side of a window."""
+    rigid motion; all windows are mollified at the cube scale at once (the
+    blend reads cubes without such cells from one convolution per side).
+    Returns the (k, *inner, dim) exact convolution entries and the margin
+    trimmed from each side of a window."""
     grid = u.grid
     flat = window_flat_index(grid.node_shape, starts, shape)
     vals = u.values.reshape(-1, grid.dim)[flat].reshape(

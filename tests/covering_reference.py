@@ -105,3 +105,29 @@ def blend_numerator(u, covering, entries, rim_phi, fits):
         num[window] += phi_tilde[..., None] * u_i[local]
     num += rim_phi[..., None] * u.values
     return num
+
+
+def partition_sum_error(part):
+    """max |sum_i phi_i - 1| over the blended nodes of a ``Partition``,
+    phi accumulated term by term."""
+    idx = part.node_index()
+    den = part.densum.ravel()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        total = np.bincount(idx, part.phi_tilde / den[idx],
+                            minlength=den.size).reshape(part.densum.shape)
+        total += part.rim_phi / part.densum
+    mask = part.blend_node_mask()
+    return float(np.max(np.abs(total[mask] - 1.0)))
+
+
+def overlap_count(part):
+    """The bumps of a ``Partition``, the rim's included, that are positive
+    at each node."""
+    counts = np.bincount(part.node_index()[part.phi_tilde > 0],
+                         minlength=part.densum.size).reshape(part.densum.shape)
+    return counts + (part.rim_phi > 0)
+
+
+def max_overlap(part):
+    """The most bumps of a ``Partition`` that meet at one blended node."""
+    return int(np.max(overlap_count(part)[part.blend_node_mask()]))

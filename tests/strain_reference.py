@@ -233,3 +233,26 @@ def packed(x):
     sym = 0.5 * (x + np.swapaxes(x, -1, -2))
     d = x.shape[-1]
     return np.stack([sym[..., i, k] for i in range(d) for k in range(i, d)])
+
+
+def corner_average(node_vals, dim):
+    """Mean over the 2^dim corners of each cell, one axis at a time as
+    0.5 * (low + high)."""
+    v = node_vals
+    for a in range(dim):
+        keep = (slice(None),) * a
+        v = 0.5 * (v[keep + (slice(0, -1),)] + v[keep + (slice(1, None),)])
+    return v
+
+
+def cellwise_pth_power(u_vals, dim, p, subtrahend=None):
+    """Corner mean of |u|^p, or of |u - subtrahend|^p, with the vector
+    magnitude of np.linalg.norm over the trailing component axis."""
+    x = u_vals if subtrahend is None else u_vals - subtrahend
+    return corner_average(np.linalg.norm(x, axis=-1) ** p, dim)
+
+
+def coercivity_constant(hooke, dim):
+    """c0 with C xi . xi >= c0 |xi + xi^T|^2 for an isotropic Hooke law."""
+    return min(hooke.lame_mu / 2.0,
+               (dim * hooke.lame_lambda + 2 * hooke.lame_mu) / 4.0)

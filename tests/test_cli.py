@@ -65,6 +65,19 @@ def test_gen_deterministic_bytes(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("spec", ["random-cracks", "rigid-patches"])
+@pytest.mark.parametrize("dim,cells", [(2, 8), (2, 16), (3, 8), (3, 16)])
+def test_gen_patches_on_too_small_a_grid_is_a_regime_error(tmp_path, capsys,
+                                                           spec, dim, cells):
+    rc = main(["gen", "--spec", spec, "--dim", str(dim), "--cells", str(cells),
+               "--count", "1", "--seed", "1", "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("regime violation: grid too small for the patch extent")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "x.bin").exists()
+
+
 def test_gen_bad_spec_errors(tmp_path):
     with pytest.raises(SystemExit):
         main(["gen", "--spec", "nonsense", "--out", str(tmp_path / "x")])

@@ -34,7 +34,7 @@ from smalljump.grid import (
     save_field,
     save_jump,
 )
-from smalljump.mollify import mollify
+from smalljump.mollify import mollify, mollify_stack
 from smalljump.strain import cell_strain_ops, face_cells, symmetric_gradient
 from tests import strain_reference as sref
 
@@ -276,6 +276,25 @@ def test_planes_and_densities_equal_trailing_axes_reference(g, data, seed):
                                        g.dim))
 
 
+@given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1))
+def test_cellwise_pth_power_equals_norm_reference(dim, seed):
+    # the planar kernels against np.linalg.norm and 0.5 * (low + high), bit
+    # for bit, on fields spanning six decades, in slabs of any size
+    g = GridSpec(dim, {2: 24, 3: 9}[dim], 1.0)
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3, size=g.node_shape + (1,))
+    u = rng.normal(size=g.node_shape + (dim,)) * scale
+    other = rng.normal(size=u.shape) * scale
+    for x in (u[..., 0], u):
+        assert np.array_equal(corner_average(x, dim), sref.corner_average(x, dim))
+    for slab_planes in _SLAB_PLANES:
+        with _slabs_of(g, slab_planes):
+            for p in (1.5, 2.0, 3.0):
+                for sub in (None, other):
+                    assert np.array_equal(cellwise_pth_power(u, g, p, sub),
+                                          sref.cellwise_pth_power(u, dim, p, sub))
+
+
 def test_jump_measure_values(grid2d):
     assert JumpSet(grid2d).measure() == 0.0
     g = GridSpec(2, 8, 1.0)  # h = 0.25
@@ -310,7 +329,7 @@ def test_hooke_coercivity():
     for dim in (2, 3):
         hooke = HookeTensor(lame_lambda=-0.2, lame_mu=1.0)
         hooke.validate(dim)
-        c0 = hooke.coercivity_constant(dim)
+        c0 = sref.coercivity_constant(hooke, dim)
         assert c0 > 0
         xi = rng.normal(size=(1000, dim, dim))
         q = hooke.quadratic_form(sref.packed(xi))
@@ -417,6 +436,36 @@ def test_mollify_constant_affine_and_bounds():
     out, margin = mollify(step, 2, 0.25, g.spacing)
     inner = (slice(margin, -margin),) * 2
     assert out[inner].min() >= -1e-15 and out[inner].max() <= 1.0 + 1e-15
+
+
+@given(dim=st.sampled_from([2, 3]), width=st.sampled_from([3, 5, 7]),
+       data=st.data())
+def test_mollify_stack_interior_entries_do_not_depend_on_the_extent(dim, width,
+                                                                   data):
+    """An entry at least ``margin`` from a window's edges is the same, bit
+    for bit, when the window is convolved alone or inside any larger box of
+    the same lattice."""
+    h = 1.0 / 64
+    # a kernel of radius max(scale / 6, 2) cells is ``width`` taps wide
+    scale = {3: 8, 5: 15, 7: 22}[width] * h
+    margin = width // 2
+    ints = st.integers
+    win_shape = [data.draw(ints(width, width + 3)) for _ in range(dim)]
+    pad_lo = [data.draw(ints(0, 4)) for _ in range(dim)]
+    pad_hi = [data.draw(ints(0, 4)) for _ in range(dim)]
+    comps = data.draw(st.sampled_from([1, dim]))
+    rng = np.random.default_rng(data.draw(ints(0, 2 ** 16)))
+    lattice = rng.normal(size=tuple(a + n + b + 2 for a, n, b in
+                                    zip(pad_lo, win_shape, pad_hi)) + (comps,))
+    box = lattice[(slice(1, -1),) * dim]    # a strided view, as in the blend
+    win = tuple(slice(a, a + n) for a, n in zip(pad_lo, win_shape))
+    whole, m_box = mollify_stack(box[None], dim, scale, h)
+    alone, m_win = mollify_stack(np.ascontiguousarray(box[win])[None], dim,
+                                 scale, h)
+    assert m_box == m_win == margin
+    inner = tuple(slice(margin, n - margin) for n in win_shape)
+    at = tuple(slice(s.start + margin, s.stop - margin) for s in win)
+    assert np.array_equal(alone[0][inner], whole[0][at])
 
 
 def test_mollify_preserves_mass_of_compact_field():
