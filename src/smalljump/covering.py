@@ -428,20 +428,17 @@ def bad_cell_mask(covering: WhitneyCovering) -> np.ndarray:
 
 
 def boundary_faces_of_mask(mask: np.ndarray) -> list[tuple[int, tuple[int, ...]]]:
-    """Interior grid faces between mask and non-mask cells."""
-    dim = mask.ndim
+    """Interior grid faces between mask and non-mask cells, sorted: axis
+    by axis, each in C order of its face index.  An empty mask returns
+    after one ``any``."""
+    if not mask.any():
+        return []
     out = []
-    for a in range(dim):
-        sl_lo = [slice(None)] * dim
-        sl_hi = [slice(None)] * dim
-        sl_lo[a] = slice(0, -1)
-        sl_hi[a] = slice(1, None)
-        diff = mask[tuple(sl_lo)] != mask[tuple(sl_hi)]
-        for idx in np.argwhere(diff):
-            face_idx = list(int(v) for v in idx)
-            face_idx[a] += 1
-            out.append((a, tuple(face_idx)))
-    return sorted(out)
+    for a in range(mask.ndim):
+        idx = np.argwhere(np.diff(mask, axis=a))
+        idx[:, a] += 1
+        out += [(a, tuple(i)) for i in idx.tolist()]
+    return out
 
 
 def bad_set_perimeter(covering: WhitneyCovering) -> dict:

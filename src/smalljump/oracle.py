@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .grid import (
     faces_in_region,
     node_mask_from_cells,
 )
-from .strain import cell_strain_ops, face_cells, symmetric_gradient
+from .strain import face_slots, stencil_table, symmetric_gradient
 
 # The most candidates of an exhaustive search, bound by its time: 2^k
 # configurations (see brute_force_minimize).
@@ -96,6 +97,17 @@ TIE_RTOL = 1e-12
 CHUNK_BYTES = 1 << 19
 
 
+class CellBlocks(NamedTuple):
+    """Local bulk matrices of reached cells, a row per cell and subset of
+    the candidates reaching it (``ElasticSystem.cell_blocks``)."""
+
+    cells: np.ndarray   # (n_cells, dim), sorted
+    reach: np.ndarray   # (n_cells, k) bool: candidate j reaches cell i
+    start: np.ndarray   # (n_cells + 1,): cell i owns rows start[i]..
+    dofs: np.ndarray    # (n_rows, L) local DOFs, -1 past a row's own
+    locs: np.ndarray    # (n_rows, L, L), zero past a row's own
+
+
 class ElasticSystem:
     """Quadratic form of the p=2 bulk + fidelity energy on node values.
 
@@ -103,14 +115,14 @@ class ElasticSystem:
     its Dirichlet data: the nodes of ``pinned_mask`` keep
     ``pinned_values``, the target where none are given.
 
-    The local matrix of every cell comes from the strain module's
-    stencils, so the solver's internal energy is exactly the quadrature
-    energy.  All crack-free cells share one local matrix, which is built
-    once and broadcast over the grid as COO triplets, and the fidelity
-    diagonal is added to their sum; a crack set adds per-cell corrections
-    (minus the crack-free block, plus the cracked one) from
-    ``cell_blocks`` as more triplets.  The Hessian is CSR with int32
-    indices at every size.
+    The local matrices of cells come in batches from the strain module's
+    stencil table, so the solver's internal energy is exactly the
+    quadrature energy.  All crack-free cells share one local matrix,
+    which is built once and broadcast over the grid as COO triplets, and
+    the fidelity diagonal is added to their sum; a crack set adds
+    per-cell corrections (minus the crack-free block, plus the cracked
+    one) from ``cell_blocks`` as more triplets.  The Hessian is CSR with
+    int32 indices at every size.
 
     ``solve`` is the condensed search of ConfigurationEnergies with no
     candidates: every free DOF is eliminated, through the same
@@ -137,63 +149,61 @@ class ElasticSystem:
         self.pin_values = self.g_vals if pinned_values is None else pinned_values
 
         self._base = None
-        self._counts = _scatter_corner_weights(
-            np.ones(grid.cell_shape), grid.dim)
+        # cells per node: 2 along each axis, 1 on its boundary planes
+        per_axis = np.pad(np.full(grid.cells_per_side - 1, 2.0), 1,
+                          constant_values=1.0)
+        self._counts = np.prod(np.meshgrid(*[per_axis] * grid.dim,
+                                           indexing="ij"), axis=0)
         # weight of each DOF in the fidelity energy, sum w (x - g)^2
         self.fid_weights = params.kappa * grid.spacing ** grid.dim / 2 ** grid.dim \
             * np.repeat(self._counts.reshape(-1), grid.dim)
         # crack-free local matrix, the same for every cell up to a dof shift
-        origin = (0,) * grid.dim
-        self._std_dofs, self._std_loc = self._cell_local(origin, JumpSet(grid))
+        dofs, locs = self._local_blocks(np.zeros((1, grid.dim), dtype=int),
+                                        np.zeros((1, grid.dim, 4), np.int8))
+        self._std_dofs, self._std_loc = dofs[0], locs[0]
 
     # -- assembly -----------------------------------------------------
 
-    def _dof_offset(self, cells) -> np.ndarray:
-        return np.ravel_multi_index(cells, self.grid.node_shape) * self.dim
-
-    def _cell_local(self, cell: tuple[int, ...], jumps: JumpSet):
-        """(dof_indices, local_matrix) of one cell's bulk energy."""
-        grid = self.grid
-        dim = self.dim
-        ops, dead = cell_strain_ops(grid, jumps, cell)
-        nodes: list[tuple[int, ...]] = []
-        node_col: dict[tuple[int, ...], int] = {}
-        weights = []
-        for a in range(dim):
-            row = []
-            if ops[a] is not None:
-                for node, coef in ops[a]:
-                    if node not in node_col:
-                        node_col[node] = len(nodes)
-                        nodes.append(node)
-                    row.append((node_col[node], coef))
-            weights.append(row)
-        n_loc = len(nodes) * dim
-
-        def col(k: int, comp: int) -> int:
-            return k * dim + comp
-
+    def _local_blocks(self, cells: np.ndarray, states: np.ndarray):
+        """(dofs, locs) of the bulk energies h^d B'CB of ``cells`` (n, dim)
+        whose faces have ``states``.  A row numbers its nodes as its
+        stencil terms first name them (axis by axis, hi before lo), its
+        DOFs node by node.  B's row (c, a) holds half the weights of
+        d/dx_a on component c plus those of d/dx_c on component a, or is
+        zero where c or a is dead; the rows' outer products are summed in
+        (c, a) order, then the trace row's."""
+        grid, dim, n = self.grid, self.dim, len(cells)
+        lo, hi, w, dead = stencil_table(grid, cells, states)
+        nodes = np.stack([hi, lo], axis=3).reshape(n, dim * 2 ** dim)
+        weights = np.stack([w, -w], axis=3).reshape(nodes.shape)
+        named = weights != 0
+        first = np.argmax((nodes[:, :, None] == nodes[:, None]) & named[:, None],
+                          axis=2)
+        new = named & (first == np.arange(nodes.shape[1]))
+        local = (np.cumsum(new, axis=1) - 1)[np.arange(n)[:, None], first]
+        size = int(new.sum(axis=1).max(initial=0))
+        node_of = np.full((n, size), -1)
+        r, t = np.nonzero(new)
+        node_of[r, local[r, t]] = nodes[r, t]
+        dofs = np.where(node_of[..., None] < 0, -1, node_of[..., None] * dim
+                        + np.arange(dim)).reshape(n, size * dim)
+        half = np.zeros((dim, n, size))   # [a, cell, node]
+        r, t = np.nonzero(named)   # term t belongs to axis t // 2^dim
+        half[t // 2 ** dim, r, local[r, t]] = 0.5 * weights[r, t]
+        eye = np.eye(dim)
+        rows = (half[None, :, :, :, None] * eye[:, None, None, None, :]
+                + half[:, None, :, :, None] * eye[None, :, None, None, :])
+        rows = np.where((dead.T[:, None] | dead.T[None, :])[..., None, None],
+                        0.0, rows).reshape(dim, dim, n, size * dim)
         lam, mu = self.params.hooke.lame_lambda, self.params.hooke.lame_mu
-        hvol = grid.spacing ** dim
-        loc = np.zeros((n_loc, n_loc))
-        trace_row = np.zeros(n_loc)
+        locs, trace = np.zeros((n, size * dim, size * dim)), np.zeros((n, size * dim))
         for c in range(dim):
             for a in range(dim):
-                if a in dead or c in dead:
-                    continue
-                row = np.zeros(n_loc)
-                for k, coef in weights[a]:
-                    row[col(k, c)] += 0.5 * coef
-                for k, coef in weights[c]:
-                    row[col(k, a)] += 0.5 * coef
-                loc += 2.0 * mu * np.outer(row, row)
-                if a == c:
-                    trace_row += row
-        loc += lam * np.outer(trace_row, trace_row)
-        loc *= hvol
-        node_idx = np.array(nodes, dtype=int).reshape(-1, dim).T
-        dofs = (self._dof_offset(node_idx)[:, None] + np.arange(dim)).reshape(-1)
-        return dofs, loc
+                locs += 2.0 * mu * (rows[c, a, :, :, None] * rows[c, a, :, None])
+            trace += rows[c, c]
+        locs += lam * (trace[:, :, None] * trace[:, None])
+        locs *= grid.spacing ** dim
+        return dofs, locs
 
     def _base_system(self):
         """Hessian, linear term and constant for the crack-free stencils.
@@ -206,7 +216,8 @@ class ElasticSystem:
         n = self.n_dof
         cells = np.indices(self.grid.cell_shape).reshape(self.dim, -1)
         # int32 triplet indices: the CSR form keeps them without a copy
-        dofs = (self._dof_offset(cells)[:, None] + self._std_dofs).astype(np.int32)
+        dofs = (np.ravel_multi_index(cells, self.grid.node_shape)[:, None] * self.dim
+                + self._std_dofs).astype(np.int32)
         rows, cols, vals = _triplets(dofs, self._std_loc)
         diag, f, const = np.zeros(n), np.zeros(n), 0.0
         kappa = self.params.kappa
@@ -225,51 +236,50 @@ class ElasticSystem:
         self._base = (H, f, const)
         return self._base
 
-    def cell_blocks(self, base: JumpSet, candidates=()):
-        """Every per-cell crack block of a base set and a candidate list.
-
-        Yields ``(cell, js, locs)`` in sorted cell order for each cell that
-        a candidate reaches, or with no candidates each cell that a base
-        face reaches: ``js`` indexes the candidates reaching the cell and
-        ``locs[t]`` is its ``_cell_local`` with the candidates of subset
-        ``t`` of ``js`` active, on top of the base faces (those not among
-        the candidates) that reach it.  Every face keeps its
-        ``owner_high`` flag from ``base``.
-        """
-        candidates = tuple(candidates)
-        reach: dict[tuple[int, ...], tuple[list, list]] = {}
-        for face in base.faces - set(candidates):
-            for cell in face_cells(self.grid, face):
-                reach.setdefault(cell, ([], []))[0].append(face)
-        for j, face in enumerate(candidates):
-            for cell in face_cells(self.grid, face):
-                reach.setdefault(cell, ([], []))[1].append(j)
-        for cell, (near, js) in sorted(reach.items()):
-            if candidates and not js:
-                continue
-            locs = []
-            for t in range(2 ** len(js)):
-                faces = set(near) | {candidates[j] for i, j in enumerate(js)
-                                     if t >> i & 1}
-                locs.append(self._cell_local(
-                    cell, JumpSet(self.grid, faces, base.owner_high & faces)))
-            yield cell, js, locs
+    def cell_blocks(self, base: JumpSet, candidates=()) -> CellBlocks:
+        """Every per-cell crack block of a base set and a candidate list,
+        in one batch: the cells that a candidate reaches (with none, that
+        a base face reaches), and in row ``start[i] + t`` cell i's local
+        matrix with the candidates of subset t of those reaching it
+        active (bit b for the b-th), on top of the base faces not among
+        the candidates.  Faces keep their ``owner_high`` flag from base."""
+        k = len(candidates)
+        cells, slot, state = face_slots(self.grid, base, candidates)
+        if not k:
+            return CellBlocks(cells, np.zeros((len(cells), 0), bool),
+                              np.arange(len(cells) + 1),
+                              *self._local_blocks(cells, state[slot]))
+        cand = (slot >= 0) & (slot < k)
+        keep = np.any(cand, axis=(1, 2))
+        cells, slot, cand = cells[keep], slot[keep], cand[keep]
+        reach = np.zeros((len(cells), k), dtype=bool)
+        reach[np.nonzero(cand)[0], slot[cand]] = True
+        cell = np.repeat(np.arange(len(cells)), 2 ** reach.sum(axis=1))
+        start = np.searchsorted(cell, np.arange(len(cells) + 1))
+        t = np.arange(len(cell)) - start[cell]
+        slot, cand = slot[cell], cand[cell]
+        bit = (np.cumsum(reach, axis=1) - 1)[cell[:, None, None],
+                                             np.where(cand, slot, 0)]
+        off = cand & ((t[:, None, None] >> np.maximum(bit, 0)) & 1 == 0)
+        return CellBlocks(cells, reach, start, *self._local_blocks(
+            cells[cell], state[np.where(off, -1, slot)]))
 
     def system_for(self, jumps: JumpSet):
-        """(H, f, const) with each cracked cell's crack-free block
-        replaced by its cracked one."""
+        """(H, f, const) with each reached cell's crack-free block
+        replaced by its cracked one, as COO triplets cell by cell."""
         H0, f, const = self._base_system()
-        triplets = []
-        for cell, _, ((dofs, loc),) in self.cell_blocks(jumps):
-            std = self._dof_offset(cell) + self._std_dofs
-            triplets += [_triplets(std, -self._std_loc), _triplets(dofs, loc)]
-        if not triplets:
+        cells, _, _, dofs, locs = self.cell_blocks(jumps)
+        if not len(cells):
             return H0, f, const
+        std = np.ravel_multi_index(cells.T, self.grid.node_shape)[:, None] \
+            * self.dim + self._std_dofs
+        rows, cols, vals = (np.concatenate([x.reshape(len(cells), -1) for x in xs],
+                                           axis=1) for xs in zip(
+            _triplets(std, -self._std_loc), _triplets(dofs, locs)))
+        keep = (rows >= 0) & (cols >= 0)
         from scipy import sparse
-        rows, cols, vals = (np.concatenate(parts) for parts in zip(*triplets))
-        H = (H0 + sparse.coo_matrix((vals, (rows, cols)),
-                                    shape=H0.shape)).tocsr()
-        return H, f, const
+        return H0 + sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                                      shape=H0.shape), f, const
 
     def fidelity_energy(self, x: np.ndarray) -> np.ndarray:
         """Fidelity energy of flat node-value rows, shape (..., n_dof)."""
@@ -334,14 +344,6 @@ def _banded_solve(H, inner: np.ndarray, rhs: np.ndarray,
                             check_finite=False)
 
 
-def _scatter_corner_weights(cell_ones: np.ndarray, dim: int) -> np.ndarray:
-    out = np.zeros(tuple(s + 1 for s in cell_ones.shape))
-    for corner in np.ndindex(*(2,) * dim):
-        sl = tuple(slice(c, c + s) for c, s in zip(corner, cell_ones.shape))
-        out[sl] += cell_ones
-    return out
-
-
 def solve_elastic(grid: GridSpec, jumps: JumpSet, params: EnergyParams,
                   pinned_mask: np.ndarray | None = None,
                   pinned_values: np.ndarray | None = None
@@ -402,16 +404,19 @@ class ConfigurationEnergies:
         reaches, one correction per subset of the cell's candidates."""
         if not self.candidates:   # a single solve: system_for has every block
             return
-        for _, js, locs in self.system.cell_blocks(self.base, self.candidates):
-            dofs = np.unique(np.concatenate([d for d, _ in locs]))
-            mats = np.zeros((len(locs), dofs.size, dofs.size))
-            for mat, (d, loc) in zip(mats, locs):
-                pos = np.searchsorted(dofs, d)
-                mat[pos[:, None], pos] = loc
+        blocks = self.system.cell_blocks(self.base, self.candidates)
+        for i, reach in enumerate(blocks.reach):
+            rows = slice(blocks.start[i], blocks.start[i + 1])
+            d = blocks.dofs[rows]
+            dofs = np.unique(d[d >= 0])
+            pos = np.searchsorted(dofs, d)
+            t, a, b = np.nonzero((d[:, :, None] >= 0) & (d[:, None] >= 0))
+            mats = np.zeros((len(d), dofs.size, dofs.size))
+            mats[t, pos[t, a], pos[t, b]] = blocks.locs[rows][t, a, b]
             mats -= mats[0]   # relative to the base configuration's block
             used = np.any(mats != 0, axis=(0, 1))
             if np.any(used):
-                yield np.array(js), dofs[used], mats[:, used][:, :, used]
+                yield np.flatnonzero(reach), dofs[used], mats[:, used][:, :, used]
 
     def _condense(self) -> None:
         sys_, k = self.system, len(self.candidates)

@@ -9,9 +9,14 @@ that node layer and falls back to a one-sided pair on its own side of
 the crack (never differencing across another crack); an axis with no
 usable same-side pair contributes zero strain.  Bonded faces always
 couple through their shared nodes, and rigid motions produce exactly
-zero strain in every mode.  This owner rule lives here alone: the
-strain and the elastic solver take their per-cell stencils from
-``cell_strain_ops``, which reads the jump set through one face lookup.
+zero strain in every mode.
+
+This owner rule lives here alone, in ``stencil_table``: from the states
+of the faces that ``face_slots`` places around an array of cells, it
+gives each cell's difference terms in one fixed order.  The strain of the cells
+that faces reach and the elastic solver's local matrices
+(``oracle.ElasticSystem``) are both sums over those terms, so both
+discretize identically.
 
 The strain is stored as its independent components: ``symmetric_gradient``
 returns shape ``(npairs,) + cell_shape``, one C-contiguous cell plane per
@@ -25,110 +30,90 @@ ninth.  So densities and magnitudes have the bits of that sum.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Iterator
+from itertools import chain, product
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .grid import DisplacementField, Face, GridSpec, JumpSet, cell_slabs
 
+# The node planes, relative to cell[a], of the faces across axis a that a
+# cell's stencils read.  A face state is 0 (uncracked), LOW_OWNED or
+# HIGH_OWNED.
+READ_PLANES = np.arange(-1, 3)
+LOW_OWNED, HIGH_OWNED = 1, 2
+# (dim, T, dim) transverse node offsets of the T = 2^(dim-1) terms of
+# d/dx_a: product order over the other axes, the last fastest; -1 on a.
+_COMBOS = {d: np.array([[c[:a] + (-1,) + c[a:] for c in product((0, 1), repeat=d - 1)]
+                        for a in range(d)]) for d in (2, 3)}
 
-def _face_owner(jumps: JumpSet, axis: int, cell: tuple[int, ...],
-                plane: int) -> bool | None:
-    """The owner rule's one lookup: None when the ``axis`` face on node
-    plane ``plane``, at ``cell``'s position across that axis, is
-    uncracked; else whether its high side owns it."""
-    face = (axis, cell[:axis] + (plane,) + cell[axis + 1:])
-    if face not in jumps:
-        return None
-    return face in jumps.owner_high
 
+def face_slots(grid: GridSpec, jumps: JumpSet, first: Sequence[Face] = ()
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cells, slot, state) of the faces of ``first`` and ``jumps``: the
+    faces listed as ``first``, then the other faces of ``jumps``, the
+    high-owned ones first; a face of ``first`` has its owner flag in
+    ``jumps``.
 
-def cell_strain_ops(grid: GridSpec, jumps: JumpSet, cell: tuple[int, ...]
-                    ) -> tuple[list[list[tuple[tuple[int, ...], float]] | None], list[int]]:
-    """Difference stencil of each partial derivative at one cell.
-
-    Returns ``(ops, dead_axes)``: ``ops[a]`` lists ``(node, coefficient)``
-    pairs realizing d/dx_a for every component, or None when the axis has
-    no usable same-side data.  Shared by the strain evaluation and the
-    elastic solver so both discretize identically.  It reads only faces
-    whose ``face_cells`` include ``cell``.
+    ``cells`` (n, dim), in increasing order, are the cells whose stencils
+    may read a listed face: the two cells it bounds, and through the
+    one-sided fallbacks the next cell out on each side.  slot[i, a, r]
+    is the index in the list of the face across axis a on node plane
+    cells[i, a] + READ_PLANES[r], at the cell's position across a, or -1;
+    ``state`` holds each listed face's state, then the 0 that -1 picks.
     """
     dim, m = grid.dim, grid.cells_per_side
-    h = grid.spacing
-    low = [_face_owner(jumps, b, cell, cell[b]) for b in range(dim)]
-    high = [_face_owner(jumps, b, cell, cell[b] + 1) for b in range(dim)]
-    # a node layer is dropped where the other side owns the cell's face
-    blocked_low = [owner is False for owner in low]
-    blocked_high = [owner is True for owner in high]
-    tau_options = [tuple(t for t, blocked in enumerate((blocked_low[b],
-                                                        blocked_high[b]))
-                         if not blocked) for b in range(dim)]
-
-    ops: list[list[tuple[tuple[int, ...], float]] | None] = []
-    dead: list[int] = []
-    for a in range(dim):
-        bl, bh = blocked_low[a], blocked_high[a]
-        pair = None
-        if not bl and not bh:
-            pair = (cell[a], cell[a] + 1)
-        elif bl and not bh:
-            # one-sided on the high (own) side: legal when it crosses no
-            # crack and the far node layer is owned by this side
-            if (cell[a] + 2 <= m and high[a] is None
-                    and _face_owner(jumps, a, cell, cell[a] + 2) is not True):
-                pair = (cell[a] + 1, cell[a] + 2)
-        elif bh and not bl:
-            if (cell[a] - 1 >= 0 and low[a] is None
-                    and _face_owner(jumps, a, cell, cell[a] - 1) is not False):
-                pair = (cell[a] - 1, cell[a])
-        if pair is None:
-            ops.append(None)
-            dead.append(a)
-            continue
-
-        combos = [()]
-        empty = False
-        for b in range(dim):
-            if b == a:
-                continue
-            if not tau_options[b]:
-                empty = True
-                break
-            combos = [c + (t,) for c in combos for t in tau_options[b]]
-        if empty:
-            ops.append(None)
-            dead.append(a)
-            continue
-        coef = 1.0 / (h * len(combos))
-        entries = []
-        for combo in combos:
-            ti = 0
-            lo, hi = [], []
-            for b in range(dim):
-                if b == a:
-                    lo.append(pair[0])
-                    hi.append(pair[1])
-                else:
-                    lo.append(cell[b] + combo[ti])
-                    hi.append(cell[b] + combo[ti])
-                    ti += 1
-            entries.append((tuple(hi), coef))
-            entries.append((tuple(lo), -coef))
-        ops.append(entries)
-    return ops, dead
+    rest = jumps.faces.difference(first)
+    high, low = list(rest & jumps.owner_high), list(rest - jumps.owner_high)
+    state = np.array([1 + (f in jumps.owner_high) for f in first]
+                     + [HIGH_OWNED] * len(high) + [LOW_OWNED] * len(low) + [0],
+                     dtype=np.int8)
+    f = np.fromiter(chain.from_iterable((a, *idx) for a, idx in (
+        *first, *high, *low)), dtype=np.int64).reshape(-1, 1 + dim)
+    stride = m ** np.arange(dim - 1, -1, -1)
+    along = f[np.arange(len(f)), 1 + f[:, 0]][:, None] - READ_PLANES
+    keys = (f[:, 1:] @ stride)[:, None] - READ_PLANES * stride[f[:, 0], None]
+    j, r = np.nonzero((along >= 0) & (along < m))
+    keys, cell = np.unique(keys[j, r], return_inverse=True)
+    slot = np.full((len(keys), dim, len(READ_PLANES)), -1)
+    slot[cell, f[j, 0], r] = j
+    return (np.stack(np.unravel_index(keys, grid.cell_shape), axis=1), slot,
+            state)
 
 
-def face_cells(grid: GridSpec, face: Face) -> list[tuple[int, ...]]:
-    """Cells whose stencil may read ``face``, in increasing order.
+def stencil_table(grid: GridSpec, cells: np.ndarray, states: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, weight, dead): the stencils of ``cells`` (n, dim), given
+    the states (n, dim, 4) of the faces in their ``face_slots``.
 
-    A face influences the two cells it bounds directly, and through the
-    one-sided fallbacks the next cell out on each side.
+    A node layer is dropped where the other side owns the cell's face.
+    An axis that keeps both layers differences them; one that keeps one
+    falls back to the pair on its kept side, when that crosses no crack
+    and the far node layer belongs to this side; otherwise the axis is
+    dead, and so is every axis whose transverse combinations are all
+    dropped.  The term of d/dx_a at cell i for combination t of
+    ``_COMBOS`` runs from flat node lo[i, a, t] to hi[i, a, t], one layer
+    up along a, with weight 1 / (h * usable combinations) on hi, or zero
+    where t uses a dropped layer or the axis is dead.
     """
-    axis, idx = face
-    k = idx[axis]
-    return [idx[:axis] + (ca,) + idx[axis + 1:]
-            for ca in range(max(k - 2, 0), min(k + 2, grid.cells_per_side))]
+    n, dim = cells.shape
+    below, low, high, above = np.moveaxis(states, -1, 0)
+    blocked = np.stack([low == LOW_OWNED, high == HIGH_OWNED], axis=-1)
+    up, down = blocked[..., 0], blocked[..., 1]   # the pair moves up, down
+    dead = (up & ~((cells + 2 <= grid.cells_per_side) & (high == 0)
+                   & (above != HIGH_OWNED))) \
+        | (down & ~((cells >= 1) & (low == 0) & (below != LOW_OWNED)))
+    options = 2 - blocked.sum(axis=-1)
+    # an axis without options zeroes the others' products
+    combos = np.prod(options, axis=1)[:, None] // np.maximum(options, 1)
+    dead |= combos == 0
+    stride = (grid.cells_per_side + 1) ** np.arange(dim - 1, -1, -1)
+    lo = ((cells @ stride)[:, None, None] + np.maximum(_COMBOS[dim], 0) @ stride
+          + (np.where(dead, 0, up.astype(int) - down) * stride)[:, :, None])
+    usable = np.concatenate([~blocked, np.ones((n, dim, 1), bool)], axis=2)[
+        :, np.arange(dim), _COMBOS[dim]].all(axis=-1) & ~dead[:, :, None]
+    return lo, lo + stride[:, None], np.where(usable, 1.0 / (
+        grid.spacing * np.maximum(combos, 1))[:, :, None], 0.0), dead
 
 
 def upper_pairs(dim: int) -> list[tuple[int, int]]:
@@ -188,40 +173,48 @@ def symmetric_gradient(u: DisplacementField, jumps: JumpSet) -> np.ndarray:
 
 def strain_slabs(u: DisplacementField, jumps: JumpSet
                  ) -> Iterator[tuple[slice, np.ndarray]]:
-    """``(sl, e(u) on the cells of sl)`` for each ``cell_slabs`` slice."""
+    """``(sl, e(u) on the cells of sl)`` for each ``cell_slabs`` slice:
+    the crack-free strain, with the cells that a face reaches overwritten
+    by the sums of their stencil table."""
     grid = u.grid
     jg = jumps.grid
     if jg.dim != grid.dim or jg.cells_per_side != grid.cells_per_side \
             or jg.half_width != grid.half_width:
         raise ValueError("displacement and jump set live on different grids")
-    cells = sorted({c for face in jumps.faces for c in face_cells(grid, face)})
-    for sl in cell_slabs(grid.cell_shape):   # sorted cells group by axis 0
-        yield sl, _strain_slab(u, jumps, sl, cells[
-            bisect_left(cells, (sl.start,)):bisect_left(cells, (sl.stop,))])
+    cells, slot, state = face_slots(grid, jumps)
+    crack = _table_strain(u, cells, state[slot])
+    for sl in cell_slabs(grid.cell_shape):   # the cells are sorted by axis 0
+        rows = slice(*np.searchsorted(cells[:, 0], (sl.start, sl.stop)))
+        yield sl, _strain_slab(u, sl, cells[rows], crack[:, rows])
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _strain_slab(u: DisplacementField, jumps: JumpSet, sl: slice,
-                 cells: list[tuple[int, ...]]) -> np.ndarray:
-    """Slab ``sl`` of e(u): the crack-free stencil, then the crack stencils
-    of its ``cells``."""
-    grid, dim = u.grid, u.grid.dim
-    e = crack_free_strain(u.values[sl.start:sl.stop + 1], grid.spacing)
-    for cell in cells:
-        ops, dead = cell_strain_ops(grid, jumps, cell)
-        d_local = np.zeros((dim, dim))
-        for a in range(dim):
-            if ops[a] is None:
-                continue
-            acc = np.zeros(dim)
-            for node, coef in ops[a]:
-                acc += coef * u.values[node]
-            d_local[:, a] = acc
-        # a dead axis zeroes every pair that contains it
-        at = (cell[0] - sl.start,) + cell[1:]
-        for n, (i, k) in enumerate(upper_pairs(dim)):
-            e[(n,) + at] = 0.0 if i in dead or k in dead \
-                else (d_local[i, k] + d_local[k, i]) * 0.5
+def _table_strain(u: DisplacementField, cells: np.ndarray,
+                  states: np.ndarray) -> np.ndarray:
+    """(npairs, n) strain of ``cells`` whose faces have ``states``: each
+    d/dx_a adds to zero the weighted hi and lo node values of its terms
+    in ``stencil_table`` order (a term of weight zero adds a signed zero,
+    which leaves the sum as it was); a dead axis zeroes its pairs."""
+    dim = u.grid.dim
+    nodes = u.values.reshape(-1, dim)
+    lo, hi, w, dead = stencil_table(u.grid, cells, states)
+    acc = np.zeros((len(cells), dim, dim))   # acc[:, a, c] = du_c/dx_a
+    for t in range(w.shape[2]):
+        acc += w[:, :, t, None] * np.take(nodes, hi[:, :, t], axis=0)
+        acc += -w[:, :, t, None] * np.take(nodes, lo[:, :, t], axis=0)
+    grad = acc.transpose(2, 1, 0)   # grad[c, a] = du_c/dx_a
+    return np.stack([np.where(dead[:, i] | dead[:, k], 0.0,
+                              (grad[i, k] + grad[k, i]) * 0.5)
+                     for i, k in upper_pairs(dim)])
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _strain_slab(u: DisplacementField, sl: slice, cells: np.ndarray,
+                 crack: np.ndarray) -> np.ndarray:
+    """Slab ``sl`` of e(u): the crack-free stencil, then the table strain
+    ``crack`` of its ``cells``."""
+    e = crack_free_strain(u.values[sl.start:sl.stop + 1], u.grid.spacing)
+    e[(slice(None), cells[:, 0] - sl.start) + tuple(cells[:, 1:].T)] = crack
     if not np.all(np.isfinite(e)):
         raise ValueError("strain values must be finite")
     return e

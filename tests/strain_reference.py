@@ -1,9 +1,12 @@
 """Test-only strain stencils, trailing-axes strain and energy densities.
 
 The crack stencils used to be chosen from whole-grid face flag arrays
-(``CrackContext``) over the cells of ``affected_cells``.  Those are kept
-here as the independent reference for ``smalljump.strain.cell_strain_ops``
-and its face lookup.
+(``CrackContext``) over the cells of ``affected_cells``, as lists of
+(node, coefficient) pairs per cell.  Those are kept here as the
+independent reference for the owner rule of ``smalljump.strain``, whose
+stencil tables ``table_ops`` writes out in the same list form.
+``staircase`` is a crack set that reaches many cells: a 45 degree
+staircase in (x0, x1).
 
 The strain used to be stored as ``cell_shape + (dim, dim)`` and reduced
 with numpy sums over the two trailing axes.  These are those functions,
@@ -18,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from smalljump.grid import GridSpec, JumpSet
+from smalljump.strain import face_slots, stencil_table
 
 
 class CrackContext:
@@ -137,6 +141,55 @@ def cell_strain_ops(grid: GridSpec, ctx: CrackContext, cell: tuple[int, ...]
             entries.append((tuple(lo), -coef))
         ops.append(entries)
     return ops, dead
+
+
+def table_ops(grid: GridSpec, jumps: JumpSet, cells) -> list:
+    """``cell_strain_ops``' (ops, dead_axes) of each of ``cells``, written
+    out from the stencil table of ``smalljump.strain``: a live axis lists
+    (hi, weight), (lo, -weight) for each term of nonzero weight; the
+    faces of a cell that no face reaches are all uncracked."""
+    dim = grid.dim
+    cells = np.array(cells, dtype=np.int64).reshape(-1, dim)
+    reached, slot, state = face_slots(grid, jumps)
+    states = np.zeros((len(cells), dim, 4), dtype=np.int8)
+    for i, cell in enumerate(cells):
+        hit = np.flatnonzero(np.all(reached == cell, axis=1))
+        if hit.size:
+            states[i] = state[slot[hit[0]]]
+    lo, hi, w, is_dead = stencil_table(grid, cells, states)
+
+    def node(flat):
+        return tuple(int(v) for v in np.unravel_index(flat, grid.node_shape))
+
+    out = []
+    for i in range(len(cells)):
+        ops, dead = [], []
+        for a in range(dim):
+            if is_dead[i, a]:
+                ops.append(None)
+                dead.append(a)
+                continue
+            ops.append([pair for t in np.flatnonzero(w[i, a])
+                        for pair in ((node(hi[i, a, t]), float(w[i, a, t])),
+                                     (node(lo[i, a, t]), float(-w[i, a, t])))])
+        out.append((ops, dead))
+    return out
+
+
+def staircase(grid: GridSpec) -> JumpSet:
+    """The faces between the cells with c1 >= c0 and the others, in every
+    plane of x2: an axis-0 face on node plane k at c1 = k - 1 and an
+    axis-1 face on node plane k at c0 = k, for k = 1..M-1.  A face whose
+    k plus x2 cell index is odd is owned by its high side."""
+    m = grid.cells_per_side
+    rest = [()] if grid.dim == 2 else [(c,) for c in range(m)]
+    faces, high = [], []
+    for k in range(1, m):
+        for r in rest:
+            faces += [(0, (k, k - 1) + r), (1, (k, k) + r)]
+            if (k + sum(r)) % 2:
+                high += faces[-2:]
+    return JumpSet(grid, faces, high)
 
 
 def affected_cells(grid: GridSpec, jumps: JumpSet) -> set[tuple[int, ...]]:

@@ -520,6 +520,21 @@ def test_oracle_process_never_loads_ndimage(tmp_path):
     assert out == [0, False]
 
 
+@pytest.mark.parametrize("cells, loaded", [(8, False), (64, True)])
+def test_oracle_loads_scipy_linalg_only_above_the_dense_limit(tmp_path, cells,
+                                                              loaded):
+    # below oracle.DENSE_DOF_LIMIT the condensation is numpy's dense LU;
+    # importing scipy.linalg for the banded path alone costs about 8 MB
+    # of RSS, which a small oracle run would pay for nothing
+    out = _fresh_interpreter(
+        "from smalljump.cli import main\n"
+        f"rc = main(['oracle', '--dim', '2', '--cells', '{cells}',\n"
+        "           '--n-candidates', '4', '--kappa', '2', '--beta', '0.02',\n"
+        "           '--out', 'run'])\n"
+        "print(json.dumps([rc, 'scipy.linalg' in sys.modules]))", tmp_path)
+    assert out == [0, loaded]
+
+
 def test_approx_process_loads_ndimage_at_the_first_convolution(tmp_path):
     out = _fresh_interpreter(
         "from smalljump.cli import main\n"

@@ -214,6 +214,28 @@ def test_boundary_faces_of_mask_counts():
     assert len(boundary_faces_of_mask(mask2)) == 6
 
 
+@pytest.mark.parametrize("shape", [(9, 7), (5, 6, 4)], ids=["2d", "3d"])
+@pytest.mark.parametrize("fill", ["empty", "full", "sparse", "half"])
+def test_boundary_faces_of_mask_equal_brute_force(shape, fill):
+    # every interior face checked by its two cells, in sorted order
+    rng = np.random.default_rng(len(shape))
+    mask = {"empty": np.zeros(shape, dtype=bool),
+            "full": np.ones(shape, dtype=bool),
+            "sparse": rng.random(shape) < 0.1,
+            "half": rng.random(shape) < 0.5}[fill]
+    want = []
+    for a in range(mask.ndim):
+        for idx in itertools.product(*(range(1 if b == a else 0, n)
+                                       for b, n in enumerate(shape))):
+            below = idx[:a] + (idx[a] - 1,) + idx[a + 1:]
+            if mask[idx] != mask[below]:
+                want.append((a, idx))
+    got = boundary_faces_of_mask(mask)
+    assert got == sorted(want)
+    assert all(type(i) is int for _, idx in got for i in idx)
+    assert (got == []) == (fill in ("empty", "full"))
+
+
 def test_partition_sums_to_one_and_bounded_overlap():
     g = GridSpec(2, 64, 1.0)
     sel = make_selection(g, 0.25, i0=1)

@@ -35,7 +35,7 @@ from smalljump.grid import (
     save_jump,
 )
 from smalljump.mollify import mollify, mollify_stack
-from smalljump.strain import cell_strain_ops, face_cells, symmetric_gradient
+from smalljump.strain import crack_free_strain, face_slots, symmetric_gradient
 from tests import strain_reference as sref
 
 
@@ -177,12 +177,11 @@ def test_strain_slabs_meet_on_a_cracked_node_plane():
     high = [(0, (3, 1, 1)), (0, (4, 3, 3))]
     js = JumpSet(g, high + [(0, (3, 3, 3)), (0, (3, 1, 4))], high)
 
-    def axis0_nodes(cell):
-        ops, _ = cell_strain_ops(g, js, cell)
-        return sorted({node[0] for node, _ in ops[0]})
-    assert axis0_nodes((2, 1, 1)) == [1, 2]
-    assert 0 in cell_strain_ops(g, js, (3, 3, 3))[1]
-    assert axis0_nodes((3, 1, 4)) == [4, 5]
+    (below, _), (_, dead), (above, _) = sref.table_ops(
+        g, js, [(2, 1, 1), (3, 3, 3), (3, 1, 4)])
+    assert sorted({node[0] for node, _ in below[0]}) == [1, 2]
+    assert 0 in dead
+    assert sorted({node[0] for node, _ in above[0]}) == [4, 5]
     u = DisplacementField(
         g, np.random.default_rng(0).normal(size=g.node_shape + (3,)))
     want = sref.symmetric_gradient(u, js)
@@ -219,17 +218,61 @@ def _with_dead_axis(js: JumpSet) -> JumpSet:
 @pytest.mark.parametrize("g", _STRAIN_GRIDS, ids=["2d8", "3d4"])
 @given(data=st.data())
 def test_stencils_equal_flag_array_reference(g, data):
-    # the face lookup against the whole-grid flag arrays, on every cell;
+    # the table's rows against the whole-grid flag arrays, on every cell;
     # cells outside every face's reach keep the crack-free stencil
     js = _with_dead_axis(data.draw(crack_sets(g)))
     ctx, clean = sref.CrackContext(g, js), sref.CrackContext(g, JumpSet(g))
-    reached = {c for f in js.faces for c in face_cells(g, f)}
+    reached = {tuple(c) for c in face_slots(g, js)[0].tolist()}
     assert reached == sref.affected_cells(g, js)
-    for cell in itertools.product(range(g.cells_per_side), repeat=g.dim):
-        got = cell_strain_ops(g, js, cell)
+    cells = list(itertools.product(range(g.cells_per_side), repeat=g.dim))
+    for cell, got in zip(cells, sref.table_ops(g, js, cells)):
         assert got == sref.cell_strain_ops(g, ctx, cell)
         if cell not in reached:
             assert got == sref.cell_strain_ops(g, clean, cell)
+
+
+_STAIRCASE_GRIDS = (GridSpec(2, 32, 1.0), GridSpec(3, 8, 1.0))
+
+
+@pytest.mark.parametrize("g", _STAIRCASE_GRIDS, ids=["2d32", "3d8"])
+def test_staircase_strain_equals_reference(g):
+    # a crack set that reaches many cells, with both owner sides, against
+    # the per-cell reference, bit for bit, in slabs of any size
+    js = sref.staircase(g)
+    ctx = sref.CrackContext(g, js)
+    cells = sorted(sref.affected_cells(g, js))
+    assert sref.table_ops(g, js, cells) == [
+        sref.cell_strain_ops(g, ctx, cell) for cell in cells]
+    u = DisplacementField(
+        g, np.random.default_rng(7).normal(size=g.node_shape + (g.dim,)))
+    want = sref.packed(sref.symmetric_gradient(u, js))
+    for planes in _SLAB_PLANES:
+        with _slabs_of(g, planes):
+            got = symmetric_gradient(u, js)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "cells that a face reaches but that have no cracked face of their own "
+    "take the table's sum order, not the crack-free kernel's; the fix moves "
+    "the strain of far cells, and so the perfbench/refs.json digests of "
+    "suite-3d64 and cli-approx-3d128, which must be re-recorded with it"))
+@pytest.mark.parametrize("g", _STAIRCASE_GRIDS, ids=["2d32", "3d8"])
+def test_reached_cells_without_a_cracked_face_have_crack_free_bits(g):
+    js = sref.staircase(g)
+    own = np.zeros(g.cell_shape, dtype=bool)
+    for axis, idx in js.faces:
+        own[idx] = True   # the cell above the face
+        own[idx[:axis] + (idx[axis] - 1,) + idx[axis + 1:]] = True
+    far = np.zeros(g.cell_shape, dtype=bool)
+    far[tuple(face_slots(g, js)[0].T)] = True
+    far &= ~own
+    assert far.any()
+    u = DisplacementField(
+        g, np.random.default_rng(7).normal(size=g.node_shape + (g.dim,)))
+    e = symmetric_gradient(u, js)
+    free = crack_free_strain(u.values, g.spacing)
+    assert e[:, far].tobytes() == free[:, far].tobytes()
 
 
 @pytest.mark.parametrize("g", _STRAIN_GRIDS, ids=["2d8", "3d4"])
@@ -239,7 +282,7 @@ def test_planes_and_densities_equal_trailing_axes_reference(g, data, seed):
     # trailing-axes layout and its numpy sums, bit for bit, in slabs of
     # any size
     js = _with_dead_axis(data.draw(crack_sets(g)))
-    assert 0 in cell_strain_ops(g, js, (1,) * g.dim)[1]
+    assert 0 in sref.table_ops(g, js, [(1,) * g.dim])[0][1]
     rng = np.random.default_rng(seed)
     u = DisplacementField(g, rng.normal(size=g.node_shape + (g.dim,)))
     want = sref.symmetric_gradient(u, js)

@@ -43,9 +43,14 @@ from smalljump.oracle import (
     solve_elastic,
     vanishing_jump_harness,
 )
-from smalljump.strain import face_cells
+from smalljump.strain import face_slots
 from tests.oracle_reference import boundary_nodes, full_solve_energies
-from tests.strain_reference import CrackContext, affected_cells, cell_strain_ops
+from tests.strain_reference import (
+    CrackContext,
+    affected_cells,
+    cell_strain_ops,
+    staircase,
+)
 
 HOOKE = HookeTensor(1.0, 1.0)
 
@@ -200,10 +205,10 @@ def test_sparse_form_search_matches_dense(monkeypatch):
         assert a["total"] == pytest.approx(b["total"], rel=1e-9)
 
 
-def _assert_search_matches_full_solves(res, system, cands, base=None):
-    """Every configuration's breakdown within 1e-12 of one full solve, and
-    the winner of the same tie rule."""
-    energy_of = full_solve_energies(system, cands, base)
+def _assert_search_matches_full_solves(res, energy_of, cands):
+    """Every configuration's breakdown within 1e-12 of one full solve (the
+    ``full_solve_energies`` breakdown ``energy_of``), and the winner of
+    the same tie rule."""
     assert len(res.per_config) == 2 ** len(cands)
     for bits, row in enumerate(res.per_config):
         ref = energy_of(bits)
@@ -273,24 +278,25 @@ def test_sparse_condensed_search_matches_full_solves(monkeypatch, banded_sizes,
     assert res.min_energy > 0
     assert np.any(res.minimizer_u.values != 0.0)
     # the reference: one dense LU solve per configuration
-    _assert_search_matches_full_solves(res, ElasticSystem(g, params, **kwargs),
-                                       sorted(cands), base)
+    _assert_search_matches_full_solves(res, full_solve_energies(
+        ElasticSystem(g, params, **kwargs), sorted(cands), base), sorted(cands))
 
 
-def test_cell_blocks_build_only_the_cells_candidates_reach(monkeypatch):
+def test_cell_blocks_build_only_the_cells_candidates_reach():
     g = GridSpec(2, 16, 1.0)
     system = ElasticSystem(g, EnergyParams(HOOKE, p=2.0, kappa=1.0))
     # one base face next to the candidates, one far from them
     base = JumpSet(g, [(0, (8, 11)), (1, (3, 3))], [(0, (8, 11))])
     cands = [(0, (8, j)) for j in range(5, 11)]
-    built = []
-    cell_local = ElasticSystem._cell_local
-    monkeypatch.setattr(ElasticSystem, "_cell_local", lambda self, cell, js: (
-        built.append(cell), cell_local(self, cell, js))[1])
-    blocks = list(system.cell_blocks(base, cands))
-    assert [cell for cell, _, _ in blocks] == sorted(
-        {cell for f in cands for cell in face_cells(g, f)})
-    assert len(built) == sum(len(locs) for _, _, locs in blocks)
+    blocks = system.cell_blocks(base, cands)
+    assert blocks.cells.tolist() == face_slots(g, JumpSet(g, cands))[0].tolist()
+    # one table row per cell and subset of the candidates reaching it
+    assert blocks.reach.tolist() == [
+        [cell[0] in range(6, 10) and cell[1] == j for j in range(5, 11)]
+        for cell in blocks.cells.tolist()]
+    assert len(blocks.dofs) == len(blocks.locs) == blocks.start[-1] == sum(
+        2 ** blocks.reach.sum(axis=1))
+    assert np.array_equal(np.diff(blocks.start), 2 ** blocks.reach.sum(axis=1))
 
 
 def test_batching_cannot_move_bits(monkeypatch):
@@ -329,24 +335,15 @@ def test_deep_tree_matches_full_solves(monkeypatch, banded_sizes):
     kwargs = dict(pinned_mask=~inner.contains_points(g.node_coord_grid()),
                   pinned_values=target.values)
     cands = sorted(_midline_candidates(g, 10, cross=True))
-    # the reference's 1 024 assemblies dominate: both forms share them
-    system = ElasticSystem(g, params, **kwargs)
-    hessians, assemble = {}, system.system_for
-
-    def system_for(jumps):
-        key = (frozenset(jumps.faces), frozenset(jumps.owner_high))
-        if key not in hessians:
-            hessians[key] = assemble(jumps)
-        return hessians[key]
-
-    monkeypatch.setattr(system, "system_for", system_for)
+    # both factorizations against one set of 1 024 reference solves
+    energy_of = full_solve_energies(ElasticSystem(g, params, **kwargs), cands,
+                                    base)
     for dense_limit in (oracle.DENSE_DOF_LIMIT, 0):
         monkeypatch.setattr(oracle, "DENSE_DOF_LIMIT", dense_limit)
         res = brute_force_minimize(g, cands, params, base_jumps=base, **kwargs)
         assert 0 < res.best_config.n_active < len(cands)
-        _assert_search_matches_full_solves(res, system, cands, base)
+        _assert_search_matches_full_solves(res, energy_of, cands)
         assert bool(banded_sizes) == (dense_limit == 0)
-    assert len(hessians) == 2 ** len(cands)
 
 
 def test_residual_checks_can_fail(monkeypatch):
@@ -673,6 +670,27 @@ def _reference_local(grid, hooke, ctx, cell):
     return np.array(dofs, dtype=int), loc
 
 
+@pytest.mark.parametrize("g", [GridSpec(2, 32, 1.0), GridSpec(3, 8, 1.0)],
+                         ids=["2d32", "3d8"])
+def test_staircase_local_blocks_equal_per_cell_reference(g):
+    # every reached cell's table row: the same DOFs in the same order and
+    # the same local matrix, bit for bit
+    js = staircase(g)
+    hooke = HookeTensor(0.7, 1.3)
+    blocks = ElasticSystem(g, EnergyParams(hooke, p=2.0, kappa=1.0)
+                           ).cell_blocks(js)
+    cells = sorted(affected_cells(g, js))
+    assert blocks.cells.tolist() == [list(c) for c in cells]
+    ctx = CrackContext(g, js)
+    for cell, dofs, loc in zip(cells, blocks.dofs, blocks.locs):
+        want_dofs, want = _reference_local(g, hooke, ctx, cell)
+        n = want_dofs.size
+        assert dofs[:n].tolist() == want_dofs.tolist()
+        assert np.all(dofs[n:] == -1) and not np.any(loc[n:]) \
+            and not np.any(loc[:, n:])
+        assert loc[:n, :n].tobytes() == want.tobytes()
+
+
 def reference_system(grid, params, jumps):
     """Per-cell dense assembly of the bulk + fidelity Hessian: crack-free
     cells in lexicographic order, the fidelity diagonal, then per affected
@@ -812,5 +830,5 @@ def test_condensed_search_matches_full_solves(data):
                                homogeneous=homogeneous, **kwargs)
     if homogeneous:
         params = params.homogeneous()
-    _assert_search_matches_full_solves(
-        res, ElasticSystem(g, params, **kwargs), cands, base)
+    _assert_search_matches_full_solves(res, full_solve_energies(
+        ElasticSystem(g, params, **kwargs), cands, base), cands)
