@@ -87,14 +87,17 @@ class OracleResult:
 ENERGY_TERMS = ("bulk", "fidelity", "surface", "total")
 CONFIG_DTYPE = np.dtype([("bits", np.int64)]
                         + [(t, np.float64) for t in ENERGY_TERMS])
-DENSE_DOF_LIMIT = 4000
+# Below this many DOFs the condensation factors H_II by dense LU, at and
+# above it by banded Cholesky, which condenses the 12-face cross 2-14x
+# faster from 1 029 DOFs up but costs scipy.linalg's import (README, "Oracle").
+DENSE_DOF_LIMIT = 1000
 # Configuration energies within this relative distance of the lowest one
 # count as tied (condensed and full solves differ near 1e-15).
 TIE_RTOL = 1e-12
-# Bound on one breadth-first batch of the search's elimination tree: a
-# subtree's nodes, each counted with the S it is born with and a D-sized
-# row (subtrees of 64 leaves for the 12-face cross on 2D 8^2).
-CHUNK_BYTES = 1 << 19
+# Bound on one batch of the search's elimination tree: a subtree's nodes,
+# each counted with the S it is born with and a D-sized row (subtrees of
+# 256 leaves for the 12-face cross on 2D 8^2).
+CHUNK_BYTES = 1 << 21
 
 
 class CellBlocks(NamedTuple):
@@ -379,7 +382,9 @@ class ConfigurationEnergies:
     one candidate, in a greedy order, adds to S the per-cell correction
     blocks it completes and eliminates the DOFs of Df that no pending
     block touches, so a subtree's leaves share the factorization above
-    it.  Energies and the residual check of every leaf come from
+    it.  Below the CHUNK_BYTES level a subtree is one batch, a tensor of
+    nodes with an axis per level, and each block is added to all of them
+    by broadcast.  Energies and the residual check of every leaf come from
     |D|-sized coefficients; node values are built only for the winner,
     checked on the full Hessian, and for a region's energy_breakdown.
     README, "Oracle", has the details and the measurements.
@@ -438,16 +443,23 @@ class ConfigurationEnergies:
         D = np.concatenate([Df, D[pin[D]]])   # free DOFs of D first
         pos = np.zeros(sys_.n_dof, dtype=int)
         pos[D] = np.arange(D.size)
-        # each block whole for the checks, and its free part placed in the
-        # S of its level for the tree
+        rank = np.argsort(self._order)   # the level deciding each candidate
+        # each block whole for the checks, and its free part embedded in the
+        # S of its level for the tree, both with an axis per candidate
         self._blocks, self._levels = [], [[] for _ in range(k)]
         for (js, d, mats), level in zip(blocks, block_level):
             free = ~pin[d]
             coupling = mats[:, free][:, :, ~free] @ x0[d[~free]]
-            self._blocks.append((js, pos[d], mats, pos[d[free]], coupling))
-            self._levels[level - 1].append(
-                (js, pos[d[free]] - self._ends[level - 1],
-                 mats[:, free][:, :, free], coupling))
+            lvs, js, (mats, coupling) = _by_level(rank[js], js, mats, coupling)
+            # the rounding of a BLAS product follows the matrix's memory
+            # order: the rows' checks take each matrix column-major, as
+            # numpy's indexing leaves them in cell_blocks' output
+            self._blocks.append((lvs, js, pos[d], np.ascontiguousarray(
+                mats.swapaxes(-1, -2)).swapaxes(-1, -2), pos[d[free]], coupling))
+            if np.any(free):   # a block on pinned DOFs alone leaves S as it is
+                self._levels[level - 1].append((lvs, js) + _embed(
+                    pos[d[free]] - self._ends[level - 1],
+                    mats[..., free, :][..., free], coupling))
         rhs = f - H @ x0
         try:
             if dense:
@@ -490,58 +502,87 @@ class ConfigurationEnergies:
                 break
             self._batch_level = lv
 
-    def _leaves(self, only: int | None = None, level: int = 0, node=None,
-                path: tuple = ()):
-        """(bits, x_Df) of every batch of leaves below a batch of nodes (S,
-        r, bits), the root by default, or of the one leaf ``only``;
-        ``path`` holds the ancestors' solves."""
-        S, r, bits = node or (self._S0[None], self._r0[None],
-                              np.zeros(1, dtype=np.int64))
-        if level == len(self.candidates):   # back-substitution
-            x = np.empty((bits.size, self._Df.size))
-            for lv in reversed(range(level)):
-                # each leaf's ancestor: the leaves of a node are contiguous
-                anc = np.repeat(path[lv], bits.size // len(path[lv]), axis=0)
-                lo, hi = self._ends[lv], self._ends[lv + 1]
-                x[:, lo:hi] = (anc[..., -1]
-                               - (anc[..., :-1] @ x[:, hi:, None])[..., 0])
-            yield bits, x
+    def _leaves(self, only: int | None = None):
+        """(bits, x_Df) of every batch of leaves, or of the one leaf ``only``,
+        whose path then fixes every bit and its nodes have no axes.  A
+        node is [S | r], the Schur complement beside its right-hand side."""
+        Sr = np.concatenate([self._S0, self._r0[:, None]], axis=1)
+        if only is None:
+            yield from self._walk(Sr, 0, 0, ())
+        else:
+            yield from self._batch(Sr, only, 0, len(self.candidates), ())
+
+    def _walk(self, Sr, level: int, bits: int, path: tuple):
+        """Depth-first down to the batch level: each node's two children
+        are one step of two nodes; ``path`` holds the ancestors' solves."""
+        if level == self._batch_level:
+            yield from self._batch(Sr, bits, level, level, path)
             return
-        # child 2i + b of node i sets candidate order[level] to b; the blocks
-        # that complete are added and the DOFs they finish eliminated
-        bits = (bits[:, None] | np.array([0, 1 << self._order[level]])).reshape(-1)
-        S, r = np.repeat(S, 2, axis=0), np.repeat(r, 2, axis=0)
-        for js, pos, mats, coupling in self._levels[level]:
-            t = _subsets(bits, js)
-            S[:, pos[:, None], pos] += mats[t]
-            r[:, pos] -= coupling[t]
-        e = self._ends[level + 1] - self._ends[level]
-        try:
-            sol = np.linalg.solve(S[:, :e, :e], np.concatenate(
-                [S[:, :e, e:], r[:, :e, None]], axis=2))
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular elastic system: {exc}") from exc
-        update = S[:, e:, :e] @ sol
-        S, r = S[:, e:, e:] - update[..., :-1], r[:, e:] - update[..., -1]
-        if only is None and level >= self._batch_level:   # breadth-first
-            yield from self._leaves(None, level + 1, (S, r, bits), path + (sol,))
-            return
+        Sr, (sol,) = self._decide(Sr, bits, level, (level,))
         for b in (0, 1):
-            if only is None or only >> self._order[level] & 1 == b:
-                yield from self._leaves(only, level + 1, (
-                    S[b:b + 1], r[b:b + 1], bits[b:b + 1]), path + (sol[b:b + 1],))
+            yield from self._walk(Sr[b], level + 1, bits | b << self._order[level],
+                                  path + (sol[b],))
+
+    def _batch(self, Sr, root: int, level: int, batch: int, path: tuple):
+        """(bits, x_Df) of the leaves below the node at ``level``: its levels
+        from ``batch`` on add an axis each, and each leaf's x_Df is
+        back-substituted through its ancestors' solves by broadcast."""
+        k, order = len(self.candidates), self._order
+        path = path + tuple(self._decide(Sr, root, batch, range(level, k))[1])
+        bits = np.array(root)
+        for lv in range(batch, k):
+            bits = bits[..., None] | np.array([0, 1 << order[lv]])
+        x = np.empty(bits.shape + (self._Df.size,))
+        for lv in reversed(range(k)):
+            anc = path[lv]
+            if anc.ndim > 2:   # one axis per level of the batch down to lv
+                anc = anc.reshape(anc.shape[:-2] + (1,) * (k - 1 - lv)
+                                  + anc.shape[-2:])
+            lo, hi = self._ends[lv], self._ends[lv + 1]
+            x[..., lo:hi] = (anc[..., -1]
+                             - (anc[..., :-1] @ x[..., hi:, None])[..., 0])
+        yield bits.reshape(-1), x.reshape(bits.size, self._Df.size)
+
+    def _decide(self, Sr, root: int, batch: int, levels):
+        """Decide the candidates of ``levels`` for nodes [S | r] whose
+        candidates ``order[:batch]`` are set as in ``root``; they have an
+        axis of length 2 for each level decided from ``batch`` on, child
+        2i + b setting it to b.  Each level adds the blocks it completes,
+        by broadcast, and eliminates the DOFs they finish; returns the
+        nodes and the levels' solves."""
+        sols = []
+        for level in levels:
+            if level >= batch:
+                Sr = np.repeat(Sr[..., None, :, :], 2, axis=-3)
+            m = level + 1 - batch
+            for lvs, js, lo, hi, mats, coupling in self._levels[level]:
+                Sr[..., lo:hi, lo:hi] += _batch_view(mats, lvs, js, root, batch, m)
+                Sr[..., lo:hi, -1] -= _batch_view(coupling, lvs, js, root, batch, m)
+            e = self._ends[level + 1] - self._ends[level]
+            try:
+                sol = np.linalg.solve(Sr[..., :e, :e], Sr[..., :e, e:])
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"singular elastic system: {exc}") from exc
+            Sr = Sr[..., e:, e:] - Sr[..., e:, :e] @ sol
+            sols.append(sol)
+        return Sr, sols
 
     def _corrections(self, bits: np.ndarray, x_D: np.ndarray):
-        """delta x_D of configurations, from the stored blocks, and the norm
-        of their right-hand sides (rhs_Df - delta_fp x_Dp on Df)."""
+        """delta x_D of a batch of leaves, from the stored blocks, and the
+        norm of their right-hand sides (rhs_Df - delta_fp x_Dp on Df).  The
+        2^m leaves of a batch, as _leaves yields them, are the subtree
+        below the first one's top k - m levels."""
+        k, m = len(self.candidates), bits.size.bit_length() - 1
+        batch, root = k - m, int(bits[0])
+        x_D = x_D.reshape((2,) * m + x_D.shape[-1:])
         dx = np.zeros(x_D.shape)
-        coupling = np.zeros((bits.size, self._Df.size))
-        for js, pos, mats, free_pos, cpl in self._blocks:
-            t = _subsets(bits, js)
-            dx[:, pos] += (mats[t] @ x_D[:, pos, None])[..., 0]
-            coupling[:, free_pos] += cpl[t]
-        return dx, np.sqrt(self._rhs_inner2
-                           + np.sum((self._rhs_Df - coupling) ** 2, axis=1))
+        coupling = np.zeros(x_D.shape[:-1] + self._Df.shape)
+        for lvs, js, pos, mats, free_pos, cpl in self._blocks:
+            dx[..., pos] += (_batch_view(mats, lvs, js, root, batch, m)
+                             @ x_D[..., pos, None])[..., 0]
+            coupling[..., free_pos] += _batch_view(cpl, lvs, js, root, batch, m)
+        return dx.reshape(bits.size, -1), np.sqrt(self._rhs_inner2 + np.sum(
+            (self._rhs_Df - coupling.reshape(bits.size, -1)) ** 2, axis=1))
 
     def _field(self, bits: np.ndarray, x_Df: np.ndarray):
         """Node values, quadratic energy and relative residual of
@@ -610,9 +651,42 @@ def _converged(residual: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return rel
 
 
-def _subsets(bits: np.ndarray, js: np.ndarray) -> np.ndarray:
-    """Index of the subset of candidates ``js`` active in each of ``bits``."""
-    return (bits[:, None] >> js & 1) @ (1 << np.arange(js.size))
+def _by_level(lvs: np.ndarray, js: np.ndarray, *arrays: np.ndarray):
+    """A block's candidates in the order of the levels ``lvs`` deciding
+    them, (lvs, js), and its per-subset ``arrays`` with one axis of length
+    2 per candidate in that order.  Subset t holds candidate js[i] in bit
+    i, the C-order axis n - 1 - i of its (2,) * n reshape."""
+    n, by_level = js.size, np.argsort(lvs)
+    axes = tuple((n - 1 - by_level).tolist())
+    return tuple(lvs[by_level].tolist()), tuple(js[by_level].tolist()), [
+        np.ascontiguousarray(a.reshape((2,) * n + a.shape[1:]).transpose(
+            axes + tuple(range(n, n + a.ndim - 1)))) for a in arrays]
+
+
+def _embed(pos: np.ndarray, mats: np.ndarray, coupling: np.ndarray):
+    """(lo, hi, mats, coupling) of a block on the slice lo:hi of its level's
+    front that holds ``pos``.  Entries off ``pos`` are -0.0 in mats and
+    0.0 in coupling, which leave any value they are added to or
+    subtracted from bit for bit as it was."""
+    lo, hi = int(pos.min()), int(pos.max()) + 1
+    full = np.full(mats.shape[:-2] + (hi - lo,) * 2, -0.0)
+    full[..., pos[:, None] - lo, pos - lo] = mats
+    cpl = np.zeros(coupling.shape[:-1] + (hi - lo,))
+    cpl[..., pos - lo] = coupling
+    return lo, hi, full, cpl
+
+
+def _batch_view(a: np.ndarray, lvs: tuple, js: tuple, root: int, batch: int,
+                m: int) -> np.ndarray:
+    """A block array's entries for nodes of a batch: the bits of its
+    candidates decided above level ``batch`` as in ``root``, then an axis
+    for each of the m levels from ``batch`` on, of length 2 where the
+    block has that level's candidate and 1 elsewhere."""
+    fixed = tuple(root >> j & 1 for j, lv in zip(js, lvs) if lv < batch)
+    shape = [1] * m
+    for lv in lvs[len(fixed):]:
+        shape[lv - batch] = 2
+    return a[fixed].reshape(shape + list(a.shape[len(lvs):]))
 
 
 def _elimination_order(blocks, Df: np.ndarray, k: int):
@@ -659,6 +733,9 @@ def brute_force_minimize(grid: GridSpec, candidates: list[Face],
     if k > EXHAUSTIVE_LIMIT:
         raise ValueError(f"{k} candidates exceed the exhaustive search "
                          f"(at most {EXHAUSTIVE_LIMIT})")
+    # JumpSet refuses faces off the grid and on its boundary
+    if len(JumpSet(grid, candidates)) < k:
+        raise ValueError("duplicate candidate faces")
     system = ElasticSystem(grid, params, pinned_mask, pinned_values)
     energies = ConfigurationEnergies(system, candidates,
                                      base_jumps or JumpSet(grid), region)

@@ -1,5 +1,7 @@
-"""Test-only reference for the oracle search: one dense LU solve of the
-full system per crack configuration, without condensation."""
+"""Test-only references for the oracle search: one dense LU solve of the
+full system per crack configuration, without condensation; and the
+elimination tree stepped by gathered fancy-index scatters, whose bits
+the broadcast step must keep."""
 
 from __future__ import annotations
 
@@ -66,3 +68,83 @@ def full_solve_energies(system: ElasticSystem, candidates,
         return cache[bits]
 
     return breakdown
+
+
+def gather_blocks(energies):
+    """The search's blocks as the gather-based tree step takes them: each
+    block whole, (js, pos, mats, free_pos, coupling), and each level's
+    free parts, (js, pos, mats, coupling), with js ascending, mats and
+    coupling by subset index and pos relative to the level's front.  They
+    are rebuilt from ``_cell_blocks``, in its memory layout."""
+    sys_, D = energies.system, energies._D
+    pin = np.repeat(sys_.pinned.reshape(-1), sys_.dim)
+    pos = np.zeros(sys_.n_dof, dtype=int)
+    pos[D] = np.arange(D.size)
+    rank = np.argsort(energies._order)
+    whole, levels = [], [[] for _ in energies.candidates]
+    for js, d, mats in energies._cell_blocks():
+        free = ~pin[d]
+        coupling = mats[:, free][:, :, ~free] @ energies._xc[d[~free]]
+        level = int(rank[js].max())
+        whole.append((js, pos[d], mats, pos[d[free]], coupling))
+        levels[level].append((js, pos[d[free]] - energies._ends[level],
+                              mats[:, free][:, :, free], coupling))
+    return whole, levels
+
+
+def _subsets(bits: np.ndarray, js: np.ndarray) -> np.ndarray:
+    return (bits[:, None] >> js & 1) @ (1 << np.arange(js.size))
+
+
+def gather_leaves(energies, only: int | None = None, level: int = 0,
+                  node=None, path: tuple = (), levels=None):
+    """(bits, x_Df) batches of the elimination tree with each level's
+    blocks added by gathered fancy-index scatters, one matrix per node,
+    and the ancestors' solves repeated per leaf: the step the broadcast
+    one replaced, batched at the search's ``_batch_level``."""
+    if levels is None:
+        levels = gather_blocks(energies)[1]
+    S, r, bits = node or (energies._S0[None], energies._r0[None],
+                          np.zeros(1, dtype=np.int64))
+    ends, order = energies._ends, energies._order
+    if level == len(energies.candidates):
+        x = np.empty((bits.size, energies._Df.size))
+        for lv in reversed(range(level)):
+            anc = np.repeat(path[lv], bits.size // len(path[lv]), axis=0)
+            lo, hi = ends[lv], ends[lv + 1]
+            x[:, lo:hi] = (anc[..., -1]
+                           - (anc[..., :-1] @ x[:, hi:, None])[..., 0])
+        yield bits, x
+        return
+    bits = (bits[:, None] | np.array([0, 1 << order[level]])).reshape(-1)
+    S, r = np.repeat(S, 2, axis=0), np.repeat(r, 2, axis=0)
+    for js, pos, mats, coupling in levels[level]:
+        t = _subsets(bits, js)
+        S[:, pos[:, None], pos] += mats[t]
+        r[:, pos] -= coupling[t]
+    e = ends[level + 1] - ends[level]
+    sol = np.linalg.solve(S[:, :e, :e], np.concatenate(
+        [S[:, :e, e:], r[:, :e, None]], axis=2))
+    update = S[:, e:, :e] @ sol
+    S, r = S[:, e:, e:] - update[..., :-1], r[:, e:] - update[..., -1]
+    if only is None and level >= energies._batch_level:
+        yield from gather_leaves(energies, None, level + 1, (S, r, bits),
+                                 path + (sol,), levels)
+        return
+    for b in (0, 1):
+        if only is None or only >> order[level] & 1 == b:
+            yield from gather_leaves(energies, only, level + 1, (
+                S[b:b + 1], r[b:b + 1], bits[b:b + 1]),
+                path + (sol[b:b + 1],), levels)
+
+
+def gather_corrections(energies, bits: np.ndarray, x_D: np.ndarray):
+    """``_corrections`` with each block's matrices gathered per leaf."""
+    dx = np.zeros(x_D.shape)
+    coupling = np.zeros((bits.size, energies._Df.size))
+    for js, pos, mats, free_pos, cpl in gather_blocks(energies)[0]:
+        t = _subsets(bits, js)
+        dx[:, pos] += (mats[t] @ x_D[:, pos, None])[..., 0]
+        coupling[:, free_pos] += cpl[t]
+    return dx, np.sqrt(energies._rhs_inner2 + np.sum(
+        (energies._rhs_Df - coupling) ** 2, axis=1))

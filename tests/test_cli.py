@@ -520,7 +520,8 @@ def test_oracle_process_never_loads_ndimage(tmp_path):
     assert out == [0, False]
 
 
-@pytest.mark.parametrize("cells, loaded", [(8, False), (64, True)])
+@pytest.mark.parametrize("cells, loaded", [(8, False), (16, False), (24, True),
+                                           (64, True)])
 def test_oracle_loads_scipy_linalg_only_above_the_dense_limit(tmp_path, cells,
                                                               loaded):
     # below oracle.DENSE_DOF_LIMIT the condensation is numpy's dense LU;

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,7 +45,12 @@ from smalljump.oracle import (
     vanishing_jump_harness,
 )
 from smalljump.strain import face_slots
-from tests.oracle_reference import boundary_nodes, full_solve_energies
+from tests.oracle_reference import (
+    boundary_nodes,
+    full_solve_energies,
+    gather_corrections,
+    gather_leaves,
+)
 from tests.strain_reference import (
     CrackContext,
     affected_cells,
@@ -320,6 +326,29 @@ def test_batching_cannot_move_bits(monkeypatch):
     assert np.array_equal(a.minimizer_u.values, b.minimizer_u.values)
 
 
+def test_search_memory_stays_within_its_budget():
+    # the 12-face cross on 2D 8^2 (4 096 configurations) and its psi0:
+    # the tree's batches grow with oracle.CHUNK_BYTES, and with them the
+    # peak of every exhaustive search
+    g = GridSpec(2, 8, 1.0)
+    params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02,
+                          g=split_target(g, seed=0))
+    cands = sorted(_midline_candidates(g, 12, cross=True))
+    brute_force_minimize(g, cands[:2], params)   # lazy imports, untraced
+    tracemalloc.start()
+    try:
+        res = brute_force_minimize(g, cands, params)
+        search = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        deviation_psi0(res.minimizer_u, JumpSet(g, res.best_config.active_faces()),
+                       params, centered_box(1.0, 2), cands)
+        psi0 = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert search <= 6 * 2 ** 20
+    assert psi0 <= 6 * 2 ** 20
+
+
 def test_deep_tree_matches_full_solves(monkeypatch, banded_sizes):
     # psi0's setting on a 10-face cross: the nodes outside the inner box
     # pinned to a field, base faces with owner_high flags (two of them
@@ -360,8 +389,8 @@ def test_residual_checks_can_fail(monkeypatch):
         # residual reads the true one
         condense(self)
         level = next(blocks for blocks in self._levels if blocks)
-        js, pos, mats, coupling = level[0]
-        level[0] = (js, pos, mats * (1 + 1e-6), coupling)
+        *head, mats, coupling = level[0]
+        level[0] = (*head, mats * (1 + 1e-6), coupling)
 
     with monkeypatch.context() as mp:
         mp.setattr(energies, "_condense", perturbed_tree)
@@ -414,6 +443,23 @@ def test_more_candidates_than_the_exhaustive_search_are_refused(monkeypatch):
     with pytest.raises(ValueError) as exc:
         deviation_psi0(u, JumpSet(g), params, centered_box(1.0, 2), cands)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("cands, message", [
+    ([(0, (4, 9))], "outside the grid"),
+    ([(0, (0, 3))], "is not interior"),
+    ([(0, (4, 3)), (0, (4, 3))], "duplicate candidate"),
+])
+def test_malformed_candidate_lists_are_refused(monkeypatch, cands, message):
+    def no_system(*args, **kwargs):
+        raise AssertionError("the search built a system before refusing")
+
+    monkeypatch.setattr(oracle, "ElasticSystem", no_system)
+    g = GridSpec(2, 8, 1.0)
+    params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02,
+                          g=split_target(g, seed=0))
+    with pytest.raises(ValueError, match=message):
+        brute_force_minimize(g, cands, params)
 
 
 def test_psi0_of_minimizer_and_perturbation():
@@ -832,3 +878,77 @@ def test_condensed_search_matches_full_solves(data):
         params = params.homogeneous()
     _assert_search_matches_full_solves(res, full_solve_energies(
         ElasticSystem(g, params, **kwargs), cands, base), cands)
+
+
+def _assert_tree_keeps_the_gather_bits(energies, probe):
+    """Every (bits, x_Df) batch of the tree and its corrections, byte for
+    byte those of the gather-based step, and the path of each leaf in
+    ``probe`` walked again to the reference's x_Df."""
+    got, ref = list(energies._leaves()), list(gather_leaves(energies))
+    assert len(got) == len(ref)
+    for (bits, x_Df), (ref_bits, ref_x) in zip(got, ref):
+        assert bits.tobytes() == ref_bits.tobytes()
+        assert x_Df.tobytes() == ref_x.tobytes()
+        x_D = np.concatenate([x_Df, np.broadcast_to(
+            energies._xDp, (bits.size, energies._xDp.size))], axis=1)
+        for a, b in zip(energies._corrections(bits, x_D),
+                        gather_corrections(energies, bits, x_D)):
+            assert a.tobytes() == b.tobytes()
+    for b in probe:
+        (leaf,) = gather_leaves(energies, b)
+        assert energies.minimizer(b).tobytes() == \
+            energies._field(*leaf)[0][0].tobytes()
+
+
+_PIN_GRIDS = tuple(GridSpec(2, m, 1.0) for m in range(6, 13)) + (
+    GridSpec(3, 4, 1.0),)
+
+
+@given(data=st.data())
+def test_broadcast_tree_keeps_the_gather_steps_bits(data):
+    g = data.draw(st.sampled_from(_PIN_GRIDS))
+    cands = sorted(data.draw(_face_lists(g, 1, 7)))
+    base_faces = data.draw(_face_lists(g, 0, 6))
+    owner = data.draw(st.lists(st.booleans(), min_size=len(base_faces),
+                               max_size=len(base_faces)))
+    base = JumpSet(g, base_faces, [f for f, o in zip(base_faces, owner) if o])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    shape = g.node_shape + (g.dim,)
+    h = g.spacing
+    # no Dirichlet data, the grid boundary, or psi0's ring outside the
+    # box one cell inside the grid
+    pinned = data.draw(st.sampled_from([
+        None, boundary_nodes(g), ~BoxRegion((-1.0 + h,) * g.dim, (1.0 - h,) * g.dim)
+        .contains_points(g.node_coord_grid())]))
+    params = EnergyParams(HookeTensor(0.7, 1.3), p=2.0, kappa=2.0, beta=0.05,
+                          g=DisplacementField(g, rng.normal(size=shape)))
+    system = ElasticSystem(g, params, pinned,
+                           None if pinned is None else rng.normal(size=shape))
+    probe = rng.integers(0, 2 ** len(cands), 2).tolist()
+    for chunk in (64, oracle.CHUNK_BYTES, 1 << 26):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "CHUNK_BYTES", chunk)
+            energies = oracle.ConfigurationEnergies(system, cands, base)
+        _assert_tree_keeps_the_gather_bits(energies, probe)
+
+
+def test_blocks_decided_across_a_batch_root_keep_the_gather_bits():
+    # psi0's setting on the 8-face cross: every level in turn is the batch
+    # root, so some blocks have candidates decided above it and below it
+    g = GridSpec(2, 8, 1.0)
+    target = two_sided_target(g)
+    h = g.spacing
+    inner = BoxRegion((-1.0 + h,) * 2, (1.0 - h,) * 2)
+    faces = [(0, (4, 2)), (0, (4, 3)), (0, (4, 6))]
+    params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02,
+                          g=target).homogeneous()
+    system = ElasticSystem(g, params, ~inner.contains_points(g.node_coord_grid()),
+                           target.values)
+    cands = sorted(_midline_candidates(g, 8, cross=True))
+    energies = oracle.ConfigurationEnergies(system, cands, JumpSet(g, faces, faces[1:]))
+    across = 0
+    for batch in range(len(cands) + 1):
+        energies._batch_level = batch
+        across += any(lvs[0] < batch <= lvs[-1] for lvs, *_ in energies._blocks)
+        _assert_tree_keeps_the_gather_bits(energies, [0, 2 ** len(cands) - 1, 165])
+    assert across
