@@ -45,9 +45,10 @@ from .energy import (
 )
 from .errors import CoveringError, RegimeError
 from .grid import (
+    HIGH_OWNED,
+    LOW_OWNED,
     BoxRegion,
     DisplacementField,
-    Face,
     GridSpec,
     JumpSet,
     centered_box,
@@ -338,32 +339,19 @@ def _compose_jump(grid: GridSpec, covering: WhitneyCovering,
 
     Input faces are erased only where both adjacent cells lie in the
     pure-blend zone (inside the rim support, outside the bad set), where
-    the approximant is genuinely smooth.
+    the approximant is genuinely smooth.  A new face is owned by its
+    blended side, the high one when the bad cell lies below it.
     """
     cheb_h = grid.cell_cheb_norm() / grid.spacing
-    smooth = (cheb_h < covering.w0_h - 6) & ~covering.bad_cells
-
-    kept: list[Face] = []
-    owner_high: list[Face] = []
-    for face in jumps.sorted_faces():
-        axis, idx = face
-        hi_cell = idx
-        lo_cell = idx[:axis] + (idx[axis] - 1,) + idx[axis + 1:]
-        if smooth[lo_cell] and smooth[hi_cell]:
-            continue
-        kept.append(face)
-        if face in jumps.owner_high:
-            owner_high.append(face)
-
-    for face in boundary_faces_of_mask(covering.bad_cells):
-        if face in jumps.faces:
-            continue
-        kept.append(face)
-        axis, idx = face
-        lo_cell = idx[:axis] + (idx[axis] - 1,) + idx[axis + 1:]
-        if covering.bad_cells[lo_cell]:
-            owner_high.append(face)   # blended side is high: it owns the plane
-    return JumpSet(grid, kept, owner_high)
+    smooth = ((cheb_h < covering.w0_h - 6) & ~covering.bad_cells).ravel()
+    lo, hi = grid.face_sides(jumps.keys)
+    kept = ~(smooth[lo] & smooth[hi])
+    new = np.setdiff1d(boundary_faces_of_mask(covering.bad_cells), jumps.keys)
+    keys = np.concatenate([jumps.keys[kept], new])
+    state = np.concatenate([jumps.state[kept], np.where(
+        covering.bad_cells.ravel()[grid.face_sides(new)[0]], HIGH_OWNED, LOW_OWNED)])
+    order = np.argsort(keys)
+    return JumpSet.from_keys(grid, keys[order], state[order])
 
 
 def _global_omega(grid: GridSpec, covering: WhitneyCovering,
@@ -488,33 +476,30 @@ def verify_properties(u: DisplacementField, jumps: JumpSet,
     checks: list[PropertyCheck] = []
 
     # P1: u~ = u outside Q_R, on the nodes and on the crack set: every
-    # face of J_u~ delta J_u has its centre strictly inside Q_R.  In units
-    # of h/2 a centre sits at 2 idx - M along the face's axis and at
-    # 2 idx + 1 - M across it, so a face that straddles dQ_R counts too.
+    # face of J_u~ delta J_u has its centre strictly inside Q_R, compared
+    # in units of h/2, so a face that straddles dQ_R counts too.
     mismatch = max((float(np.max(np.abs(result.u_tilde.values[s] - u.values[s])))
                     for s in _outside_node_slabs(grid, result.radius)),
                    default=0.0)
     checks.append(PropertyCheck("p1_match_outside", mismatch, 1.0, mismatch))
     r2 = round(2 * result.radius / h)
-    outside = sum(
-        max(abs(2 * i + (a != axis) - grid.cells_per_side)
-            for a, i in enumerate(idx)) >= r2
-        for axis, idx in jumps.faces ^ result.new_jump.faces)
+    moved = grid.face_centers2(np.setxor1d(jumps.keys, result.new_jump.keys))
+    outside = np.count_nonzero(np.max(np.abs(moved), axis=1, initial=0) >= r2)
     checks.append(PropertyCheck("p1_boundary_faces", float(outside), 1.0,
                                 float(outside)))
 
     # P2: new jump area against the outer-shell crack budget, and exact
     # containment of new faces in the bad-set boundary.
-    new_faces = result.new_jump.faces - jumps.faces
+    new_faces = np.setdiff1d(result.new_jump.keys, jumps.keys)
     lhs2 = len(new_faces) * grid.face_area()
     shell = jumps.measure() - faces_in_region(
         grid, jumps, centered_box(1.0 - sqrt_d, dim)) * grid.face_area()
     budget2 = sqrt_d * shell
-    bad_boundary = set(boundary_faces_of_mask(result.covering.bad_cells))
-    contained = new_faces <= bad_boundary
+    contained = bool(np.all(np.isin(
+        new_faces, boundary_faces_of_mask(result.covering.bad_cells))))
     checks.append(PropertyCheck("p2_new_jump", lhs2, budget2,
                                 _ratio(lhs2, budget2),
-                                {"containment": bool(contained)},
+                                {"containment": contained},
                                 condition=contained))
 
     # P3, strain form: || e(approx) - mollified e(u) || over the inner box.
@@ -663,14 +648,10 @@ def boundary_trace_check(u: DisplacementField, jumps: JumpSet,
         for eps in TRACE_EPSILONS:
             fracs = []
             for rc in TRACE_RADII_CELLS:
-                rad = rc * h
-                inside = (d2 < rad ** 2) & inside_r
+                inside = (d2 < (rc * h) ** 2) & inside_r
                 n_in = int(np.count_nonzero(inside))
-                if n_in == 0:
-                    fracs.append(0.0)
-                    continue
-                bad = int(np.count_nonzero(inside & (diff_cells > eps)))
-                fracs.append(bad / n_in)
+                fracs.append(int(np.count_nonzero(inside & (diff_cells > eps))) / n_in
+                             if n_in else 0.0)
             monotone = all(fracs[i + 1] <= fracs[i] + 1e-12
                            for i in range(len(fracs) - 1))
             passed = passed and monotone

@@ -31,7 +31,6 @@ from .energy import EnergyParams, HookeTensor
 from .errors import CoveringError, RegimeError, SolverError
 from .grid import (
     GridSpec,
-    JumpSet,
     centered_box,
     load_field,
     load_jump,
@@ -128,7 +127,7 @@ def _full_report(u, jumps, res, rep, trace) -> dict:
         "crown_budgets": res.selection.budgets,
         "demoted_cubes": res.demoted_cubes,
         "omega_volume": res.omega_volume,
-        "new_jump_faces": len(res.new_jump.faces - jumps.faces),
+        "new_jump_faces": np.setdiff1d(res.new_jump.keys, jumps.keys).size,
         "fit_reports": res.fit_summaries,
         "boundary_trace": trace,
         "properties": json.loads(rep.to_json()),
@@ -264,7 +263,7 @@ def cmd_oracle(args) -> int:
             for bits, *energies in result.per_config.tolist()]
     _write_csv(out / "configs.csv", list(result.per_config.dtype.names), rows)
     save_field(out / "minimizer", result.minimizer_u)
-    own_jumps = JumpSet(grid, result.best_config.active_faces())
+    own_jumps = result.jumps
     save_jump(out / "minimizer.jump.json", own_jumps)
 
     summary = {

@@ -116,13 +116,7 @@ def count_faces_in_boxes12(face_coords12: np.ndarray, lo: np.ndarray,
 
 def face_coords12(grid: GridSpec, jumps: JumpSet) -> np.ndarray:
     """Integer h/12 coordinates of face centers, shape (n, dim)."""
-    faces = jumps.sorted_faces()
-    if not faces:
-        return np.empty((0, grid.dim), dtype=np.int64)
-    idx = np.array([i for _, i in faces], dtype=np.int64)
-    out = 12 * (idx - grid.cells_per_side // 2) + 6
-    out[np.arange(len(faces)), [a for a, _ in faces]] -= 6
-    return out
+    return 6 * grid.face_centers2(jumps.keys)
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +198,12 @@ def select_crown(u: DisplacementField, jumps: JumpSet, strain_p: np.ndarray,
     hvol = h ** grid.dim
 
     cheb = grid.cell_cheb_norm()
-    fc12 = face_coords12(grid, jumps)
-    face_cheb12 = np.max(np.abs(fc12), axis=1) if fc12.shape[0] else np.empty(0)
+    face_cheb12 = np.max(np.abs(face_coords12(grid, jumps)), axis=1, initial=0)
 
     def box_cells(w_h: float) -> np.ndarray:
         return cheb < w_h * h - 1e-12 * h
 
     def box_faces(w_h: float) -> int:
-        if fc12.shape[0] == 0:
-            return 0
         return int(np.count_nonzero(face_cheb12 < 12 * w_h - 1e-9))
 
     # Budget totals cover the sqrt(delta) shell and, at desk scales where
@@ -427,34 +418,28 @@ def bad_cell_mask(covering: WhitneyCovering) -> np.ndarray:
     return covering.cell_counts(~covering.good) > 0
 
 
-def boundary_faces_of_mask(mask: np.ndarray) -> list[tuple[int, tuple[int, ...]]]:
-    """Interior grid faces between mask and non-mask cells, sorted: axis
-    by axis, each in C order of its face index.  An empty mask returns
+def boundary_faces_of_mask(mask: np.ndarray) -> np.ndarray:
+    """Keys (over the lattice (ndim,) + mask.shape) of the interior grid
+    faces between mask and non-mask cells, sorted.  An empty mask returns
     after one ``any``."""
     if not mask.any():
-        return []
-    out = []
-    for a in range(mask.ndim):
-        idx = np.argwhere(np.diff(mask, axis=a))
-        idx[:, a] += 1
-        out += [(a, tuple(i)) for i in idx.tolist()]
-    return out
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate([a * mask.size + np.flatnonzero(np.diff(
+        mask, axis=a, prepend=np.take(mask, [0], axis=a))) for a in range(mask.ndim)])
 
 
 def bad_set_perimeter(covering: WhitneyCovering) -> dict:
-    """Exact face-count perimeter of the bad set, and its ratio to the
-    crack area inside the double crown ring."""
+    """Exact face-count perimeter of the bad set, its face keys, and its
+    ratio to the crack area inside the double crown ring."""
     cov = covering.flagged()
     grid = cov.grid
     faces = boundary_faces_of_mask(cov.bad_cells)
     perim = len(faces) * grid.face_area()
 
     crown_jump = 0.0
-    if cov.jumps is not None and len(cov.jumps) > 0:
-        fc12 = face_coords12(grid, cov.jumps)
-        cheb = np.max(np.abs(fc12), axis=1)
-        outer = 12 * (cov.n_annuli - cov.i0) * cov.m
-        inner = 12 * (cov.n_annuli - cov.i0 - 2) * cov.m
+    if cov.jumps is not None:
+        cheb = np.max(np.abs(grid.face_centers2(cov.jumps.keys)), axis=1, initial=0)
+        outer, inner = (2 * (cov.n_annuli - cov.i0 - i) * cov.m for i in (0, 2))
         crown_jump = int(np.count_nonzero((cheb < outer) & (cheb >= inner))) \
             * grid.face_area()
     ratio = perim / crown_jump if crown_jump > 0 else (0.0 if perim == 0 else math.inf)

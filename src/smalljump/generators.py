@@ -8,13 +8,12 @@ are the declared faces (whose planes' nodes keep the low-side values).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RegimeError
-from .grid import DisplacementField, Face, GridSpec, JumpSet
+from .grid import DisplacementField, GridSpec, JumpSet
 
 
 @dataclass(frozen=True)
@@ -26,26 +25,17 @@ class CrackPatch:
     depth: int                      # pocket depth in cells, >= 2
     decay: int                      # ramp length in cells, >= 1
 
-    def faces(self, dim: int) -> list[Face]:
-        others = [b for b in range(dim) if b != self.axis]
-        out = []
-        for trans in itertools.product(*map(range, self.trans_lo, self.trans_hi)):
-            idx = [self.plane] * dim
-            for b, t in zip(others, trans):
-                idx[b] = t
-            out.append((self.axis, tuple(idx)))
-        return out
+    def face_keys(self, grid: GridSpec) -> np.ndarray:
+        """Sorted keys of the patch's faces."""
+        idx = [np.arange(lo, hi) for lo, hi in zip(self.trans_lo, self.trans_hi)]
+        idx.insert(self.axis, np.array([self.plane]))
+        return np.ravel_multi_index(np.ix_([self.axis], *idx),
+                                    grid.face_lattice).ravel()
 
     def support_box(self, dim: int) -> tuple[tuple[int, int], ...]:
         """Node-index box containing the pocket, per axis."""
-        out = []
-        others = [b for b in range(dim) if b != self.axis]
-        for a in range(dim):
-            if a == self.axis:
-                out.append((self.plane, self.plane + self.depth + self.decay + 1))
-            else:
-                k = others.index(a)
-                out.append((self.trans_lo[k], self.trans_hi[k] + 1))
+        out = [(lo, hi + 1) for lo, hi in zip(self.trans_lo, self.trans_hi)]
+        out.insert(self.axis, (self.plane, self.plane + self.depth + self.decay + 1))
         return tuple(out)
 
 
@@ -74,19 +64,12 @@ def _transverse_profile(n_nodes: int, lo_cell: int, hi_cell: int) -> np.ndarray:
 
 def pocket_indicator(grid: GridSpec, patch: CrackPatch) -> np.ndarray:
     """Scalar node field in [0,1]: the opening profile of one patch."""
-    dim = grid.dim
     n = grid.cells_per_side + 1
-    axes = []
-    others = [b for b in range(dim) if b != patch.axis]
-    for a in range(dim):
-        if a == patch.axis:
-            axes.append(_axial_profile(n, patch))
-        else:
-            k = others.index(a)
-            axes.append(_transverse_profile(n, patch.trans_lo[k],
-                                            patch.trans_hi[k]))
+    axes = [_transverse_profile(n, lo, hi)
+            for lo, hi in zip(patch.trans_lo, patch.trans_hi)]
+    axes.insert(patch.axis, _axial_profile(n, patch))
     out = axes[0]
-    for a in range(1, dim):
+    for a in range(1, grid.dim):
         out = np.multiply.outer(out, axes[a])
     return out
 
@@ -126,12 +109,13 @@ def field_with_patches(grid: GridSpec, patches: list[CrackPatch],
                        ) -> tuple[DisplacementField, JumpSet]:
     rng = rng or np.random.default_rng(0)
     vals = rigid_background(grid, rng)
-    faces: list[Face] = []
+    keys = [np.empty(0, dtype=np.int64)]
     for patch, opening in zip(patches, openings):
         m = pocket_indicator(grid, patch)
         vals = vals + m[..., None] * np.asarray(opening)
-        faces.extend(patch.faces(grid.dim))
-    return DisplacementField(grid, vals), JumpSet(grid, faces)
+        keys.append(patch.face_keys(grid))
+    return DisplacementField(grid, vals), JumpSet.from_keys(
+        grid, np.unique(np.concatenate(keys)))
 
 
 def _patch_at(grid: GridSpec, axis: int, plane: int,
@@ -192,14 +176,9 @@ def _separated_patches(grid: GridSpec, rng: np.random.Generator, count: int,
         trans = tuple(int(rng.integers(pad, m - pad)) for _ in range(dim - 1))
         patch = _patch_at(grid, axis, plane, trans, extent)
         box = patch.support_box(dim)
-        clash = False
-        for other in boxes:
-            if all(box[a][0] - margin_cells < other[a][1]
-                   and other[a][0] - margin_cells < box[a][1]
-                   for a in range(dim)):
-                clash = True
-                break
-        if clash:
+        if any(all(box[a][0] - margin_cells < other[a][1]
+                   and other[a][0] - margin_cells < box[a][1] for a in range(dim))
+               for other in boxes):
             continue
         patches.append(patch)
         boxes.append(box)
@@ -269,7 +248,7 @@ def shrinking_crack_instance(grid: GridSpec, delta: float, seed: int = 0
     base, _ = sinusoid_field(grid, seed=seed + 17)
     mpro = pocket_indicator(grid, patch)
     vals = base.values + mpro[..., None] * opening
-    jumps = JumpSet(grid, patch.faces(grid.dim))
+    jumps = JumpSet.from_keys(grid, patch.face_keys(grid))
     u = DisplacementField(grid, vals)
     return u, jumps, {"requested_area": area, "actual_area": jumps.measure(),
                       "faces": len(jumps)}

@@ -4,10 +4,14 @@ The domain is the open cube (-r, r)^dim split into M cells per side
 (spacing h = 2r/M).  Displacements live on the (M+1)^dim nodes, strains
 and masks on the M^dim cells, and cracks on interior cell faces.
 
-A face is identified by ``(axis, idx)`` where ``idx[axis]`` is the index
-of the node plane the face lies on (1..M-1) and the remaining entries are
-cell indices (0..M-1).  Nodes exactly on a cracked plane carry the value
-of the low side of the crack; the strain stencils encode that convention.
+A face ``(axis, idx)`` is the low face of cell idx across ``axis``:
+``idx[axis]`` is the index of its node plane (1..M-1), the other entries
+cell indices (0..M-1).  Its key is ``np.ravel_multi_index((axis, *idx),
+(dim,) + cell_shape)``, so key order is tuple order.  A ``JumpSet`` is
+sorted keys with a state beside each, the side whose values the nodes of
+the cracked plane carry (the strain stencils encode that convention).
+Its centre, in units of h/2, is 2 idx - M along the axis and 2 idx + 1 - M
+across it.  Tuples are only read and written at the edges.
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 Face = tuple[int, tuple[int, ...]]
+# The state of a cracked face: the side that owns its plane's nodes (the
+# strain module's tables mark an uncracked face 0).
+LOW_OWNED, HIGH_OWNED = 1, 2
 
 
 @dataclass(frozen=True)
@@ -86,15 +93,65 @@ class GridSpec:
             out = np.maximum.outer(out, per_axis)
         return out
 
-    def face_center(self, face: Face) -> np.ndarray:
-        axis, idx = face
-        out = np.empty(self.dim)
-        for a in range(self.dim):
-            if a == axis:
-                out[a] = -self.half_width + self.spacing * idx[a]
-            else:
-                out[a] = -self.half_width + self.spacing * (idx[a] + 0.5)
-        return out
+    @property
+    def face_lattice(self) -> tuple[int, ...]:
+        """The shape (dim,) + cell_shape over which face keys ravel."""
+        return (self.dim,) + self.cell_shape
+
+    def face_keys(self, faces: Iterable[Face]) -> np.ndarray:
+        """Keys of ``faces``, in their order.  The first face, in that
+        order, that is malformed (not an axis and dim integers), not
+        interior or off the grid raises ValueError."""
+        dim, m = self.dim, self.cells_per_side
+        faces = list(faces)
+        rows = [(axis, *idx) for axis, idx in faces]
+        arr = np.array(rows) if all(len(r) == dim + 1 for r in rows) else None
+        if arr is None or arr.dtype.kind not in "iu":   # entry by entry, clipped
+            arr = np.array([[min(max(int(v), -1), m) for v in r] if len(r) == dim + 1
+                            and all(isinstance(v, (int, np.integer)) for v in r)
+                            else [-1] * (dim + 1) for r in rows], dtype=np.int64)
+        arr = arr.astype(np.int64, copy=False).reshape(-1, dim + 1)
+        axis, idx = arr[:, 0], arr[:, 1:]
+        across = np.arange(dim) != axis[:, None]
+        error = np.select([(axis < 0) | (axis >= dim),
+                           np.any(~across & ((idx < 1) | (idx >= m)), axis=1),
+                           np.any(across & ((idx < 0) | (idx >= m)), axis=1)], [1, 2, 3])
+        if np.any(error):
+            i = int(np.argmax(error > 0))
+            axis, idx = faces[i]
+            idx = tuple(int(v) if isinstance(v, np.integer) else v for v in idx)
+            face = f"({axis}, {idx})"
+            raise ValueError((f"malformed face {face}", f"face {face} is not interior",
+                              f"face {face} outside the grid")[error[i] - 1])
+        return np.ravel_multi_index((axis, *idx.T), self.face_lattice)
+
+    def face_cells(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(axis (n,), idx (n, dim)) of the faces ``keys``."""
+        axis, *idx = np.unravel_index(keys, self.face_lattice)
+        return axis, np.stack(idx, axis=1)
+
+    def face_tuples(self, keys: np.ndarray) -> list[Face]:
+        """The ``(axis, idx)`` tuples of ``keys``, in their order."""
+        axis, idx = self.face_cells(keys)
+        return list(zip(axis.tolist(), map(tuple, idx.tolist())))
+
+    def face_sides(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat C-order indices of the low and the high cell of each face."""
+        n = self.cells_per_side ** self.dim
+        high = keys % n
+        return high - self.cells_per_side ** (self.dim - 1 - keys // n), high
+
+    def face_centers2(self, keys: np.ndarray) -> np.ndarray:
+        """Face centres in units of h/2, int (n, dim): 2 idx - M along
+        each face's axis, 2 idx + 1 - M across it."""
+        axis, idx = self.face_cells(keys)
+        return 2 * idx + (np.arange(self.dim) != axis[:, None]) - self.cells_per_side
+
+    def face_centers(self, keys: np.ndarray) -> np.ndarray:
+        """Face centres as floats, (n, dim)."""
+        axis, idx = self.face_cells(keys)
+        return -self.half_width + self.spacing * (
+            idx + 0.5 * (np.arange(self.dim) != axis[:, None]))
 
     def face_area(self) -> float:
         return self.spacing ** (self.dim - 1)
@@ -127,63 +184,66 @@ class DisplacementField:
 
 
 class JumpSet:
-    """Set of cracked interior cell faces on a grid.
-
-    Nodes on a cracked plane carry the values of the face's owning side:
-    the low side by default, the high side for faces listed in
-    ``owner_high`` (used for jumps created against already-assigned
-    fields, like the bad-set boundary of the approximant).
-    """
+    """Set of cracked interior cell faces on a grid: sorted unique
+    ``keys`` and, beside them, each face's ``state``, LOW_OWNED by default
+    and HIGH_OWNED for the faces listed in ``owner_high`` (jumps created
+    against already-assigned fields, like the bad-set boundary of the
+    approximant).  Both are read-only; ``faces``, ``owner_high`` and
+    ``sorted_faces()`` are tuple views, built on each call."""
 
     def __init__(self, grid: GridSpec, faces: Iterable[Face] = (),
                  owner_high: Iterable[Face] = ()):
-        self.grid = grid
-        normalized = set()
-        m = grid.cells_per_side
-        for axis, idx in faces:
-            idx = tuple(int(i) for i in idx)
-            if not (0 <= axis < grid.dim) or len(idx) != grid.dim:
-                raise ValueError(f"malformed face ({axis}, {idx})")
-            if not (1 <= idx[axis] <= m - 1):
-                raise ValueError(f"face ({axis}, {idx}) is not interior")
-            for a in range(grid.dim):
-                if a != axis and not (0 <= idx[a] <= m - 1):
-                    raise ValueError(f"face ({axis}, {idx}) outside the grid")
-            normalized.add((int(axis), idx))
-        self._faces = frozenset(normalized)
-        oh = frozenset((int(a), tuple(int(i) for i in idx)) for a, idx in owner_high)
-        if not oh <= self._faces:
+        keys = np.unique(grid.face_keys(faces))
+        high = grid.face_keys(owner_high)
+        if not np.all(np.isin(high, keys)):
             raise ValueError("owner_high must be a subset of the faces")
-        self._owner_high = oh
+        self._hold(grid, keys, np.where(np.isin(keys, high), HIGH_OWNED, LOW_OWNED))
+
+    @classmethod
+    def from_keys(cls, grid: GridSpec, keys: np.ndarray,
+                  state: np.ndarray | int = LOW_OWNED) -> JumpSet:
+        """The set of sorted, unique keys of interior faces, unchecked, with
+        their states (or one state for all)."""
+        out = cls.__new__(cls)
+        out._hold(grid, keys, state)
+        return out
+
+    def _hold(self, grid: GridSpec, keys, state) -> None:
+        self.grid = grid
+        self.keys = np.array(keys, dtype=np.int64)
+        self.state = np.array(np.broadcast_to(state, self.keys.shape), dtype=np.int8)
+        self.keys.flags.writeable = self.state.flags.writeable = False
 
     @property
     def faces(self) -> frozenset[Face]:
-        return self._faces
+        return frozenset(self.sorted_faces())
 
     @property
     def owner_high(self) -> frozenset[Face]:
-        return self._owner_high
+        return frozenset(self.grid.face_tuples(self.keys[self.state == HIGH_OWNED]))
 
     def sorted_faces(self) -> list[Face]:
-        return sorted(self._faces)
+        return self.grid.face_tuples(self.keys)
 
     def measure(self) -> float:
-        return len(self._faces) * self.grid.face_area()
+        return len(self) * self.grid.face_area()
 
     def __len__(self) -> int:
-        return len(self._faces)
+        return self.keys.size
 
     def __contains__(self, face: Face) -> bool:
-        return face in self._faces
+        return face in self.faces
+
+    def states(self, keys: np.ndarray) -> np.ndarray:
+        """The states of ``keys`` in this set, LOW_OWNED for a key not in
+        it."""
+        pos = np.where(np.isin(keys, self.keys), np.searchsorted(self.keys, keys), -1)
+        return np.append(self.state, np.int8(LOW_OWNED))[pos]
 
     def face_coord_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(axes, centers): int array (n,), float array (n, dim)."""
-        faces = self.sorted_faces()
-        if not faces:
-            return np.empty(0, dtype=int), np.empty((0, self.grid.dim))
-        axes = np.array([f[0] for f in faces], dtype=int)
-        centers = np.array([self.grid.face_center(f) for f in faces])
-        return axes, centers
+        return (self.keys // self.grid.cells_per_side ** self.grid.dim,
+                self.grid.face_centers(self.keys))
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +317,7 @@ def faces_in_region(grid: GridSpec, jumps: JumpSet, region: Region | None) -> in
     """Number of crack faces whose center lies in the (open) region."""
     if region is None:
         return len(jumps)
-    _, centers = jumps.face_coord_arrays()
-    if centers.shape[0] == 0:
-        return 0
-    return int(np.count_nonzero(region.contains_points(centers)))
+    return int(np.count_nonzero(region.contains_points(grid.face_centers(jumps.keys))))
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +424,9 @@ def load_field(base: str | Path) -> DisplacementField:
 
 def save_jump(path: str | Path, jumps: JumpSet) -> None:
     payload: object = [[axis, list(idx)] for axis, idx in jumps.sorted_faces()]
-    if jumps.owner_high:
-        payload = {
-            "faces": payload,
-            "owner_high": [[a, list(idx)] for a, idx in sorted(jumps.owner_high)],
-        }
+    high = jumps.grid.face_tuples(jumps.keys[jumps.state == HIGH_OWNED])
+    if high:
+        payload = {"faces": payload, "owner_high": [[a, list(idx)] for a, idx in high]}
     Path(path).write_text(json.dumps(payload))
 
 

@@ -77,6 +77,7 @@ class CrackConfig:
 @dataclass
 class OracleResult:
     best_config: CrackConfig
+    jumps: JumpSet   # the winner's: the base faces and its active candidates
     minimizer_u: DisplacementField
     min_energy: float
     breakdown: dict
@@ -240,12 +241,12 @@ class ElasticSystem:
         return self._base
 
     def cell_blocks(self, base: JumpSet, candidates=()) -> CellBlocks:
-        """Every per-cell crack block of a base set and a candidate list,
-        in one batch: the cells that a candidate reaches (with none, that
+        """Every per-cell crack block of a base set and candidate keys, in
+        one batch: the cells that a candidate reaches (with none, that
         a base face reaches), and in row ``start[i] + t`` cell i's local
         matrix with the candidates of subset t of those reaching it
         active (bit b for the b-th), on top of the base faces not among
-        the candidates.  Faces keep their ``owner_high`` flag from base."""
+        the candidates.  Faces keep their state in base."""
         k = len(candidates)
         cells, slot, state = face_slots(self.grid, base, candidates)
         if not k:
@@ -371,7 +372,7 @@ class ConfigurationEnergies:
     """Energies of the crack configurations over one candidate list.
 
     Configuration ``bits`` cracks the base faces plus the candidates whose
-    bit is set; every face keeps its ``owner_high`` flag from the base set.
+    bit is set; every face keeps its state in the base set.
 
     The free DOFs I that no candidate touches are eliminated once, by
     dense LU below DENSE_DOF_LIMIT DOFs and banded Cholesky above it:
@@ -393,21 +394,21 @@ class ConfigurationEnergies:
     def __init__(self, system: ElasticSystem, candidates: list[Face],
                  base: JumpSet, region: Region | None = None):
         self.system = system
-        self.candidates = tuple(candidates)
+        self.candidates = system.grid.face_keys(candidates)
         self.base = base
-        self.base_faces = base.faces - set(candidates)
+        self.base_faces = np.setdiff1d(base.keys, self.candidates)
         self.region = region
         self._condense()
 
     def jumps(self, bits: int) -> JumpSet:
-        active = CrackConfig(self.candidates, bits).active_faces()
-        faces = self.base_faces | set(active)
-        return JumpSet(self.system.grid, faces, self.base.owner_high & faces)
+        active = (bits >> np.arange(len(self.candidates))) & 1 == 1
+        keys = np.union1d(self.base_faces, self.candidates[active])
+        return JumpSet.from_keys(self.system.grid, keys, self.base.states(keys))
 
     def _cell_blocks(self):
         """(candidate indices, dofs, corrections) of each cell a candidate
         reaches, one correction per subset of the cell's candidates."""
-        if not self.candidates:   # a single solve: system_for has every block
+        if not len(self.candidates):   # a single solve: system_for has every block
             return
         blocks = self.system.cell_blocks(self.base, self.candidates)
         for i, reach in enumerate(blocks.reach):
@@ -691,18 +692,24 @@ def _batch_view(a: np.ndarray, lvs: tuple, js: tuple, root: int, batch: int,
 
 def _elimination_order(blocks, Df: np.ndarray, k: int):
     """Greedy candidate order of the elimination tree: the next candidate
-    finishes the most DOFs of Df, the lower index on ties.  A block is
-    added with its last candidate and a DOF eliminated with its last
-    block; returns the order and these (1-based) levels."""
-    need = np.zeros((len(blocks), k), dtype=bool)
-    touch = np.zeros((len(blocks), Df.size), dtype=bool)
+    finishes the most DOFs of Df (one product of the blocks' and DOFs'
+    open counts), the lower index on ties.  A block is added with its
+    last candidate and a DOF eliminated with its last block; returns the
+    order and these (1-based) levels."""
+    need = np.zeros((len(blocks), k))
+    touch = np.zeros((len(blocks), Df.size))
     for c, (js, d, _) in enumerate(blocks):
-        need[c, js], touch[c] = True, np.isin(Df, d)
+        need[c, js], touch[c] = 1.0, np.isin(Df, d)
+    pending = need.sum(axis=1)
+    unfinished = (pending > 0) @ touch
     order: list[int] = []
     for _ in range(k):
-        order.append(max((j for j in range(k) if j not in order), key=lambda j: (
-            np.count_nonzero(~np.any(touch[np.any(np.delete(
-                need, order + [j], axis=1), axis=1)], axis=0)), -j)))
+        finishes = (need * (pending == 1)[:, None]).T @ touch
+        done = np.count_nonzero(finishes == unfinished, axis=1)
+        done[order] = -1
+        order.append(int(np.argmax(done)))
+        pending -= need[:, order[-1]]
+        unfinished -= finishes[order[-1]]
     level = 1 + np.max(np.where(need, np.argsort(order), -1), axis=1, initial=-1)
     return order, level, np.max(np.where(touch, level[:, None], 0), axis=0,
                                 initial=0)
@@ -728,14 +735,14 @@ def brute_force_minimize(grid: GridSpec, candidates: list[Face],
     is G on ``params.homogeneous()``.
     """
     params = params.homogeneous() if homogeneous else params
-    candidates = sorted(candidates)
     k = len(candidates)
     if k > EXHAUSTIVE_LIMIT:
         raise ValueError(f"{k} candidates exceed the exhaustive search "
                          f"(at most {EXHAUSTIVE_LIMIT})")
-    # JumpSet refuses faces off the grid and on its boundary
-    if len(JumpSet(grid, candidates)) < k:
+    keys = np.unique(grid.face_keys(candidates))
+    if keys.size < k:
         raise ValueError("duplicate candidate faces")
+    candidates = grid.face_tuples(keys)
     system = ElasticSystem(grid, params, pinned_mask, pinned_values)
     energies = ConfigurationEnergies(system, candidates,
                                      base_jumps or JumpSet(grid), region)
@@ -748,8 +755,8 @@ def brute_force_minimize(grid: GridSpec, candidates: list[Face],
     bd = dict(zip(ENERGY_TERMS, per_config[best.active_bits].item()[1:]))
     u = DisplacementField(grid, energies.minimizer(best.active_bits)
                           .reshape(system.g_vals.shape))
-    return OracleResult(best_config=best, minimizer_u=u, min_energy=bd["total"],
-                        breakdown=bd, per_config=per_config)
+    return OracleResult(best, energies.jumps(best.active_bits), u, bd["total"],
+                        bd, per_config)
 
 
 def greedy_bits(k: int, energy_of) -> int:
@@ -780,12 +787,10 @@ def deviation_psi0(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
     h = grid.spacing
     inner = BoxRegion(tuple(v + PSI0_MARGIN_CELLS * h for v in region.lo),
                       tuple(v - PSI0_MARGIN_CELLS * h for v in region.hi))
-    for f in candidates:
-        c = grid.face_center(f)
-        if not bool(inner.contains_points(c[None, :])[0]):
-            raise ValueError("candidate faces must lie inside the inner box")
-    node_inside = inner.contains_points(grid.node_coord_grid())
-    pinned_mask = ~node_inside
+    keys = grid.face_keys(candidates)
+    if not np.all(inner.contains_points(grid.face_centers(keys))):
+        raise ValueError("candidate faces must lie inside the inner box")
+    pinned_mask = ~inner.contains_points(grid.node_coord_grid())
     reg = None if bool(np.all(region.cell_mask(grid))) else region
     g0 = params.homogeneous()
     own = energy_breakdown(u, jumps, g0, reg)["total"]
@@ -793,9 +798,8 @@ def deviation_psi0(u: DisplacementField, jumps: JumpSet, params: EnergyParams,
     result = brute_force_minimize(
         grid, candidates, g0, region=reg, base_jumps=jumps,
         pinned_mask=pinned_mask, pinned_values=u.values)
-    psi0 = own - result.min_energy
-    return {"psi0": psi0, "own_energy": own, "infimum": result.min_energy,
-            "oracle": result}
+    return {"psi0": own - result.min_energy, "own_energy": own,
+            "infimum": result.min_energy, "oracle": result}
 
 
 def density_lower_bound_check(u: DisplacementField, jumps: JumpSet,
@@ -816,7 +820,7 @@ def density_lower_bound_check(u: DisplacementField, jumps: JumpSet,
     fidelity = cellwise_pth_power(u.values, grid, params.p) \
         if params.kappa > 0 else None
     c1d = grid.cell_centers_1d()
-    _, face_centers = jumps.face_coord_arrays()
+    face_centers = grid.face_centers(jumps.keys)
     rows = []
     theta0_min, theta1_min = math.inf, math.inf
     for rho in radii:
@@ -911,18 +915,14 @@ def vanishing_jump_harness(grid: GridSpec, kind: str, levels: int,
 
     dens_inf = f_zero(e_inf, params)
     dens_runs = [f_zero(r["res"].strain, params) for r in runs]
-    semicontinuity = []
-    for t in HARNESS_T_VALUES:
-        box = centered_box(t, grid.dim).cell_slices(grid)
-        lhs = float(np.sum(dens_inf[box].ravel()) * hvol)
-        tail = [float(np.sum(dens[box].ravel()) * hvol) for dens in dens_runs]
-        bound = min(tail) + tol
-        semicontinuity.append({"t": t, "lhs": lhs, "tail_min": min(tail),
-                               "tolerance": tol, "pass": lhs <= bound})
-
-    weighted_jump = []
+    semicontinuity, weighted_jump = [], []
     for t in HARNESS_T_VALUES:
         box = centered_box(t, grid.dim)
+        cells = box.cell_slices(grid)
+        lhs = float(np.sum(dens_inf[cells].ravel()) * hvol)
+        tail = [float(np.sum(dens[cells].ravel()) * hvol) for dens in dens_runs]
+        semicontinuity.append({"t": t, "lhs": lhs, "tail_min": min(tail),
+                               "tolerance": tol, "pass": lhs <= min(tail) + tol})
         vals = [params.beta * faces_in_region(grid, r["jumps"], box)
                 * grid.face_area() for r in runs]
         halving = all(vals[i + 1] <= 0.5 * vals[i] + 1e-15

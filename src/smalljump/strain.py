@@ -3,17 +3,18 @@
 Per cell, each partial derivative is the mean of nodal edge differences
 along that axis.  Crack faces sit on node planes, and the nodes of a
 cracked plane carry the values of the face's owning side: the low side
-by default, the high side for faces marked ``owner_high`` in the jump
-set.  A cell whose own face is cracked and owned by the other side drops
-that node layer and falls back to a one-sided pair on its own side of
-the crack (never differencing across another crack); an axis with no
+by default, the high side for faces whose state in the jump set is
+HIGH_OWNED.  A cell whose own face is cracked and owned by the other
+side drops that node layer and falls back to a one-sided pair on its own
+side of the crack (never differencing across another crack); an axis with no
 usable same-side pair contributes zero strain.  Bonded faces always
 couple through their shared nodes, and rigid motions produce exactly
 zero strain in every mode.
 
 This owner rule lives here alone, in ``stencil_table``: from the states
-of the faces that ``face_slots`` places around an array of cells, it
-gives each cell's difference terms in one fixed order.  The strain of the cells
+of the faces that ``face_slots`` places around an array of cells (read
+from the jump set's key and state arrays), it gives each cell's
+difference terms in one fixed order.  The strain of the cells
 that faces reach and the elastic solver's local matrices
 (``oracle.ElasticSystem``) are both sums over those terms, so both
 discretize identically.
@@ -30,30 +31,30 @@ ninth.  So densities and magnitudes have the bits of that sum.
 
 from __future__ import annotations
 
-from itertools import chain, product
-from typing import Iterator, Sequence
+from itertools import product
+from typing import Iterator
 
 import numpy as np
 
-from .grid import DisplacementField, Face, GridSpec, JumpSet, cell_slabs
+from .grid import (HIGH_OWNED, LOW_OWNED, DisplacementField, GridSpec,
+                   JumpSet, cell_slabs)
 
 # The node planes, relative to cell[a], of the faces across axis a that a
 # cell's stencils read.  A face state is 0 (uncracked), LOW_OWNED or
 # HIGH_OWNED.
 READ_PLANES = np.arange(-1, 3)
-LOW_OWNED, HIGH_OWNED = 1, 2
 # (dim, T, dim) transverse node offsets of the T = 2^(dim-1) terms of
 # d/dx_a: product order over the other axes, the last fastest; -1 on a.
 _COMBOS = {d: np.array([[c[:a] + (-1,) + c[a:] for c in product((0, 1), repeat=d - 1)]
                         for a in range(d)]) for d in (2, 3)}
 
 
-def face_slots(grid: GridSpec, jumps: JumpSet, first: Sequence[Face] = ()
+def face_slots(grid: GridSpec, jumps: JumpSet, first: np.ndarray = ()
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cells, slot, state) of the faces of ``first`` and ``jumps``: the
-    faces listed as ``first``, then the other faces of ``jumps``, the
-    high-owned ones first; a face of ``first`` has its owner flag in
-    ``jumps``.
+    """(cells, slot, state) of the faces ``first`` (keys) and ``jumps``:
+    the faces of ``first``, then the other faces of ``jumps`` in key
+    order; a face of ``first`` has its state in ``jumps`` (LOW_OWNED off
+    it).
 
     ``cells`` (n, dim), in increasing order, are the cells whose stencils
     may read a listed face: the two cells it bounds, and through the
@@ -63,21 +64,18 @@ def face_slots(grid: GridSpec, jumps: JumpSet, first: Sequence[Face] = ()
     ``state`` holds each listed face's state, then the 0 that -1 picks.
     """
     dim, m = grid.dim, grid.cells_per_side
-    rest = jumps.faces.difference(first)
-    high, low = list(rest & jumps.owner_high), list(rest - jumps.owner_high)
-    state = np.array([1 + (f in jumps.owner_high) for f in first]
-                     + [HIGH_OWNED] * len(high) + [LOW_OWNED] * len(low) + [0],
-                     dtype=np.int8)
-    f = np.fromiter(chain.from_iterable((a, *idx) for a, idx in (
-        *first, *high, *low)), dtype=np.int64).reshape(-1, 1 + dim)
+    first = np.asarray(first, dtype=np.int64)
+    f = np.concatenate([first, np.setdiff1d(jumps.keys, first)])
+    state = np.append(jumps.states(f), np.int8(0))
+    axis, idx = grid.face_cells(f)
     stride = m ** np.arange(dim - 1, -1, -1)
-    along = f[np.arange(len(f)), 1 + f[:, 0]][:, None] - READ_PLANES
-    keys = (f[:, 1:] @ stride)[:, None] - READ_PLANES * stride[f[:, 0], None]
+    along = idx[np.arange(len(f)), axis][:, None] - READ_PLANES
+    flat = (idx @ stride)[:, None] - READ_PLANES * stride[axis, None]
     j, r = np.nonzero((along >= 0) & (along < m))
-    keys, cell = np.unique(keys[j, r], return_inverse=True)
-    slot = np.full((len(keys), dim, len(READ_PLANES)), -1)
-    slot[cell, f[j, 0], r] = j
-    return (np.stack(np.unravel_index(keys, grid.cell_shape), axis=1), slot,
+    flat, cell = np.unique(flat[j, r], return_inverse=True)
+    slot = np.full((len(flat), dim, len(READ_PLANES)), -1)
+    slot[cell, axis[j], r] = j
+    return (np.stack(np.unravel_index(flat, grid.cell_shape), axis=1), slot,
             state)
 
 

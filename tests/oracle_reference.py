@@ -1,7 +1,8 @@
 """Test-only references for the oracle search: one dense LU solve of the
-full system per crack configuration, without condensation; and the
+full system per crack configuration, without condensation; the
 elimination tree stepped by gathered fancy-index scatters, whose bits
-the broadcast step must keep."""
+the broadcast step must keep; and the greedy elimination order counted
+afresh for every choice."""
 
 from __future__ import annotations
 
@@ -148,3 +149,22 @@ def gather_corrections(energies, bits: np.ndarray, x_D: np.ndarray):
         coupling[:, free_pos] += cpl[t]
     return dx, np.sqrt(energies._rhs_inner2 + np.sum(
         (energies._rhs_Df - coupling) ** 2, axis=1))
+
+
+def elimination_order(blocks, Df: np.ndarray, k: int):
+    """``oracle._elimination_order`` as first written: each choice counts,
+    for every candidate left, the DOFs that no block with another
+    undecided candidate touches, over the whole block x candidate
+    matrix."""
+    need = np.zeros((len(blocks), k), dtype=bool)
+    touch = np.zeros((len(blocks), Df.size), dtype=bool)
+    for c, (js, d, _) in enumerate(blocks):
+        need[c, js], touch[c] = True, np.isin(Df, d)
+    order: list[int] = []
+    for _ in range(k):
+        order.append(max((j for j in range(k) if j not in order), key=lambda j: (
+            np.count_nonzero(~np.any(touch[np.any(np.delete(
+                need, order + [j], axis=1), axis=1)], axis=0)), -j)))
+    level = 1 + np.max(np.where(need, np.argsort(order), -1), axis=1, initial=-1)
+    return order, level, np.max(np.where(touch, level[:, None], 0), axis=0,
+                                initial=0)

@@ -6,7 +6,9 @@ The crack stencils used to be chosen from whole-grid face flag arrays
 independent reference for the owner rule of ``smalljump.strain``, whose
 stencil tables ``table_ops`` writes out in the same list form.
 ``staircase`` is a crack set that reaches many cells: a 45 degree
-staircase in (x0, x1).
+staircase in (x0, x1).  ``tuple_face_slots`` is ``face_slots`` as it
+was written over frozensets of face tuples, before jump sets became key
+arrays.
 
 The strain used to be stored as ``cell_shape + (dim, dim)`` and reduced
 with numpy sums over the two trailing axes.  These are those functions,
@@ -18,10 +20,12 @@ it, and the Frobenius magnitude with the L^p norm.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from smalljump.grid import GridSpec, JumpSet
-from smalljump.strain import face_slots, stencil_table
+from smalljump.strain import READ_PLANES, face_slots, stencil_table
 
 
 class CrackContext:
@@ -190,6 +194,30 @@ def staircase(grid: GridSpec) -> JumpSet:
             if (k + sum(r)) % 2:
                 high += faces[-2:]
     return JumpSet(grid, faces, high)
+
+
+def tuple_face_slots(grid: GridSpec, faces: frozenset, owner_high: frozenset,
+                     first=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cells, slot, state) of ``face_slots`` from face tuples: the faces of
+    ``first``, then the other faces, the high-owned ones first, each group
+    in set order.  Only ``cells`` and ``state[slot]`` are independent of
+    that order."""
+    dim, m = grid.dim, grid.cells_per_side
+    rest = faces.difference(first)
+    high, low = list(rest & owner_high), list(rest - owner_high)
+    state = np.array([1 + (f in owner_high) for f in first]
+                     + [2] * len(high) + [1] * len(low) + [0], dtype=np.int8)
+    f = np.fromiter(chain.from_iterable((a, *idx) for a, idx in (
+        *first, *high, *low)), dtype=np.int64).reshape(-1, 1 + dim)
+    stride = m ** np.arange(dim - 1, -1, -1)
+    along = f[np.arange(len(f)), 1 + f[:, 0]][:, None] - READ_PLANES
+    keys = (f[:, 1:] @ stride)[:, None] - READ_PLANES * stride[f[:, 0], None]
+    j, r = np.nonzero((along >= 0) & (along < m))
+    keys, cell = np.unique(keys[j, r], return_inverse=True)
+    slot = np.full((len(keys), dim, len(READ_PLANES)), -1)
+    slot[cell, f[j, 0], r] = j
+    return (np.stack(np.unravel_index(keys, grid.cell_shape), axis=1), slot,
+            state)
 
 
 def affected_cells(grid: GridSpec, jumps: JumpSet) -> set[tuple[int, ...]]:

@@ -231,9 +231,10 @@ def test_boundary_faces_of_mask_equal_brute_force(shape, fill):
             if mask[idx] != mask[below]:
                 want.append((a, idx))
     got = boundary_faces_of_mask(mask)
-    assert got == sorted(want)
-    assert all(type(i) is int for _, idx in got for i in idx)
-    assert (got == []) == (fill in ("empty", "full"))
+    assert got.dtype == np.int64
+    axis, *idx = (i.tolist() for i in np.unravel_index(got, (mask.ndim,) + shape))
+    assert list(zip(axis, zip(*idx))) == sorted(want)
+    assert (got.size == 0) == (fill in ("empty", "full"))
 
 
 def test_partition_sums_to_one_and_bounded_overlap():

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 import json
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from smalljump import grid as grid_module
+from smalljump.covering import face_coords12
 from smalljump.energy import (
     EnergyParams,
     HookeTensor,
@@ -75,6 +78,29 @@ def test_jumpset_validation(grid2d):
     assert len(js) == 1
 
 
+@pytest.mark.parametrize("faces, owner_high, message", [
+    ([(0, (4, 4.7))], [], "malformed face (0, (4, 4.7))"),
+    ([(1.0, (4, 4))], [], "malformed face (1.0, (4, 4))"),
+    ([(0, (4,))], [], "malformed face (0, (4,))"),
+    ([(2, (4, 4))], [], "malformed face (2, (4, 4))"),
+    ([(0, (8, 3)), (1, (4, 4.5)), (0, (0, 3))], [], "malformed face (1, (4, 4.5))"),
+    ([(0, (8, 3)), (0, (0, 3)), (0, (4, 4.5))], [], "face (0, (0, 3)) is not interior"),
+    ([(0, (8, 16)), (0, (16, 3))], [], "face (0, (8, 16)) outside the grid"),
+    ([(np.int64(0), (np.int64(8), np.int64(-1)))], [],
+     "face (0, (8, -1)) outside the grid"),
+    ([(0, (8, 2 ** 70))], [], f"face (0, (8, {2 ** 70})) outside the grid"),
+    ([(0, (8, 3))], [(0, (8, 4))], "owner_high must be a subset of the faces"),
+], ids=["float-index", "float-axis", "short-index", "axis-past-dim",
+        "first-is-malformed", "first-is-on-the-boundary", "first-is-off-the-grid",
+        "numpy-integers", "huge-index", "owner-high-outside"])
+def test_jumpset_names_the_first_malformed_face(grid2d, faces, owner_high, message):
+    # non-integer entries are refused, never truncated; the first
+    # offending face in input order names the error
+    with pytest.raises(ValueError) as exc:
+        JumpSet(grid2d, faces, owner_high)
+    assert str(exc.value) == message
+
+
 def test_strain_zero_for_constants_and_rigid(grid2d):
     rng = np.random.default_rng(0)
     empty = JumpSet(grid2d)
@@ -115,16 +141,19 @@ def test_strain_ignores_crack_between_two_motions():
     assert np.max(np.abs(e)) < 1e-12
 
 
+def _faces(g: GridSpec):
+    """Random interior faces of ``g``."""
+    m = g.cells_per_side
+    return st.tuples(
+        st.integers(0, g.dim - 1), st.integers(1, m - 1),
+        st.lists(st.integers(0, m - 1), min_size=g.dim - 1, max_size=g.dim - 1),
+    ).map(lambda t: (t[0], tuple(t[2][:t[0]]) + (t[1],) + tuple(t[2][t[0]:])))
+
+
 @st.composite
 def crack_sets(draw, grid: GridSpec) -> JumpSet:
     """Random interior faces with a random owner_high subset."""
-    m = grid.cells_per_side
-    face = st.tuples(
-        st.integers(0, grid.dim - 1), st.integers(1, m - 1),
-        st.lists(st.integers(0, m - 1), min_size=grid.dim - 1,
-                 max_size=grid.dim - 1),
-    ).map(lambda t: (t[0], tuple(t[2][:t[0]]) + (t[1],) + tuple(t[2][t[0]:])))
-    faces = draw(st.lists(face, max_size=20, unique=True))
+    faces = draw(st.lists(_faces(grid), max_size=20, unique=True))
     owned = draw(st.lists(st.booleans(), min_size=len(faces),
                           max_size=len(faces)))
     return JumpSet(grid, faces, [f for f, o in zip(faces, owned) if o])
@@ -547,3 +576,77 @@ def test_field_io_roundtrip(tmp_path, grid2d):
     back_o = load_jump(tmp_path / "owned.json", grid2d)
     assert back_o.faces == owned.faces
     assert back_o.owner_high == owned.owner_high == {(1, (2, 7)), (0, (5, 5))}
+
+
+_KEY_GRIDS = tuple(GridSpec(2, m, 1.0) for m in range(6, 17)) + tuple(
+    GridSpec(3, m, 1.0) for m in range(4, 9))
+
+
+def _tuple_center(g: GridSpec, face) -> list[float]:
+    """A face centre computed face by face, as GridSpec.face_center did."""
+    axis, idx = face
+    return [-g.half_width + g.spacing * (i if a == axis else i + 0.5)
+            for a, i in enumerate(idx)]
+
+
+def _tuple_jump_json(faces: frozenset, owner_high: frozenset) -> str:
+    payload = [[a, list(idx)] for a, idx in sorted(faces)]
+    if owner_high:
+        payload = {"faces": payload,
+                   "owner_high": [[a, list(idx)] for a, idx in sorted(owner_high)]}
+    return json.dumps(payload)
+
+
+@given(data=st.data())
+def test_jump_set_keys_match_a_tuple_reference(data, tmp_path_factory):
+    # a JumpSet against the frozensets of face tuples it used to hold
+    g = data.draw(st.sampled_from(_KEY_GRIDS))
+    sets = []
+    for _ in range(2):
+        faces = data.draw(st.lists(_faces(g), max_size=30))   # repeats too
+        high = data.draw(st.lists(st.sampled_from(faces), max_size=len(faces))
+                         if faces else st.just([]))
+        sets.append((JumpSet(g, faces, high), frozenset(faces), frozenset(high)))
+    (a, ref_a, high_a), (b, ref_b, _) = sets
+    assert a.sorted_faces() == sorted(ref_a)
+    assert a.faces == ref_a and a.owner_high == high_a
+    assert len(a) == len(ref_a) and a.measure() == len(ref_a) * g.face_area()
+    for f in sorted(ref_a | ref_b) + [(0, (0,) * g.dim), (g.dim, (1,) * g.dim)]:
+        assert (f in a) == (f in ref_a)
+    for op, ref in ((np.union1d, ref_a | ref_b), (np.setdiff1d, ref_a - ref_b),
+                    (np.setxor1d, ref_a ^ ref_b)):
+        assert g.face_tuples(op(a.keys, b.keys)) == sorted(ref)
+
+    axes, centers = a.face_coord_arrays()
+    assert axes.dtype == np.int64 and centers.shape == (len(ref_a), g.dim)
+    assert axes.tolist() == [f[0] for f in sorted(ref_a)]
+    assert centers.tobytes() == np.array(
+        [_tuple_center(g, f) for f in sorted(ref_a)]).reshape(-1, g.dim).tobytes()
+    if g.cells_per_side % 2 == 0:   # covering grids are dyadic
+        want = [[12 * (i - g.cells_per_side // 2) + 6 - 6 * (j == axis)
+                 for j, i in enumerate(idx)] for axis, idx in sorted(ref_a)]
+        assert face_coords12(g, a).tolist() == want
+
+    first = sorted(ref_b)[:data.draw(st.integers(0, len(ref_b)))]
+    cells, slot, state = face_slots(g, a, g.face_keys(first))
+    ref_cells, ref_slot, ref_state = sref.tuple_face_slots(g, ref_a, high_a, first)
+    assert np.array_equal(cells, ref_cells)
+    assert np.array_equal(state[slot], ref_state[ref_slot])
+
+    path = tmp_path_factory.getbasetemp() / "keys.jump.json"
+    save_jump(path, a)
+    assert path.read_text() == _tuple_jump_json(ref_a, high_a)
+
+
+def test_only_the_grid_module_reads_face_tuples():
+    # every other module of the package works on face keys: no tuple view
+    # of a jump set and no per-face centre
+    views = {"faces", "owner_high", "sorted_faces", "face_center"}
+    found = []
+    for path in sorted(Path(grid_module.__file__).parent.glob("*.py")):
+        if path.name == "grid.py":
+            continue
+        found += [f"{path.name}:{node.lineno} .{node.attr}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute) and node.attr in views]
+    assert found == []

@@ -22,6 +22,16 @@ Against the per-configuration solves they replaced, the winners were
 the same, every ``configs.csv`` value moved by at most 8.8e-15
 relative, ``minimizer.bin`` by at most 7.2e-16 and psi0 by 4.4e-16; the
 Dirichlet search's totals moved by at most 2.5e-16 relative.
+
+All digests are taken with one BLAS thread, which ``tests/conftest.py``
+sets.  OpenBLAS splits a product by its thread count, so the oracle CLI
+digests and both Dirichlet digests came out differently at one thread
+than at the two to four threads they were first recorded with; they were
+re-recorded at one thread from unchanged code.  The winners stayed the
+same; ``configs.csv`` values moved by at most 4.4e-15 relative,
+``minimizer.bin`` by 3.3e-15 of its largest entry, psi0 by 2.3e-15, the
+Dirichlet solve's field by 6.9e-16 of its largest entry and the
+Dirichlet search's totals by 1.3e-16 relative.
 """
 
 from __future__ import annotations
@@ -61,9 +71,9 @@ GOLDEN = {
 ORACLE_GOLDEN = {
     "2d-16-cracked-minimizer": (
         ["--dim", "2", "--cells", "16", "--kappa", "2", "--beta", "0.05"],
-        "3dde1ce083b5cc927f61943e3b9aa91d15eba3c2c559eb9a88105211d88d17ba",
-        "40607b6742992c85dc0764ac8b74f7366a2893336ee1b62c415fbdf9b5a177bb",
-        "4b6dfafb1ea16cf3ad2b6c317ecec7ef2913820c6bc8841e6e8b291b396a140c",
+        "721db0678f5cff4688b869b792b92af467e8b3f07ea698dcb854fac4c3ced378",
+        "8533882fe91a8a661abb5092d1331873511463d9566216c9673a9daac1860a59",
+        "f7d372dd0117ecfea6f7c34ce1e2d15b7d74429ed12a4dedcfab1d4775a35f8c",
     ),
 }
 
@@ -118,7 +128,7 @@ def test_dirichlet_solve_matches_golden_digest():
     digest = hashlib.sha256(u.values.tobytes()
                             + json.dumps(info, sort_keys=True).encode())
     assert digest.hexdigest() == (
-        "68a131c1a5de17baec97bf303473892d12e27149676e4897054f330d9bc799a4")
+        "1e95f7b481ee37753051af4a7b2532112219762af3918e22ea5f599b6dbdc2a2")
 
 
 def test_dirichlet_search_matches_golden_digest():
@@ -133,4 +143,4 @@ def test_dirichlet_search_matches_golden_digest():
                             + res.minimizer_u.values.tobytes()
                             + res.best_config.bitstring().encode())
     assert digest.hexdigest() == (
-        "150724b2a0e21f4c980c9a0cdc56f8c0d6a19e04b7c8e2eed1875f0b799217df")
+        "9edf3dc716e514af517e05edf4692ceb69d0bb69f9c9c51892481d06ca3412d9")

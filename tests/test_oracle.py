@@ -47,6 +47,7 @@ from smalljump.oracle import (
 from smalljump.strain import face_slots
 from tests.oracle_reference import (
     boundary_nodes,
+    elimination_order,
     full_solve_energies,
     gather_corrections,
     gather_leaves,
@@ -294,7 +295,7 @@ def test_cell_blocks_build_only_the_cells_candidates_reach():
     # one base face next to the candidates, one far from them
     base = JumpSet(g, [(0, (8, 11)), (1, (3, 3))], [(0, (8, 11))])
     cands = [(0, (8, j)) for j in range(5, 11)]
-    blocks = system.cell_blocks(base, cands)
+    blocks = system.cell_blocks(base, g.face_keys(cands))
     assert blocks.cells.tolist() == face_slots(g, JumpSet(g, cands))[0].tolist()
     # one table row per cell and subset of the candidates reaching it
     assert blocks.reach.tolist() == [
@@ -462,6 +463,14 @@ def test_malformed_candidate_lists_are_refused(monkeypatch, cands, message):
         brute_force_minimize(g, cands, params)
 
 
+def test_psi0_refuses_a_malformed_candidate():
+    g = GridSpec(2, 8, 1.0)
+    u = rigid_field(g, 0)[0]
+    params = EnergyParams(HOOKE, p=2.0, kappa=1.0, beta=1.0, g=u)
+    with pytest.raises(ValueError, match=r"^malformed face \(0, \(4,\)\)$"):
+        deviation_psi0(u, JumpSet(g), params, centered_box(1.0, 2), [(0, (4,))])
+
+
 def test_psi0_of_minimizer_and_perturbation():
     g = GridSpec(2, 8, 1.0)
     target = two_sided_target(g)
@@ -569,7 +578,7 @@ def test_density_lower_bound_on_plane_crack():
     # direct geometric count for the smallest radius at an interior center:
     # faces within a disc of radius 2h on the plane through its center
     from smalljump.grid import BallRegion, faces_in_region
-    x = g.face_center((0, (8, 8)))
+    x = g.face_centers(g.face_keys([(0, (8, 8))]))[0]
     ball = BallRegion(tuple(x), 2 * h)
     count = faces_in_region(g, JumpSet(g, faces), ball)
     assert count * h / (2 * h) >= 0.5
@@ -609,8 +618,7 @@ def test_density_rows_equal_per_ball_energy_G0(dim, cells, kappa):
     # reference: one full-grid energy_G0 per (face, radius) pair
     for row, rho in zip(out["rows"], radii):
         theta0, theta1 = [], []
-        for face in js.sorted_faces():
-            x = g.face_center(face)
+        for x in g.face_centers(js.keys):
             if np.max(np.abs(x)) + rho > g.half_width - h:
                 continue
             ball = BallRegion(tuple(float(v) for v in x), rho)
@@ -952,3 +960,20 @@ def test_blocks_decided_across_a_batch_root_keep_the_gather_bits():
         across += any(lvs[0] < batch <= lvs[-1] for lvs, *_ in energies._blocks)
         _assert_tree_keeps_the_gather_bits(energies, [0, 2 ** len(cands) - 1, 165])
     assert across
+
+
+@given(data=st.data())
+def test_incremental_elimination_order_matches_the_recount(data):
+    g = data.draw(st.sampled_from(_PIN_GRIDS))
+    cands = sorted(data.draw(_face_lists(g, 1, 8)))
+    base = JumpSet(g, data.draw(_face_lists(g, 0, 4)))
+    pinned = data.draw(st.sampled_from([None, boundary_nodes(g)]))
+    system = ElasticSystem(g, EnergyParams(HOOKE, p=2.0, kappa=1.0), pinned)
+    energies = oracle.ConfigurationEnergies(system, cands, base)
+    blocks = list(energies._cell_blocks())
+    pin = np.repeat(system.pinned.reshape(-1), g.dim)
+    D = np.unique(np.concatenate([d for _, d, _ in blocks] + [[]])).astype(int)
+    got = oracle._elimination_order(blocks, D[~pin[D]], len(cands))
+    want = elimination_order(blocks, D[~pin[D]], len(cands))
+    assert got[0] == want[0] == energies._order
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
