@@ -226,6 +226,8 @@ def cmd_verify(args) -> int:
 def _midline_candidates(grid: GridSpec, count: int, cross: bool) -> list:
     """Centred faces on the mid plane across axis 0; a cross puts
     ``count // 2`` there and the rest on the one across axis 1."""
+    if count < 0:
+        raise ValueError(f"{count} candidates: the count must not be negative")
     m = grid.cells_per_side
     arms = [count // 2, count - count // 2] if cross else [count]
     if max(arms) > m - 2:
@@ -270,7 +272,9 @@ def cmd_oracle(args) -> int:
         "best_bits": result.best_config.bitstring(),
         "min_energy": result.min_energy,
         "breakdown": result.breakdown,
-        "exhaustive": True,   # every search is; the key keeps the layout
+        # exact: each configuration is computed or shown to lie above the
+        # minimum, and the key keeps the layout
+        "exhaustive": True,
         "n_candidates": len(cands),
     }
     psi = deviation_psi0(result.minimizer_u, own_jumps, params,

@@ -3,11 +3,12 @@
 For p = 2 the bulk plus fidelity energy is a positive (semi)definite
 quadratic form in the node values; each crack configuration decouples
 stencils across its faces, and the solver returns the exact minimizer of
-that discrete quadratic.  The brute-force oracle enumerates crack
-configurations over a candidate face list, solving the bulk problem of
-each one (condensed onto the DOFs the candidates touch), and exposes
-minimality gaps, density lower bounds and vanishing-jump convergence
-experiments built on top of it.
+that discrete quadratic.  The oracle minimizes over the crack
+configurations of a candidate face list by branch and bound, solving
+the bulk problem of each configuration it cannot rule out (condensed
+onto the DOFs the candidates touch), and exposes minimality gaps,
+density lower bounds and vanishing-jump convergence experiments built
+on top of it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .grid import (
 from .strain import face_slots, stencil_table, symmetric_gradient
 
 # The most candidates of an exhaustive search, bound by its time: 2^k
-# configurations (see brute_force_minimize).
+# configurations when the bound prunes nothing (see brute_force_minimize).
 EXHAUSTIVE_LIMIT = 20
 # Width, in cells, of the band along the region boundary where psi0's
 # competitors are pinned to the field.
@@ -67,7 +68,8 @@ class CrackConfig:
                 if self.active_bits >> k & 1]
 
     def bitstring(self) -> str:
-        return format(self.active_bits, f"0{len(self.candidates)}b")[::-1]
+        return "".join(str(self.active_bits >> k & 1)
+                       for k in range(len(self.candidates)))
 
     @property
     def n_active(self) -> int:
@@ -81,7 +83,7 @@ class OracleResult:
     minimizer_u: DisplacementField
     min_energy: float
     breakdown: dict
-    per_config: np.ndarray   # CONFIG_DTYPE rows, sorted by bits
+    per_config: np.ndarray   # CONFIG_DTYPE rows the search computed, by bits
 
 
 # A row of the search's table: candidate bits, then the minimizer's energies.
@@ -388,7 +390,14 @@ class ConfigurationEnergies:
     by broadcast.  Energies and the residual check of every leaf come from
     |D|-sized coefficients; node values are built only for the winner,
     checked on the full Hessian, and for a region's energy_breakdown.
-    README, "Oracle", has the details and the measurements.
+
+    ``evaluate`` computes every leaf.  ``search`` is branch and bound
+    (Land & Doig 1960) over the same walk: above the batch level each
+    child gets a lower bound from its own S, less a fixed PSD matrix per
+    pending block, and a child or batch root whose bound is above the
+    lowest total computed so far is skipped; every leaf it computes is
+    the row evaluate() gives it.  README, "Oracle", has the details and
+    the measurements.
     """
 
     def __init__(self, system: ElasticSystem, candidates: list[Face],
@@ -406,8 +415,10 @@ class ConfigurationEnergies:
         return JumpSet.from_keys(self.system.grid, keys, self.base.states(keys))
 
     def _cell_blocks(self):
-        """(candidate indices, dofs, corrections) of each cell a candidate
-        reaches, one correction per subset of the cell's candidates."""
+        """(candidate indices, dofs, corrections, base) of each cell a
+        candidate reaches: one correction per subset of the cell's
+        candidates, on the DOFs they change, and the base configuration's
+        local matrix over all the cell's DOFs, those first."""
         if not len(self.candidates):   # a single solve: system_for has every block
             return
         blocks = self.system.cell_blocks(self.base, self.candidates)
@@ -419,10 +430,14 @@ class ConfigurationEnergies:
             t, a, b = np.nonzero((d[:, :, None] >= 0) & (d[:, None] >= 0))
             mats = np.zeros((len(d), dofs.size, dofs.size))
             mats[t, pos[t, a], pos[t, b]] = blocks.locs[rows][t, a, b]
-            mats -= mats[0]   # relative to the base configuration's block
+            base = mats[0].copy()
+            mats -= base   # relative to the base configuration's block
             used = np.any(mats != 0, axis=(0, 1))
             if np.any(used):
-                yield np.flatnonzero(reach), dofs[used], mats[:, used][:, :, used]
+                first = np.concatenate([np.flatnonzero(used),
+                                        np.flatnonzero(~used)])
+                yield (np.flatnonzero(reach), dofs[used],
+                       mats[:, used][:, :, used], base[first][:, first])
 
     def _condense(self) -> None:
         sys_, k = self.system, len(self.candidates)
@@ -433,7 +448,7 @@ class ConfigurationEnergies:
             H = H.toarray()
         pin = np.repeat(sys_.pinned.reshape(-1), sys_.dim)
         x0 = np.where(pin, sys_.pin_values.reshape(-1), 0.0)
-        D = np.unique(np.concatenate([d for _, d, _ in blocks] + [[]])).astype(int)
+        D = np.unique(np.concatenate([d for _, d, *_ in blocks] + [[]])).astype(int)
         self._order, block_level, dof_level = _elimination_order(
             blocks, D[~pin[D]], k)
         Df = D[~pin[D]][np.argsort(dof_level, kind="stable")]
@@ -448,7 +463,10 @@ class ConfigurationEnergies:
         # each block whole for the checks, and its free part embedded in the
         # S of its level for the tree, both with an axis per candidate
         self._blocks, self._levels = [], [[] for _ in range(k)]
-        for (js, d, mats), level in zip(blocks, block_level):
+        # each block's D positions and base matrix by level, for the bound
+        self._bases, self._bound_tables = [[] for _ in range(k + 2)], None
+        for (js, d, mats, base), level in zip(blocks, block_level):
+            self._bases[level].append((pos[d], base))
             free = ~pin[d]
             coupling = mats[:, free][:, :, ~free] @ x0[d[~free]]
             lvs, js, (mats, coupling) = _by_level(rank[js], js, mats, coupling)
@@ -503,26 +521,44 @@ class ConfigurationEnergies:
                 break
             self._batch_level = lv
 
-    def _leaves(self, only: int | None = None):
+    def _leaves(self, only: int | None = None, best=None):
         """(bits, x_Df) of every batch of leaves, or of the one leaf ``only``,
         whose path then fixes every bit and its nodes have no axes.  A
-        node is [S | r], the Schur complement beside its right-hand side."""
+        node is [S | r], the Schur complement beside its right-hand side.
+        With ``best``, a callable giving the lowest total computed so far,
+        only the subtrees that _walk cannot prune."""
         Sr = np.concatenate([self._S0, self._r0[:, None]], axis=1)
         if only is None:
-            yield from self._walk(Sr, 0, 0, ())
+            acc = np.array([self._E_xc, abs(self._E_xc)])
+            yield from self._walk(Sr, 0, 0, (), best, acc)
         else:
             yield from self._batch(Sr, only, 0, len(self.candidates), ())
 
-    def _walk(self, Sr, level: int, bits: int, path: tuple):
+    def _walk(self, Sr, level: int, bits: int, path: tuple, best=None,
+              acc=None):
         """Depth-first down to the batch level: each node's two children
-        are one step of two nodes; ``path`` holds the ancestors' solves."""
+        are one step of two nodes; ``path`` holds the ancestors' solves.
+        With ``best``, each child is bounded below (_bound, from the
+        node's energy so far ``acc``), the lower bound is visited first,
+        and a child is skipped when its bound is above ``best()`` by more
+        than TIE_RTOL and the bound's rounding error, so no configuration
+        tied with the lowest is skipped."""
         if level == self._batch_level:
             yield from self._batch(Sr, bits, level, level, path)
             return
-        Sr, (sol,) = self._decide(Sr, bits, level, (level,))
-        for b in (0, 1):
+        Sr, (sol,), drop = self._decide(Sr, bits, level, (level,))
+        kids = (0, 1)
+        if best is not None:
+            bounds, errs, acc = self._bound(Sr, bits, level, drop, acc)
+            kids = np.argsort(bounds, kind="stable").tolist()
+        for b in kids:
+            if best is not None:
+                lowest = best()
+                if bounds[b] - errs[b] > lowest + TIE_RTOL * abs(lowest):
+                    continue
             yield from self._walk(Sr[b], level + 1, bits | b << self._order[level],
-                                  path + (sol[b],))
+                                  path + (sol[b],), best,
+                                  None if best is None else acc[b])
 
     def _batch(self, Sr, root: int, level: int, batch: int, path: tuple):
         """(bits, x_Df) of the leaves below the node at ``level``: its levels
@@ -550,8 +586,9 @@ class ConfigurationEnergies:
         axis of length 2 for each level decided from ``batch`` on, child
         2i + b setting it to b.  Each level adds the blocks it completes,
         by broadcast, and eliminates the DOFs they finish; returns the
-        nodes and the levels' solves."""
-        sols = []
+        nodes, the levels' solves and each node's sum of r_e.S_ee^-1 r_e
+        over them, twice the energy the eliminations took off."""
+        sols, drop = [], 0.0
         for level in levels:
             if level >= batch:
                 Sr = np.repeat(Sr[..., None, :, :], 2, axis=-3)
@@ -564,9 +601,74 @@ class ConfigurationEnergies:
                 sol = np.linalg.solve(Sr[..., :e, :e], Sr[..., :e, e:])
             except np.linalg.LinAlgError as exc:
                 raise SolverError(f"singular elastic system: {exc}") from exc
+            drop = drop + np.sum(Sr[..., :e, -1] * sol[..., -1], axis=-1)
             Sr = Sr[..., e:, e:] - Sr[..., e:, :e] @ sol
             sols.append(sol)
-        return Sr, sols
+        return Sr, sols, drop
+
+    def _bound(self, Sr, bits: int, level: int, drop, acc):
+        """Lower bounds on the totals below the two children ``Sr`` of the
+        node at ``level`` whose energy so far is ``acc`` (value, sum of
+        magnitudes), their rounding errors and the children's ``acc``.
+
+        A pending block c cracks its base matrix B only on its DOFs d, and
+        B_c(t) - (B - Q_c on d x d) is the Schur complement of B_c(t) onto
+        d, so PSD, with Q_c the one of B (_schur_complement).  Below a
+        node its S minus the pending Q_c (with their pinned-DOF terms) is
+        then a lower Hessian; its minimum plus the energy so far and the
+        surface of the faces decided on bounds every configuration below.
+        A child whose lower Hessian is not positive definite gets -inf.
+        The error is 1e-10, the leaves' residual tolerance, of the terms'
+        magnitudes, plus |w| |A w - v| for the solve A w = v."""
+        if self._bound_tables is None:
+            self._bound_tables = self._bound_levels()
+        P, p, c, pinned = self._bound_tables[level + 1]
+        done = sum((_batch_view(e, lvs, js, bits, level, 1)
+                    for lvs, js, e in pinned), np.zeros(1))
+        acc = acc + np.stack([done - 0.5 * drop, np.abs(done) + 0.5 * np.abs(drop)],
+                             axis=-1)
+        surface = self._surface(bits | np.array([0, 1 << self._order[level]]))
+        bounds, errs = np.full(2, -math.inf), np.zeros(2)
+        for b in (0, 1):
+            A, v = Sr[b, :, :-1] - P, Sr[b, :, -1] + p
+            try:
+                np.linalg.cholesky(A)
+            except np.linalg.LinAlgError:
+                continue
+            w = np.linalg.solve(A, v)
+            least = -0.5 * float(v @ w)
+            bounds[b] = acc[b, 0] + c + least + surface[b]
+            errs[b] = 1e-10 * (acc[b, 1] + abs(c) + abs(least) + surface[b]) \
+                + float(np.linalg.norm(w) * np.linalg.norm(A @ w - v))
+        return bounds, errs, acc
+
+    def _bound_levels(self):
+        """Per number l of decided candidates, up to the batch level: the
+        sum of the Q_c of the blocks still pending, as (P, p, c) on the
+        front after l levels (P on its free DOFs, p = Q_fp x_p beside
+        them and c = -x_p.Q_pp x_p / 2), and the (lvs, js, x_p.B_pp x_p / 2)
+        of the blocks on pinned DOFs that level l - 1 completes."""
+        n_f, k = self._Df.size, len(self.candidates)
+        P, p, c = np.zeros((n_f, n_f)), np.zeros(n_f), 0.0
+        tables = [None] * (self._batch_level + 1)
+        for lv in reversed(range(k + 1)):
+            for pos, base in self._bases[lv + 1]:
+                q = _schur_complement(base, pos.size)
+                f = pos < n_f
+                x_p = self._xDp[pos[~f] - n_f]
+                P[pos[f, None], pos[f]] += q[f][:, f]
+                p[pos[f]] += q[f][:, ~f] @ x_p
+                c -= 0.5 * x_p @ q[~f][:, ~f] @ x_p
+            if lv <= self._batch_level:
+                lo = self._ends[lv]
+                tables[lv] = (P[lo:, lo:].copy(), p[lo:].copy(), c, [])
+        for lvs, js, pos, mats, _, _ in self._blocks:
+            f = pos < n_f
+            if lvs[-1] < self._batch_level and not np.all(f):
+                x_p = self._xDp[pos[~f] - n_f]
+                energy = 0.5 * ((mats[..., ~f, :][..., ~f] @ x_p) @ x_p)
+                tables[lvs[-1] + 1][3].append((lvs, js, energy))
+        return tables
 
     def _corrections(self, bits: np.ndarray, x_D: np.ndarray):
         """delta x_D of a batch of leaves, from the stored blocks, and the
@@ -599,6 +701,13 @@ class ConfigurationEnergies:
         quad = 0.5 * np.sum(x * hx, axis=1) - x @ self._f + self._const
         return x, quad, rel
 
+    def _surface(self, bits: np.ndarray) -> np.ndarray:
+        """beta h^(d-1) times the number of base and candidate faces that
+        ``bits`` crack: the surface energy of rows and of bounds alike."""
+        sys_ = self.system
+        return sys_.params.beta * sys_.grid.face_area() * (
+            len(self.base_faces) + np.bitwise_count(bits))
+
     def _rows(self, bits: np.ndarray, x_Df: np.ndarray) -> np.ndarray:
         sys_, n_f = self.system, self._Df.size
         x_D = np.concatenate([x_Df, np.broadcast_to(
@@ -618,8 +727,7 @@ class ConfigurationEnergies:
             rows["fidelity"] = a + np.sum(
                 x_Df * (2.0 * b + (C @ x_Df[..., None])[..., 0]), axis=1)
             rows["bulk"] = quad - rows["fidelity"]
-            rows["surface"] = sys_.params.beta * sys_.grid.face_area() * (
-                len(self.base_faces) + np.bitwise_count(bits))
+            rows["surface"] = self._surface(bits)
             rows["total"] = quad + rows["surface"]
         else:
             for i, b in enumerate(bits.tolist()):
@@ -630,11 +738,28 @@ class ConfigurationEnergies:
         return rows
 
     def evaluate(self) -> np.ndarray:
-        """Every configuration's CONFIG_DTYPE row, sorted by bits."""
+        """Every configuration's CONFIG_DTYPE row, sorted by bits: the
+        walk with no bound."""
         rows = np.empty(2 ** len(self.candidates), CONFIG_DTYPE)
         for bits, x_Df in self._leaves():
             rows[bits] = self._rows(bits, x_Df)
         return rows
+
+    def search(self) -> np.ndarray:
+        """The CONFIG_DTYPE rows of the configurations the branch-and-bound
+        walk computes, sorted by bits, each the row evaluate() gives it;
+        every configuration it skips has a total above the lowest by more
+        than TIE_RTOL.  With a region it is evaluate(): a region's
+        energies are not the quadratic that the bound bounds."""
+        if self.region is not None:
+            return self.evaluate()
+        tables, lowest = [], math.inf
+        for bits, x_Df in self._leaves(best=lambda: lowest):
+            tables.append(self._rows(bits, x_Df))
+            lowest = min(lowest, float(tables[-1]["total"].min()))
+        rows = np.concatenate(tables)
+        del tables
+        return rows[np.argsort(rows["bits"])]
 
     def minimizer(self, bits: int) -> np.ndarray:
         """Flat node values of one configuration: its path is walked again,
@@ -690,6 +815,19 @@ def _batch_view(a: np.ndarray, lvs: tuple, js: tuple, root: int, batch: int,
     return a[fixed].reshape(shape + list(a.shape[len(lvs):]))
 
 
+def _schur_complement(B: np.ndarray, n: int) -> np.ndarray:
+    """B_dd - B_dN B_NN^+ B_Nd of a PSD matrix B whose first n DOFs are d.
+    B_NN's eigenvalues below 1e-10 of its largest count as zero: a mode
+    cut off only makes the complement larger, and the bound it gives
+    lower."""
+    if n == len(B):
+        return B.copy()
+    lam, V = np.linalg.eigh(B[n:, n:])
+    keep = lam > 1e-10 * lam.max(initial=0.0)
+    W = B[:n, n:] @ V[:, keep]
+    return B[:n, :n] - (W / lam[keep]) @ W.T
+
+
 def _elimination_order(blocks, Df: np.ndarray, k: int):
     """Greedy candidate order of the elimination tree: the next candidate
     finishes the most DOFs of Df (one product of the blocks' and DOFs'
@@ -698,7 +836,7 @@ def _elimination_order(blocks, Df: np.ndarray, k: int):
     order and these (1-based) levels."""
     need = np.zeros((len(blocks), k))
     touch = np.zeros((len(blocks), Df.size))
-    for c, (js, d, _) in enumerate(blocks):
+    for c, (js, d, *_) in enumerate(blocks):
         need[c, js], touch[c] = 1.0, np.isin(Df, d)
     pending = need.sum(axis=1)
     unfinished = (pending > 0) @ touch
@@ -725,13 +863,16 @@ def brute_force_minimize(grid: GridSpec, candidates: list[Face],
                          ) -> OracleResult:
     """Minimize over all 2^k crack configurations of the candidate list.
 
-    Every energy comes from one ConfigurationEnergies.  More than
-    EXHAUSTIVE_LIMIT candidates are refused before any system is built,
-    a limit set by time (README, "Oracle").  ``per_config`` is one
-    CONFIG_DTYPE row (40 B) per configuration, sorted by bits; only the
-    winner's node values are built.  Energies within TIE_RTOL of the
-    lowest count as tied, and among them fewer active faces wins, then
-    the lexicographic bitstring.  ``homogeneous=True`` minimizes G0, that
+    Every energy comes from one ConfigurationEnergies.search: the
+    configurations are searched by branch and bound, and the ones it
+    skips provably lie above the lowest total by more than TIE_RTOL, so
+    the minimum is exact.  More than EXHAUSTIVE_LIMIT candidates are
+    refused before any system is built, because the worst case still
+    computes all 2^k (README, "Oracle").  ``per_config`` is one
+    CONFIG_DTYPE row (40 B) per configuration computed, sorted by bits;
+    only the winner's node values are built.  Energies within TIE_RTOL
+    of the lowest count as tied, and among them fewer active faces wins,
+    then the lexicographic bitstring.  ``homogeneous=True`` minimizes G0, that
     is G on ``params.homogeneous()``.
     """
     params = params.homogeneous() if homogeneous else params
@@ -746,37 +887,18 @@ def brute_force_minimize(grid: GridSpec, candidates: list[Face],
     system = ElasticSystem(grid, params, pinned_mask, pinned_values)
     energies = ConfigurationEnergies(system, candidates,
                                      base_jumps or JumpSet(grid), region)
-    per_config = energies.evaluate()
+    per_config = energies.search()
     totals = per_config["total"]
     lowest = totals.min()
     tied = per_config["bits"][totals <= lowest + TIE_RTOL * abs(lowest)]
     best = min((CrackConfig(tuple(candidates), b) for b in tied.tolist()),
                key=lambda c: (c.n_active, c.bitstring()))
-    bd = dict(zip(ENERGY_TERMS, per_config[best.active_bits].item()[1:]))
+    bd = dict(zip(ENERGY_TERMS, per_config[np.searchsorted(
+        per_config["bits"], best.active_bits)].item()[1:]))
     u = DisplacementField(grid, energies.minimizer(best.active_bits)
                           .reshape(system.g_vals.shape))
     return OracleResult(best, energies.jumps(best.active_bits), u, bd["total"],
                         bd, per_config)
-
-
-def greedy_bits(k: int, energy_of) -> int:
-    """Best-improvement single-flip descent from both extremes: a
-    reference for the exhaustive search, not part of it."""
-    best_bits, best_e = None, math.inf
-    for start in (0, 2 ** k - 1):
-        bits = start
-        e = energy_of(bits)
-        while True:
-            cand = [(energy_of(bits ^ (1 << j)), bits ^ (1 << j))
-                    for j in range(k)]
-            cand.sort(key=lambda t: (t[0], bin(t[1]).count("1"), t[1]))
-            if cand and cand[0][0] < e - 1e-15:
-                e, bits = cand[0]
-            else:
-                break
-        if e < best_e:
-            best_bits, best_e = bits, e
-    return best_bits
 
 
 def deviation_psi0(u: DisplacementField, jumps: JumpSet, params: EnergyParams,

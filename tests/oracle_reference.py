@@ -1,10 +1,13 @@
 """Test-only references for the oracle search: one dense LU solve of the
 full system per crack configuration, without condensation; the
 elimination tree stepped by gathered fancy-index scatters, whose bits
-the broadcast step must keep; and the greedy elimination order counted
-afresh for every choice."""
+the broadcast step must keep; the greedy elimination order counted
+afresh for every choice; and a single-flip descent over the
+configurations."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -83,7 +86,7 @@ def gather_blocks(energies):
     pos[D] = np.arange(D.size)
     rank = np.argsort(energies._order)
     whole, levels = [], [[] for _ in energies.candidates]
-    for js, d, mats in energies._cell_blocks():
+    for js, d, mats, _ in energies._cell_blocks():
         free = ~pin[d]
         coupling = mats[:, free][:, :, ~free] @ energies._xc[d[~free]]
         level = int(rank[js].max())
@@ -158,7 +161,7 @@ def elimination_order(blocks, Df: np.ndarray, k: int):
     matrix."""
     need = np.zeros((len(blocks), k), dtype=bool)
     touch = np.zeros((len(blocks), Df.size), dtype=bool)
-    for c, (js, d, _) in enumerate(blocks):
+    for c, (js, d, *_) in enumerate(blocks):
         need[c, js], touch[c] = True, np.isin(Df, d)
     order: list[int] = []
     for _ in range(k):
@@ -168,3 +171,23 @@ def elimination_order(blocks, Df: np.ndarray, k: int):
     level = 1 + np.max(np.where(need, np.argsort(order), -1), axis=1, initial=-1)
     return order, level, np.max(np.where(touch, level[:, None], 0), axis=0,
                                 initial=0)
+
+
+def greedy_bits(k: int, energy_of) -> int:
+    """Best-improvement single-flip descent from both extremes: a
+    reference for the exhaustive search, not part of it."""
+    best_bits, best_e = None, math.inf
+    for start in (0, 2 ** k - 1):
+        bits = start
+        e = energy_of(bits)
+        while True:
+            cand = [(energy_of(bits ^ (1 << j)), bits ^ (1 << j))
+                    for j in range(k)]
+            cand.sort(key=lambda t: (t[0], bin(t[1]).count("1"), t[1]))
+            if cand and cand[0][0] < e - 1e-15:
+                e, bits = cand[0]
+            else:
+                break
+        if e < best_e:
+            best_bits, best_e = bits, e
+    return best_bits

@@ -39,13 +39,16 @@ from smalljump.oracle import (
     brute_force_minimize,
     density_lower_bound_check,
     deviation_psi0,
-    greedy_bits,
     solve_elastic,
     vanishing_jump_harness,
 )
 from smalljump.strain import symmetric_gradient
 from tests import covering_reference as cref
-from tests.oracle_reference import boundary_nodes, full_solve_energies
+from tests.oracle_reference import (
+    boundary_nodes,
+    full_solve_energies,
+    greedy_bits,
+)
 
 PARAMS = EnergyParams(HookeTensor(1.0, 1.0), p=2.0)
 HOOKE = HookeTensor(1.0, 1.0)

@@ -447,6 +447,27 @@ def test_more_candidates_than_the_exhaustive_search_exits_one(
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("cross", [[], ["--cross"]])
+def test_negative_candidate_count_exits_one(tmp_path, capsys, cross):
+    rc = main(["oracle", "--cells", "8", "--n-candidates", "-3", *cross,
+               "--kappa", "2", "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: -3 candidates: the count must not be negative\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_no_candidates_give_an_empty_bitstring(tmp_path):
+    out = tmp_path / "run"
+    assert main(["oracle", "--cells", "8", "--n-candidates", "0",
+                 "--kappa", "2", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["best_bits"] == ""
+    assert summary["n_candidates"] == 0
+    lines = (out / "configs.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith(",")
+
+
 def test_too_many_candidates_exits_one(tmp_path, capsys):
     rc = main(["oracle", "--cells", "8", "--n-candidates", "7",
                "--kappa", "2", "--out", str(tmp_path / "run")])

@@ -40,7 +40,6 @@ from smalljump.oracle import (
     brute_force_minimize,
     density_lower_bound_check,
     deviation_psi0,
-    greedy_bits,
     solve_elastic,
     vanishing_jump_harness,
 )
@@ -51,6 +50,7 @@ from tests.oracle_reference import (
     full_solve_energies,
     gather_corrections,
     gather_leaves,
+    greedy_bits,
 )
 from tests.strain_reference import (
     CrackContext,
@@ -202,22 +202,48 @@ def test_sparse_form_search_matches_dense(monkeypatch):
     g = GridSpec(2, 6, 1.0)
     params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02,
                           g=two_sided_target(g))
-    cands = [(0, (3, j)) for j in range(1, 5)] + [(1, (2, 3)), (1, (3, 3))]
+    cands = sorted([(0, (3, j)) for j in range(1, 5)] + [(1, (2, 3)), (1, (3, 3))])
     dense = brute_force_minimize(g, cands, params)
+    dense_table = _full_table(g, params, cands)
     monkeypatch.setattr(oracle, "DENSE_DOF_LIMIT", 0)
     sparse = brute_force_minimize(g, cands, params)
+    sparse_table = _full_table(g, params, cands)
     assert sparse.best_config == dense.best_config
-    for a, b in zip(sparse.per_config, dense.per_config):
+    assert len(sparse_table) == len(dense_table) == 2 ** len(cands)
+    for a, b in zip(sparse_table, dense_table):
         assert a["bits"] == b["bits"]
         assert a["total"] == pytest.approx(b["total"], rel=1e-9)
+    for res, table in ((dense, dense_table), (sparse, sparse_table)):
+        _assert_rows_of_the_table(res, table)
 
 
-def _assert_search_matches_full_solves(res, energy_of, cands):
-    """Every configuration's breakdown within 1e-12 of one full solve (the
-    ``full_solve_energies`` breakdown ``energy_of``), and the winner of
-    the same tie rule."""
-    assert len(res.per_config) == 2 ** len(cands)
-    for bits, row in enumerate(res.per_config):
+def _full_table(g, params, cands, base=None, **kwargs) -> np.ndarray:
+    """evaluate()'s table of every configuration of ``cands`` (in key
+    order), the walk with no bound."""
+    return oracle.ConfigurationEnergies(ElasticSystem(g, params, **kwargs),
+                                        cands, base or JumpSet(g)).evaluate()
+
+
+def _assert_rows_of_the_table(res, table):
+    """The search's rows are rows of the full table, byte for byte, and
+    its winner is the table's by the tie rule, with the same energy."""
+    assert res.per_config.tobytes() == table[res.per_config["bits"]].tobytes()
+    lowest = table["total"].min()
+    tied = table["bits"][table["total"] <= lowest + oracle.TIE_RTOL * abs(lowest)]
+    cands = res.best_config.candidates
+    assert res.best_config == min((CrackConfig(cands, b) for b in tied.tolist()),
+                                  key=lambda c: (c.n_active, c.bitstring()))
+    assert res.min_energy == table["total"][res.best_config.active_bits]
+
+
+def _assert_search_matches_full_solves(res, energy_of, cands, table):
+    """Every configuration's breakdown in the full table within 1e-12 of
+    one full solve (the ``full_solve_energies`` breakdown ``energy_of``),
+    the search's rows those of the table, and the winner of the same tie
+    rule."""
+    assert len(table) == 2 ** len(cands)
+    _assert_rows_of_the_table(res, table)
+    for bits, row in enumerate(table):
         ref = energy_of(bits)
         scale = max(abs(ref["total"]), abs(ref["bulk"]), abs(ref["fidelity"]))
         for key in ("total", "bulk", "fidelity"):
@@ -286,7 +312,8 @@ def test_sparse_condensed_search_matches_full_solves(monkeypatch, banded_sizes,
     assert np.any(res.minimizer_u.values != 0.0)
     # the reference: one dense LU solve per configuration
     _assert_search_matches_full_solves(res, full_solve_energies(
-        ElasticSystem(g, params, **kwargs), sorted(cands), base), sorted(cands))
+        ElasticSystem(g, params, **kwargs), sorted(cands), base), sorted(cands),
+        _full_table(g, params, sorted(cands), base, **kwargs))
 
 
 def test_cell_blocks_build_only_the_cells_candidates_reach():
@@ -313,15 +340,17 @@ def test_batching_cannot_move_bits(monkeypatch):
     params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02,
                           g=split_target(g, seed=0))
     cands = sorted(_midline_candidates(g, 12, cross=True))
-    results = []
+    results, tables = [], []
     for chunk, batch_level in ((64, 12), (1 << 26, 0)):
         monkeypatch.setattr(oracle, "CHUNK_BYTES", chunk)
         energies = oracle.ConfigurationEnergies(ElasticSystem(g, params), cands,
                                                 JumpSet(g))
         assert energies._batch_level == batch_level
+        tables.append(energies.evaluate())
         results.append(brute_force_minimize(g, cands, params))
+        _assert_rows_of_the_table(results[-1], tables[-1])
     a, b = results
-    assert np.array_equal(a.per_config, b.per_config)
+    assert tables[0].tobytes() == tables[1].tobytes()
     assert a.best_config == b.best_config
     assert a.min_energy == b.min_energy
     assert np.array_equal(a.minimizer_u.values, b.minimizer_u.values)
@@ -372,7 +401,8 @@ def test_deep_tree_matches_full_solves(monkeypatch, banded_sizes):
         monkeypatch.setattr(oracle, "DENSE_DOF_LIMIT", dense_limit)
         res = brute_force_minimize(g, cands, params, base_jumps=base, **kwargs)
         assert 0 < res.best_config.n_active < len(cands)
-        _assert_search_matches_full_solves(res, energy_of, cands)
+        _assert_search_matches_full_solves(
+            res, energy_of, cands, _full_table(g, params, cands, base, **kwargs))
         assert bool(banded_sizes) == (dense_limit == 0)
 
 
@@ -885,7 +915,8 @@ def test_condensed_search_matches_full_solves(data):
     if homogeneous:
         params = params.homogeneous()
     _assert_search_matches_full_solves(res, full_solve_energies(
-        ElasticSystem(g, params, **kwargs), cands, base), cands)
+        ElasticSystem(g, params, **kwargs), cands, base), cands,
+        _full_table(g, params, cands, base, **kwargs))
 
 
 def _assert_tree_keeps_the_gather_bits(energies, probe):
@@ -972,8 +1003,127 @@ def test_incremental_elimination_order_matches_the_recount(data):
     energies = oracle.ConfigurationEnergies(system, cands, base)
     blocks = list(energies._cell_blocks())
     pin = np.repeat(system.pinned.reshape(-1), g.dim)
-    D = np.unique(np.concatenate([d for _, d, _ in blocks] + [[]])).astype(int)
+    D = np.unique(np.concatenate([d for _, d, *_ in blocks] + [[]])).astype(int)
     got = oracle._elimination_order(blocks, D[~pin[D]], len(cands))
     want = elimination_order(blocks, D[~pin[D]], len(cands))
     assert got[0] == want[0] == energies._order
     assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+
+def _pruning_instance(data):
+    """A search that the bound can prune: a cross or random interior
+    faces (1-10) on 2D 6^2-12^2 or 3D 4^3, base faces with owner_high
+    flags, a split or random target, and no Dirichlet data, the grid
+    boundary or psi0's ring pinned."""
+    g = data.draw(st.sampled_from(_PIN_GRIDS))
+    if data.draw(st.booleans()):
+        most = min(10, 2 * (g.cells_per_side - 2))
+        cands = _midline_candidates(g, data.draw(st.integers(1, most)), True)
+    else:
+        cands = data.draw(_face_lists(g, 1, 10))
+    cands = sorted(cands)
+    base_faces = data.draw(_face_lists(g, 0, 6))
+    owner = data.draw(st.lists(st.booleans(), min_size=len(base_faces),
+                               max_size=len(base_faces)))
+    base = JumpSet(g, base_faces, [f for f, o in zip(base_faces, owner) if o])
+    seed = data.draw(st.integers(0, 2 ** 16))
+    target = split_target(g, seed=seed) if data.draw(st.booleans()) else \
+        DisplacementField(g, np.random.default_rng(seed).normal(
+            size=g.node_shape + (g.dim,)))
+    h = g.spacing
+    pinned = data.draw(st.sampled_from([
+        None, boundary_nodes(g), ~BoxRegion((-1.0 + h,) * g.dim, (1.0 - h,) * g.dim)
+        .contains_points(g.node_coord_grid())]))
+    params = EnergyParams(HookeTensor(0.7, 1.3), p=2.0, kappa=2.0,
+                          beta=data.draw(st.sampled_from([0.005, 0.05])),
+                          g=target)
+    return g, cands, params, base, dict(pinned_mask=pinned,
+                                        pinned_values=target.values)
+
+
+@given(data=st.data())
+def test_pruned_search_keeps_the_full_tables_winner(data):
+    # against the table of the same batching: a row's last bit can depend
+    # on the size of the batch that computes it
+    g, cands, params, base, kwargs = _pruning_instance(data)
+    for chunk in (64, oracle.CHUNK_BYTES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "CHUNK_BYTES", chunk)
+            res = brute_force_minimize(g, cands, params, base_jumps=base,
+                                       **kwargs)
+            energies = oracle.ConfigurationEnergies(
+                ElasticSystem(g, params, **kwargs), cands, base)
+        _assert_rows_of_the_table(res, energies.evaluate())
+        assert res.minimizer_u.values.tobytes() == energies.minimizer(
+            res.best_config.active_bits).tobytes()
+
+
+def _assert_bounds_lie_below_their_subtrees(energies) -> int:
+    """Every bound the search computes is at most the lowest total of the
+    node's subtree in evaluate()'s table, within the bound's error, and
+    the search's rows are the table's; returns the number of bounds."""
+    table = energies.evaluate()
+    bound, seen = energies._bound, []
+
+    def spy(Sr, bits, level, drop, acc):
+        out = bound(Sr, bits, level, drop, acc)
+        seen.append((bits, level, out))
+        return out
+
+    energies._bound = spy
+    rows = energies.search()
+    assert rows.tobytes() == table[rows["bits"]].tobytes()
+    order = energies._order
+    for bits, level, (bounds, errs, _) in seen:
+        decided = sum(1 << j for j in order[:level + 1])
+        for b in (0, 1):
+            node = bits | b << order[level]
+            below = table["total"][table["bits"] & decided == node]
+            assert bounds[b] <= below.min() + errs[b]
+    return 2 * len(seen)
+
+
+@given(data=st.data())
+def test_bounds_lie_below_their_subtrees(data):
+    # each node bounded (CHUNK_BYTES 64 B), and each block's Q such that
+    # B_c(t) - (B - Q on d x d) is PSD for every subset t
+    g, cands, params, base, kwargs = _pruning_instance(data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "CHUNK_BYTES", 64)
+        energies = oracle.ConfigurationEnergies(
+            ElasticSystem(g, params, **kwargs), cands, base)
+    _assert_bounds_lie_below_their_subtrees(energies)
+    for _, d, mats, base_mat in energies._cell_blocks():
+        q = oracle._schur_complement(base_mat, d.size)
+        lam = np.linalg.eigvalsh(mats + q)
+        assert lam.min() >= -1e-10 * np.abs(base_mat).max()
+
+
+def test_bounds_couple_the_pinned_nodes_of_pending_cells(monkeypatch):
+    # a candidate in a cell on the pinned boundary, with Dirichlet data
+    # five times the target: a pending block's Q couples the pinned values
+    # into the bound's right-hand side, and the bound fails without them
+    g = GridSpec(2, 6, 1.0)
+    shape = g.node_shape + (2,)
+    target = DisplacementField(g, np.random.default_rng(10115).normal(size=shape))
+    params = EnergyParams(HookeTensor(0.7, 1.3), p=2.0, kappa=2.0, beta=0.005,
+                          g=target)
+    system = ElasticSystem(g, params, boundary_nodes(g),
+                           5 * np.random.default_rng(10116).normal(size=shape))
+    monkeypatch.setattr(oracle, "CHUNK_BYTES", 64)
+    energies = oracle.ConfigurationEnergies(system, [(0, (5, 5)), (1, (2, 3))],
+                                            JumpSet(g))
+    assert _assert_bounds_lie_below_their_subtrees(energies) > 0
+
+
+def test_pruning_skips_three_quarters_of_the_cross():
+    # the benchmark's 12-face cross on 2D 8^2: the bound prunes 12 of the
+    # 16 batches of 256 leaves on each of these targets
+    g = GridSpec(2, 8, 1.0)
+    cands = sorted(_midline_candidates(g, 12, cross=True))
+    for seed in range(3):
+        params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02,
+                              g=split_target(g, seed=seed))
+        res = brute_force_minimize(g, cands, params)
+        assert len(res.per_config) <= 1024
+        _assert_rows_of_the_table(res, _full_table(g, params, cands))
