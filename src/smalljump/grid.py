@@ -293,7 +293,10 @@ class BallRegion:
     radius: float
 
     def contains_points(self, pts: np.ndarray) -> np.ndarray:
-        d2 = np.sum((pts - np.asarray(self.center)) ** 2, axis=-1)
+        d = pts - np.asarray(self.center)
+        d2 = d[..., 0] ** 2   # axis by axis, the order of np.sum over them
+        for a in range(1, d.shape[-1]):
+            d2 += d[..., a] ** 2
         return d2 < self.radius ** 2
 
     def cell_mask(self, grid: GridSpec) -> np.ndarray:

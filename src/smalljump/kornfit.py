@@ -217,7 +217,7 @@ def extract_exceptional_set(u: DisplacementField, jumps: JumpSet,
         res = np.linalg.norm(vals - motion(centers), axis=1)
         want = _noise_threshold_trims(res, keep)
         order = np.lexsort((np.arange(res.size), -res))
-        marked = [i for i in order if want[i]][:budget_cells]
+        marked = order[want[order]][:budget_cells]
         new_keep = np.ones_like(keep)
         new_keep[marked] = False
         if prev is not None and np.array_equal(new_keep, prev):
@@ -282,12 +282,10 @@ def _separated_cluster(res: np.ndarray, keep: np.ndarray) -> np.ndarray:
     if kept.size < 4:
         return np.zeros_like(keep)
     floor = 1e-9 * (1.0 + float(kept[0]))
-    limit = kept.size // 2
-    for k in range(limit):
-        if kept[k] > 8.0 * kept[k + 1] + floor:
-            thr = 0.5 * (kept[k] + kept[k + 1])
-            return res > thr
-    return np.zeros_like(keep)
+    gaps = np.flatnonzero(kept[:-1] > 8.0 * kept[1:] + floor)
+    if not gaps.size or gaps[0] >= kept.size // 2:
+        return np.zeros_like(keep)
+    return res > 0.5 * (kept[gaps[0]] + kept[gaps[0] + 1])
 
 
 def residual_prefix_oracle(points: np.ndarray, values: np.ndarray,

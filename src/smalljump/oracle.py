@@ -101,6 +101,8 @@ TIE_RTOL = 1e-12
 # each counted with the S it is born with and a D-sized row (subtrees of
 # 256 leaves for the 12-face cross on 2D 8^2).
 CHUNK_BYTES = 1 << 21
+# Window cells of one chunk of the density check's balls (6 MB in 3D).
+DENSITY_CHUNK = 1 << 18
 
 
 class CellBlocks(NamedTuple):
@@ -123,12 +125,11 @@ class ElasticSystem:
 
     The local matrices of cells come in batches from the strain module's
     stencil table, so the solver's internal energy is exactly the
-    quadrature energy.  All crack-free cells share one local matrix,
-    which is built once and broadcast over the grid as COO triplets, and
-    the fidelity diagonal is added to their sum; a crack set adds
-    per-cell corrections (minus the crack-free block, plus the cracked
-    one) from ``cell_blocks`` as more triplets.  The Hessian is CSR with
-    int32 indices at every size.
+    quadrature energy.  A crack set's Hessian is one COO->CSR sum: the
+    crack-free local matrix, built once, broadcast over the cells that
+    no face reaches, each reached cell's own block from ``cell_blocks``,
+    then the fidelity diagonal.  The Hessian is CSR with int32 indices
+    at every size; the linear term and the constant are built once.
 
     ``solve`` is the condensed search of ConfigurationEnergies with no
     candidates: every free DOF is eliminated, through the same
@@ -154,15 +155,18 @@ class ElasticSystem:
             raise SolverError("singular system: add fidelity or boundary data")
         self.pin_values = self.g_vals if pinned_values is None else pinned_values
 
-        self._base = None
         # cells per node: 2 along each axis, 1 on its boundary planes
         per_axis = np.pad(np.full(grid.cells_per_side - 1, 2.0), 1,
                           constant_values=1.0)
-        self._counts = np.prod(np.meshgrid(*[per_axis] * grid.dim,
-                                           indexing="ij"), axis=0)
-        # weight of each DOF in the fidelity energy, sum w (x - g)^2
-        self.fid_weights = params.kappa * grid.spacing ** grid.dim / 2 ** grid.dim \
-            * np.repeat(self._counts.reshape(-1), grid.dim)
+        counts = np.prod(np.meshgrid(*[per_axis] * grid.dim, indexing="ij"),
+                         axis=0)
+        # E = 0.5 x'Hx - f'x + const; the fidelity energy sum w (x - g)^2
+        # gives H its diagonal 2w, f = 2wg and const = sum w g^2
+        w = params.kappa * grid.spacing ** grid.dim / 2 ** grid.dim
+        self.fid_weights = w * np.repeat(counts.reshape(-1), grid.dim)
+        self._diag = 2.0 * self.fid_weights
+        self._f = self._diag * self.g_vals.reshape(-1)
+        self._const = w * float(np.sum(counts[..., None] * self.g_vals ** 2))
         # crack-free local matrix, the same for every cell up to a dof shift
         dofs, locs = self._local_blocks(np.zeros((1, grid.dim), dtype=int),
                                         np.zeros((1, grid.dim, 4), np.int8))
@@ -211,81 +215,53 @@ class ElasticSystem:
         locs *= grid.spacing ** dim
         return dofs, locs
 
-    def _base_system(self):
-        """Hessian, linear term and constant for the crack-free stencils.
-
-        E = 0.5 u'Hu - f'u + c, with E_cell = 0.5 u loc u per cell.  The
-        fidelity diagonal is added last, after the cell sums.
-        """
-        if self._base is not None:
-            return self._base
-        n = self.n_dof
-        cells = np.indices(self.grid.cell_shape).reshape(self.dim, -1)
-        # int32 triplet indices: the CSR form keeps them without a copy
-        dofs = (np.ravel_multi_index(cells, self.grid.node_shape)[:, None] * self.dim
-                + self._std_dofs).astype(np.int32)
-        rows, cols, vals = _triplets(dofs, self._std_loc)
-        diag, f, const = np.zeros(n), np.zeros(n), 0.0
-        kappa = self.params.kappa
-        if kappa > 0:
-            w = kappa * self.grid.spacing ** self.dim / 2 ** self.dim
-            diag = 2.0 * w * np.repeat(self._counts.reshape(-1), self.dim)
-            f = diag * self.g_vals.reshape(-1)
-            const = w * float(np.sum(self._counts[..., None] * self.g_vals ** 2))
-        from scipy import sparse
-        H = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        # tocsr leaves the summed entries in triplet-sized buffers;
-        # compact them once the triplets are freed
-        del rows, cols, vals
-        H = H.copy()
-        H.setdiag(H.diagonal() + diag)
-        self._base = (H, f, const)
-        return self._base
-
     def cell_blocks(self, base: JumpSet, candidates=()) -> CellBlocks:
         """Every per-cell crack block of a base set and candidate keys, in
-        one batch: the cells that a candidate reaches (with none, that
-        a base face reaches), and in row ``start[i] + t`` cell i's local
-        matrix with the candidates of subset t of those reaching it
-        active (bit b for the b-th), on top of the base faces not among
-        the candidates.  Faces keep their state in base."""
+        one batch: the cells that a face of either reaches, and in row
+        ``start[i] + t`` cell i's local matrix with the candidates of
+        subset t of those reaching it active (bit b for the b-th), on top
+        of the base faces not among the candidates.  A cell that no
+        candidate reaches has one row.  Faces keep their state in base."""
         k = len(candidates)
         cells, slot, state = face_slots(self.grid, base, candidates)
-        if not k:
-            return CellBlocks(cells, np.zeros((len(cells), 0), bool),
-                              np.arange(len(cells) + 1),
-                              *self._local_blocks(cells, state[slot]))
         cand = (slot >= 0) & (slot < k)
-        keep = np.any(cand, axis=(1, 2))
-        cells, slot, cand = cells[keep], slot[keep], cand[keep]
         reach = np.zeros((len(cells), k), dtype=bool)
         reach[np.nonzero(cand)[0], slot[cand]] = True
         cell = np.repeat(np.arange(len(cells)), 2 ** reach.sum(axis=1))
         start = np.searchsorted(cell, np.arange(len(cells) + 1))
         t = np.arange(len(cell)) - start[cell]
         slot, cand = slot[cell], cand[cell]
-        bit = (np.cumsum(reach, axis=1) - 1)[cell[:, None, None],
-                                             np.where(cand, slot, 0)]
-        off = cand & ((t[:, None, None] >> np.maximum(bit, 0)) & 1 == 0)
+        # a candidate's bit: the number of reaching candidates before it
+        bit = np.cumsum(np.pad(reach, ((0, 0), (1, 0))), axis=1)[
+            cell[:, None, None], np.where(cand, slot, 0)]
+        off = cand & ((t[:, None, None] >> bit) & 1 == 0)
         return CellBlocks(cells, reach, start, *self._local_blocks(
             cells[cell], state[np.where(off, -1, slot)]))
 
-    def system_for(self, jumps: JumpSet):
-        """(H, f, const) with each reached cell's crack-free block
-        replaced by its cracked one, as COO triplets cell by cell."""
-        H0, f, const = self._base_system()
-        cells, _, _, dofs, locs = self.cell_blocks(jumps)
-        if not len(cells):
-            return H0, f, const
-        std = np.ravel_multi_index(cells.T, self.grid.node_shape)[:, None] \
-            * self.dim + self._std_dofs
-        rows, cols, vals = (np.concatenate([x.reshape(len(cells), -1) for x in xs],
-                                           axis=1) for xs in zip(
-            _triplets(std, -self._std_loc), _triplets(dofs, locs)))
-        keep = (rows >= 0) & (cols >= 0)
+    def system_for(self, jumps: JumpSet, blocks: CellBlocks | None = None):
+        """(H, f, const) of the crack set ``jumps``.  H sums, as COO
+        triplets, the crack-free block on every cell that ``blocks`` (by
+        default ``cell_blocks(jumps)``) does not list and row start[i] of
+        ``blocks`` on its cell i; the fidelity diagonal is added last."""
+        cells, _, start, dofs, locs = self.cell_blocks(jumps) \
+            if blocks is None else blocks
+        free = np.ones(self.grid.cell_shape, dtype=bool)
+        free[tuple(cells.T)] = False
+        # int32 triplet indices: the CSR form keeps them without a copy
+        std = (np.ravel_multi_index(np.nonzero(free), self.grid.node_shape)[:, None]
+               * self.dim + self._std_dofs).astype(np.int32)
+        own = _triplets(dofs[start[:-1]].astype(np.int32), locs[start[:-1]])
+        keep = (own[0] >= 0) & (own[1] >= 0)
+        rows, cols, vals = (np.concatenate([x, y[keep]]) for x, y in zip(
+            _triplets(std, self._std_loc), own))
         from scipy import sparse
-        return H0 + sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                                      shape=H0.shape), f, const
+        H = sparse.coo_matrix((vals, (rows, cols)), shape=(self.n_dof,) * 2).tocsr()
+        # tocsr leaves the summed entries in triplet-sized buffers;
+        # compact them once the triplets are freed
+        del rows, cols, vals
+        H = H.copy()
+        H.setdiag(H.diagonal() + self._diag)
+        return H, self._f, self._const
 
     def fidelity_energy(self, x: np.ndarray) -> np.ndarray:
         """Fidelity energy of flat node-value rows, shape (..., n_dof)."""
@@ -310,10 +286,8 @@ def _triplets(dofs: np.ndarray, loc: np.ndarray):
     Leading axes of ``dofs`` place one copy of ``loc`` per row.
     """
     shape = dofs.shape + dofs.shape[-1:]
-    rows = np.broadcast_to(dofs[..., :, None], shape).reshape(-1)
-    cols = np.broadcast_to(dofs[..., None, :], shape).reshape(-1)
-    vals = np.broadcast_to(loc, shape).reshape(-1)
-    return rows, cols, vals
+    return tuple(np.broadcast_to(a, shape).reshape(-1)
+                 for a in (dofs[..., :, None], dofs[..., None, :], loc))
 
 
 def _dense(a) -> np.ndarray:
@@ -414,15 +388,15 @@ class ConfigurationEnergies:
         keys = np.union1d(self.base_faces, self.candidates[active])
         return JumpSet.from_keys(self.system.grid, keys, self.base.states(keys))
 
-    def _cell_blocks(self):
+    def _cell_blocks(self, blocks: CellBlocks | None = None):
         """(candidate indices, dofs, corrections, base) of each cell a
-        candidate reaches: one correction per subset of the cell's
-        candidates, on the DOFs they change, and the base configuration's
-        local matrix over all the cell's DOFs, those first."""
-        if not len(self.candidates):   # a single solve: system_for has every block
-            return
-        blocks = self.system.cell_blocks(self.base, self.candidates)
-        for i, reach in enumerate(blocks.reach):
+        candidate reaches in ``blocks`` (by default the cell_blocks of the
+        base set and the candidates): one correction per subset of the
+        cell's candidates, on the DOFs they change, and the base
+        configuration's local matrix over all the cell's DOFs, those
+        first."""
+        blocks = blocks or self.system.cell_blocks(self.base, self.candidates)
+        for i in np.flatnonzero(blocks.reach.any(axis=1)):
             rows = slice(blocks.start[i], blocks.start[i + 1])
             d = blocks.dofs[rows]
             dofs = np.unique(d[d >= 0])
@@ -436,13 +410,14 @@ class ConfigurationEnergies:
             if np.any(used):
                 first = np.concatenate([np.flatnonzero(used),
                                         np.flatnonzero(~used)])
-                yield (np.flatnonzero(reach), dofs[used],
+                yield (np.flatnonzero(blocks.reach[i]), dofs[used],
                        mats[:, used][:, :, used], base[first][:, first])
 
     def _condense(self) -> None:
         sys_, k = self.system, len(self.candidates)
-        blocks = list(self._cell_blocks())
-        H, f, self._const = sys_.system_for(self.jumps(0))
+        table = sys_.cell_blocks(self.base, self.candidates)
+        blocks = list(self._cell_blocks(table))
+        H, f, self._const = sys_.system_for(self.jumps(0), table)
         dense = sys_.n_dof < DENSE_DOF_LIMIT
         if dense:
             H = H.toarray()
@@ -932,50 +907,72 @@ def density_lower_bound_check(u: DisplacementField, jumps: JumpSet,
     For each crack face center x and radius rho with the ball compactly
     inside the domain, reports G0(u, ball)/rho^(n-1) and crack area over
     rho^(n-1); the minima over centers are the empirical density
-    constants.  The densities are computed once; each ball sums them
-    over the cells of its bounding window, in energy_G0's order."""
-    grid = u.grid
+    constants.  The densities are computed once, and each ball sums
+    them in energy_G0's order (_ball_sums)."""
+    grid, kappa = u.grid, params.kappa
     if len(jumps) == 0:
         return {"status": "vacuous", "rows": []}
-    h, hvol = grid.spacing, grid.spacing ** grid.dim
-    bulk = f_zero(symmetric_gradient(u, jumps), params)
-    fidelity = cellwise_pth_power(u.values, grid, params.p) \
-        if params.kappa > 0 else None
-    c1d = grid.cell_centers_1d()
-    face_centers = grid.face_centers(jumps.keys)
+    fields = [f_zero(symmetric_gradient(u, jumps), params)] + (
+        [cellwise_pth_power(u.values, grid, params.p)] if kappa > 0 else [])
+    faces, hvol = grid.face_centers(jumps.keys), grid.spacing ** grid.dim
+    area = grid.face_area()
     rows = []
-    theta0_min, theta1_min = math.inf, math.inf
     for rho in radii:
-        best0, best1 = math.inf, math.inf
-        used = 0
-        for x in face_centers:
-            if np.max(np.abs(x)) + rho > grid.half_width - h:
-                continue
-            used += 1
-            ball = BallRegion(tuple(float(v) for v in x), rho)
-            # one cell of padding keeps every cell of the ball in the window
-            win = tuple(slice(int(np.searchsorted(c1d, v - rho - h)),
-                              int(np.searchsorted(c1d, v + rho + h)))
-                        for v in x)
-            mask = ball.contains_points(grid.cell_center_window(win))
-            g0_bulk = float(np.sum(bulk[win][mask]) * hvol)
-            g0_fid = 0.0 if fidelity is None else \
-                params.kappa * float(np.sum(fidelity[win][mask]) * hvol)
-            n_faces = int(np.count_nonzero(ball.contains_points(face_centers)))
-            g0 = g0_bulk + g0_fid + params.beta * n_faces * grid.face_area()
-            area = n_faces * grid.face_area()
+        x = faces[np.max(np.abs(faces), axis=1) + rho
+                  <= grid.half_width - grid.spacing]
+        rows.append({"rho": rho, "centers": len(x), "theta0": None, "theta1": None})
+        if len(x):
+            sums, n = _ball_sums(grid, fields, jumps.keys, x, rho)
+            g0 = sums[0] * hvol + (kappa * (sums[1] * hvol) if kappa > 0 else 0.0) \
+                + params.beta * n * area
             scale = rho ** (grid.dim - 1)
-            best0 = min(best0, g0 / scale)
-            best1 = min(best1, area / scale)
-        rows.append({"rho": rho, "centers": used,
-                     "theta0": None if used == 0 else best0,
-                     "theta1": None if used == 0 else best1})
-        if used:
-            theta0_min = min(theta0_min, best0)
-            theta1_min = min(theta1_min, best1)
-    ok = math.isfinite(theta1_min) and theta1_min > 0 and theta0_min > 0
+            rows[-1].update(theta0=float(np.min(g0 / scale)),
+                            theta1=float(np.min(n * area / scale)))
+    theta0, theta1 = (min((r[t] for r in rows if r["centers"]), default=math.inf)
+                      for t in ("theta0", "theta1"))
+    ok = math.isfinite(theta1) and theta1 > 0 and theta0 > 0
     return {"status": "ok" if ok else "degenerate", "rows": rows,
-            "theta0": theta0_min, "theta1": theta1_min}
+            "theta0": theta0, "theta1": theta1}
+
+
+def _ball_sums(grid: GridSpec, fields: list, keys: np.ndarray,
+               x: np.ndarray, rho: float):
+    """(sums, counts) of the balls of radius rho around the points x: the
+    np.sum of each cell field over a ball's cells in the C order of its
+    bounding window (one cell of padding), by one 2-D sum per distinct
+    cell count, and the number of face centres of ``keys`` in it (their
+    cells are in the window).  Membership is BallRegion's test on
+    differences of absolute coordinates; DENSITY_CHUNK bounds a chunk."""
+    dim, h, c1d = grid.dim, grid.spacing, grid.cell_centers_1d()
+    lo = np.searchsorted(c1d, x - rho - h)
+    width = int(np.max(np.searchsorted(c1d, x + rho + h) - lo))
+    # one window shape: the cells past a ball's own window are outside it
+    lo = np.minimum(lo, grid.cells_per_side - width)
+    ball = BallRegion((0.0,) * dim, rho)
+    present = np.zeros(grid.face_lattice, dtype=bool)
+    present.flat[keys] = True
+    sums, counts = np.empty((len(fields), len(x))), np.empty(len(x), dtype=int)
+    step = max(1, DENSITY_CHUNK // width ** dim)
+    for s in range(0, len(x), step):
+        xs, at = x[s:s + step], lo[s:s + step]
+        win = tuple((at[:, a, None] + np.arange(width)).reshape(
+            (-1,) + (1,) * a + (width,) + (1,) * (dim - 1 - a)) for a in range(dim))
+        inside = ball.contains_points(np.stack(np.broadcast_arrays(*(
+            c1d[i] - xs[:, a].reshape(i.shape[:1] + (1,) * dim)
+            for a, i in enumerate(win))), axis=-1))
+        n_in = np.count_nonzero(inside.reshape(len(xs), -1), axis=1)
+        for f, field in enumerate(fields):
+            vals = field[win][inside]
+            for c in np.unique(n_in):
+                balls = np.flatnonzero(n_in == c)
+                sums[f, s + balls] = np.sum(vals[
+                    (np.cumsum(n_in)[balls] - c)[:, None] + np.arange(c)], axis=1)
+        axis, i, *off = np.nonzero(present[(slice(None),) + win])
+        centres = grid.face_centers(np.ravel_multi_index(
+            (axis,) + tuple(at[i, a] + off[a] for a in range(dim)), grid.face_lattice))
+        counts[s:s + step] = np.bincount(
+            i[ball.contains_points(centres - xs[i])], minlength=len(xs))
+    return sums, counts
 
 
 def vanishing_jump_harness(grid: GridSpec, kind: str, levels: int,

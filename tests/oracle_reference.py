@@ -2,8 +2,8 @@
 full system per crack configuration, without condensation; the
 elimination tree stepped by gathered fancy-index scatters, whose bits
 the broadcast step must keep; the greedy elimination order counted
-afresh for every choice; and a single-flip descent over the
-configurations."""
+afresh for every choice; a single-flip descent over the
+configurations; and the density check ball by ball."""
 
 from __future__ import annotations
 
@@ -11,9 +11,10 @@ import math
 
 import numpy as np
 
-from smalljump.energy import energy_breakdown
-from smalljump.grid import DisplacementField, GridSpec, JumpSet
+from smalljump.energy import cellwise_pth_power, energy_breakdown, f_zero
+from smalljump.grid import BallRegion, DisplacementField, GridSpec, JumpSet
 from smalljump.oracle import CrackConfig, ElasticSystem
+from smalljump.strain import symmetric_gradient
 
 
 def boundary_nodes(grid: GridSpec) -> np.ndarray:
@@ -191,3 +192,43 @@ def greedy_bits(k: int, energy_of) -> int:
         if e < best_e:
             best_bits, best_e = bits, e
     return best_bits
+
+
+def density_rows(u: DisplacementField, jumps: JumpSet, params, radii) -> list:
+    """The rows of ``density_lower_bound_check``, one ball at a time: each
+    centre's BallRegion, tested on the cells of its window and on every
+    face centre, its densities summed by np.sum in the window's C order."""
+    grid = u.grid
+    h, hvol = grid.spacing, grid.spacing ** grid.dim
+    bulk = f_zero(symmetric_gradient(u, jumps), params)
+    fidelity = cellwise_pth_power(u.values, grid, params.p) \
+        if params.kappa > 0 else None
+    c1d = grid.cell_centers_1d()
+    face_centers = grid.face_centers(jumps.keys)
+    rows = []
+    for rho in radii:
+        best0, best1 = math.inf, math.inf
+        used = 0
+        for x in face_centers:
+            if np.max(np.abs(x)) + rho > grid.half_width - h:
+                continue
+            used += 1
+            ball = BallRegion(tuple(float(v) for v in x), rho)
+            # one cell of padding keeps every cell of the ball in the window
+            win = tuple(slice(int(np.searchsorted(c1d, v - rho - h)),
+                              int(np.searchsorted(c1d, v + rho + h)))
+                        for v in x)
+            mask = ball.contains_points(grid.cell_center_window(win))
+            g0_bulk = float(np.sum(bulk[win][mask]) * hvol)
+            g0_fid = 0.0 if fidelity is None else \
+                params.kappa * float(np.sum(fidelity[win][mask]) * hvol)
+            n_faces = int(np.count_nonzero(ball.contains_points(face_centers)))
+            g0 = g0_bulk + g0_fid + params.beta * n_faces * grid.face_area()
+            area = n_faces * grid.face_area()
+            scale = rho ** (grid.dim - 1)
+            best0 = min(best0, g0 / scale)
+            best1 = min(best1, area / scale)
+        rows.append({"rho": rho, "centers": used,
+                     "theta0": None if used == 0 else best0,
+                     "theta1": None if used == 0 else best1})
+    return rows

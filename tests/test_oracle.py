@@ -46,6 +46,7 @@ from smalljump.oracle import (
 from smalljump.strain import face_slots
 from tests.oracle_reference import (
     boundary_nodes,
+    density_rows,
     elimination_order,
     full_solve_energies,
     gather_corrections,
@@ -323,7 +324,20 @@ def test_cell_blocks_build_only_the_cells_candidates_reach():
     base = JumpSet(g, [(0, (8, 11)), (1, (3, 3))], [(0, (8, 11))])
     cands = [(0, (8, j)) for j in range(5, 11)]
     blocks = system.cell_blocks(base, g.face_keys(cands))
-    assert blocks.cells.tolist() == face_slots(g, JumpSet(g, cands))[0].tolist()
+    # every cell a face reaches is listed; the cells that only base faces
+    # reach, (1, (3, 3))'s among them, have no candidate and one row: the
+    # block the base set alone gives them
+    alone = ~blocks.reach.any(axis=1)
+    assert blocks.cells.tolist() == face_slots(g, base, g.face_keys(cands))[0].tolist()
+    assert blocks.cells[~alone].tolist() == face_slots(g, JumpSet(g, cands))[0].tolist()
+    far = face_slots(g, JumpSet(g, [(1, (3, 3))]))[0].tolist()
+    assert all(c in blocks.cells[alone].tolist() for c in far)
+    own = system.cell_blocks(base)
+    for i in np.flatnonzero(alone):
+        j = own.cells.tolist().index(blocks.cells[i].tolist())
+        row, want = blocks.start[i], own.start[j]
+        assert blocks.dofs[row].tobytes() == own.dofs[want].tobytes()
+        assert blocks.locs[row].tobytes() == own.locs[want].tobytes()
     # one table row per cell and subset of the candidates reaching it
     assert blocks.reach.tolist() == [
         [cell[0] in range(6, 10) and cell[1] == j for j in range(5, 11)]
@@ -331,6 +345,27 @@ def test_cell_blocks_build_only_the_cells_candidates_reach():
     assert len(blocks.dofs) == len(blocks.locs) == blocks.start[-1] == sum(
         2 ** blocks.reach.sum(axis=1))
     assert np.array_equal(np.diff(blocks.start), 2 ** blocks.reach.sum(axis=1))
+
+
+def test_one_stencil_pass_builds_the_search(monkeypatch):
+    # the 12-face cross on 2D 8^2, with no base faces and with three, one
+    # of them a candidate: the Hessian and the search's blocks come from
+    # one cell_blocks table
+    g = GridSpec(2, 8, 1.0)
+    params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02,
+                          g=split_target(g, seed=0))
+    cands = sorted(_midline_candidates(g, 12, cross=True))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return face_slots(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "face_slots", counted)
+    for base in (JumpSet(g), JumpSet(g, [(0, (2, 1)), (1, (6, 2)), (1, (6, 4))])):
+        calls.clear()
+        oracle.ConfigurationEnergies(ElasticSystem(g, params), cands, base)
+        assert len(calls) == 1
 
 
 def test_batching_cannot_move_bits(monkeypatch):
@@ -660,6 +695,42 @@ def test_density_rows_equal_per_ball_energy_G0(dim, cells, kappa):
                        "theta1": min(theta1, default=None)}
     assert out["rows"][0]["centers"] == len(js)
     assert out["rows"][-1]["centers"] == 0
+
+
+def _density_instances():
+    """The density checks' settings, a 3D 32^3 midplane, and radii of 2.5h,
+    whose spheres pass through cell centres and face centres."""
+    for dim, cells, kappa in [(2, 32, 0.0), (2, 32, 2.0), (3, 16, 2.0)]:
+        g = GridSpec(dim, cells, 1.0)
+        u, js, _ = two_motion_crack_field(g, area=12 * g.face_area(), seed=3)
+        h = g.spacing
+        yield (f"{dim}d{cells}-kappa{kappa:g}", u, js,
+               EnergyParams(HOOKE, p=2.0, kappa=kappa, beta=0.5),
+               [2 * h, 2.5 * h, 4 * h, 8 * h, 0.95])
+    for cells, seed in ((16, None), (32, 3)):   # the midplane checks
+        g = GridSpec(2, cells, 1.0)
+        target = two_sided_target(g) if seed is None else split_target(g, seed)
+        params = EnergyParams(HOOKE, p=2.0, kappa=3.0, beta=0.5, g=target)
+        js = JumpSet(g, midplane_faces(g))
+        h = g.spacing
+        yield (f"2d{cells}-midplane", solve_elastic(g, js, params)[0], js, params,
+               [2 * h, 2.5 * h, 4 * h, 8 * h])
+    g = GridSpec(3, 32, 1.0)
+    u = DisplacementField(g, np.random.default_rng(5).normal(
+        size=g.node_shape + (3,)))
+    h = g.spacing
+    yield ("3d32-midplane", u, JumpSet(g, midplane_faces(g)),
+           EnergyParams(HOOKE, p=2.0, kappa=1.5, beta=0.5), [2 * h, 2.5 * h, 4 * h])
+
+
+@pytest.mark.parametrize("case", list(_density_instances()), ids=lambda c: c[0])
+def test_density_rows_equal_the_ball_by_ball_reference(case):
+    _, u, js, params, radii = case
+    out = density_lower_bound_check(u, js, params, radii)
+    want = density_rows(u, js, params, radii)
+    # bit for bit: repr tells -0.0 from 0.0 and shows every digit
+    assert repr(out["rows"]) == repr(want)
+    assert all(row["centers"] for row in want[:3])
 
 
 @pytest.mark.slow
