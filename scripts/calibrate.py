@@ -1,14 +1,17 @@
 """Measure realized constants over the randomized suites.
 
-Run from the repository root.  The printed percentiles are the basis of
+Run from the repository root (the brute-force residual prefix comes
+from tests/approx_reference.py).  The printed percentiles are the basis of
 the frozen defaults in smalljump.approximator (c_star, property limits)
 and of the structural constants asserted by the acceptance suite.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 
@@ -23,8 +26,11 @@ from smalljump.generators import (
     two_motion_crack_field,
 )
 from smalljump.grid import GridSpec
-from smalljump.kornfit import extract_exceptional_set, residual_prefix_oracle
+from smalljump.kornfit import extract_exceptional_set
 from smalljump.strain import symmetric_gradient
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.approx_reference import residual_prefix_oracle  # noqa: E402
 
 PARAMS = EnergyParams(HookeTensor(1.0, 1.0), p=2.0)
 SUITE_ETA = 0.5

@@ -288,39 +288,6 @@ def _separated_cluster(res: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return res > 0.5 * (kept[gaps[0]] + kept[gaps[0] + 1])
 
 
-def residual_prefix_oracle(points: np.ndarray, values: np.ndarray,
-                           budget_cells: int, p: float = 2.0
-                           ) -> tuple[RigidMotion, np.ndarray, int]:
-    """Brute-force reference: rank cells by the full-fit residual, refit on
-    every prefix complement, keep the smallest prefix whose residual sum
-    reaches twice the best achievable plateau."""
-    motion = fit_rigid_motion(points, values, p=p)
-    res = np.linalg.norm(values - motion(points), axis=1)
-    order = np.lexsort((np.arange(res.size), -res))
-    budget_cells = min(budget_cells, points.shape[0] - points.shape[1] - 3)
-    budget_cells = max(budget_cells, 0)
-
-    rss = []
-    motions = []
-    for s in range(budget_cells + 1):
-        keep = np.ones(points.shape[0], dtype=bool)
-        keep[order[:s]] = False
-        m_s = fit_rigid_motion(points[keep], values[keep], p=p)
-        r = np.linalg.norm(values[keep] - m_s(points[keep]), axis=1)
-        rss.append(float(np.sum(r ** p)))
-        motions.append(m_s)
-    plateau = rss[-1]
-    noise = points.shape[0] * (1e-9 * (1.0 + float(np.max(np.abs(values))))) ** p
-    best = budget_cells
-    for s in range(budget_cells + 1):
-        if rss[s] <= 2.0 * plateau + noise:
-            best = s
-            break
-    mask = np.zeros(points.shape[0], dtype=bool)
-    mask[order[:best]] = True
-    return motions[best], mask, best
-
-
 def mollified_strain_error(u: DisplacementField, strain: np.ndarray,
                            cube: DyadicCube, fit: FitReport,
                            p: float = 2.0) -> dict:

@@ -97,9 +97,9 @@ DENSE_DOF_LIMIT = 1000
 # Configuration energies within this relative distance of the lowest one
 # count as tied (condensed and full solves differ near 1e-15).
 TIE_RTOL = 1e-12
-# Bound on one batch of the search's elimination tree: a subtree's nodes,
+# Bound on one batch of evaluate()'s elimination tree: a subtree's nodes,
 # each counted with the S it is born with and a D-sized row (subtrees of
-# 256 leaves for the 12-face cross on 2D 8^2).
+# 256 leaves for the 12-face cross on 2D 8^2).  The search does not batch.
 CHUNK_BYTES = 1 << 21
 # Window cells of one chunk of the density check's balls (6 MB in 3D).
 DENSITY_CHUNK = 1 << 18
@@ -359,19 +359,19 @@ class ConfigurationEnergies:
     one candidate, in a greedy order, adds to S the per-cell correction
     blocks it completes and eliminates the DOFs of Df that no pending
     block touches, so a subtree's leaves share the factorization above
-    it.  Below the CHUNK_BYTES level a subtree is one batch, a tensor of
-    nodes with an axis per level, and each block is added to all of them
-    by broadcast.  Energies and the residual check of every leaf come from
+    it.  Energies and the residual check of every leaf come from
     |D|-sized coefficients; node values are built only for the winner,
     checked on the full Hessian, and for a region's energy_breakdown.
 
-    ``evaluate`` computes every leaf.  ``search`` is branch and bound
-    (Land & Doig 1960) over the same walk: above the batch level each
-    child gets a lower bound from its own S, less a fixed PSD matrix per
-    pending block, and a child or batch root whose bound is above the
-    lowest total computed so far is skipped; every leaf it computes is
-    the row evaluate() gives it.  README, "Oracle", has the details and
-    the measurements.
+    ``evaluate`` computes every leaf: below the CHUNK_BYTES level a
+    subtree is one batch, a tensor of nodes with an axis per level, and
+    each block is added to all of them by broadcast.  ``search`` is
+    branch and bound (Land & Doig 1960) over the same tree, node by node
+    down to single leaves: both children of every node get a lower bound
+    from their own S, less a fixed PSD matrix per pending block, and a
+    child whose bound is above the lowest total computed so far is
+    skipped; every leaf it computes is the row evaluate() gives it.
+    README, "Oracle", has the details and the measurements.
     """
 
     def __init__(self, system: ElasticSystem, candidates: list[Face],
@@ -501,31 +501,32 @@ class ConfigurationEnergies:
         whose path then fixes every bit and its nodes have no axes.  A
         node is [S | r], the Schur complement beside its right-hand side.
         With ``best``, a callable giving the lowest total computed so far,
-        only the subtrees that _walk cannot prune."""
+        only the leaves that _walk cannot prune, one at a time."""
         Sr = np.concatenate([self._S0, self._r0[:, None]], axis=1)
         if only is None:
-            acc = np.array([self._E_xc, abs(self._E_xc)])
+            acc = (self._E_xc, abs(self._E_xc))
             yield from self._walk(Sr, 0, 0, (), best, acc)
         else:
             yield from self._batch(Sr, only, 0, len(self.candidates), ())
 
     def _walk(self, Sr, level: int, bits: int, path: tuple, best=None,
               acc=None):
-        """Depth-first down to the batch level: each node's two children
-        are one step of two nodes; ``path`` holds the ancestors' solves.
-        With ``best``, each child is bounded below (_bound, from the
-        node's energy so far ``acc``), the lower bound is visited first,
-        and a child is skipped when its bound is above ``best()`` by more
-        than TIE_RTOL and the bound's rounding error, so no configuration
-        tied with the lowest is skipped."""
-        if level == self._batch_level:
+        """Depth-first: each node's two children are one step of two
+        nodes; ``path`` holds the ancestors' solves.  Without ``best`` a
+        subtree at the batch level is one batch.  With ``best`` each child
+        is bounded below (_bound, from the node's energy so far ``acc``)
+        down to single leaves, the lower bound is visited first, and a
+        child is skipped when its bound is above ``best()`` by more than
+        TIE_RTOL and the bound's rounding error, so no configuration tied
+        with the lowest is skipped."""
+        if level == (self._batch_level if best is None else len(self.candidates)):
             yield from self._batch(Sr, bits, level, level, path)
             return
         Sr, (sol,), drop = self._decide(Sr, bits, level, (level,))
         kids = (0, 1)
         if best is not None:
             bounds, errs, acc = self._bound(Sr, bits, level, drop, acc)
-            kids = np.argsort(bounds, kind="stable").tolist()
+            kids = sorted((0, 1), key=bounds.__getitem__)
         for b in kids:
             if best is not None:
                 lowest = best()
@@ -576,7 +577,7 @@ class ConfigurationEnergies:
                 sol = np.linalg.solve(Sr[..., :e, :e], Sr[..., :e, e:])
             except np.linalg.LinAlgError as exc:
                 raise SolverError(f"singular elastic system: {exc}") from exc
-            drop = drop + np.sum(Sr[..., :e, -1] * sol[..., -1], axis=-1)
+            drop = drop + np.vecdot(Sr[..., :e, -1], sol[..., -1])
             Sr = Sr[..., e:, e:] - Sr[..., e:, :e] @ sol
             sols.append(sol)
         return Sr, sols, drop
@@ -592,40 +593,42 @@ class ConfigurationEnergies:
         node its S minus the pending Q_c (with their pinned-DOF terms) is
         then a lower Hessian; its minimum plus the energy so far and the
         surface of the faces decided on bounds every configuration below.
-        A child whose lower Hessian is not positive definite gets -inf.
+        Both children are factored and solved as one stack, unless a
+        lower Hessian is not positive definite: that child gets -inf.
         The error is 1e-10, the leaves' residual tolerance, of the terms'
         magnitudes, plus |w| |A w - v| for the solve A w = v."""
         if self._bound_tables is None:
             self._bound_tables = self._bound_levels()
         P, p, c, pinned = self._bound_tables[level + 1]
         done = sum((_batch_view(e, lvs, js, bits, level, 1)
-                    for lvs, js, e in pinned), np.zeros(1))
-        acc = acc + np.stack([done - 0.5 * drop, np.abs(done) + 0.5 * np.abs(drop)],
-                             axis=-1)
-        surface = self._surface(bits | np.array([0, 1 << self._order[level]]))
-        bounds, errs = np.full(2, -math.inf), np.zeros(2)
-        for b in (0, 1):
-            A, v = Sr[b, :, :-1] - P, Sr[b, :, -1] + p
-            try:
-                np.linalg.cholesky(A)
-            except np.linalg.LinAlgError:
-                continue
-            w = np.linalg.solve(A, v)
-            least = -0.5 * float(v @ w)
-            bounds[b] = acc[b, 0] + c + least + surface[b]
-            errs[b] = 1e-10 * (acc[b, 1] + abs(c) + abs(least) + surface[b]) \
-                + float(np.linalg.norm(w) * np.linalg.norm(A @ w - v))
+                    for lvs, js, e in pinned), np.zeros(2))
+        acc = [(acc[0] + d - 0.5 * e, acc[1] + abs(d) + 0.5 * abs(e))
+               for d, e in zip(done.tolist(), drop.tolist())]
+        surface = self._surface(np.array([bits, bits | 1 << self._order[level]]))
+        A, v = Sr[..., :-1] - P, Sr[..., -1:] + p[:, None]
+        ok = [0, 1] if _positive_definite(A) else \
+            [b for b in (0, 1) if _positive_definite(A[b])]
+        A, v = A[ok], v[ok]
+        w = np.linalg.solve(A, v)
+        x = np.concatenate([v, w, A @ w - v], axis=2)
+        # per child: v.w (minus twice the minimum), |w|^2 and |Aw - v|^2
+        dots = np.vecdot(x, x[..., [1, 1, 2]], axis=1).tolist()
+        bounds, errs = [-math.inf] * 2, [0.0] * 2
+        for b, (vw, ww, rr) in zip(ok, dots):
+            bounds[b] = acc[b][0] + c - 0.5 * vw + surface[b]
+            errs[b] = 1e-10 * (acc[b][1] + abs(c) + 0.5 * abs(vw) + surface[b]) \
+                + math.sqrt(ww * rr)
         return bounds, errs, acc
 
     def _bound_levels(self):
-        """Per number l of decided candidates, up to the batch level: the
-        sum of the Q_c of the blocks still pending, as (P, p, c) on the
-        front after l levels (P on its free DOFs, p = Q_fp x_p beside
-        them and c = -x_p.Q_pp x_p / 2), and the (lvs, js, x_p.B_pp x_p / 2)
-        of the blocks on pinned DOFs that level l - 1 completes."""
+        """Per number l of decided candidates: the sum of the Q_c of the
+        blocks still pending, as (P, p, c) on the front after l levels (P
+        on its free DOFs, p = Q_fp x_p beside them and c = -x_p.Q_pp x_p
+        / 2), and the (lvs, js, x_p.B_pp x_p / 2) of the blocks on pinned
+        DOFs that level l - 1 completes."""
         n_f, k = self._Df.size, len(self.candidates)
         P, p, c = np.zeros((n_f, n_f)), np.zeros(n_f), 0.0
-        tables = [None] * (self._batch_level + 1)
+        tables = [None] * (k + 1)
         for lv in reversed(range(k + 1)):
             for pos, base in self._bases[lv + 1]:
                 q = _schur_complement(base, pos.size)
@@ -634,12 +637,11 @@ class ConfigurationEnergies:
                 P[pos[f, None], pos[f]] += q[f][:, f]
                 p[pos[f]] += q[f][:, ~f] @ x_p
                 c -= 0.5 * x_p @ q[~f][:, ~f] @ x_p
-            if lv <= self._batch_level:
-                lo = self._ends[lv]
-                tables[lv] = (P[lo:, lo:].copy(), p[lo:].copy(), c, [])
+            lo = self._ends[lv]
+            tables[lv] = (P[lo:, lo:].copy(), p[lo:].copy(), c, [])
         for lvs, js, pos, mats, _, _ in self._blocks:
             f = pos < n_f
-            if lvs[-1] < self._batch_level and not np.all(f):
+            if not np.all(f):
                 x_p = self._xDp[pos[~f] - n_f]
                 energy = 0.5 * ((mats[..., ~f, :][..., ~f] @ x_p) @ x_p)
                 tables[lvs[-1] + 1][3].append((lvs, js, energy))
@@ -656,8 +658,10 @@ class ConfigurationEnergies:
         dx = np.zeros(x_D.shape)
         coupling = np.zeros(x_D.shape[:-1] + self._Df.shape)
         for lvs, js, pos, mats, free_pos, cpl in self._blocks:
+            # np.take: fancy indexing would stride each vector by the batch's
+            # size, and BLAS rounds a product by its vector's stride
             dx[..., pos] += (_batch_view(mats, lvs, js, root, batch, m)
-                             @ x_D[..., pos, None])[..., 0]
+                             @ np.take(x_D, pos, axis=-1)[..., None])[..., 0]
             coupling[..., free_pos] += _batch_view(cpl, lvs, js, root, batch, m)
         return dx.reshape(bits.size, -1), np.sqrt(self._rhs_inner2 + np.sum(
             (self._rhs_Df - coupling.reshape(bits.size, -1)) ** 2, axis=1))
@@ -728,12 +732,11 @@ class ConfigurationEnergies:
         energies are not the quadratic that the bound bounds."""
         if self.region is not None:
             return self.evaluate()
-        tables, lowest = [], math.inf
+        rows, lowest = [], math.inf
         for bits, x_Df in self._leaves(best=lambda: lowest):
-            tables.append(self._rows(bits, x_Df))
-            lowest = min(lowest, float(tables[-1]["total"].min()))
-        rows = np.concatenate(tables)
-        del tables
+            rows.append(self._rows(bits, x_Df))
+            lowest = min(lowest, float(rows[-1]["total"].min()))
+        rows = np.concatenate(rows)
         return rows[np.argsort(rows["bits"])]
 
     def minimizer(self, bits: int) -> np.ndarray:
@@ -788,6 +791,15 @@ def _batch_view(a: np.ndarray, lvs: tuple, js: tuple, root: int, batch: int,
     for lv in lvs[len(fixed):]:
         shape[lv - batch] = 2
     return a[fixed].reshape(shape + list(a.shape[len(lvs):]))
+
+
+def _positive_definite(A: np.ndarray) -> bool:
+    """Whether Cholesky factors every matrix of the stack ``A``."""
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _schur_complement(B: np.ndarray, n: int) -> np.ndarray:

@@ -6,6 +6,8 @@ the trailing-axes strain of ``strain_reference`` and its numpy sums,
 full-grid mollification of all dim*dim strain components, full-grid
 boolean box masks built as outer products of per-axis masks, and
 whole-grid distances.  The windowed code must return the same bits.
+``residual_prefix_oracle`` is the brute-force exceptional set that
+``extract_exceptional_set`` is compared with.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from smalljump.approximator import (
 from smalljump.energy import cellwise_pth_power
 from smalljump.errors import CoveringError, FitError
 from smalljump.grid import centered_box, corner_average, node_mask_from_cells
+from smalljump.kornfit import RigidMotion, fit_rigid_motion
 from smalljump.mollify import kernel_radius_cells, mollify
 from tests.strain_reference import (
     f_zero,
@@ -196,3 +199,36 @@ def cube_smoothed_field(u, cube, fit):
     inner = tuple(slice(margin, s.stop - s.start - margin) for s in win)
     final = tuple(slice(w.start + margin, w.stop - margin) for w in win)
     return out[inner], final
+
+
+def residual_prefix_oracle(points: np.ndarray, values: np.ndarray,
+                           budget_cells: int, p: float = 2.0
+                           ) -> tuple[RigidMotion, np.ndarray, int]:
+    """Brute-force reference: rank cells by the full-fit residual, refit on
+    every prefix complement, keep the smallest prefix whose residual sum
+    reaches twice the best achievable plateau."""
+    motion = fit_rigid_motion(points, values, p=p)
+    res = np.linalg.norm(values - motion(points), axis=1)
+    order = np.lexsort((np.arange(res.size), -res))
+    budget_cells = min(budget_cells, points.shape[0] - points.shape[1] - 3)
+    budget_cells = max(budget_cells, 0)
+
+    rss = []
+    motions = []
+    for s in range(budget_cells + 1):
+        keep = np.ones(points.shape[0], dtype=bool)
+        keep[order[:s]] = False
+        m_s = fit_rigid_motion(points[keep], values[keep], p=p)
+        r = np.linalg.norm(values[keep] - m_s(points[keep]), axis=1)
+        rss.append(float(np.sum(r ** p)))
+        motions.append(m_s)
+    plateau = rss[-1]
+    noise = points.shape[0] * (1e-9 * (1.0 + float(np.max(np.abs(values))))) ** p
+    best = budget_cells
+    for s in range(budget_cells + 1):
+        if rss[s] <= 2.0 * plateau + noise:
+            best = s
+            break
+    mask = np.zeros(points.shape[0], dtype=bool)
+    mask[order[:best]] = True
+    return motions[best], mask, best

@@ -149,7 +149,7 @@ def gather_corrections(energies, bits: np.ndarray, x_D: np.ndarray):
     coupling = np.zeros((bits.size, energies._Df.size))
     for js, pos, mats, free_pos, cpl in gather_blocks(energies)[0]:
         t = _subsets(bits, js)
-        dx[:, pos] += (mats[t] @ x_D[:, pos, None])[..., 0]
+        dx[:, pos] += (mats[t] @ np.take(x_D, pos, axis=1)[..., None])[..., 0]
         coupling[:, free_pos] += cpl[t]
     return dx, np.sqrt(energies._rhs_inner2 + np.sum(
         (energies._rhs_Df - coupling) ** 2, axis=1))

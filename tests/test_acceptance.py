@@ -33,7 +33,7 @@ from smalljump.generators import (
     two_motion_crack_field,
 )
 from smalljump.grid import GridSpec, JumpSet, centered_box
-from smalljump.kornfit import extract_exceptional_set, residual_prefix_oracle
+from smalljump.kornfit import extract_exceptional_set
 from smalljump.oracle import (
     ElasticSystem,
     brute_force_minimize,
@@ -44,6 +44,7 @@ from smalljump.oracle import (
 )
 from smalljump.strain import symmetric_gradient
 from tests import covering_reference as cref
+from tests.approx_reference import residual_prefix_oracle
 from tests.oracle_reference import (
     boundary_nodes,
     full_solve_energies,

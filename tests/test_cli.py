@@ -152,15 +152,25 @@ def test_oracle_beta_huge_empty_bitset(tmp_path):
     assert summary["psi0"] >= -1e-9
     lines = (out / "configs.csv").read_text().splitlines()
     assert lines[0] == "bits,bulk,fidelity,surface,total"
-    assert len(lines) == 1 + 2 ** 6
-
-    # the homogeneous minimizer of the same instance on Dirichlet data
-    # from the target is not zero, and it is its own best competitor
+    # the rows are the search's, each the full table's row for its bits,
+    # and the winner's is among them
     g = GridSpec(2, 8, 1.0)
     target = generators.split_target(g, seed=1)
     params = EnergyParams(HookeTensor(1.0, 1.0), p=2.0, kappa=2.0, beta=1e6,
                           g=target)
     cands = _midline_candidates(g, 6, False)
+    res = brute_force_minimize(g, cands, params)
+    rows = np.array([(int(b[::-1], 2), *map(float, v)) for b, *v in (
+        line.split(",") for line in lines[1:])], dtype=oracle.CONFIG_DTYPE)
+    assert rows.tobytes() == res.per_config.tobytes()
+    table = oracle.ConfigurationEnergies(oracle.ElasticSystem(g, params),
+                                         res.best_config.candidates,
+                                         JumpSet(g)).evaluate()
+    assert rows.tobytes() == table[rows["bits"]].tobytes()
+    assert res.best_config.active_bits in rows["bits"]
+
+    # the homogeneous minimizer of the same instance on Dirichlet data
+    # from the target is not zero, and it is its own best competitor
     res = brute_force_minimize(g, cands, params, homogeneous=True,
                                pinned_mask=boundary_nodes(g),
                                pinned_values=target.values)

@@ -29,7 +29,6 @@ from smalljump.kornfit import (
     fit_rigid_motion,
     mollified_strain_error,
     neighbor_affine_distance,
-    residual_prefix_oracle,
     skew_basis,
 )
 from smalljump.strain import symmetric_gradient
@@ -201,7 +200,7 @@ def test_outlier_corruption_recovered_after_trim():
     sl = cube.enlarged_cell_ranges(g, "q2")
     centers = g.cell_center_grid()[sl].reshape(-1, 2)
     cvals = u.cell_means()[sl].reshape(-1, 2)
-    motion, mask, n = residual_prefix_oracle(centers, cvals, budget_cells=60)
+    motion, mask, n = ref.residual_prefix_oracle(centers, cvals, budget_cells=60)
     assert np.max(np.abs(motion.matrix - w)) < 1e-8
     assert np.max(np.abs(motion.offset - b)) < 1e-8
 
@@ -227,7 +226,7 @@ def test_prefix_oracle_agrees_with_trim():
     sl = cube.enlarged_cell_ranges(g, "q2")
     centers = g.cell_center_grid()[sl].reshape(-1, 2)
     cvals = u.cell_means()[sl].reshape(-1, 2)
-    _, mask, _ = residual_prefix_oracle(centers, cvals, rep.budget_cells)
+    _, mask, _ = ref.residual_prefix_oracle(centers, cvals, rep.budget_cells)
     trim = ~np.ones(centers.shape[0], dtype=bool)
     trim = rep.omega.local_mask.reshape(-1)
     sym_diff = np.count_nonzero(mask != trim)

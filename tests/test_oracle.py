@@ -368,27 +368,45 @@ def test_one_stencil_pass_builds_the_search(monkeypatch):
         assert len(calls) == 1
 
 
-def test_batching_cannot_move_bits(monkeypatch):
-    # 64 B: every node is walked depth-first, down to single leaves;
-    # 64 MiB: the whole tree is one breadth-first batch
-    g = GridSpec(2, 8, 1.0)
-    params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02,
+def _batching_instance(name: str):
+    """(grid, params, candidates, base) of the batching test: the 12-face
+    cross on 2D 8^2, or three faces on 2D 7^2 over two base faces, one or
+    both of them high-owned."""
+    if name == "cross-2d8":
+        g = GridSpec(2, 8, 1.0)
+        params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02,
+                              g=split_target(g, seed=0))
+        return g, params, sorted(_midline_candidates(g, 12, cross=True)), JumpSet(g)
+    g = GridSpec(2, 7, 1.0)
+    params = EnergyParams(HookeTensor(0.7, 1.3), p=2.0, kappa=2.0, beta=0.005,
                           g=split_target(g, seed=0))
-    cands = sorted(_midline_candidates(g, 12, cross=True))
+    base = [(0, (1, 0)), (1, (5, 4))]
+    high = base[1:] if name == "2d7-one-high" else base
+    return g, params, [(0, (3, 0)), (0, (5, 3)), (1, (0, 1))], JumpSet(g, base, high)
+
+
+@pytest.mark.parametrize("name", ["cross-2d8", "2d7-one-high", "2d7-both-high"])
+def test_batching_cannot_move_bits(monkeypatch, name):
+    # 64 B: every node is walked depth-first, down to single leaves;
+    # 64 MiB: the whole tree is one breadth-first batch.  On 2D 7^2 with
+    # both base faces high-owned, a row's bulk and total moved by one ulp
+    # between batch sizes while _corrections took its vectors strided
+    g, params, cands, base = _batching_instance(name)
     results, tables = [], []
-    for chunk, batch_level in ((64, 12), (1 << 26, 0)):
+    for chunk, batch_level in ((64, len(cands)), (oracle.CHUNK_BYTES, None),
+                               (1 << 26, 0)):
         monkeypatch.setattr(oracle, "CHUNK_BYTES", chunk)
         energies = oracle.ConfigurationEnergies(ElasticSystem(g, params), cands,
-                                                JumpSet(g))
-        assert energies._batch_level == batch_level
+                                                base)
+        assert batch_level in (None, energies._batch_level)
         tables.append(energies.evaluate())
-        results.append(brute_force_minimize(g, cands, params))
+        results.append(brute_force_minimize(g, cands, params, base_jumps=base))
         _assert_rows_of_the_table(results[-1], tables[-1])
-    a, b = results
-    assert tables[0].tobytes() == tables[1].tobytes()
-    assert a.best_config == b.best_config
-    assert a.min_energy == b.min_energy
-    assert np.array_equal(a.minimizer_u.values, b.minimizer_u.values)
+    for res, table in zip(results[1:], tables[1:]):
+        assert table.tobytes() == tables[0].tobytes()
+        assert res.best_config == results[0].best_config
+        assert res.min_energy == results[0].min_energy
+        assert np.array_equal(res.minimizer_u.values, results[0].minimizer_u.values)
 
 
 def test_search_memory_stays_within_its_budget():
@@ -1188,13 +1206,29 @@ def test_bounds_couple_the_pinned_nodes_of_pending_cells(monkeypatch):
 
 
 def test_pruning_skips_three_quarters_of_the_cross():
-    # the benchmark's 12-face cross on 2D 8^2: the bound prunes 12 of the
-    # 16 batches of 256 leaves on each of these targets
+    # the benchmark's 12-face cross on 2D 8^2: the bound, taken at every
+    # node down to the leaves, leaves at most 8 of the 4 096 rows to
+    # compute on each of these targets (2 on seed 0)
     g = GridSpec(2, 8, 1.0)
     cands = sorted(_midline_candidates(g, 12, cross=True))
     for seed in range(3):
         params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02,
                               g=split_target(g, seed=seed))
         res = brute_force_minimize(g, cands, params)
-        assert len(res.per_config) <= 1024
+        assert len(res.per_config) <= 8
         _assert_rows_of_the_table(res, _full_table(g, params, cands))
+
+
+def test_psi0_search_prunes_the_32_cross():
+    # psi0's competitors of the 14-face cross on 2D 32^2, the ring outside
+    # the inner box pinned: at most 16 of 16 384 rows (the search bounded
+    # at batch roots alone computed 16 128)
+    g = GridSpec(2, 32, 1.0)
+    params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02,
+                          g=split_target(g, seed=0))
+    cands = sorted(_midline_candidates(g, 14, cross=True))
+    res = brute_force_minimize(g, cands, params)
+    psi = deviation_psi0(res.minimizer_u, res.jumps, params, centered_box(1.0, 2),
+                         cands)
+    assert psi["psi0"] > 0
+    assert len(psi["oracle"].per_config) <= 16
