@@ -726,10 +726,11 @@ class ConfigurationEnergies:
 
     def search(self) -> np.ndarray:
         """The CONFIG_DTYPE rows of the configurations the branch-and-bound
-        walk computes, sorted by bits, each the row evaluate() gives it;
-        every configuration it skips has a total above the lowest by more
-        than TIE_RTOL.  With a region it is evaluate(): a region's
-        energies are not the quadratic that the bound bounds."""
+        walk computes, one leaf at a time, sorted by bits, each the row
+        evaluate() gives it in any batch; every configuration it skips has
+        a total above the lowest by more than TIE_RTOL.  With a region it
+        is evaluate(): a region's energies are not the quadratic that the
+        bound bounds."""
         if self.region is not None:
             return self.evaluate()
         rows, lowest = [], math.inf

@@ -106,7 +106,7 @@ def gather_leaves(energies, only: int | None = None, level: int = 0,
     """(bits, x_Df) batches of the elimination tree with each level's
     blocks added by gathered fancy-index scatters, one matrix per node,
     and the ancestors' solves repeated per leaf: the step the broadcast
-    one replaced, batched at the search's ``_batch_level``."""
+    one replaced, batched at evaluate()'s ``_batch_level``."""
     if levels is None:
         levels = gather_blocks(energies)[1]
     S, r, bits = node or (energies._S0[None], energies._r0[None],

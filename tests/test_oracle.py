@@ -411,8 +411,8 @@ def test_batching_cannot_move_bits(monkeypatch, name):
 
 def test_search_memory_stays_within_its_budget():
     # the 12-face cross on 2D 8^2 (4 096 configurations) and its psi0:
-    # the tree's batches grow with oracle.CHUNK_BYTES, and with them the
-    # peak of every exhaustive search
+    # evaluate()'s batches grow with oracle.CHUNK_BYTES; the search walks
+    # single leaves, and its peak and psi0's must stay within 6 MiB
     g = GridSpec(2, 8, 1.0)
     params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02,
                           g=split_target(g, seed=0))
@@ -1132,8 +1132,8 @@ def _pruning_instance(data):
 
 @given(data=st.data())
 def test_pruned_search_keeps_the_full_tables_winner(data):
-    # against the table of the same batching: a row's last bit can depend
-    # on the size of the batch that computes it
+    # against evaluate()'s tables at two batchings: the search computes
+    # each row alone, and a row's bits depend on no batch size
     g, cands, params, base, kwargs = _pruning_instance(data)
     for chunk in (64, oracle.CHUNK_BYTES):
         with pytest.MonkeyPatch.context() as mp:
@@ -1174,8 +1174,9 @@ def _assert_bounds_lie_below_their_subtrees(energies) -> int:
 
 @given(data=st.data())
 def test_bounds_lie_below_their_subtrees(data):
-    # each node bounded (CHUNK_BYTES 64 B), and each block's Q such that
-    # B_c(t) - (B - Q on d x d) is PSD for every subset t
+    # every node's bound (the table at CHUNK_BYTES 64 B), and each
+    # block's Q such that B_c(t) - (B - Q on d x d) is PSD for every
+    # subset t
     g, cands, params, base, kwargs = _pruning_instance(data)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "CHUNK_BYTES", 64)
