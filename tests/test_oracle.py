@@ -389,8 +389,8 @@ def _batching_instance(name: str):
 def test_batching_cannot_move_bits(monkeypatch, name):
     # 64 B: every node is walked depth-first, down to single leaves;
     # 64 MiB: the whole tree is one breadth-first batch.  On 2D 7^2 with
-    # both base faces high-owned, a row's bulk and total moved by one ulp
-    # between batch sizes while _corrections took its vectors strided
+    # both base faces high-owned, vectors strided by the batch size in
+    # _corrections' products move a row's bulk and total by one ulp
     g, params, cands, base = _batching_instance(name)
     results, tables = [], []
     for chunk, batch_level in ((64, len(cands)), (oracle.CHUNK_BYTES, None),
@@ -1222,8 +1222,7 @@ def test_pruning_skips_three_quarters_of_the_cross():
 
 def test_psi0_search_prunes_the_32_cross():
     # psi0's competitors of the 14-face cross on 2D 32^2, the ring outside
-    # the inner box pinned: at most 16 of 16 384 rows (the search bounded
-    # at batch roots alone computed 16 128)
+    # the inner box pinned: at most 16 of 16 384 rows
     g = GridSpec(2, 32, 1.0)
     params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02,
                           g=split_target(g, seed=0))
