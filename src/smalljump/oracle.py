@@ -97,10 +97,6 @@ DENSE_DOF_LIMIT = 1000
 # Configuration energies within this relative distance of the lowest one
 # count as tied (condensed and full solves differ near 1e-15).
 TIE_RTOL = 1e-12
-# Bound on one batch of evaluate()'s elimination tree: a subtree's nodes,
-# each counted with the S it is born with and a D-sized row (subtrees of
-# 256 leaves for the 12-face cross on 2D 8^2).  The search does not batch.
-CHUNK_BYTES = 1 << 21
 # Window cells of one chunk of the density check's balls (6 MB in 3D).
 DENSITY_CHUNK = 1 << 18
 
@@ -272,11 +268,10 @@ class ElasticSystem:
         """Minimizer for one crack set, with its relative residual and
         quadratic energy."""
         energies = ConfigurationEnergies(self, [], jumps)
-        x, quad, rel = energies._field(np.zeros(1, dtype=np.int64),
-                                       np.zeros((1, 0)))
-        u = DisplacementField(self.grid, x[0].reshape(self.g_vals.shape))
-        return u, {"relative_residual": float(rel[0]),
-                   "quadratic_energy": float(quad[0]),
+        x, quad, rel = energies._field(0, np.zeros(0))
+        u = DisplacementField(self.grid, x.reshape(self.g_vals.shape))
+        return u, {"relative_residual": float(rel),
+                   "quadratic_energy": float(quad),
                    "energy_scale": abs(energies._const)}
 
 
@@ -363,15 +358,15 @@ class ConfigurationEnergies:
     |D|-sized coefficients; node values are built only for the winner,
     checked on the full Hessian, and for a region's energy_breakdown.
 
-    ``evaluate`` computes every leaf: below the CHUNK_BYTES level a
-    subtree is one batch, a tensor of nodes with an axis per level, and
-    each block is added to all of them by broadcast.  ``search`` is
-    branch and bound (Land & Doig 1960) over the same tree, node by node
-    down to single leaves: both children of every node get a lower bound
-    from their own S, less a fixed PSD matrix per pending block, and a
-    child whose bound is above the lowest total computed so far is
-    skipped; every leaf it computes is the row evaluate() gives it.
-    README, "Oracle", has the details and the measurements.
+    ``search`` walks the tree depth-first, one node at a time down to
+    single leaves, and makes each node's two children as one stack.
+    Without a region it is branch and bound (Land & Doig 1960): both
+    children of every node get a lower bound from their own S, less a
+    fixed PSD matrix per pending block, and a child whose bound is above
+    the lowest total computed so far is skipped.  With a region it skips
+    nothing: a region's energies are not the quadratic that the bound
+    bounds.  ``minimizer`` walks the one path to its leaf again.  README,
+    "Oracle", has the details and the measurements.
     """
 
     def __init__(self, system: ElasticSystem, candidates: list[Face],
@@ -381,12 +376,16 @@ class ConfigurationEnergies:
         self.base = base
         self.base_faces = np.setdiff1d(base.keys, self.candidates)
         self.region = region
+        # every face a configuration can crack, with its state in the base
+        self._keys = np.union1d(self.base_faces, self.candidates)
+        self._states = base.states(self._keys)
         self._condense()
 
     def jumps(self, bits: int) -> JumpSet:
-        active = (bits >> np.arange(len(self.candidates))) & 1 == 1
-        keys = np.union1d(self.base_faces, self.candidates[active])
-        return JumpSet.from_keys(self.system.grid, keys, self.base.states(keys))
+        on = np.isin(self._keys, self.base_faces, assume_unique=True)
+        on[np.searchsorted(self._keys, self.candidates)] = \
+            (bits >> np.arange(len(self.candidates))) & 1 == 1
+        return JumpSet.from_keys(self.system.grid, self._keys[on], self._states[on])
 
     def _cell_blocks(self, blocks: CellBlocks | None = None):
         """(candidate indices, dofs, corrections, base) of each cell a
@@ -429,7 +428,7 @@ class ConfigurationEnergies:
         Df = D[~pin[D]][np.argsort(dof_level, kind="stable")]
         # ends[l]: the DOFs eliminated once l candidates are decided
         self._ends = np.searchsorted(np.sort(dof_level), np.arange(k + 1),
-                                     side="right")
+                                     side="right").tolist()
         inner = np.setdiff1d(np.flatnonzero(~pin), Df)
         D = np.concatenate([Df, D[pin[D]]])   # free DOFs of D first
         pos = np.zeros(sys_.n_dof, dtype=int)
@@ -444,14 +443,14 @@ class ConfigurationEnergies:
             self._bases[level].append((pos[d], base))
             free = ~pin[d]
             coupling = mats[:, free][:, :, ~free] @ x0[d[~free]]
-            lvs, js, (mats, coupling) = _by_level(rank[js], js, mats, coupling)
+            js, (mats, coupling) = _by_level(rank[js], js, mats, coupling)
             # the rounding of a BLAS product follows the matrix's memory
             # order: the rows' checks take each matrix column-major, as
             # numpy's indexing leaves them in cell_blocks' output
-            self._blocks.append((lvs, js, pos[d], np.ascontiguousarray(
+            self._blocks.append((level, js, pos[d], np.ascontiguousarray(
                 mats.swapaxes(-1, -2)).swapaxes(-1, -2), pos[d[free]], coupling))
             if np.any(free):   # a block on pinned DOFs alone leaves S as it is
-                self._levels[level - 1].append((lvs, js) + _embed(
+                self._levels[level - 1].append((js,) + _embed(
                     pos[d[free]] - self._ends[level - 1],
                     mats[..., free, :][..., free], coupling))
         rhs = f - H @ x0
@@ -486,43 +485,27 @@ class ConfigurationEnergies:
         e0 = wd * (self._xc - sys_.g_vals.reshape(-1))
         self._fid = (sys_.fidelity_energy(self._xc), e0[Df] - X.T @ e0[inner],
                      np.diag(wd[Df]) + X.T @ (wd[inner, None] * X))
-        # the shallowest level whose subtrees fit CHUNK_BYTES, counting for
-        # each node the S it is born with (its parent's) and a D-sized row
-        live, self._batch_level = 0, k
-        for lv in reversed(range(k)):
-            front = Df.size - int(self._ends[lv])
-            live = 2 * (live + 8 * ((front + 1) ** 2 + D.size))
-            if live > CHUNK_BYTES:
-                break
-            self._batch_level = lv
 
-    def _leaves(self, only: int | None = None, best=None):
-        """(bits, x_Df) of every batch of leaves, or of the one leaf ``only``,
-        whose path then fixes every bit and its nodes have no axes.  A
-        node is [S | r], the Schur complement beside its right-hand side.
-        With ``best``, a callable giving the lowest total computed so far,
-        only the leaves that _walk cannot prune, one at a time."""
+    def _leaves(self, best=None):
+        """(bits, x_Df) of the leaves that _walk reaches from the root, one
+        at a time.  A node is [S | r], the Schur complement beside its
+        right-hand side."""
         Sr = np.concatenate([self._S0, self._r0[:, None]], axis=1)
-        if only is None:
-            acc = (self._E_xc, abs(self._E_xc))
-            yield from self._walk(Sr, 0, 0, (), best, acc)
-        else:
-            yield from self._batch(Sr, only, 0, len(self.candidates), ())
+        return self._walk(Sr, 0, 0, (), best, (self._E_xc, abs(self._E_xc)))
 
     def _walk(self, Sr, level: int, bits: int, path: tuple, best=None,
               acc=None):
         """Depth-first: each node's two children are one step of two
-        nodes; ``path`` holds the ancestors' solves.  Without ``best`` a
-        subtree at the batch level is one batch.  With ``best`` each child
-        is bounded below (_bound, from the node's energy so far ``acc``)
-        down to single leaves, the lower bound is visited first, and a
-        child is skipped when its bound is above ``best()`` by more than
-        TIE_RTOL and the bound's rounding error, so no configuration tied
-        with the lowest is skipped."""
-        if level == (self._batch_level if best is None else len(self.candidates)):
-            yield from self._batch(Sr, bits, level, level, path)
+        nodes; ``path`` holds the ancestors' solves.  With ``best``, a
+        callable giving the lowest total computed so far, each child is
+        bounded below (_bound, from the node's energy so far ``acc``), the
+        lower bound is visited first, and a child is skipped when its bound
+        is above ``best()`` by more than TIE_RTOL and the bound's rounding
+        error, so no configuration tied with the lowest is skipped."""
+        if level == len(self.candidates):
+            yield bits, self._back_substitute(path)
             return
-        Sr, (sol,), drop = self._decide(Sr, bits, level, (level,))
+        Sr, sol, drop = self._decide(Sr, bits, level)
         kids = (0, 1)
         if best is not None:
             bounds, errs, acc = self._bound(Sr, bits, level, drop, acc)
@@ -536,51 +519,34 @@ class ConfigurationEnergies:
                                   path + (sol[b],), best,
                                   None if best is None else acc[b])
 
-    def _batch(self, Sr, root: int, level: int, batch: int, path: tuple):
-        """(bits, x_Df) of the leaves below the node at ``level``: its levels
-        from ``batch`` on add an axis each, and each leaf's x_Df is
-        back-substituted through its ancestors' solves by broadcast."""
-        k, order = len(self.candidates), self._order
-        path = path + tuple(self._decide(Sr, root, batch, range(level, k))[1])
-        bits = np.array(root)
-        for lv in range(batch, k):
-            bits = bits[..., None] | np.array([0, 1 << order[lv]])
-        x = np.empty(bits.shape + (self._Df.size,))
-        for lv in reversed(range(k)):
-            anc = path[lv]
-            if anc.ndim > 2:   # one axis per level of the batch down to lv
-                anc = anc.reshape(anc.shape[:-2] + (1,) * (k - 1 - lv)
-                                  + anc.shape[-2:])
+    def _back_substitute(self, path: tuple) -> np.ndarray:
+        """x_Df of the leaf below the solves ``path``, deepest level first."""
+        x = np.empty(self._Df.size)
+        for lv in reversed(range(len(path))):
             lo, hi = self._ends[lv], self._ends[lv + 1]
-            x[..., lo:hi] = (anc[..., -1]
-                             - (anc[..., :-1] @ x[..., hi:, None])[..., 0])
-        yield bits.reshape(-1), x.reshape(bits.size, self._Df.size)
+            x[lo:hi] = path[lv][:, -1] - path[lv][:, :-1] @ x[hi:]
+        return x
 
-    def _decide(self, Sr, root: int, batch: int, levels):
-        """Decide the candidates of ``levels`` for nodes [S | r] whose
-        candidates ``order[:batch]`` are set as in ``root``; they have an
-        axis of length 2 for each level decided from ``batch`` on, child
-        2i + b setting it to b.  Each level adds the blocks it completes,
-        by broadcast, and eliminates the DOFs they finish; returns the
-        nodes, the levels' solves and each node's sum of r_e.S_ee^-1 r_e
-        over them, twice the energy the eliminations took off."""
-        sols, drop = [], 0.0
-        for level in levels:
-            if level >= batch:
-                Sr = np.repeat(Sr[..., None, :, :], 2, axis=-3)
-            m = level + 1 - batch
-            for lvs, js, lo, hi, mats, coupling in self._levels[level]:
-                Sr[..., lo:hi, lo:hi] += _batch_view(mats, lvs, js, root, batch, m)
-                Sr[..., lo:hi, -1] -= _batch_view(coupling, lvs, js, root, batch, m)
-            e = self._ends[level + 1] - self._ends[level]
-            try:
-                sol = np.linalg.solve(Sr[..., :e, :e], Sr[..., :e, e:])
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"singular elastic system: {exc}") from exc
-            drop = drop + np.vecdot(Sr[..., :e, -1], sol[..., -1])
-            Sr = Sr[..., e:, e:] - Sr[..., e:, :e] @ sol
-            sols.append(sol)
-        return Sr, sols, drop
+    def _decide(self, Sr, bits: int, level: int):
+        """The two children of the node [S | r] at ``level`` whose decided
+        candidates are set as in ``bits`` (no other bit is read), as one
+        stack: child b sets candidate order[level] to b, adds the blocks
+        that level completes and eliminates the DOFs they finish.  Returns
+        the children, their solves and each one's r_e.S_ee^-1 r_e, twice
+        the energy its elimination took off."""
+        Sr = np.repeat(Sr[None], 2, axis=0)
+        # a block's last candidate is the one this level decides, so its
+        # other candidates' bits index the entries of both children
+        for js, lo, hi, mats, coupling in self._levels[level]:
+            Sr[:, lo:hi, lo:hi] += _subset(mats, js[:-1], bits)
+            Sr[:, lo:hi, -1] -= _subset(coupling, js[:-1], bits)
+        e = self._ends[level + 1] - self._ends[level]
+        try:
+            sol = np.linalg.solve(Sr[:, :e, :e], Sr[:, :e, e:])
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"singular elastic system: {exc}") from exc
+        return (Sr[:, e:, e:] - Sr[:, e:, :e] @ sol, sol,
+                np.vecdot(Sr[:, :e, -1], sol[..., -1]))
 
     def _bound(self, Sr, bits: int, level: int, drop, acc):
         """Lower bounds on the totals below the two children ``Sr`` of the
@@ -600,8 +566,7 @@ class ConfigurationEnergies:
         if self._bound_tables is None:
             self._bound_tables = self._bound_levels()
         P, p, c, pinned = self._bound_tables[level + 1]
-        done = sum((_batch_view(e, lvs, js, bits, level, 1)
-                    for lvs, js, e in pinned), np.zeros(2))
+        done = sum((_subset(e, js[:-1], bits) for js, e in pinned), np.zeros(2))
         acc = [(acc[0] + d - 0.5 * e, acc[1] + abs(d) + 0.5 * abs(e))
                for d, e in zip(done.tolist(), drop.tolist())]
         surface = self._surface(np.array([bits, bits | 1 << self._order[level]]))
@@ -624,8 +589,8 @@ class ConfigurationEnergies:
         """Per number l of decided candidates: the sum of the Q_c of the
         blocks still pending, as (P, p, c) on the front after l levels (P
         on its free DOFs, p = Q_fp x_p beside them and c = -x_p.Q_pp x_p
-        / 2), and the (lvs, js, x_p.B_pp x_p / 2) of the blocks on pinned
-        DOFs that level l - 1 completes."""
+        / 2), and the (js, x_p.B_pp x_p / 2) of the blocks on pinned DOFs
+        that level l - 1 completes."""
         n_f, k = self._Df.size, len(self.candidates)
         P, p, c = np.zeros((n_f, n_f)), np.zeros(n_f), 0.0
         tables = [None] * (k + 1)
@@ -639,45 +604,42 @@ class ConfigurationEnergies:
                 c -= 0.5 * x_p @ q[~f][:, ~f] @ x_p
             lo = self._ends[lv]
             tables[lv] = (P[lo:, lo:].copy(), p[lo:].copy(), c, [])
-        for lvs, js, pos, mats, _, _ in self._blocks:
+        for level, js, pos, mats, _, _ in self._blocks:
             f = pos < n_f
             if not np.all(f):
                 x_p = self._xDp[pos[~f] - n_f]
                 energy = 0.5 * ((mats[..., ~f, :][..., ~f] @ x_p) @ x_p)
-                tables[lvs[-1] + 1][3].append((lvs, js, energy))
+                tables[level][3].append((js, energy))
         return tables
 
-    def _corrections(self, bits: np.ndarray, x_D: np.ndarray):
-        """delta x_D of a batch of leaves, from the stored blocks, and the
-        norm of their right-hand sides (rhs_Df - delta_fp x_Dp on Df).  The
-        2^m leaves of a batch, as _leaves yields them, are the subtree
-        below the first one's top k - m levels."""
-        k, m = len(self.candidates), bits.size.bit_length() - 1
-        batch, root = k - m, int(bits[0])
-        x_D = x_D.reshape((2,) * m + x_D.shape[-1:])
+    def _corrections(self, bits, x_D: np.ndarray):
+        """delta x_D of a leaf, or of an array of leaves' ``bits`` with one
+        x_D row each, from the stored blocks, and the norm of their
+        right-hand sides (rhs_Df - delta_fp x_Dp on Df)."""
         dx = np.zeros(x_D.shape)
         coupling = np.zeros(x_D.shape[:-1] + self._Df.shape)
-        for lvs, js, pos, mats, free_pos, cpl in self._blocks:
-            # np.take: fancy indexing would stride each vector by the batch's
-            # size, and BLAS rounds a product by its vector's stride
-            dx[..., pos] += (_batch_view(mats, lvs, js, root, batch, m)
+        for _, js, pos, mats, free_pos, cpl in self._blocks:
+            # np.take: fancy indexing would stride each vector by the number
+            # of leaves, and BLAS rounds a product by its vector's stride
+            dx[..., pos] += (_subset(mats, js, bits)
                              @ np.take(x_D, pos, axis=-1)[..., None])[..., 0]
-            coupling[..., free_pos] += _batch_view(cpl, lvs, js, root, batch, m)
-        return dx.reshape(bits.size, -1), np.sqrt(self._rhs_inner2 + np.sum(
-            (self._rhs_Df - coupling.reshape(bits.size, -1)) ** 2, axis=1))
+            coupling[..., free_pos] += _subset(cpl, js, bits)
+        return dx, np.sqrt(self._rhs_inner2 + np.sum(
+            (self._rhs_Df - coupling) ** 2, axis=-1))
 
-    def _field(self, bits: np.ndarray, x_Df: np.ndarray):
-        """Node values, quadratic energy and relative residual of
-        configurations, checked on the full Hessian."""
-        x = np.repeat(self._xc[None], len(x_Df), axis=0)
-        x[:, self._inner] -= x_Df @ self._X.T
-        x[:, self._Df] = x_Df
+    def _field(self, bits, x_Df: np.ndarray, corrections=None):
+        """Node values, quadratic energy and relative residual of a leaf or
+        of leaves, checked on the full Hessian; ``corrections`` are their
+        _corrections if the caller has them."""
+        x = np.array(np.broadcast_to(self._xc, x_Df.shape[:-1] + self._xc.shape))
+        x[..., self._inner] -= x_Df @ self._X.T
+        x[..., self._Df] = x_Df
         hx = self._Hxc + x_Df @ self._HM.T
-        dx, scale = self._corrections(bits, x[:, self._D])
-        hx[:, self._D] += dx
-        rel = _converged(np.linalg.norm((hx - self._f)[:, self._free], axis=1),
+        dx, scale = corrections or self._corrections(bits, x[..., self._D])
+        hx[..., self._D] += dx
+        rel = _converged(np.linalg.norm((hx - self._f)[..., self._free], axis=-1),
                          scale)
-        quad = 0.5 * np.sum(x * hx, axis=1) - x @ self._f + self._const
+        quad = 0.5 * np.sum(x * hx, axis=-1) - x @ self._f + self._const
         return x, quad, rel
 
     def _surface(self, bits: np.ndarray) -> np.ndarray:
@@ -687,64 +649,64 @@ class ConfigurationEnergies:
         return sys_.params.beta * sys_.grid.face_area() * (
             len(self.base_faces) + np.bitwise_count(bits))
 
-    def _rows(self, bits: np.ndarray, x_Df: np.ndarray) -> np.ndarray:
+    def _rows(self, bits, x_Df: np.ndarray) -> np.ndarray:
+        """The CONFIG_DTYPE row of a leaf, or the rows of an array of
+        leaves' ``bits`` with one x_Df row each.  With a region each row
+        is the energy_breakdown of the leaf's field, which _field checks
+        on the full Hessian, its D rows included."""
         sys_, n_f = self.system, self._Df.size
         x_D = np.concatenate([x_Df, np.broadcast_to(
-            self._xDp, (bits.size, self._xDp.size))], axis=1)
+            self._xDp, x_Df.shape[:-1] + self._xDp.shape)], axis=-1)
         dx, scale = self._corrections(bits, x_D)
-        res_D = (self._S0 @ x_Df[..., None])[..., 0] + dx[:, :n_f] - self._r0
-        res_I = self._bound_I[0] + self._bound_I[1] * np.linalg.norm(x_Df, axis=1)
-        _converged(np.sqrt(np.sum(res_D ** 2, axis=1) + res_I ** 2), scale)
-        # E(xc) - r0.x_Df + x_Df.S0 x_Df / 2 + x_D.delta x_D / 2, grouped so
-        # that the residual carries the S0 term
-        quad = self._E_xc + 0.5 * (np.sum(x_Df * (res_D - self._r0), axis=1)
-                                   + np.sum(x_D[:, n_f:] * dx[:, n_f:], axis=1))
-        rows = np.zeros(bits.size, CONFIG_DTYPE)
+        rows = np.zeros(np.shape(bits), CONFIG_DTYPE)
         rows["bits"] = bits
-        if self.region is None:
-            a, b, C = self._fid
-            rows["fidelity"] = a + np.sum(
-                x_Df * (2.0 * b + (C @ x_Df[..., None])[..., 0]), axis=1)
-            rows["bulk"] = quad - rows["fidelity"]
-            rows["surface"] = self._surface(bits)
-            rows["total"] = quad + rows["surface"]
-        else:
-            for i, b in enumerate(bits.tolist()):
-                x = self._field(bits[i:i + 1], x_Df[i:i + 1])[0]
+        if self.region is not None:
+            for i in np.ndindex(rows.shape):
+                b = int(rows["bits"][i])
+                x = self._field(b, x_Df[i], (dx[i], scale[i]))[0]
                 bd = energy_breakdown(DisplacementField(sys_.grid, x.reshape(
                     sys_.g_vals.shape)), self.jumps(b), sys_.params, self.region)
                 rows[i] = (b, *(bd[t] for t in ENERGY_TERMS))
-        return rows
-
-    def evaluate(self) -> np.ndarray:
-        """Every configuration's CONFIG_DTYPE row, sorted by bits: the
-        walk with no bound."""
-        rows = np.empty(2 ** len(self.candidates), CONFIG_DTYPE)
-        for bits, x_Df in self._leaves():
-            rows[bits] = self._rows(bits, x_Df)
+            return rows
+        res_D = (self._S0 @ x_Df[..., None])[..., 0] + dx[..., :n_f] - self._r0
+        res_I = self._bound_I[0] + self._bound_I[1] * np.linalg.norm(x_Df, axis=-1)
+        _converged(np.sqrt(np.sum(res_D ** 2, axis=-1) + res_I ** 2), scale)
+        # E(xc) - r0.x_Df + x_Df.S0 x_Df / 2 + x_D.delta x_D / 2, grouped so
+        # that the residual carries the S0 term
+        quad = self._E_xc + 0.5 * (np.sum(x_Df * (res_D - self._r0), axis=-1)
+                                   + np.sum(x_D[..., n_f:] * dx[..., n_f:], axis=-1))
+        a, b, C = self._fid
+        rows["fidelity"] = a + np.sum(
+            x_Df * (2.0 * b + (C @ x_Df[..., None])[..., 0]), axis=-1)
+        rows["bulk"] = quad - rows["fidelity"]
+        rows["surface"] = self._surface(bits)
+        rows["total"] = quad + rows["surface"]
         return rows
 
     def search(self) -> np.ndarray:
-        """The CONFIG_DTYPE rows of the configurations the branch-and-bound
-        walk computes, one leaf at a time, sorted by bits, each the row
-        evaluate() gives it in any batch; every configuration it skips has
-        a total above the lowest by more than TIE_RTOL.  With a region it
-        is evaluate(): a region's energies are not the quadratic that the
-        bound bounds."""
-        if self.region is not None:
-            return self.evaluate()
+        """The CONFIG_DTYPE rows of the configurations the walk computes,
+        one leaf at a time, sorted by bits.  Without a region the walk is
+        branch and bound, and every configuration it skips has a total
+        above the lowest by more than TIE_RTOL; with one it computes every
+        configuration, since a region's energies are not the quadratic
+        that the bound bounds."""
         rows, lowest = [], math.inf
-        for bits, x_Df in self._leaves(best=lambda: lowest):
+        best = (lambda: lowest) if self.region is None else None
+        for bits, x_Df in self._leaves(best):
             rows.append(self._rows(bits, x_Df))
-            lowest = min(lowest, float(rows[-1]["total"].min()))
-        rows = np.concatenate(rows)
+            lowest = min(lowest, float(rows[-1]["total"]))
+        rows = np.stack(rows)
         return rows[np.argsort(rows["bits"])]
 
     def minimizer(self, bits: int) -> np.ndarray:
-        """Flat node values of one configuration: its path is walked again,
-        to the same x_Df, and the field is checked on the full Hessian."""
-        (leaf,) = self._leaves(bits)
-        return self._field(*leaf)[0][0]
+        """Flat node values of one configuration: the one path to its leaf
+        is walked again, to the same x_Df, and the field is checked on the
+        full Hessian."""
+        Sr, path = np.concatenate([self._S0, self._r0[:, None]], axis=1), ()
+        for level, j in enumerate(self._order):
+            Sr, sol, _ = self._decide(Sr, bits, level)
+            Sr, path = Sr[bits >> j & 1], path + (sol[bits >> j & 1],)
+        return self._field(bits, self._back_substitute(path))[0]
 
 
 def _converged(residual: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -757,13 +719,13 @@ def _converged(residual: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 
 def _by_level(lvs: np.ndarray, js: np.ndarray, *arrays: np.ndarray):
-    """A block's candidates in the order of the levels ``lvs`` deciding
-    them, (lvs, js), and its per-subset ``arrays`` with one axis of length
-    2 per candidate in that order.  Subset t holds candidate js[i] in bit
-    i, the C-order axis n - 1 - i of its (2,) * n reshape."""
+    """A block's candidates js in the order of the levels ``lvs`` deciding
+    them, and its per-subset ``arrays`` with one axis of length 2 per
+    candidate in that order.  Subset t holds candidate js[i] in bit i, the
+    C-order axis n - 1 - i of its (2,) * n reshape."""
     n, by_level = js.size, np.argsort(lvs)
     axes = tuple((n - 1 - by_level).tolist())
-    return tuple(lvs[by_level].tolist()), tuple(js[by_level].tolist()), [
+    return tuple(js[by_level].tolist()), [
         np.ascontiguousarray(a.reshape((2,) * n + a.shape[1:]).transpose(
             axes + tuple(range(n, n + a.ndim - 1)))) for a in arrays]
 
@@ -781,17 +743,10 @@ def _embed(pos: np.ndarray, mats: np.ndarray, coupling: np.ndarray):
     return lo, hi, full, cpl
 
 
-def _batch_view(a: np.ndarray, lvs: tuple, js: tuple, root: int, batch: int,
-                m: int) -> np.ndarray:
-    """A block array's entries for nodes of a batch: the bits of its
-    candidates decided above level ``batch`` as in ``root``, then an axis
-    for each of the m levels from ``batch`` on, of length 2 where the
-    block has that level's candidate and 1 elsewhere."""
-    fixed = tuple(root >> j & 1 for j, lv in zip(js, lvs) if lv < batch)
-    shape = [1] * m
-    for lv in lvs[len(fixed):]:
-        shape[lv - batch] = 2
-    return a[fixed].reshape(shape + list(a.shape[len(lvs):]))
+def _subset(a: np.ndarray, js: tuple, bits) -> np.ndarray:
+    """Block array ``a`` (an axis per candidate, in level order) at the
+    bits that ``bits``, an int or an array, sets for its first ``js``."""
+    return a[tuple(bits >> j & 1 for j in js)]
 
 
 def _positive_definite(A: np.ndarray) -> bool:
@@ -854,7 +809,8 @@ def brute_force_minimize(grid: GridSpec, candidates: list[Face],
     Every energy comes from one ConfigurationEnergies.search: the
     configurations are searched by branch and bound, and the ones it
     skips provably lie above the lowest total by more than TIE_RTOL, so
-    the minimum is exact.  More than EXHAUSTIVE_LIMIT candidates are
+    the minimum is exact; with a ``region`` it computes every one, on
+    that region.  More than EXHAUSTIVE_LIMIT candidates are
     refused before any system is built, because the worst case still
     computes all 2^k (README, "Oracle").  ``per_config`` is one
     CONFIG_DTYPE row (40 B) per configuration computed, sorted by bits;

@@ -1,9 +1,11 @@
 """Test-only references for the oracle search: one dense LU solve of the
 full system per crack configuration, without condensation; the
-elimination tree stepped by gathered fancy-index scatters, whose bits
-the broadcast step must keep; the greedy elimination order counted
-afresh for every choice; a single-flip descent over the
-configurations; and the density check ball by ball."""
+elimination tree stepped by gathered fancy-index scatters, breadth-first
+over the whole tree, whose bits the search's walk must keep, and the
+full table of every configuration's row built from it; the greedy
+elimination order counted afresh for every choice; a single-flip
+descent over the configurations; and the density check ball by
+ball."""
 
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import numpy as np
 
 from smalljump.energy import cellwise_pth_power, energy_breakdown, f_zero
 from smalljump.grid import BallRegion, DisplacementField, GridSpec, JumpSet
-from smalljump.oracle import CrackConfig, ElasticSystem
+from smalljump.oracle import CONFIG_DTYPE, CrackConfig, ElasticSystem
 from smalljump.strain import symmetric_gradient
 
 
@@ -49,11 +51,12 @@ def dense_lu_solve(system: ElasticSystem, jumps: JumpSet):
 
 
 def full_solve_energies(system: ElasticSystem, candidates,
-                        base: JumpSet | None = None, quadrature: bool = False):
+                        base: JumpSet | None = None, quadrature: bool = False,
+                        region=None):
     """Memoized ``bits -> breakdown`` from one dense_lu_solve per configuration
     (bulk, fidelity, surface, total).  The total is the solve's quadratic
     energy plus surface, or with ``quadrature=True`` the energy_breakdown
-    of the solved field."""
+    of the solved field, on ``region`` if one is given."""
     cache: dict[int, dict] = {}
     beta_area = system.params.beta * system.grid.face_area()
 
@@ -64,7 +67,7 @@ def full_solve_energies(system: ElasticSystem, candidates,
             if quadrature:
                 u = DisplacementField(system.grid, x.reshape(
                     system.grid.node_shape + (system.dim,)))
-                cache[bits] = energy_breakdown(u, js, system.params)
+                cache[bits] = energy_breakdown(u, js, system.params, region)
             else:
                 fid = float(system.fidelity_energy(x))
                 cache[bits] = {"bulk": quad - fid, "fidelity": fid,
@@ -103,10 +106,11 @@ def _subsets(bits: np.ndarray, js: np.ndarray) -> np.ndarray:
 
 def gather_leaves(energies, only: int | None = None, level: int = 0,
                   node=None, path: tuple = (), levels=None):
-    """(bits, x_Df) batches of the elimination tree with each level's
-    blocks added by gathered fancy-index scatters, one matrix per node,
-    and the ancestors' solves repeated per leaf: the step the broadcast
-    one replaced, batched at evaluate()'s ``_batch_level``."""
+    """(bits, x_Df) of the elimination tree with each level's blocks added
+    by gathered fancy-index scatters, one matrix per node, and the
+    ancestors' solves repeated per leaf: every leaf as one breadth-first
+    batch, or with ``only`` the one leaf of those bits, as a batch of
+    one."""
     if levels is None:
         levels = gather_blocks(energies)[1]
     S, r, bits = node or (energies._S0[None], energies._r0[None],
@@ -132,7 +136,7 @@ def gather_leaves(energies, only: int | None = None, level: int = 0,
         [S[:, :e, e:], r[:, :e, None]], axis=2))
     update = S[:, e:, :e] @ sol
     S, r = S[:, e:, e:] - update[..., :-1], r[:, e:] - update[..., -1]
-    if only is None and level >= energies._batch_level:
+    if only is None:
         yield from gather_leaves(energies, None, level + 1, (S, r, bits),
                                  path + (sol,), levels)
         return
@@ -141,6 +145,16 @@ def gather_leaves(energies, only: int | None = None, level: int = 0,
             yield from gather_leaves(energies, only, level + 1, (
                 S[b:b + 1], r[b:b + 1], bits[b:b + 1]),
                 path + (sol[b:b + 1],), levels)
+
+
+def full_table(energies) -> np.ndarray:
+    """Every configuration's CONFIG_DTYPE row, sorted by bits: the leaves
+    of gather_leaves, one batch of the whole tree, through the search's
+    own ``_rows``."""
+    ((bits, x_Df),) = gather_leaves(energies)
+    table = np.empty(bits.size, CONFIG_DTYPE)
+    table[bits] = energies._rows(bits, x_Df)
+    return table
 
 
 def gather_corrections(energies, bits: np.ndarray, x_D: np.ndarray):

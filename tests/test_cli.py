@@ -28,7 +28,7 @@ from smalljump.grid import (
     save_jump,
 )
 from smalljump.oracle import brute_force_minimize, deviation_psi0
-from tests.oracle_reference import boundary_nodes
+from tests.oracle_reference import boundary_nodes, full_table
 
 
 def test_gen_rigid_and_roundtrip(tmp_path):
@@ -163,9 +163,8 @@ def test_oracle_beta_huge_empty_bitset(tmp_path):
     rows = np.array([(int(b[::-1], 2), *map(float, v)) for b, *v in (
         line.split(",") for line in lines[1:])], dtype=oracle.CONFIG_DTYPE)
     assert rows.tobytes() == res.per_config.tobytes()
-    table = oracle.ConfigurationEnergies(oracle.ElasticSystem(g, params),
-                                         res.best_config.candidates,
-                                         JumpSet(g)).evaluate()
+    table = full_table(oracle.ConfigurationEnergies(
+        oracle.ElasticSystem(g, params), res.best_config.candidates, JumpSet(g)))
     assert rows.tobytes() == table[rows["bits"]].tobytes()
     assert res.best_config.active_bits in rows["bits"]
 
@@ -578,3 +577,24 @@ def test_approx_process_loads_ndimage_at_the_first_convolution(tmp_path):
         "loaded.append('scipy.ndimage' in sys.modules)\n"
         "print(json.dumps([rc, loaded]))", tmp_path)
     assert out == [[0, 0], [False, True]]
+
+
+# numpy functions by the release that added them: an install at the
+# declared floor lacks any of them that src/ calls
+NUMPY_NAMES_SINCE = {"vecdot": (2, 0), "bitwise_count": (2, 0),
+                     "unstack": (2, 1), "cumulative_sum": (2, 1),
+                     "matvec": (2, 2), "vecmat": (2, 2)}
+
+
+def test_declared_numpy_floor_has_every_numpy_function_src_calls():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    deps = tomllib.loads((root / "pyproject.toml").read_text())["project"][
+        "dependencies"]
+    (floor,) = [re.fullmatch(r"numpy>=(\d+)\.(\d+)", d) for d in deps
+                if d.startswith("numpy")]
+    floor = tuple(map(int, floor.groups()))
+    src = "".join(p.read_text() for p in (root / "src" / "smalljump").glob("*.py"))
+    newer = {name for name, since in NUMPY_NAMES_SINCE.items()
+             if since > floor and re.search(rf"\bnp\.{name}\b", src)}
+    assert newer == set(), f"numpy>={floor[0]}.{floor[1]} lacks {sorted(newer)}"

@@ -39,8 +39,8 @@ search computes, and that run now computes 1 row (the winner's) where
 it computed a batch of 256.  The new row is byte for byte a line of the
 old file, and the ``summary.json`` and ``minimizer.bin`` digests did not
 move.  The Dirichlet search's digest takes its 64 totals from the full
-table, ``ConfigurationEnergies.evaluate()``, which the search's rows
-must match byte for byte.
+table, ``oracle_reference.full_table``, which the search's rows must
+match byte for byte.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from smalljump.oracle import (
     brute_force_minimize,
     solve_elastic,
 )
-from tests.oracle_reference import boundary_nodes
+from tests.oracle_reference import boundary_nodes, full_table
 
 GOLDEN = {
     "2d-128-rigid-patches": (
@@ -152,8 +152,8 @@ def test_dirichlet_search_matches_golden_digest():
     cands = [(0, (8, j)) for j in range(5, 11)]
     pinned = dict(pinned_mask=boundary_nodes(g), pinned_values=target.values)
     res = brute_force_minimize(g, cands, params, homogeneous=True, **pinned)
-    table = ConfigurationEnergies(ElasticSystem(g, params.homogeneous(), **pinned),
-                                  cands, JumpSet(g)).evaluate()
+    table = full_table(ConfigurationEnergies(
+        ElasticSystem(g, params.homogeneous(), **pinned), cands, JumpSet(g)))
     assert res.per_config.tobytes() == table[res.per_config["bits"]].tobytes()
     totals = table["total"]
     assert totals.size == 64

@@ -49,6 +49,7 @@ from tests.oracle_reference import (
     density_rows,
     elimination_order,
     full_solve_energies,
+    full_table,
     gather_corrections,
     gather_leaves,
     greedy_bits,
@@ -219,10 +220,10 @@ def test_sparse_form_search_matches_dense(monkeypatch):
 
 
 def _full_table(g, params, cands, base=None, **kwargs) -> np.ndarray:
-    """evaluate()'s table of every configuration of ``cands`` (in key
-    order), the walk with no bound."""
-    return oracle.ConfigurationEnergies(ElasticSystem(g, params, **kwargs),
-                                        cands, base or JumpSet(g)).evaluate()
+    """The full table of every configuration of ``cands`` (in key order),
+    ``oracle_reference.full_table``."""
+    return full_table(oracle.ConfigurationEnergies(
+        ElasticSystem(g, params, **kwargs), cands, base or JumpSet(g)))
 
 
 def _assert_rows_of_the_table(res, table):
@@ -386,33 +387,27 @@ def _batching_instance(name: str):
 
 
 @pytest.mark.parametrize("name", ["cross-2d8", "2d7-one-high", "2d7-both-high"])
-def test_batching_cannot_move_bits(monkeypatch, name):
-    # 64 B: every node is walked depth-first, down to single leaves;
-    # 64 MiB: the whole tree is one breadth-first batch.  On 2D 7^2 with
-    # both base faces high-owned, vectors strided by the batch size in
-    # _corrections' products move a row's bulk and total by one ulp
+def test_batching_cannot_move_bits(name):
+    # the search computes each row alone, and the full table all of them
+    # as one batch: the rows and the winner's field must not differ.  On
+    # 2D 7^2 with both base faces high-owned, vectors strided by the
+    # number of leaves in _corrections' products moved a row's bulk and
+    # total by one ulp
     g, params, cands, base = _batching_instance(name)
-    results, tables = [], []
-    for chunk, batch_level in ((64, len(cands)), (oracle.CHUNK_BYTES, None),
-                               (1 << 26, 0)):
-        monkeypatch.setattr(oracle, "CHUNK_BYTES", chunk)
-        energies = oracle.ConfigurationEnergies(ElasticSystem(g, params), cands,
-                                                base)
-        assert batch_level in (None, energies._batch_level)
-        tables.append(energies.evaluate())
-        results.append(brute_force_minimize(g, cands, params, base_jumps=base))
-        _assert_rows_of_the_table(results[-1], tables[-1])
-    for res, table in zip(results[1:], tables[1:]):
-        assert table.tobytes() == tables[0].tobytes()
-        assert res.best_config == results[0].best_config
-        assert res.min_energy == results[0].min_energy
-        assert np.array_equal(res.minimizer_u.values, results[0].minimizer_u.values)
+    energies = oracle.ConfigurationEnergies(ElasticSystem(g, params), cands,
+                                            base)
+    res = brute_force_minimize(g, cands, params, base_jumps=base)
+    _assert_rows_of_the_table(res, full_table(energies))
+    ((bits, x_Df),) = gather_leaves(energies)
+    (i,) = np.flatnonzero(bits == res.best_config.active_bits)
+    assert res.minimizer_u.values.tobytes() == \
+        energies._field(bits[i], x_Df[i])[0].tobytes()
 
 
 def test_search_memory_stays_within_its_budget():
     # the 12-face cross on 2D 8^2 (4 096 configurations) and its psi0:
-    # evaluate()'s batches grow with oracle.CHUNK_BYTES; the search walks
-    # single leaves, and its peak and psi0's must stay within 6 MiB
+    # the search walks single leaves, and its peak and psi0's must stay
+    # within 6 MiB
     g = GridSpec(2, 8, 1.0)
     params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02,
                           g=split_target(g, seed=0))
@@ -581,9 +576,29 @@ def test_psi0_of_minimizer_and_perturbation():
     assert out2["psi0"] > 0
 
 
+def _assert_region_rows_match_full_solves(u, jumps, params, box, cands, out):
+    """psi0's search on a sub-box that leaves cells out computes every
+    configuration's row, each term within 1e-12 relative of the
+    energy_breakdown on the box of one dense LU solve."""
+    g = u.grid
+    m = oracle.PSI0_MARGIN_CELLS * g.spacing
+    inner = BoxRegion(tuple(v + m for v in box.lo), tuple(v - m for v in box.hi))
+    system = ElasticSystem(g, params.homogeneous(),
+                           ~inner.contains_points(g.node_coord_grid()), u.values)
+    energy_of = full_solve_energies(system, cands, jumps, quadrature=True,
+                                    region=box)
+    rows = out["oracle"].per_config
+    assert rows["bits"].tolist() == list(range(2 ** len(cands)))
+    for row in rows:
+        ref = energy_of(int(row["bits"]))
+        scale = max(abs(ref[t]) for t in oracle.ENERGY_TERMS)
+        for t in oracle.ENERGY_TERMS:
+            assert abs(row[t] - ref[t]) <= 1e-12 * scale
+
+
 def test_psi0_on_proper_sub_boxes():
-    # a sub-box that leaves cells out makes the search evaluate each
-    # competitor's energy on the region alone
+    # a sub-box that leaves cells out makes the search compute each
+    # competitor's energy on the region alone, for every configuration
     g = GridSpec(2, 16, 1.0)
     target = split_target(g, seed=0)
     params = EnergyParams(HOOKE, p=2.0, kappa=3.0, beta=0.05, g=target)
@@ -600,6 +615,8 @@ def test_psi0_on_proper_sub_boxes():
         out = deviation_psi0(res.minimizer_u, JumpSet(g, own), params, box,
                              cands)
         assert abs(out["psi0"]) <= 1e-9
+        _assert_region_rows_match_full_solves(
+            res.minimizer_u, JumpSet(g, own), params, box, cands, out)
 
     # an extra face outside the candidates: every sub-box competitor is a
     # whole-box competitor with the same energy off the sub-box, so the
@@ -612,6 +629,8 @@ def test_psi0_on_proper_sub_boxes():
         out = deviation_psi0(res.minimizer_u, perturbed, params, box, cands)
         assert out["own_energy"] < whole["own_energy"]
         assert 0 < out["psi0"] <= whole["psi0"]
+        _assert_region_rows_match_full_solves(
+            res.minimizer_u, perturbed, params, box, cands, out)
 
 
 def test_psi0_empty_candidates_iff_elastic_solution():
@@ -1009,18 +1028,18 @@ def test_condensed_search_matches_full_solves(data):
 
 
 def _assert_tree_keeps_the_gather_bits(energies, probe):
-    """Every (bits, x_Df) batch of the tree and its corrections, byte for
-    byte those of the gather-based step, and the path of each leaf in
-    ``probe`` walked again to the reference's x_Df."""
-    got, ref = list(energies._leaves()), list(gather_leaves(energies))
-    assert len(got) == len(ref)
-    for (bits, x_Df), (ref_bits, ref_x) in zip(got, ref):
-        assert bits.tobytes() == ref_bits.tobytes()
-        assert x_Df.tobytes() == ref_x.tobytes()
-        x_D = np.concatenate([x_Df, np.broadcast_to(
-            energies._xDp, (bits.size, energies._xDp.size))], axis=1)
+    """Every leaf of the walk with no bound, keyed by bits, and its
+    corrections, byte for byte those of the gather-based step, and the
+    path of each leaf in ``probe`` walked again to the reference's x_Df."""
+    ((ref_bits, ref_x),) = gather_leaves(energies)
+    ref = dict(zip(ref_bits.tolist(), ref_x))
+    leaves = list(energies._leaves())
+    assert sorted(bits for bits, _ in leaves) == sorted(ref)
+    for bits, x_Df in leaves:
+        assert x_Df.tobytes() == ref[bits].tobytes()
+        x_D = np.concatenate([x_Df, energies._xDp])
         for a, b in zip(energies._corrections(bits, x_D),
-                        gather_corrections(energies, bits, x_D)):
+                        gather_corrections(energies, np.array([bits]), x_D[None])):
             assert a.tobytes() == b.tobytes()
     for b in probe:
         (leaf,) = gather_leaves(energies, b)
@@ -1053,33 +1072,8 @@ def test_broadcast_tree_keeps_the_gather_steps_bits(data):
     system = ElasticSystem(g, params, pinned,
                            None if pinned is None else rng.normal(size=shape))
     probe = rng.integers(0, 2 ** len(cands), 2).tolist()
-    for chunk in (64, oracle.CHUNK_BYTES, 1 << 26):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "CHUNK_BYTES", chunk)
-            energies = oracle.ConfigurationEnergies(system, cands, base)
-        _assert_tree_keeps_the_gather_bits(energies, probe)
-
-
-def test_blocks_decided_across_a_batch_root_keep_the_gather_bits():
-    # psi0's setting on the 8-face cross: every level in turn is the batch
-    # root, so some blocks have candidates decided above it and below it
-    g = GridSpec(2, 8, 1.0)
-    target = two_sided_target(g)
-    h = g.spacing
-    inner = BoxRegion((-1.0 + h,) * 2, (1.0 - h,) * 2)
-    faces = [(0, (4, 2)), (0, (4, 3)), (0, (4, 6))]
-    params = EnergyParams(HOOKE, p=2.0, kappa=2.0, beta=0.02,
-                          g=target).homogeneous()
-    system = ElasticSystem(g, params, ~inner.contains_points(g.node_coord_grid()),
-                           target.values)
-    cands = sorted(_midline_candidates(g, 8, cross=True))
-    energies = oracle.ConfigurationEnergies(system, cands, JumpSet(g, faces, faces[1:]))
-    across = 0
-    for batch in range(len(cands) + 1):
-        energies._batch_level = batch
-        across += any(lvs[0] < batch <= lvs[-1] for lvs, *_ in energies._blocks)
-        _assert_tree_keeps_the_gather_bits(energies, [0, 2 ** len(cands) - 1, 165])
-    assert across
+    _assert_tree_keeps_the_gather_bits(
+        oracle.ConfigurationEnergies(system, cands, base), probe)
 
 
 @given(data=st.data())
@@ -1132,26 +1126,22 @@ def _pruning_instance(data):
 
 @given(data=st.data())
 def test_pruned_search_keeps_the_full_tables_winner(data):
-    # against evaluate()'s tables at two batchings: the search computes
-    # each row alone, and a row's bits depend on no batch size
+    # against the full table: the search computes each row alone, the
+    # table all of them as one batch
     g, cands, params, base, kwargs = _pruning_instance(data)
-    for chunk in (64, oracle.CHUNK_BYTES):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "CHUNK_BYTES", chunk)
-            res = brute_force_minimize(g, cands, params, base_jumps=base,
-                                       **kwargs)
-            energies = oracle.ConfigurationEnergies(
-                ElasticSystem(g, params, **kwargs), cands, base)
-        _assert_rows_of_the_table(res, energies.evaluate())
-        assert res.minimizer_u.values.tobytes() == energies.minimizer(
-            res.best_config.active_bits).tobytes()
+    res = brute_force_minimize(g, cands, params, base_jumps=base, **kwargs)
+    energies = oracle.ConfigurationEnergies(
+        ElasticSystem(g, params, **kwargs), cands, base)
+    _assert_rows_of_the_table(res, full_table(energies))
+    assert res.minimizer_u.values.tobytes() == energies.minimizer(
+        res.best_config.active_bits).tobytes()
 
 
 def _assert_bounds_lie_below_their_subtrees(energies) -> int:
     """Every bound the search computes is at most the lowest total of the
-    node's subtree in evaluate()'s table, within the bound's error, and
-    the search's rows are the table's; returns the number of bounds."""
-    table = energies.evaluate()
+    node's subtree in the full table, within the bound's error, and the
+    search's rows are the table's; returns the number of bounds."""
+    table = full_table(energies)
     bound, seen = energies._bound, []
 
     def spy(Sr, bits, level, drop, acc):
@@ -1174,14 +1164,11 @@ def _assert_bounds_lie_below_their_subtrees(energies) -> int:
 
 @given(data=st.data())
 def test_bounds_lie_below_their_subtrees(data):
-    # every node's bound (the table at CHUNK_BYTES 64 B), and each
-    # block's Q such that B_c(t) - (B - Q on d x d) is PSD for every
-    # subset t
+    # every node's bound, and each block's Q such that
+    # B_c(t) - (B - Q on d x d) is PSD for every subset t
     g, cands, params, base, kwargs = _pruning_instance(data)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "CHUNK_BYTES", 64)
-        energies = oracle.ConfigurationEnergies(
-            ElasticSystem(g, params, **kwargs), cands, base)
+    energies = oracle.ConfigurationEnergies(
+        ElasticSystem(g, params, **kwargs), cands, base)
     _assert_bounds_lie_below_their_subtrees(energies)
     for _, d, mats, base_mat in energies._cell_blocks():
         q = oracle._schur_complement(base_mat, d.size)
@@ -1189,7 +1176,7 @@ def test_bounds_lie_below_their_subtrees(data):
         assert lam.min() >= -1e-10 * np.abs(base_mat).max()
 
 
-def test_bounds_couple_the_pinned_nodes_of_pending_cells(monkeypatch):
+def test_bounds_couple_the_pinned_nodes_of_pending_cells():
     # a candidate in a cell on the pinned boundary, with Dirichlet data
     # five times the target: a pending block's Q couples the pinned values
     # into the bound's right-hand side, and the bound fails without them
@@ -1200,7 +1187,6 @@ def test_bounds_couple_the_pinned_nodes_of_pending_cells(monkeypatch):
                           g=target)
     system = ElasticSystem(g, params, boundary_nodes(g),
                            5 * np.random.default_rng(10116).normal(size=shape))
-    monkeypatch.setattr(oracle, "CHUNK_BYTES", 64)
     energies = oracle.ConfigurationEnergies(system, [(0, (5, 5)), (1, (2, 3))],
                                             JumpSet(g))
     assert _assert_bounds_lie_below_their_subtrees(energies) > 0
